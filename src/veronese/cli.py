@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="exhaustive finite-field reports")
     common(p_orc)
     p_orc.add_argument("--workers", type=int, default=1,
-                       help="partition workers (result-invariant)")
+                       help="accepted for compatibility (>= 1); never changes the result")
 
     return parser
 
@@ -397,6 +397,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.n < 0 or args.d < 1:
         parser.error("require --n >= 0 and --d >= 1")
+    if args.budget < 0:
+        parser.error("require --budget >= 0")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("require --workers >= 1")
     try:
         return _HANDLERS[args.command](args)
     except BudgetError as exc:

@@ -1,8 +1,8 @@
 """Exhaustive finite-field comparison of the minor variety with the image.
 
 Desk-scale evidence for the set equality V(2-minors) = image of the
-embedding: enumerate every canonical point of P^N(F_q), keep those where
-all minors vanish, and compare with the image of P^n(F_q).  The same
+embedding: find every canonical point of P^N(F_q) where all minors
+vanish, and compare with the image of P^n(F_q).  The same
 machinery compares the minor set against the full balanced-quadric
 generating set.
 
@@ -10,16 +10,17 @@ The minor-vanishing derivations behind the equality use only field axioms,
 so a check over F_q exercises the identical algebra as any other field;
 the reports say so explicitly to keep the evidence honest.
 
-Enumeration is partitioned by the position of the leading 1; partitions
-are filtered independently and merged by set union, so worker count never
-changes the result.
+Enumeration is partitioned by the position of the leading 1.  Within a
+partition a depth-first search assigns the remaining coordinates in index
+order and checks each quadric as soon as its highest-index coordinate has
+a value, so a prefix is cut only when a fully assigned quadric fails.  The
+search is still exhaustive: it returns exactly the canonical points a scan
+of every residue vector would keep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BudgetError
 from .matrix import Binomial2, cached_minors, sorted_binomials, toric_quadrics
@@ -71,18 +72,43 @@ def _index_quads(ctx: VeroneseContext, binomials) -> list[tuple[int, int, int, i
 
 
 def _filter_partition(N: int, q: int, lead: int, quads) -> list[tuple[int, ...]]:
-    """Canonical vectors with leading 1 at `lead` where all quadrics vanish.
+    """Canonical vectors with leading 1 at `lead` where all quadrics vanish,
+    in lexicographic order.
 
     Works on raw residue tuples for speed; callers wrap survivors."""
-    head = (0,) * lead + (1,)
-    out = []
-    for tail in product(range(q), repeat=N - lead):
-        v = head + tail
-        for ia, ib, ic, ie in quads:
+    by_top = [[] for _ in range(N + 1)]
+    for quad in quads:
+        by_top[max(quad)].append(quad)
+    v = [0] * lead + [1] + [0] * (N - lead)
+
+    # every quad in by_top[k] reads only v[0..k], so stale entries beyond k
+    # left by an earlier branch are never seen
+    def vanishes(k: int) -> bool:
+        for ia, ib, ic, ie in by_top[k]:
             if (v[ia] * v[ib] - v[ic] * v[ie]) % q:
-                break
-        else:
-            out.append(v)
+                return False
+        return True
+
+    if not all(vanishes(k) for k in range(lead + 1)):
+        return []
+    if lead == N:
+        return [tuple(v)]
+    # iterative, so the depth N - lead is not bounded by the recursion limit;
+    # v[k] holds the value under trial at depth k, starting below 0
+    out = []
+    k = lead + 1
+    v[k] = -1
+    while k > lead:
+        if v[k] == q - 1:
+            k -= 1
+            continue
+        v[k] += 1
+        if vanishes(k):
+            if k == N:
+                out.append(tuple(v))
+            else:
+                k += 1
+                v[k] = -1
     return out
 
 
@@ -93,23 +119,21 @@ def vanishing_set(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> set[ProjectivePoint]:
-    """All canonical points of P^N(F_q) where every given quadric vanishes."""
+    """All canonical points of P^N(F_q) where every given quadric vanishes.
+
+    The budget is checked against the up-front estimate points x quadrics.
+    `workers` is accepted for compatibility and never changes the result;
+    the search runs in the calling thread."""
     field = PrimeField(q)
     npoints = count_projective_points(ctx.N, q)
     cost = npoints * max(1, len(binomials))
     if cost > budget:
         raise BudgetError(cost, budget)
     quads = _index_quads(ctx, binomials)
-    leads = list(range(ctx.N, -1, -1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda l: _filter_partition(ctx.N, q, l, quads), leads))
-    else:
-        parts = [_filter_partition(ctx.N, q, l, quads) for l in leads]
     return {
         ProjectivePoint(field, tuple(Fp(c, q) for c in v))
-        for part in parts
-        for v in part
+        for lead in range(ctx.N, -1, -1)
+        for v in _filter_partition(ctx.N, q, lead, quads)
     }
 
 

@@ -41,6 +41,17 @@ class TestMatrixCommand:
         assert exc.value.code == 2
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "1", "--d", "2", "--field", "fp:3", "--workers", "0"],
+        ["minors", "--n", "1", "--d", "2", "--budget", "-1"],
+    ])
+    def test_out_of_range_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 class TestMinorsCommand:
     @pytest.mark.parametrize("n,d,count", [(1, 2, 1), (1, 3, 3), (2, 2, 6)])
     def test_counts(self, capsys, n, d, count):
@@ -154,6 +165,16 @@ class TestVerifyCommand:
         bad.write_text("{ not json")
         code, _ = run(capsys, "verify", "--n", "1", "--d", "3", "--propagation-cert", str(bad))
         assert code == 2
+
+    def test_non_integer_dimension_in_certificate_is_usage_error(self, capsys, tmp_path):
+        cert_file = tmp_path / "cascade.json"
+        run(capsys, "verify", "--n", "1", "--d", "3", "--emit-propagation-cert", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        doc["n"] = "x"
+        cert_file.write_text(json.dumps(doc))
+        code = main(["verify", "--n", "1", "--d", "3", "--propagation-cert", str(cert_file)])
+        assert code == 2
+        assert "error: malformed certificate document" in capsys.readouterr().err
 
 
 class TestOracleCommand:

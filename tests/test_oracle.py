@@ -1,5 +1,8 @@
 """Exhaustive finite-field comparisons."""
 
+from itertools import product
+from random import Random
+
 import pytest
 
 from veronese import (
@@ -18,7 +21,8 @@ from veronese import (
     vanishing_set,
     veronese_eval,
 )
-from veronese.matrix import cached_minors
+from veronese.matrix import cached_minors, sorted_binomials, toric_quadrics
+from veronese.oracle import _filter_partition, _index_quads
 
 # frozen by an independent brute-force enumeration over all residue vectors
 FROZEN_VARIETY_COUNTS = {
@@ -28,6 +32,46 @@ FROZEN_VARIETY_COUNTS = {
     (2, 2, 2): 7, (2, 2, 3): 13, (2, 2, 5): 31,
     (2, 3, 2): 7, (2, 3, 3): 13,
 }
+
+
+def _product_filter(N, q, lead, quads):
+    """Reference filter: scan every residue vector with leading 1 at `lead`."""
+    head = (0,) * lead + (1,)
+    out = []
+    for tail in product(range(q), repeat=N - lead):
+        v = head + tail
+        for ia, ib, ic, ie in quads:
+            if (v[ia] * v[ib] - v[ic] * v[ie]) % q:
+                break
+        else:
+            out.append(v)
+    return out
+
+
+GENERATOR_SETS = {
+    "minors": cached_minors,
+    "toric": toric_quadrics,
+    "one-minor": lambda ctx: frozenset(sorted_binomials(cached_minors(ctx))[:1]),
+}
+
+
+class TestSearchAgainstProductReference:
+    @pytest.mark.parametrize("gens", sorted(GENERATOR_SETS))
+    @pytest.mark.parametrize("n,d,q", sorted(FROZEN_VARIETY_COUNTS) + [(3, 2, 3), (3, 3, 2)])
+    def test_identical_partitions(self, n, d, q, gens):
+        ctx = VeroneseContext(n, d)
+        quads = _index_quads(ctx, GENERATOR_SETS[gens](ctx))
+        for lead in range(ctx.N + 1):
+            assert _filter_partition(ctx.N, q, lead, quads) == _product_filter(ctx.N, q, lead, quads)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_partitions_for_arbitrary_quads(self, seed):
+        # unbalanced quads; some seeds draw one that fails on the leading-1 head alone
+        rng = Random(seed)
+        N, q = 4, 3
+        quads = [tuple(rng.randrange(N + 1) for _ in range(4)) for _ in range(rng.randrange(1, 4))]
+        for lead in range(N + 1):
+            assert _filter_partition(N, q, lead, quads) == _product_filter(N, q, lead, quads)
 
 
 class TestBruteForceVariety:
@@ -104,6 +148,17 @@ class TestSetEquality:
         assert doc["comparison"] == "veronese-image"
         assert doc["variety_count"] == doc["image_count"] == doc["expected_count"] == 4
         assert "field-agnostic" in doc["note"]
+
+
+class TestFrontier:
+    # P^34(F_3) has about 2.5e16 points; only the pruned search reaches it
+    @pytest.mark.parametrize("n,d,count", [(3, 4, 40), (4, 3, 121)])
+    def test_beyond_brute_force(self, n, d, count):
+        ctx = VeroneseContext(n, d)
+        for check in (check_set_equality, check_toric_equality):
+            rep = check(ctx, 3, budget=10**30)
+            assert rep.equal
+            assert rep.variety_count == rep.image_count == rep.expected_count == count
 
 
 class TestToricEquality:
