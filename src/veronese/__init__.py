@@ -78,6 +78,7 @@ from .oracle import (
     EqualityReport,
     brute_force_image,
     brute_force_variety,
+    census,
     check_set_equality,
     check_toric_equality,
     report_to_doc,
@@ -104,6 +105,6 @@ __all__ = [
     "rewrite_chain", "verify_rewrite_chain", "verify_zero_propagation",
     "zero_propagation_certificate",
     "DEFAULT_BUDGET", "EqualityReport", "brute_force_image",
-    "brute_force_variety", "check_set_equality", "check_toric_equality",
+    "brute_force_variety", "census", "check_set_equality", "check_toric_equality",
     "report_to_doc", "vanishing_set",
 ]

@@ -330,7 +330,7 @@ def propagation_from_doc(doc: dict) -> ZeroPropagationCertificate:
             )
             for s in doc["steps"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"malformed certificate document: {exc}") from None
     return ZeroPropagationCertificate(ctx, steps)
 
@@ -356,5 +356,5 @@ def chain_from_doc(doc: dict) -> RewriteChain:
             parse_coordinate_name(doc["target"]),
             tuple(parse_binomial(s) for s in doc["steps"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"malformed chain document: {exc}") from None

@@ -356,10 +356,7 @@ def cmd_oracle(args) -> int:
     field = field_from_name(args.field)
     if not isinstance(field, PrimeField):
         raise ContractError("oracle runs need --field fp:<prime>")
-    reports = [
-        orc.check_set_equality(ctx, field.p, args.budget, args.workers),
-        orc.check_toric_equality(ctx, field.p, args.budget, args.workers),
-    ]
+    reports = orc.census(ctx, field.p, args.budget, args.workers)
     ok = all(r.equal for r in reports)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -412,7 +409,7 @@ def main(argv=None) -> int:
     except (ContractError, InvalidPointError, EmptyMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VeroneseError as exc:

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .errors import ContractError, EmptyMatrixError
 from .multiindex import (
@@ -88,10 +89,10 @@ def build_matrix_by_columns(ctx: VeroneseContext) -> SymbolicMatrix:
 
 
 def _ordered_pair(a: MultiIndex, b: MultiIndex) -> Pair:
-    return (a, b) if tuple(a) >= tuple(b) else (b, a)
+    return (a, b) if a >= b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binomial2:
     """Canonical balanced binomial quadric z_pos0 z_pos1 - z_neg0 z_neg1.
 
@@ -109,7 +110,7 @@ class Binomial2:
         c, e = self.neg
         if not (len(a) == len(b) == len(c) == len(e)):
             raise ContractError("mixed-length multi-indices in a binomial")
-        if a.plus(b) != c.plus(e):
+        if list(map(add, a, b)) != list(map(add, c, e)):
             raise ContractError(f"unbalanced binomial: {a}*{b} vs {c}*{e}")
 
     @staticmethod
@@ -120,7 +121,7 @@ class Binomial2:
         p2 = _ordered_pair(*pair2)
         if p1 == p2:
             return None
-        if tuple(p1[0]) > tuple(p2[0]):
+        if p1[0] > p2[0]:
             return Binomial2(p1, p2)
         return Binomial2(p2, p1)
 
@@ -149,7 +150,7 @@ _BINOMIAL_RE = re.compile(
 def parse_binomial(text: str) -> Binomial2:
     """Inverse of str(Binomial2); accepts the "z_{a} z_{b} - z_{c} z_{e}"
     form with ^2 for repeated factors."""
-    m = _BINOMIAL_RE.fullmatch(text.strip())
+    m = _BINOMIAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if not m:
         raise ContractError(f"not a binomial quadric: {text!r}")
     a = parse_coordinate_name(m.group(1))
@@ -189,7 +190,7 @@ def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     by_sum: dict[tuple[int, ...], list[Pair]] = {}
     for idx, a in enumerate(monos):
         for b in monos[idx:]:
-            by_sum.setdefault(tuple(a.plus(b)), []).append((a, b))
+            by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
     out = set()
     for pairs in by_sum.values():
         for p1, p2 in combinations(pairs, 2):

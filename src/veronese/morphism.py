@@ -26,16 +26,22 @@ def coordinate_index(ctx: VeroneseContext) -> dict[MultiIndex, int]:
     return {m: k for k, m in enumerate(ctx.monomials())}
 
 
+def indexed_binomials(
+    ctx: VeroneseContext, binomials: frozenset[Binomial2]
+) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
+    """Binomials paired with the flat indices of their four coordinates, in
+    the deterministic listing order."""
+    idx = coordinate_index(ctx)
+    return tuple(
+        (b, (idx[b.pos[0]], idx[b.pos[1]], idx[b.neg[0]], idx[b.neg[1]]))
+        for b in sorted_binomials(binomials)
+    )
+
+
 @lru_cache(maxsize=None)
 def _minor_table(ctx: VeroneseContext) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
-    """Minors paired with the flat indices of their four coordinates, in the
-    deterministic listing order."""
-    idx = coordinate_index(ctx)
-    table = []
-    for b in sorted_binomials(cached_minors(ctx)):
-        (a, b2), (c, e) = b.pos, b.neg
-        table.append((b, (idx[a], idx[b2], idx[c], idx[e])))
-    return tuple(table)
+    """The minors as indexed_binomials, built once per context."""
+    return indexed_binomials(ctx, cached_minors(ctx))
 
 
 def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:

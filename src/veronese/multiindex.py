@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import ContractError
 
@@ -47,10 +48,10 @@ class MultiIndex(tuple):
     __slots__ = ()
 
     def __new__(cls, exponents) -> "MultiIndex":
-        self = super().__new__(cls, (int(e) for e in exponents))
-        if len(self) == 0:
+        self = super().__new__(cls, map(int, exponents))
+        if not self:
             raise ContractError("a MultiIndex needs at least one exponent")
-        if any(e < 0 for e in self):
+        if min(self) < 0:
             raise ContractError(f"negative exponent in {tuple(self)}")
         return self
 
@@ -62,17 +63,27 @@ class MultiIndex(tuple):
         """Componentwise sum (the exponent vector of the product monomial)."""
         if len(self) != len(other):
             raise ContractError(f"length mismatch: {self} vs {other}")
-        return MultiIndex(a + b for a, b in zip(self, other))
+        return MultiIndex(map(add, self, other))
 
     def bump(self, j: int) -> "MultiIndex":
         """Copy with exponent j raised by one (multiplication by x_j)."""
-        return MultiIndex(e + 1 if k == j else e for k, e in enumerate(self))
+        exps = self._exponents_for(j)
+        exps[j] += 1
+        return MultiIndex(exps)
 
     def drop(self, j: int) -> "MultiIndex":
         """Copy with exponent j lowered by one (division by x_j)."""
-        if self[j] < 1:
+        exps = self._exponents_for(j)
+        if exps[j] < 1:
             raise ContractError(f"cannot divide {self} by variable {j}")
-        return MultiIndex(e - 1 if k == j else e for k, e in enumerate(self))
+        exps[j] -= 1
+        return MultiIndex(exps)
+
+    def _exponents_for(self, j: int) -> list[int]:
+        """Mutable copy of the exponents, once j names one of them."""
+        if not 0 <= j < len(self):
+            raise ContractError(f"variable index {j} out of range for {self}")
+        return list(self)
 
     def coordinate_name(self) -> str:
         """Name of the coordinate this vector indexes, e.g. "z_{2,1,0}"."""
@@ -114,10 +125,13 @@ _COORD_RE = re.compile(r"z_\{(-?\d+(?:,-?\d+)*)\}")
 
 def parse_coordinate_name(text: str) -> MultiIndex:
     """Inverse of :meth:`MultiIndex.coordinate_name`."""
-    m = _COORD_RE.fullmatch(text.strip())
+    m = _COORD_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if not m:
         raise ContractError(f"not a coordinate name: {text!r}")
-    return MultiIndex(int(e) for e in m.group(1).split(","))
+    try:
+        return MultiIndex(m.group(1).split(","))
+    except ValueError as exc:  # an exponent past int()'s digit limit
+        raise ContractError(f"not a coordinate name: {text!r}: {exc}") from None
 
 
 def lex_compare(a: MultiIndex, b: MultiIndex) -> int:

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .matrix import Binomial2, cached_minors, sorted_binomials, toric_quadrics
-from .morphism import coordinate_index, veronese_eval
+from .matrix import Binomial2, cached_minors, toric_quadrics
+from .morphism import indexed_binomials, veronese_eval
 from .multiindex import VeroneseContext
 from .projective import (
     Fp,
@@ -60,15 +60,6 @@ class EqualityReport:
     expected_count: int
     equal: bool
     witnesses: tuple[ProjectivePoint, ...]
-
-
-def _index_quads(ctx: VeroneseContext, binomials) -> list[tuple[int, int, int, int]]:
-    idx = coordinate_index(ctx)
-    quads = []
-    for b in sorted_binomials(binomials):
-        (a, b2), (c, e) = b.pos, b.neg
-        quads.append((idx[a], idx[b2], idx[c], idx[e]))
-    return quads
 
 
 def _filter_partition(N: int, q: int, lead: int, quads) -> list[tuple[int, ...]]:
@@ -129,7 +120,7 @@ def vanishing_set(
     cost = npoints * max(1, len(binomials))
     if cost > budget:
         raise BudgetError(cost, budget)
-    quads = _index_quads(ctx, binomials)
+    quads = [quad for _, quad in indexed_binomials(ctx, binomials)]
     return {
         ProjectivePoint(field, tuple(Fp(c, q) for c in v))
         for lead in range(ctx.N, -1, -1)
@@ -153,22 +144,37 @@ def _sorted_witnesses(points) -> tuple[ProjectivePoint, ...]:
     return tuple(sorted(points, key=lambda p: tuple(c.value for c in p.coords)))
 
 
+def _image_report(ctx: VeroneseContext, q: int, variety: set[ProjectivePoint]) -> EqualityReport:
+    return _report(ctx, q, "veronese-image", variety, brute_force_image(ctx, q))
+
+
+def _toric_report(
+    ctx: VeroneseContext, q: int, variety: set[ProjectivePoint], budget: int, workers: int
+) -> EqualityReport:
+    toric = vanishing_set(ctx, q, toric_quadrics(ctx), budget, workers)
+    return _report(ctx, q, "toric-quadrics", variety, toric)
+
+
+def _report(
+    ctx: VeroneseContext, q: int, kind: str, variety: set[ProjectivePoint], other: set[ProjectivePoint]
+) -> EqualityReport:
+    return EqualityReport(
+        ctx=ctx,
+        q=q,
+        kind=kind,
+        variety_count=len(variety),
+        image_count=len(other),
+        expected_count=count_projective_points(ctx.n, q),
+        equal=variety == other,
+        witnesses=_sorted_witnesses(variety ^ other),
+    )
+
+
 def check_set_equality(
     ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> EqualityReport:
     """Compare V(2-minors)(F_q) with the embedding image; equality expected."""
-    variety = brute_force_variety(ctx, q, budget, workers)
-    image = brute_force_image(ctx, q)
-    return EqualityReport(
-        ctx=ctx,
-        q=q,
-        kind="veronese-image",
-        variety_count=len(variety),
-        image_count=len(image),
-        expected_count=count_projective_points(ctx.n, q),
-        equal=variety == image,
-        witnesses=_sorted_witnesses(variety ^ image),
-    )
+    return _image_report(ctx, q, brute_force_variety(ctx, q, budget, workers))
 
 
 def check_toric_equality(
@@ -177,18 +183,16 @@ def check_toric_equality(
     """Compare V(2-minors)(F_q) with the vanishing set of all balanced
     quadrics; the latter generator set is larger, so its variety can only
     be smaller, and equality is the content."""
+    return _toric_report(ctx, q, brute_force_variety(ctx, q, budget, workers), budget, workers)
+
+
+def census(
+    ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET, workers: int = 1
+) -> tuple[EqualityReport, EqualityReport]:
+    """check_set_equality and check_toric_equality, in that order, sharing
+    one search for V(2-minors)(F_q)."""
     variety = brute_force_variety(ctx, q, budget, workers)
-    toric = vanishing_set(ctx, q, toric_quadrics(ctx), budget, workers)
-    return EqualityReport(
-        ctx=ctx,
-        q=q,
-        kind="toric-quadrics",
-        variety_count=len(variety),
-        image_count=len(toric),
-        expected_count=count_projective_points(ctx.n, q),
-        equal=variety == toric,
-        witnesses=_sorted_witnesses(variety ^ toric),
-    )
+    return _image_report(ctx, q, variety), _toric_report(ctx, q, variety, budget, workers)
 
 
 def report_to_doc(report: EqualityReport) -> dict:

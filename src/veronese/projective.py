@@ -318,7 +318,7 @@ def format_point(p: ProjectivePoint) -> str:
 def parse_point(field: Field, text: str) -> ProjectivePoint:
     """Parse "[a : b : c]"; rational entries may be "p/q", prime-field
     entries are decimal residues."""
-    body = text.strip()
+    body = text.strip() if isinstance(text, str) else ""
     if not (body.startswith("[") and body.endswith("]")):
         raise ContractError(f"point must be bracketed, got {text!r}")
     parts = body[1:-1].split(":")

@@ -1,0 +1,257 @@
+"""The table construction path against the generator-based reference it
+replaced, and the construction checks that must keep firing.
+
+The reference primitives below are the earlier MultiIndex construction and
+arithmetic, Binomial2 balance check and canonical ordering, and the earlier
+minors2/toric_quadrics.  The certificate generators are unchanged code that
+runs on these primitives, so patching the reference primitives in yields
+the reference certificates and chains.
+"""
+
+from dataclasses import FrozenInstanceError
+from itertools import combinations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from veronese import (
+    Binomial2,
+    ContractError,
+    MultiIndex,
+    VeroneseContext,
+    all_rewrite_chains,
+    build_matrix,
+    enumerate_monomials,
+    minors2,
+    parse_binomial,
+    toric_quadrics,
+    zero_propagation_certificate,
+)
+from veronese import matrix as matrix_module
+from veronese import morphism
+
+CONTEXTS = [(1, 1), (0, 3), (1, 4), (2, 5), (3, 4), (4, 4)]
+
+
+# ---------------------------------------------------------------------------
+# reference primitives
+
+
+def ref_new(cls, exponents):
+    self = tuple.__new__(cls, (int(e) for e in exponents))
+    if len(self) == 0:
+        raise ContractError("a MultiIndex needs at least one exponent")
+    if any(e < 0 for e in self):
+        raise ContractError(f"negative exponent in {tuple(self)}")
+    return self
+
+
+def ref_plus(self, other):
+    if len(self) != len(other):
+        raise ContractError(f"length mismatch: {self} vs {other}")
+    return MultiIndex(a + b for a, b in zip(self, other))
+
+
+def ref_bump(self, j):
+    return MultiIndex(e + 1 if k == j else e for k, e in enumerate(self))
+
+
+def ref_drop(self, j):
+    if self[j] < 1:
+        raise ContractError(f"cannot divide {self} by variable {j}")
+    return MultiIndex(e - 1 if k == j else e for k, e in enumerate(self))
+
+
+def ref_ordered_pair(a, b):
+    return (a, b) if tuple(a) >= tuple(b) else (b, a)
+
+
+def ref_post_init(self):
+    a, b = self.pos
+    c, e = self.neg
+    if not (len(a) == len(b) == len(c) == len(e)):
+        raise ContractError("mixed-length multi-indices in a binomial")
+    if a.plus(b) != c.plus(e):
+        raise ContractError(f"unbalanced binomial: {a}*{b} vs {c}*{e}")
+
+
+def ref_canonical(pair1, pair2):
+    p1 = ref_ordered_pair(*pair1)
+    p2 = ref_ordered_pair(*pair2)
+    if p1 == p2:
+        return None
+    if tuple(p1[0]) > tuple(p2[0]):
+        return Binomial2(p1, p2)
+    return Binomial2(p2, p1)
+
+
+def ref_minors2(matrix):
+    nrows, ncols = matrix.shape
+    out = set()
+    for i, j in combinations(range(nrows), 2):
+        ri, rj = matrix.entries[i], matrix.entries[j]
+        for k, l in combinations(range(ncols), 2):
+            b = Binomial2.canonical((ri[k], rj[l]), (ri[l], rj[k]))
+            if b is not None:
+                out.add(b)
+    return frozenset(out)
+
+
+def ref_toric_quadrics(ctx):
+    monos = enumerate_monomials(ctx.n, ctx.d)
+    by_sum = {}
+    for idx, a in enumerate(monos):
+        for b in monos[idx:]:
+            by_sum.setdefault(tuple(a.plus(b)), []).append((a, b))
+    out = set()
+    for pairs in by_sum.values():
+        for p1, p2 in combinations(pairs, 2):
+            b = Binomial2.canonical(p1, p2)
+            if b is not None:
+                out.add(b)
+    return frozenset(out)
+
+
+def clear_caches():
+    for cache in (enumerate_monomials, matrix_module.cached_matrix, matrix_module.cached_minors,
+                  morphism.coordinate_index, morphism._minor_table):
+        cache.cache_clear()
+
+
+def plain_binomial(b):
+    return (tuple(map(tuple, b.pos)), tuple(map(tuple, b.neg)))
+
+
+def plain_tables(ctx, build_minors, build_quadrics):
+    """Every table as plain tuples, built from empty caches."""
+    clear_caches()
+    minors = build_minors(build_matrix(ctx))
+    quadrics = build_quadrics(ctx) if ctx.d >= 1 else frozenset()
+    cert = zero_propagation_certificate(ctx)
+    chains = list(all_rewrite_chains(ctx)) if ctx.d >= 1 else []
+    clear_caches()
+    return {
+        "minors": sorted(map(plain_binomial, minors)),
+        "quadrics": sorted(map(plain_binomial, quadrics)),
+        "cert": [(tuple(s.target), plain_binomial(s.minor), tuple(map(tuple, s.prerequisites)))
+                 for s in cert.steps],
+        "chains": [(c.chart, tuple(c.target), [plain_binomial(b) for b in c.steps]) for c in chains],
+    }
+
+
+@pytest.fixture
+def reference_primitives(monkeypatch):
+    monkeypatch.setattr(MultiIndex, "__new__", staticmethod(ref_new))
+    monkeypatch.setattr(MultiIndex, "plus", ref_plus)
+    monkeypatch.setattr(MultiIndex, "bump", ref_bump)
+    monkeypatch.setattr(MultiIndex, "drop", ref_drop)
+    monkeypatch.setattr(Binomial2, "__post_init__", ref_post_init)
+    monkeypatch.setattr(Binomial2, "canonical", staticmethod(ref_canonical))
+    monkeypatch.setattr(matrix_module, "_ordered_pair", ref_ordered_pair)
+    yield
+    monkeypatch.undo()
+    clear_caches()
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n,d", CONTEXTS)
+    def test_tables_equal(self, n, d, reference_primitives, monkeypatch):
+        ctx = VeroneseContext(n, d)
+        reference = plain_tables(ctx, ref_minors2, ref_toric_quadrics)
+        monkeypatch.undo()
+        fast = plain_tables(ctx, minors2, toric_quadrics)
+        assert fast == reference
+        assert sum(map(len, reference.values())) > 0
+
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
+    def test_fast_path_keeps_types(self, n, d):
+        ctx = VeroneseContext(n, d)
+        for b in minors2(build_matrix(ctx)) | toric_quadrics(ctx):
+            assert all(type(m) is MultiIndex for m in b.coordinates())
+
+
+exponents = st.lists(st.integers(0, 30), min_size=1, max_size=7)
+
+
+class TestArithmetic:
+    @given(exponents, st.data())
+    def test_plus_is_componentwise(self, a, data):
+        b = data.draw(st.lists(st.integers(0, 30), min_size=len(a), max_size=len(a)))
+        out = MultiIndex(a).plus(MultiIndex(b))
+        assert type(out) is MultiIndex
+        assert out == tuple(x + y for x, y in zip(a, b))
+        assert out == ref_plus(MultiIndex(a), MultiIndex(b))
+
+    @given(exponents, st.data())
+    def test_bump_and_drop_are_componentwise(self, a, data):
+        j = data.draw(st.integers(0, len(a) - 1))
+        m = MultiIndex(a)
+        bumped = m.bump(j)
+        assert type(bumped) is MultiIndex
+        assert bumped == tuple(e + (k == j) for k, e in enumerate(a)) == ref_bump(m, j)
+        assert bumped.drop(j) == m
+        if a[j]:
+            assert m.drop(j) == tuple(e - (k == j) for k, e in enumerate(a)) == ref_drop(m, j)
+        else:
+            with pytest.raises(ContractError, match=r"^cannot divide .* by variable"):
+                m.drop(j)
+
+    @pytest.mark.parametrize("j", [-1, 3, 7])
+    def test_variable_index_out_of_range_rejected(self, j):
+        m = MultiIndex((2, 1, 0))
+        with pytest.raises(ContractError, match="out of range"):
+            m.bump(j)
+        with pytest.raises(ContractError, match="out of range"):
+            m.drop(j)
+
+    def test_plus_length_mismatch_rejected(self):
+        with pytest.raises(ContractError, match=r"^length mismatch: \(1,2\) vs \(1\)$"):
+            MultiIndex((1, 2)).plus(MultiIndex((1,)))
+
+
+class TestChecksStillFire:
+    @pytest.mark.parametrize("exps", [(), [], iter(())])
+    def test_empty_multiindex(self, exps):
+        with pytest.raises(ContractError) as exc:
+            MultiIndex(exps)
+        assert str(exc.value) == "a MultiIndex needs at least one exponent"
+
+    @pytest.mark.parametrize("exps,shown", [((1, -1), "(1, -1)"), ((-3,), "(-3,)"),
+                                            (("2", -1.5, 0), "(2, -1, 0)")])
+    def test_negative_multiindex(self, exps, shown):
+        with pytest.raises(ContractError) as exc:
+            MultiIndex(exps)
+        assert str(exc.value) == f"negative exponent in {shown}"
+
+    def test_mixed_length_binomial(self):
+        a, b = MultiIndex((1, 1)), MultiIndex((2, 0))
+        c, e = MultiIndex((1, 1, 0)), MultiIndex((2, 0, 0))
+        with pytest.raises(ContractError) as exc:
+            Binomial2((a, b), (c, e))
+        assert str(exc.value) == "mixed-length multi-indices in a binomial"
+        with pytest.raises(ContractError):
+            Binomial2.canonical((a, b), (c, e))
+
+    def test_unbalanced_binomial(self):
+        a, b = MultiIndex((2, 0)), MultiIndex((1, 1))
+        c, e = MultiIndex((2, 0)), MultiIndex((2, 0))
+        with pytest.raises(ContractError) as exc:
+            Binomial2((a, b), (c, e))
+        assert str(exc.value) == "unbalanced binomial: (2,0)*(1,1) vs (2,0)*(2,0)"
+        with pytest.raises(ContractError, match="^unbalanced binomial"):
+            parse_binomial("z_{2,0} z_{1,1} - z_{2,0}^2")
+
+    def test_slots_binomial_keeps_value_semantics(self):
+        b = parse_binomial("z_{2,0,0} z_{0,1,1} - z_{1,1,0} z_{1,0,1}")
+        twin = Binomial2.canonical(
+            (MultiIndex((1, 0, 1)), MultiIndex((1, 1, 0))),
+            (MultiIndex((0, 1, 1)), MultiIndex((2, 0, 0))),
+        )
+        assert b == twin and b is not twin
+        assert hash(b) == hash(twin)
+        assert len({b, twin}) == 1
+        assert str(b) == "z_{2,0,0} z_{0,1,1} - z_{1,1,0} z_{1,0,1}"
+        assert parse_binomial(str(b)) == b
+        assert not hasattr(b, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            b.pos = twin.neg

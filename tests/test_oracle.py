@@ -11,6 +11,7 @@ from veronese import (
     VeroneseContext,
     brute_force_image,
     brute_force_variety,
+    census,
     check_set_equality,
     check_toric_equality,
     count_projective_points,
@@ -21,8 +22,10 @@ from veronese import (
     vanishing_set,
     veronese_eval,
 )
+from veronese import oracle
 from veronese.matrix import cached_minors, sorted_binomials, toric_quadrics
-from veronese.oracle import _filter_partition, _index_quads
+from veronese.morphism import indexed_binomials
+from veronese.oracle import _filter_partition
 
 # frozen by an independent brute-force enumeration over all residue vectors
 FROZEN_VARIETY_COUNTS = {
@@ -60,7 +63,7 @@ class TestSearchAgainstProductReference:
     @pytest.mark.parametrize("n,d,q", sorted(FROZEN_VARIETY_COUNTS) + [(3, 2, 3), (3, 3, 2)])
     def test_identical_partitions(self, n, d, q, gens):
         ctx = VeroneseContext(n, d)
-        quads = _index_quads(ctx, GENERATOR_SETS[gens](ctx))
+        quads = [quad for _, quad in indexed_binomials(ctx, GENERATOR_SETS[gens](ctx))]
         for lead in range(ctx.N + 1):
             assert _filter_partition(ctx.N, q, lead, quads) == _product_filter(ctx.N, q, lead, quads)
 
@@ -171,6 +174,30 @@ class TestToricEquality:
     def test_identical_generators_for_the_conic(self):
         rep = check_toric_equality(VeroneseContext(1, 2), 5)
         assert rep.equal and rep.variety_count == rep.image_count == 6
+
+
+class TestCensus:
+    @pytest.mark.parametrize("n,d,q", [(1, 2, 3), (2, 2, 3), (1, 4, 3), (2, 3, 3)])
+    def test_both_reports_from_one_minor_search(self, n, d, q, monkeypatch):
+        ctx = VeroneseContext(n, d)
+        expected = (check_set_equality(ctx, q), check_toric_equality(ctx, q))
+        searched = []
+        search = oracle.vanishing_set
+
+        def counted(*args):
+            searched.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(oracle, "vanishing_set", counted)
+        assert census(ctx, q) == expected
+        assert searched == [cached_minors(ctx), toric_quadrics(ctx)]
+
+    def test_toric_search_still_budgeted(self):
+        ctx, q = VeroneseContext(1, 4), 3
+        points = count_projective_points(ctx.N, q)
+        with pytest.raises(BudgetError) as exc:
+            census(ctx, q, budget=points * len(cached_minors(ctx)))
+        assert exc.value.estimated == points * len(toric_quadrics(ctx))
 
 
 class TestVanishingSet:
