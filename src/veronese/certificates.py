@@ -31,8 +31,8 @@ from .multiindex import (
     VeroneseContext,
     parse_coordinate_name,
     pure_power,
-    rank,
 )
+from .morphism import coordinate_index
 from .projective import ProjectivePoint
 
 
@@ -231,6 +231,14 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     z_{d e_i}^(d-1) z_m at the exponent level.  Numeric: the claimed
     identity holds exactly at Q, whose chart must be available.
     """
+    res = _chain_structure(ctx, chain)
+    if not res:
+        return res
+    return _chain_identity(ctx, chain, _chart_column(ctx, chain.chart), Q)
+
+
+def _chain_structure(ctx: VeroneseContext, chain: RewriteChain) -> VerifyResult:
+    """The point-free half of verify_rewrite_chain."""
     if chain.ctx != ctx:
         return VerifyResult(False, f"chain built for {chain.ctx}, verified against {ctx}")
     i, m = chain.chart, chain.target
@@ -268,17 +276,28 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     goal[m] += 1
     if +state != +goal:
         return VerifyResult(False, "telescoping ended away from the claimed product")
+    return VerifyResult(True)
 
+
+def _chain_identity(
+    ctx: VeroneseContext, chain: RewriteChain, column: tuple[MultiIndex, ...], Q: ProjectivePoint
+) -> VerifyResult:
+    """The numeric half of verify_rewrite_chain, for a chain whose structure
+    holds; column is _chart_column(ctx, chain.chart), whose entry i is the
+    pure power z_{d e_i}."""
     if Q.dim != ctx.N:
         return VerifyResult(False, f"point has dimension {Q.dim}, expected {ctx.N}")
-    zP = Q.coords[rank(P)]
+    i, m = chain.chart, chain.target
+    idx = coordinate_index(ctx)
+    z = Q.coords
+    zP = z[idx[column[i]]]
     if not zP:
         return VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
     lhs = Q.field.one
-    for j in range(ctx.n + 1):
-        if m[j]:
-            lhs = lhs * Q.coords[rank(column[j])] ** m[j]
-    rhs = zP ** (ctx.d - 1) * Q.coords[rank(m)]
+    for j, e in enumerate(m):
+        if e:
+            lhs = lhs * z[idx[column[j]]] ** e
+    rhs = zP ** (ctx.d - 1) * z[idx[m]]
     if lhs != rhs:
         return VerifyResult(False, "claimed identity fails numerically at the supplied point")
     return VerifyResult(True)

@@ -301,11 +301,17 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
         points = [
             _chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART)
         ]
+        column = certs._chart_column(ctx, i)
         for m in ctx.monomials():
+            # verify_rewrite_chain at each point, with the point-free
+            # structural half run once per chain
             chain = certs.rewrite_chain(ctx, i, m)
+            total += len(points)
+            if not certs._chain_structure(ctx, chain):
+                chain_failures += len(points)
+                continue
             for Qx in points:
-                total += 1
-                if not certs.verify_rewrite_chain(ctx, chain, Qx):
+                if not certs._chain_identity(ctx, chain, column, Qx):
                     chain_failures += 1
     record("rewrite-chains", chain_failures == 0,
            f"{total} chain verifications, {chain_failures} failures")
@@ -328,7 +334,11 @@ def cmd_verify(args) -> int:
     external = None
     if args.propagation_cert:
         with open(args.propagation_cert, encoding="utf-8") as fh:
-            external = certs.propagation_from_doc(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ContractError("malformed certificate document: nested too deeply") from None
+        external = certs.propagation_from_doc(doc)
     if args.emit_propagation_cert:
         doc = certs.propagation_to_doc(certs.zero_propagation_certificate(ctx))
         with open(args.emit_propagation_cert, "w", encoding="utf-8") as fh:

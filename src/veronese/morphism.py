@@ -4,7 +4,10 @@ chartwise inverse.
 A source point [x_0 : ... : x_n] maps to the vector of all degree-d
 monomial values, ordered lex-descending so that coordinate rank(m) holds
 x^m.  Membership in the model variety means every canonical 2-minor
-vanishes exactly.  The inverse reads off one matrix column: on the chart
+vanishes exactly.  is_on_variety tests this on plain ints: over Q on the
+point scaled by the lcm of its denominators, over F_p on the residues.
+failing_minor keeps field arithmetic, because it reports the minor's value
+in the field.  The inverse reads off one matrix column: on the chart
 where z_{d e_i} is nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
 point.
@@ -13,11 +16,12 @@ point.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, cached_minors, sorted_binomials
 from .multiindex import MultiIndex, VeroneseContext, pure_power, rank
-from .projective import ProjectivePoint, Scalar, normalize
+from .projective import QQ, PrimeField, ProjectivePoint, Scalar, normalize
 
 
 @lru_cache(maxsize=None)
@@ -73,9 +77,30 @@ def is_on_variety(ctx: VeroneseContext, Q: ProjectivePoint) -> bool:
     """True iff every canonical 2-minor vanishes exactly at Q."""
     if Q.dim != ctx.N:
         raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
-    c = Q.coords
-    for _, (ia, ib, ic, ie) in _minor_table(ctx):
-        if c[ia] * c[ib] != c[ic] * c[ie]:
+    return _minors_vanish(_minor_table(ctx), Q)
+
+
+def _minors_vanish(table, Q: ProjectivePoint) -> bool:
+    """Whether every quad of table vanishes at Q, tested on plain ints.
+
+    A 2-minor is a homogeneous quadric, so over Q scaling the point by L,
+    the lcm of its denominators, leaves its vanishing unchanged.  Coercing
+    through the field turns a coordinate of another field or modulus into
+    a ContractError.
+    """
+    field = Q.field
+    if isinstance(field, PrimeField):
+        p = field.p
+        z = [field.coerce(c).value for c in Q.coords]
+        for _, (ia, ib, ic, ie) in table:
+            if (z[ia] * z[ib] - z[ic] * z[ie]) % p:
+                return False
+        return True
+    c = [QQ.coerce(v) for v in Q.coords]
+    L = lcm(*(v.denominator for v in c))
+    z = [v.numerator * (L // v.denominator) for v in c]
+    for _, (ia, ib, ic, ie) in table:
+        if z[ia] * z[ib] != z[ic] * z[ie]:
             return False
     return True
 

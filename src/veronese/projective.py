@@ -123,6 +123,9 @@ class Fp:
 
 Scalar = Fraction | Fp
 
+# CPython's default limit on int <-> str conversion (sys.int_info)
+MAX_DIGITS = 4300
+
 
 class RationalField:
     """The field of exact rationals; a stateless singleton (QQ)."""
@@ -148,13 +151,25 @@ class RationalField:
         raise ContractError(f"cannot interpret {v!r} as a rational")
 
     def parse_scalar(self, text: str) -> Fraction:
+        # Fraction expands exponent notation exactly, in time that grows
+        # fast with the exponent; refuse what could not be printed anyway.
+        mantissa, e, exponent = text.strip().lower().partition("e")
+        try:
+            size = sum(map(str.isdigit, mantissa)) + abs(int(exponent)) if e else 0
+        except ValueError:
+            size = 0  # malformed; Fraction reports it
+        if size > MAX_DIGITS:
+            raise ContractError(f"bad rational {text!r}: expands to more than {MAX_DIGITS} digits")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ContractError(f"bad rational {text!r}: {exc}") from None
 
     def format_scalar(self, x: Fraction) -> str:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ContractError("rational too long to print") from None
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -1,10 +1,24 @@
 """Command-line surface: golden outputs, exit codes, determinism."""
 
 import json
+import re
+import time
+from random import Random
 
 import pytest
 
+from veronese import QQ, PrimeField, ProjectivePoint, RewriteChain, VeroneseContext
+from veronese import certificates as certs
+from veronese import cli
 from veronese.cli import main
+from veronese.morphism import (
+    available_charts,
+    inverse_map,
+    inverse_on_chart,
+    is_on_variety,
+    veronese_eval,
+)
+from veronese.projective import proj_eq, random_point
 
 
 def run(capsys, *argv):
@@ -175,6 +189,126 @@ class TestVerifyCommand:
         code = main(["verify", "--n", "1", "--d", "3", "--propagation-cert", str(cert_file)])
         assert code == 2
         assert "error: malformed certificate document" in capsys.readouterr().err
+
+    def test_deeply_nested_certificate_is_usage_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code = main(["verify", "--n", "1", "--d", "2", "--propagation-cert", str(deep)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: malformed certificate document")
+        assert err.count("\n") == 1
+
+
+def per_point_verify_checks(ctx, field, seed: int):
+    """_verify_checks as it was with verify_rewrite_chain run once per
+    (chain, point) pair, kept as its reference."""
+    checks = []
+    rng = Random(seed)
+
+    def record(name: str, ok: bool, detail: str):
+        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+
+    bad = 0
+    images = []
+    for k in range(cli.VERIFY_POINTS):
+        x = random_point(rng, field, ctx.n, lead_zeros=k % (ctx.n + 1))
+        Qx = veronese_eval(ctx, x)
+        images.append(Qx)
+        if not (is_on_variety(ctx, Qx) and proj_eq(inverse_map(ctx, Qx), x)):
+            bad += 1
+    record("roundtrip-inverse-of-embedding", bad == 0,
+           f"{cli.VERIFY_POINTS} seeded points, {bad} failures")
+
+    disagreements = 0
+    multi = 0
+    for Qx in images:
+        charts = available_charts(ctx, Qx)
+        if len(charts) < 2:
+            continue
+        multi += 1
+        first = inverse_on_chart(ctx, Qx, charts[0])
+        if not all(proj_eq(first, inverse_on_chart(ctx, Qx, i)) for i in charts[1:]):
+            disagreements += 1
+    record("chart-agreement", disagreements == 0,
+           f"{multi} multi-chart points, {disagreements} disagreements")
+
+    cert = certs.zero_propagation_certificate(ctx)
+    res = certs.verify_zero_propagation(ctx, cert)
+    record("zero-propagation-certificate", res.ok,
+           res.diagnostic or f"{len(cert.steps)} steps, full coverage")
+
+    chain_failures = 0
+    total = 0
+    for i in range(ctx.n + 1):
+        points = [
+            cli._chart_point(rng, field, ctx, i) for _ in range(cli.CHAIN_POINTS_PER_CHART)
+        ]
+        for m in ctx.monomials():
+            chain = certs.rewrite_chain(ctx, i, m)
+            for Qx in points:
+                total += 1
+                if not certs.verify_rewrite_chain(ctx, chain, Qx):
+                    chain_failures += 1
+    record("rewrite-chains", chain_failures == 0,
+           f"{total} chain verifications, {chain_failures} failures")
+    return checks
+
+
+class TestVerifyChecksReference:
+    @pytest.mark.parametrize("n,d,field,seed", [
+        (1, 1, QQ, 0), (1, 3, PrimeField(2), 4), (2, 3, QQ, 7),
+        (2, 4, PrimeField(7), 1), (3, 3, PrimeField(101), 2), (3, 4, QQ, 3),
+    ])
+    def test_same_checks_as_per_point_loop(self, n, d, field, seed):
+        ctx = VeroneseContext(n, d)
+        assert cli._verify_checks(ctx, field, seed) == per_point_verify_checks(ctx, field, seed)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_same_failure_counts_with_corrupted_chains_and_points(self, monkeypatch, field):
+        ctx = VeroneseContext(2, 3)
+        make_chain, make_point = certs.rewrite_chain, cli._chart_point
+
+        def corrupted_chain(ctx, i, m):
+            # drop the last step of every third chain
+            chain = make_chain(ctx, i, m)
+            if chain.steps and sum(m) % 3 == m[0] % 3:
+                return RewriteChain(ctx, i, m, chain.steps[:-1])
+            return chain
+
+        def bent_point(rng, field, ctx, i):
+            # move one coordinate off the variety
+            Q = make_point(rng, field, ctx, i)
+            coords = list(Q.coords)
+            coords[rng.randrange(len(coords))] += field.one
+            return ProjectivePoint(field, tuple(coords))
+
+        monkeypatch.setattr(certs, "rewrite_chain", corrupted_chain)
+        monkeypatch.setattr(cli, "_chart_point", bent_point)
+        checks = cli._verify_checks(ctx, field, 5)
+        assert checks == per_point_verify_checks(ctx, field, 5)
+        total, failures = re.fullmatch(
+            r"(\d+) chain verifications, (\d+) failures", checks[-1]["detail"]
+        ).groups()
+        assert 0 < int(failures) < int(total)
+
+
+class TestOversizeRationals:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n", "1", "--d", "3", "[1e2000 : 1]"],
+        ["member", "--n", "1", "--d", "2", "[1e5000 : 1 : 1]"],
+        ["invert", "--n", "1", "--d", "2", "[1 : 1e3000 : 1e6000]"],
+        ["member", "--n", "1", "--d", "2", "[1e10000000 : 1 : 1]"],
+    ], ids=["eval-cube", "member", "invert", "huge-exponent"])
+    def test_usage_error_without_delay(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert elapsed < 1.0
 
 
 class TestOracleCommand:

@@ -4,11 +4,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from veronese import (
     ContractError,
+    Fp,
     NoChartError,
     PrimeField,
+    ProjectivePoint,
     QQ,
     VeroneseContext,
     available_charts,
@@ -22,6 +25,7 @@ from veronese import (
     random_point,
     veronese_eval,
 )
+from veronese.morphism import _minor_table
 
 
 class TestEval:
@@ -88,6 +92,89 @@ class TestMembership:
     def test_degree_one_everything_is_on_variety(self):
         ctx = VeroneseContext(2, 1)
         assert is_on_variety(ctx, point(QQ, [3, 1, 4]))
+
+
+def fraction_loop(ctx, Q):
+    """The membership loop over field arithmetic that is_on_variety replaced,
+    kept as its reference."""
+    c = Q.coords
+    for _, (ia, ib, ic, ie) in _minor_table(ctx):
+        if c[ia] * c[ib] != c[ic] * c[ie]:
+            return False
+    return True
+
+
+# denominators of either sign, small and far past a machine word
+big = st.integers(-(2**80), 2**80)
+rationals = st.builds(
+    Fraction,
+    st.integers(-99, 99) | big,
+    (st.integers(1, 99) | big).filter(bool),
+) | st.just(Fraction(0))
+residues = st.integers(-5, 2**70)
+
+
+@st.composite
+def membership_cases(draw):
+    """A context up to (3,4), a field, and an image point, a perturbed image
+    point or an arbitrary point of P^N, zero coordinates included."""
+    ctx = VeroneseContext(*draw(st.sampled_from(
+        [(0, 3), (1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]
+    )))
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(101)]) | st.just(QQ))
+    scalars = rationals if field is QQ else residues.map(field.from_int)
+    kind = draw(st.sampled_from(["image", "perturbed", "arbitrary"]))
+    size = ctx.N + 1 if kind == "arbitrary" else ctx.n + 1
+    values = draw(st.lists(scalars, min_size=size, max_size=size).filter(any))
+    Q = ProjectivePoint(field, tuple(values))
+    if kind != "arbitrary":
+        Q = veronese_eval(ctx, Q)
+    if kind == "perturbed":
+        coords = list(Q.coords)
+        k = draw(st.integers(0, ctx.N))
+        coords[k] = coords[k] + draw(scalars.filter(bool))
+        if any(coords):
+            Q = ProjectivePoint(field, tuple(coords))
+    return ctx, Q
+
+
+class TestIntegerMembership:
+    """is_on_variety tests the minors on integer-scaled coordinates or
+    residues; failing_minor and fraction_loop use field arithmetic."""
+
+    @given(membership_cases())
+    def test_matches_field_arithmetic(self, case):
+        ctx, Q = case
+        expected = fraction_loop(ctx, Q)
+        assert is_on_variety(ctx, Q) == expected
+        assert (failing_minor(ctx, Q) is None) == expected
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_perturbed_images_are_not_members(self, field):
+        ctx = VeroneseContext(3, 4)
+        rng = Random(8)
+        for k in range(20):
+            Q = veronese_eval(ctx, random_point(rng, field, ctx.n, lead_zeros=k % 4))
+            coords = list(Q.coords)
+            coords[rng.randrange(len(coords))] += field.one
+            bent = ProjectivePoint(field, tuple(coords))
+            assert is_on_variety(ctx, bent) == fraction_loop(ctx, bent) is False
+
+    def test_scaling_by_denominators(self):
+        # [1/6 : 1/3 : 2/3] = [1 : 2 : 4] after scaling by lcm(6, 3, 3) = 6
+        ctx = VeroneseContext(1, 2)
+        assert is_on_variety(ctx, point(QQ, [Fraction(1, 6), Fraction(1, 3), Fraction(2, 3)]))
+        assert not is_on_variety(ctx, point(QQ, [Fraction(1, 6), Fraction(1, 3), Fraction(2, 5)]))
+
+    @pytest.mark.parametrize("field,coords", [
+        (PrimeField(5), (Fp(1, 7), Fp(2, 7), Fp(4, 7))),
+        (PrimeField(7), (Fp(1, 7), Fp(2, 5), Fp(4, 7))),
+        (PrimeField(7), (Fp(1, 7), Fraction(2), Fp(4, 7))),
+        (QQ, (Fraction(1), Fp(2, 7), Fraction(4))),
+    ], ids=["foreign-modulus", "mixed-moduli", "rational-in-fp", "residue-in-rational"])
+    def test_coordinates_of_another_field_are_refused(self, field, coords):
+        with pytest.raises(ContractError):
+            is_on_variety(VeroneseContext(1, 2), ProjectivePoint(field, coords))
 
 
 class TestChartSelect:

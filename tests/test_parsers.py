@@ -2,6 +2,7 @@
 exceptions that may escape are VeroneseError subclasses."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from veronese import (
     QQ,
     ContractError,
+    InvalidPointError,
     PrimeField,
     VeroneseContext,
     VeroneseError,
@@ -16,6 +18,7 @@ from veronese import (
     chain_to_doc,
     parse_binomial,
     parse_coordinate_name,
+    format_point,
     parse_point,
     propagation_from_doc,
     propagation_to_doc,
@@ -38,6 +41,18 @@ binomial_texts = st.builds(
     "{} {} - {} {}".format, coordinate_texts, coordinate_texts, coordinate_texts, coordinate_texts
 ) | st.builds("{}^2 - {}^2".format, coordinate_texts, coordinate_texts)
 point_texts = st.from_regex(r"\s*\[[-+0-9/. :]{0,20}\]\s*", fullmatch=True)
+
+# entries in exponent notation, including exponents near and far past
+# the 4,300-digit limit on int <-> str conversion
+exponent_entries = st.builds(
+    "{}{}e{}".format,
+    st.from_regex(r"-?[0-9]{1,4}", fullmatch=True),
+    st.sampled_from(["", ".", ".5", ".25"]),
+    st.integers(-10**6, 10**6) | st.integers(-4400, 4400) | st.integers(4290, 4310),
+)
+exponent_points = st.lists(exponent_entries | st.sampled_from(["0", "1", "1/3"]), min_size=1, max_size=4).map(
+    lambda entries: "[" + " : ".join(entries) + "]"
+)
 
 PROPAGATION = propagation_to_doc(zero_propagation_certificate(VeroneseContext(2, 3)))
 CHAIN = chain_to_doc(rewrite_chain(VeroneseContext(2, 3), 0, VeroneseContext(2, 3).monomials()[-1]))
@@ -77,6 +92,13 @@ class TestTextParsers:
     def test_point(self, field, text):
         only_library_errors(parse_point, field, text)
 
+    @given(st.sampled_from([QQ, F7]), exponent_points | point_texts | st.text())
+    def test_parsed_point_formats(self, field, text):
+        try:
+            format_point(parse_point(field, text))
+        except (ContractError, InvalidPointError):
+            pass
+
 
 class TestDocumentParsers:
     @given(anything)
@@ -110,6 +132,17 @@ class TestRegressions:
     def test_point_rejects_non_text(self, field):
         with pytest.raises(ContractError, match="^point must be bracketed"):
             parse_point(field, 5)
+
+    @pytest.mark.parametrize("text", ["[1e10000000 : 1]", "[1 : 5e-10000000]", "[1.5e4300 : 1]"])
+    def test_point_refuses_long_expansion_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ContractError, match="expands to more than 4300 digits"):
+            parse_point(QQ, text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_point_too_long_to_print(self):
+        with pytest.raises(ContractError, match="^rational too long to print"):
+            QQ.format_scalar(QQ.parse_scalar("1e2000") ** 3)
 
     @pytest.mark.parametrize("load,doc", [
         (propagation_from_doc, {**PROPAGATION, "n": float("inf")}),
