@@ -29,6 +29,8 @@ from .matrix import (
     SymbolicMatrix,
     build_matrix,
     build_matrix_by_columns,
+    is_matrix_minor,
+    minor_candidates,
     minors2,
     parse_binomial,
     sorted_binomials,
@@ -93,7 +95,8 @@ __all__ = [
     "MultiIndex", "VeroneseContext", "binom", "enumerate_monomials",
     "lex_compare", "parse_coordinate_name", "pure_power", "rank", "unit", "unrank",
     "Binomial2", "SymbolicMatrix", "build_matrix", "build_matrix_by_columns",
-    "minors2", "parse_binomial", "sorted_binomials", "toric_quadrics",
+    "is_matrix_minor", "minor_candidates", "minors2", "parse_binomial",
+    "sorted_binomials", "toric_quadrics",
     "Fp", "PrimeField", "ProjectivePoint", "QQ", "count_projective_points",
     "enumerate_projective_points", "field_from_name", "format_point",
     "normalize", "parse_point", "point", "proj_eq", "random_point",

@@ -10,9 +10,12 @@ Subcommands:
     oracle   exhaustive finite-field set-equality reports
 
 Common flags: --n, --d, --field rational|fp:<prime>, --format text|json,
---seed (default 0), --budget (default 5000000).  Identical configuration
-and seed produce byte-identical output; JSON documents carry
-schema_version 1 and sort their keys.
+--seed (default 0), --budget (default 5000000).  minors, member, invert
+and verify refuse a context whose 2-minor candidate count C(n+1, 2) *
+C(cols, 2) exceeds the budget before building any table; oracle bounds
+points x quadrics.  Identical configuration and seed produce
+byte-identical output; JSON documents carry schema_version 1 and sort
+their keys.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
 refusal.
@@ -35,7 +38,7 @@ from .errors import (
     NoChartError,
     VeroneseError,
 )
-from .matrix import build_matrix, cached_minors, sorted_binomials
+from .matrix import build_matrix, cached_minors, minor_candidates, sorted_binomials
 from .morphism import (
     available_charts,
     failing_minor,
@@ -81,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0, help="seed for random test points")
         p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET,
-                       help="maximum membership tests for exhaustive runs")
+                       help="cost limit: 2-minor candidates C(n+1,2)*C(cols,2) for "
+                       "minors, member, invert and verify; points x quadrics for oracle")
 
     common(sub.add_parser("matrix", help="print the L and M grids"), needs_field=False)
     common(sub.add_parser("minors", help="list canonical 2-minors"), needs_field=False)
@@ -144,8 +148,17 @@ def cmd_matrix(args) -> int:
     return EXIT_OK
 
 
+def _check_minor_budget(ctx, budget: int) -> None:
+    """Refuse, before any table is built, a context whose 2-minor candidate
+    count exceeds the budget."""
+    estimate = minor_candidates(ctx)
+    if estimate > budget:
+        raise BudgetError(estimate, budget, "2-minor candidates")
+
+
 def cmd_minors(args) -> int:
     ctx = VeroneseContext(args.n, args.d)
+    _check_minor_budget(ctx, args.budget)
     listing = [str(b) for b in sorted_binomials(cached_minors(ctx))]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -179,80 +192,53 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _membership(ctx, field, text: str):
-    Q = parse_point(field, text)
+def _membership(args, command: str):
+    """Parse and test the point of a member or invert run; returns the
+    context, the point and the JSON document, whose "member" says whether
+    every minor vanishes and which otherwise names the failing minor."""
+    ctx = VeroneseContext(args.n, args.d)
+    _check_minor_budget(ctx, args.budget)
+    field = field_from_name(args.field)
+    Q = parse_point(field, args.point)
     if Q.dim != ctx.N:
         raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
     fail = failing_minor(ctx, Q)
-    return Q, fail
-
-
-def cmd_member(args) -> int:
-    ctx = VeroneseContext(args.n, args.d)
-    field = field_from_name(args.field)
-    Q, fail = _membership(ctx, field, args.point)
-    if fail is None:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "member",
-            "n": ctx.n,
-            "d": ctx.d,
-            "field": field.name,
-            "point": format_point(Q),
-            "member": True,
-        }
-        _emit(doc, args.format, ["true"])
-        return EXIT_OK
-    minor, value = fail
-    rendered = field.format_scalar(value)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "command": "member",
+        "command": command,
         "n": ctx.n,
         "d": ctx.d,
         "field": field.name,
-        "point": format_point(Q),
-        "member": False,
-        "failing_minor": str(minor),
-        "value": rendered,
+        "member": fail is None,
     }
-    _emit(doc, args.format, [f"false (minor {minor} evaluates to {rendered})"])
+    if fail is not None:
+        minor, value = fail
+        doc["value"] = field.format_scalar(value)
+        doc["failing_minor"] = str(minor)
+    doc["point"] = format_point(Q)
+    return ctx, Q, doc
+
+
+def _failure_line(prefix: str, doc: dict) -> str:
+    return f"{prefix} (minor {doc['failing_minor']} evaluates to {doc['value']})"
+
+
+def cmd_member(args) -> int:
+    _, _, doc = _membership(args, "member")
+    if doc["member"]:
+        _emit(doc, args.format, ["true"])
+        return EXIT_OK
+    _emit(doc, args.format, [_failure_line("false", doc)])
     return EXIT_CHECK_FAILED
 
 
 def cmd_invert(args) -> int:
-    ctx = VeroneseContext(args.n, args.d)
-    field = field_from_name(args.field)
-    Q, fail = _membership(ctx, field, args.point)
-    if fail is not None:
-        minor, value = fail
-        rendered = field.format_scalar(value)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "invert",
-            "n": ctx.n,
-            "d": ctx.d,
-            "field": field.name,
-            "point": format_point(Q),
-            "member": False,
-            "failing_minor": str(minor),
-            "value": rendered,
-        }
-        _emit(doc, args.format,
-              [f"not on the variety (minor {minor} evaluates to {rendered})"])
+    ctx, Q, doc = _membership(args, "invert")
+    if not doc["member"]:
+        _emit(doc, args.format, [_failure_line("not on the variety", doc)])
         return EXIT_CHECK_FAILED
-    preimage = inverse_map(ctx, Q)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "invert",
-        "n": ctx.n,
-        "d": ctx.d,
-        "field": field.name,
-        "point": format_point(Q),
-        "member": True,
-        "preimage": format_point(preimage),
-    }
-    _emit(doc, args.format, [format_point(preimage)])
+    doc["preimage"] = format_point(inverse_map(ctx, Q))
+    _emit(doc, args.format, [doc["preimage"]])
     return EXIT_OK
 
 
@@ -330,6 +316,7 @@ def _chart_point(rng: Random, field, ctx, i: int):
 
 def cmd_verify(args) -> int:
     ctx = VeroneseContext(args.n, args.d)
+    _check_minor_budget(ctx, args.budget)
     field = field_from_name(args.field)
     external = None
     if args.propagation_cert:

@@ -33,11 +33,11 @@ class EmptyMatrixError(VeroneseError):
 
 class BudgetError(VeroneseError):
     """An exhaustive enumeration was refused because it would exceed the
-    configured budget.  Carries the estimated cost."""
+    configured budget.  Carries the estimated cost, counted in `unit`."""
 
-    def __init__(self, estimated: int, budget: int):
+    def __init__(self, estimated: int, budget: int, unit: str = "membership tests"):
         super().__init__(
-            f"enumeration refused: estimated {estimated} membership tests "
+            f"enumeration refused: estimated {estimated} {unit} "
             f"exceed budget {budget}"
         )
         self.estimated = estimated

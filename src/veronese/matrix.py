@@ -17,12 +17,13 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, sub
 
 from .errors import ContractError, EmptyMatrixError
 from .multiindex import (
     MultiIndex,
     VeroneseContext,
+    binom,
     enumerate_monomials,
     parse_coordinate_name,
 )
@@ -64,11 +65,16 @@ class SymbolicMatrix:
         }
 
 
+def require_matrix(ctx: VeroneseContext) -> None:
+    """Raise EmptyMatrixError when d = 0 leaves the grid undefined."""
+    if ctx.d == 0:
+        raise EmptyMatrixError("d = 0: no monomial has any variable as a factor")
+
+
 def build_matrix(ctx: VeroneseContext) -> SymbolicMatrix:
     """Row-wise construction: row i filters the degree-d enumeration down to
     vectors divisible by x_i, preserving the lex-descending order."""
-    if ctx.d == 0:
-        raise EmptyMatrixError("d = 0: no monomial has any variable as a factor")
+    require_matrix(ctx)
     all_monos = enumerate_monomials(ctx.n, ctx.d)
     rows = tuple(
         tuple(m for m in all_monos if m[i] >= 1) for i in range(ctx.n + 1)
@@ -79,8 +85,7 @@ def build_matrix(ctx: VeroneseContext) -> SymbolicMatrix:
 def build_matrix_by_columns(ctx: VeroneseContext) -> SymbolicMatrix:
     """Column-wise construction used as an independent cross-check: column k
     is the k-th degree-(d-1) vector bumped by each variable in turn."""
-    if ctx.d == 0:
-        raise EmptyMatrixError("d = 0: no monomial has any variable as a factor")
+    require_matrix(ctx)
     bases = enumerate_monomials(ctx.n, ctx.d - 1)
     rows = tuple(
         tuple(base.bump(i) for base in bases) for i in range(ctx.n + 1)
@@ -178,6 +183,47 @@ def minors2(matrix: SymbolicMatrix) -> frozenset[Binomial2]:
             if b is not None:
                 out.add(b)
     return frozenset(out)
+
+
+def minor_candidates(ctx: VeroneseContext) -> int:
+    """C(n+1, 2) * C(cols, 2): the 2x2 submatrices minors2 visits, in closed
+    form, so a caller can bound the cost before building anything (d >= 1)."""
+    return binom(ctx.n + 1, 2) * binom(ctx.cols, 2)
+
+
+def is_matrix_minor(ctx: VeroneseContext, binomial: Binomial2) -> bool:
+    """Whether binomial is in minors2(build_matrix(ctx)), in closed form.
+
+    Column beta (a degree-(d-1) vector) holds z_{beta+e_i} on row i, so the
+    minor on rows i, j and columns beta, gamma is
+
+        z_{beta+e_i} z_{gamma+e_j} - z_{gamma+e_i} z_{beta+e_j},
+
+    whose entries beta+e_i and beta+e_j, on opposite sides, differ by the
+    unit move e_i - e_j.  Conversely, let z_a z_b - z_c z_e be balanced
+    with degree-d entries and a - c = e_i - e_j, i != j.  Then beta =
+    a - e_i = c - e_j and gamma = e - e_i are degree-(d-1) vectors (a has
+    exponent c_i + 1 at i, and b = e - e_i + e_j >= 0 forces e to have a
+    positive exponent at i), and the minor on rows i, j and columns beta,
+    gamma is z_a z_b - z_c z_e.  So a balanced
+    binomial with degree-d entries is a 2-minor iff some entry on one side
+    and some entry on the other differ by a unit move.
+
+    The minor set holds canonical forms only, so the binomial must be
+    canonical too (a >= b, c >= e, a > c); then pos != neg, so beta !=
+    gamma and the minor is not identically zero.  Balance gives a - c =
+    e - b and a - e = c - b, so testing a against c and e covers all four
+    pairings; entries of equal degree differ by a unit move iff their L1
+    distance is 2.  The degrees of a, b and c are checked, and balance
+    gives the degree of e.
+    """
+    (a, b), (c, e) = binomial.pos, binomial.neg
+    return (
+        a >= b and c >= e and a > c
+        and len(a) == ctx.n + 1
+        and sum(a) == sum(b) == sum(c) == ctx.d
+        and (sum(map(abs, map(sub, a, c))) == 2 or sum(map(abs, map(sub, a, e))) == 2)
+    )
 
 
 def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:

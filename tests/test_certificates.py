@@ -1,13 +1,17 @@
 """Zero-propagation certificates and rewrite chains."""
 
 import json
+import time
+from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from veronese import (
     Binomial2,
     ContractError,
+    EmptyMatrixError,
     MultiIndex,
     PrimeField,
     PropagationStep,
@@ -18,17 +22,23 @@ from veronese import (
     all_rewrite_chains,
     chain_from_doc,
     chain_to_doc,
+    enumerate_monomials,
+    is_matrix_minor,
     point,
     propagation_from_doc,
     propagation_to_doc,
     pure_power,
     random_point,
     rewrite_chain,
+    toric_quadrics,
     verify_rewrite_chain,
     verify_zero_propagation,
     veronese_eval,
     zero_propagation_certificate,
 )
+from veronese import certificates as certs
+from veronese.matrix import cached_minors
+from veronese.morphism import _minor_table
 
 
 def image_point_on_chart(rng, field, ctx, i):
@@ -226,3 +236,282 @@ class TestSerialization:
     def test_malformed_document_rejected(self):
         with pytest.raises(ContractError):
             propagation_from_doc({"schema_version": 1, "kind": "zero-propagation"})
+
+
+class TestClosedFormMinorTest:
+    """is_matrix_minor against membership in the built minor set."""
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_matches_minor_set_on_every_balanced_quadric(self, n, d):
+        ctx = VeroneseContext(n, d)
+        minors = cached_minors(ctx)
+        quadrics = toric_quadrics(ctx)
+        assert minors <= quadrics
+        for b in quadrics:
+            assert is_matrix_minor(ctx, b) == (b in minors), b
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 3), (3, 2), (2, 4)])
+    def test_non_canonical_forms_refused(self, n, d):
+        ctx = VeroneseContext(n, d)
+        minors = cached_minors(ctx)
+        for b in toric_quadrics(ctx):
+            (a, e), (c, f) = b.pos, b.neg
+            variants = [Binomial2(b.neg, b.pos)]  # swapped sides
+            if a != e:
+                variants.append(Binomial2((e, a), b.neg))  # swapped pos pair
+            if c != f:
+                variants.append(Binomial2(b.pos, (f, c)))  # swapped neg pair
+            for v in variants:
+                assert v not in minors
+                assert not is_matrix_minor(ctx, v), v
+
+    def test_binomials_of_another_context_refused(self):
+        contexts = [VeroneseContext(n, d) for n in range(0, 4) for d in range(1, 5)]
+        for ctx in contexts:
+            for other in contexts:
+                if other == ctx:
+                    continue
+                for b in cached_minors(other):
+                    assert not is_matrix_minor(ctx, b), (ctx, other, b)
+
+    def test_mixed_degree_unit_move_refused(self):
+        # a - c is a unit move and the binomial is canonical and balanced,
+        # but b and e have degree 1, not 2
+        ctx = VeroneseContext(1, 2)
+        b = Binomial2((MultiIndex((2, 0)), MultiIndex((0, 1))),
+                      (MultiIndex((1, 1)), MultiIndex((1, 0))))
+        assert not is_matrix_minor(ctx, b)
+        assert b not in cached_minors(ctx)
+
+    @given(st.data())
+    def test_matches_minor_set_on_random_balanced_binomials(self, data):
+        n = data.draw(st.integers(0, 3), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        ctx = VeroneseContext(n, d)
+        width = data.draw(st.sampled_from([n + 1, n + 1, n + 1, n + 2]), label="width")
+
+        def entry(label):
+            if width == n + 1 and data.draw(st.booleans(), label=label + " of degree d"):
+                return data.draw(st.sampled_from(enumerate_monomials(n, d)), label=label)
+            return MultiIndex(data.draw(st.lists(st.integers(0, 3), min_size=width,
+                                                 max_size=width), label=label))
+
+        a, b = entry("a"), entry("b")
+        total = a.plus(b)
+        c = MultiIndex(data.draw(st.integers(0, t), label="c") for t in total)
+        e = MultiIndex(t - x for t, x in zip(total, c))
+        raw = Binomial2((a, b), (c, e))
+        minors = cached_minors(ctx)
+        assert is_matrix_minor(ctx, raw) == (raw in minors)
+        canon = Binomial2.canonical((a, b), (c, e))
+        if canon is not None:
+            assert is_matrix_minor(ctx, canon) == (canon in minors)
+
+
+# The verifiers as they were when they tested membership in the built minor
+# set; the closed-form verifiers must give the same results and diagnostics.
+
+def reference_verify_zero_propagation(ctx, cert):
+    if cert.ctx != ctx:
+        return certs.VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
+    minors = cached_minors(ctx) if ctx.d >= 1 else frozenset()
+    known = set(ctx.pure_powers())
+    for pos, step in enumerate(cert.steps):
+        where = f"step {pos} (target {step.target.coordinate_name()})"
+        if step.minor not in minors:
+            return certs.VerifyResult(False, f"{where}: {step.minor} is not a 2-minor of the matrix")
+        t = step.target
+        in_pos, in_neg = t in step.minor.pos, t in step.minor.neg
+        if in_pos == in_neg:
+            return certs.VerifyResult(False, f"{where}: minor must contain the target on exactly one side")
+        target_side, other_side = (
+            (step.minor.pos, step.minor.neg) if in_pos else (step.minor.neg, step.minor.pos)
+        )
+        if other_side[0] not in known and other_side[1] not in known:
+            return certs.VerifyResult(False, f"{where}: no factor of {certs._pair_str(other_side)} is known zero")
+        partner = target_side[1] if target_side[0] == t else target_side[0]
+        if partner != t and partner not in known:
+            return certs.VerifyResult(
+                False, f"{where}: partner {partner.coordinate_name()} is neither the target nor known zero"
+            )
+        for p in step.prerequisites:
+            if p not in known:
+                return certs.VerifyResult(False, f"{where}: prerequisite {p.coordinate_name()} not yet established")
+        known.add(t)
+    missing = [m for m in ctx.monomials() if m not in known]
+    if missing:
+        return certs.VerifyResult(
+            False, f"coverage incomplete: {len(missing)} coordinates never zeroed, first {missing[0].coordinate_name()}"
+        )
+    return certs.VerifyResult(True)
+
+
+def reference_chain_structure(ctx, chain):
+    if chain.ctx != ctx:
+        return certs.VerifyResult(False, f"chain built for {chain.ctx}, verified against {ctx}")
+    i, m = chain.chart, chain.target
+    if not 0 <= i <= ctx.n or len(m) != ctx.n + 1 or m.degree != ctx.d:
+        return certs.VerifyResult(False, "chain chart or target malformed for this context")
+    minors = cached_minors(ctx)
+    P = pure_power(ctx.n, ctx.d, i)
+    column = certs._chart_column(ctx, i)
+    state = Counter()
+    for j in range(ctx.n + 1):
+        if m[j]:
+            state[column[j]] += m[j]
+    for pos, minor in enumerate(chain.steps):
+        where = f"step {pos}"
+        if minor not in minors:
+            return certs.VerifyResult(False, f"{where}: {minor} is not a 2-minor of the matrix")
+        if not certs._realizes_row_and_column(ctx, i, minor):
+            return certs.VerifyResult(
+                False, f"{where}: {minor} has no realization on row {i} and the column of {P.coordinate_name()}"
+            )
+        if certs._consumable(state, minor.neg):
+            consumed, produced = minor.neg, minor.pos
+        elif certs._consumable(state, minor.pos):
+            consumed, produced = minor.pos, minor.neg
+        else:
+            return certs.VerifyResult(False, f"{where}: neither side of {minor} occurs in the running product")
+        for f in consumed:
+            state[f] -= 1
+            if not state[f]:
+                del state[f]
+        for f in produced:
+            state[f] += 1
+    goal = Counter({P: ctx.d - 1})
+    goal[m] += 1
+    if +state != +goal:
+        return certs.VerifyResult(False, "telescoping ended away from the claimed product")
+    return certs.VerifyResult(True)
+
+
+def reference_verify_rewrite_chain(ctx, chain, Q):
+    res = reference_chain_structure(ctx, chain)
+    if not res:
+        return res
+    return certs._chain_identity(ctx, chain, certs._chart_column(ctx, chain.chart), Q)
+
+
+def tamperings(ctx):
+    """Replacements for a step at position k: a balanced quadric that is not
+    a minor, a minor of another context, and the step itself in a
+    non-canonical form (sides swapped, or its pos pair reversed)."""
+    minors = cached_minors(ctx)
+    non_minors = sorted((b for b in toric_quadrics(ctx) if b not in minors),
+                        key=Binomial2.sort_key)
+    foreign = min(cached_minors(VeroneseContext(max(ctx.n, 1), ctx.d + 1)), key=Binomial2.sort_key)
+
+    def replacements(k, step):
+        out = [foreign, Binomial2(step.neg, step.pos)]
+        if non_minors:
+            out.append(non_minors[k * 7919 % len(non_minors)])
+        a, b = step.pos
+        if a != b:
+            out.append(Binomial2((b, a), step.neg))
+        return out
+
+    return replacements
+
+
+DIFFERENTIAL_CONTEXTS = [(n, d) for n in range(1, 5) for d in range(1, 5)] + [(0, 1), (0, 3)]
+
+
+class TestVerifiersMatchMinorSetReference:
+    @pytest.mark.parametrize("n,d", DIFFERENTIAL_CONTEXTS)
+    def test_zero_propagation(self, n, d):
+        ctx = VeroneseContext(n, d)
+        cert = zero_propagation_certificate(ctx)
+        cases = [cert, ZeroPropagationCertificate(ctx, cert.steps[:-1]),
+                 zero_propagation_certificate(VeroneseContext(n, d + 1))]
+        replacements = tamperings(ctx)
+        for k, step in enumerate(cert.steps):
+            for minor in replacements(k, step.minor):
+                swapped = PropagationStep(step.target, minor, step.prerequisites)
+                cases.append(ZeroPropagationCertificate(
+                    ctx, cert.steps[:k] + (swapped,) + cert.steps[k + 1:]))
+        results = [verify_zero_propagation(ctx, c) for c in cases]
+        assert results == [reference_verify_zero_propagation(ctx, c) for c in cases]
+        assert results[0].ok
+        assert sum(not r.ok for r in results) == len(results) - 1 - (len(cert.steps) == 0)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    @pytest.mark.parametrize("n,d", DIFFERENTIAL_CONTEXTS)
+    def test_rewrite_chains(self, n, d, field):
+        ctx = VeroneseContext(n, d)
+        rng = Random(n * 31 + d)
+        points = [image_point_on_chart(rng, field, ctx, i) for i in range(n + 1)]
+        cases = []
+        replacements = tamperings(ctx)
+        for chain in all_rewrite_chains(ctx):
+            cases.append(chain)
+            for k, step in enumerate(chain.steps):
+                for minor in replacements(k, step):
+                    cases.append(RewriteChain(ctx, chain.chart, chain.target,
+                                              chain.steps[:k] + (minor,) + chain.steps[k + 1:]))
+        for chain in cases:
+            Q = points[chain.chart]
+            assert verify_rewrite_chain(ctx, chain, Q) == reference_verify_rewrite_chain(ctx, chain, Q)
+            assert certs._chain_structure(ctx, chain) == reference_chain_structure(ctx, chain)
+
+    def test_tampering_is_caught(self):
+        ctx = VeroneseContext(3, 4)
+        chain = rewrite_chain(ctx, 0, MultiIndex((0, 1, 1, 2)))
+        Q = image_point_on_chart(Random(3), QQ, ctx, 0)
+        diagnostics = set()
+        replacements = tamperings(ctx)
+        for k, step in enumerate(chain.steps):
+            for minor in replacements(k, step):
+                bad = RewriteChain(ctx, 0, chain.target, chain.steps[:k] + (minor,) + chain.steps[k + 1:])
+                res = verify_rewrite_chain(ctx, bad, Q)
+                assert not res
+                diagnostics.add(res.diagnostic.split(": ", 1)[1])
+        assert any(diag.endswith("is not a 2-minor of the matrix") for diag in diagnostics)
+
+
+class TestVerifiersBuildNoMinorSet:
+    def test_cold_cache_stays_empty(self):
+        ctx = VeroneseContext(4, 5)
+        cached_minors.cache_clear()
+        _minor_table.cache_clear()
+        assert verify_zero_propagation(ctx, zero_propagation_certificate(ctx))
+        rng = Random(45)
+        points = [image_point_on_chart(rng, QQ, ctx, i) for i in range(ctx.n + 1)]
+        for chain in all_rewrite_chains(ctx):
+            assert verify_rewrite_chain(ctx, chain, points[chain.chart])
+        assert cached_minors.cache_info().currsize == 0
+        assert _minor_table.cache_info().currsize == 0
+
+    def test_reach_six_six(self):
+        # about 2.2 million 2x2 submatrices: the verifiers never visit them
+        ctx = VeroneseContext(6, 6)
+        cached_minors.cache_clear()
+        start = time.perf_counter()
+        cert = zero_propagation_certificate(ctx)
+        assert len(cert.steps) == 917
+        assert verify_zero_propagation(ctx, cert)
+        rng = Random(66)
+        for i in (0, ctx.n):
+            Q = image_point_on_chart(rng, QQ, ctx, i)
+            for m in ctx.monomials():
+                assert verify_rewrite_chain(ctx, rewrite_chain(ctx, i, m), Q)
+        assert cached_minors.cache_info().currsize == 0
+        assert time.perf_counter() - start < 10.0
+
+    def test_degree_zero_chain_is_an_empty_matrix_error(self):
+        ctx = VeroneseContext(2, 0)
+        chain = RewriteChain(ctx, 0, MultiIndex((0, 0, 0)), ())
+        with pytest.raises(EmptyMatrixError) as err:
+            certs._chain_structure(ctx, chain)
+        assert str(err.value) == "d = 0: no monomial has any variable as a factor"
+        with pytest.raises(EmptyMatrixError, match=r"^d = 0: no monomial has any variable as a factor$"):
+            verify_rewrite_chain(ctx, chain, point(QQ, [1]))
+
+    def test_degree_zero_certificate_matches_reference(self):
+        ctx = VeroneseContext(2, 0)
+        zero = MultiIndex((0, 0, 0))
+        step = PropagationStep(zero, Binomial2.canonical(
+            (MultiIndex((2, 0, 0)), MultiIndex((0, 2, 0))), (MultiIndex((1, 1, 0)),) * 2), ())
+        for cert in (ZeroPropagationCertificate(ctx, ()), ZeroPropagationCertificate(ctx, (step,))):
+            assert verify_zero_propagation(ctx, cert) == reference_verify_zero_propagation(ctx, cert)

@@ -3,13 +3,23 @@
 import json
 import re
 import time
+from math import comb
 from random import Random
 
 import pytest
 
-from veronese import QQ, PrimeField, ProjectivePoint, RewriteChain, VeroneseContext
+from veronese import (
+    QQ,
+    PrimeField,
+    ProjectivePoint,
+    RewriteChain,
+    VeroneseContext,
+    build_matrix,
+    minor_candidates,
+)
 from veronese import certificates as certs
 from veronese import cli
+from veronese import matrix as matrix_module
 from veronese.cli import main
 from veronese.morphism import (
     available_charts,
@@ -299,7 +309,8 @@ class TestOversizeRationals:
         ["member", "--n", "1", "--d", "2", "[1e5000 : 1 : 1]"],
         ["invert", "--n", "1", "--d", "2", "[1 : 1e3000 : 1e6000]"],
         ["member", "--n", "1", "--d", "2", "[1e10000000 : 1 : 1]"],
-    ], ids=["eval-cube", "member", "invert", "huge-exponent"])
+        ["member", "--n", "1", "--d", "2", "[1e2500 : 1 : 1e2500]"],
+    ], ids=["eval-cube", "member", "invert", "huge-exponent", "failing-minor-value"])
     def test_usage_error_without_delay(self, capsys, argv):
         start = time.perf_counter()
         code = main(argv)
@@ -309,6 +320,98 @@ class TestOversizeRationals:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert elapsed < 1.0
+
+
+class TestMinorBudget:
+    """minors, member, invert and verify refuse, before building any table,
+    a context whose C(n+1, 2) * C(cols, 2) 2-minor candidates exceed --budget."""
+
+    @pytest.mark.parametrize("argv", [
+        ["minors", "--n", "7", "--d", "7"],
+        ["member", "--n", "7", "--d", "7", "[1 : 2]"],
+        ["invert", "--n", "7", "--d", "7", "--field", "fp:5", "[1 : 2]"],
+        ["verify", "--n", "7", "--d", "7", "--format", "json"],
+    ], ids=["minors", "member", "invert", "verify"])
+    def test_large_context_refused_fast(self, capsys, monkeypatch, argv):
+        def no_table(matrix):
+            raise AssertionError("a minor table was built before the budget check")
+
+        # without the guard the run would build 41 million candidates
+        monkeypatch.setattr(matrix_module, "minors2", no_table)
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: enumeration refused: estimated 41201160 2-minor candidates "
+            "exceed budget 5000000\n"
+        )
+        assert elapsed < 1.0
+
+    def test_estimate_counts_the_submatrices_minors2_visits(self):
+        for n in range(0, 5):
+            for d in range(1, 6):
+                ctx = VeroneseContext(n, d)
+                rows, cols = build_matrix(ctx).shape
+                assert minor_candidates(ctx) == comb(rows, 2) * comb(cols, 2)
+        assert minor_candidates(VeroneseContext(7, 7)) == 41_201_160
+        assert minor_candidates(VeroneseContext(6, 6)) == 2_236_311
+
+    def test_benchmark_configs_far_below_default(self):
+        # the verify-sweep contexts
+        counts = [minor_candidates(VeroneseContext(n, d)) for n, d in [(2, 3), (3, 4), (4, 4)]]
+        assert counts == [45, 1140, 5950]
+        assert max(counts) * 800 < cli.orc.DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("command,extra", [
+        ("minors", []), ("member", ["[1 : 2 : 3 : 4 : 6 : 9 : 8 : 12 : 18 : 27]"]),
+        ("invert", ["[1 : 2 : 3 : 4 : 6 : 9 : 8 : 12 : 18 : 27]"]), ("verify", []),
+    ])
+    def test_budget_equal_to_estimate_runs(self, capsys, command, extra):
+        estimate = minor_candidates(VeroneseContext(2, 3))
+        assert estimate == 45
+        at = main([command, "--n", "2", "--d", "3", "--budget", str(estimate), *extra])
+        below = main([command, "--n", "2", "--d", "3", "--budget", str(estimate - 1), *extra])
+        err = capsys.readouterr().err
+        assert (at, below) == (0, 3)
+        assert err == "error: enumeration refused: estimated 45 2-minor candidates exceed budget 44\n"
+
+
+class TestMembershipDocuments:
+    """Golden JSON and text of member and invert, for members and non-members."""
+
+    @pytest.mark.parametrize("argv,code,expected", [
+        (["member", "--n", "2", "--d", "2", "--field", "fp:7", "[1:2:3:4:5:6]"], 1,
+         {"command": "member", "d": 2, "failing_minor": "z_{2,0,0} z_{0,1,1} - z_{1,1,0} z_{1,0,1}",
+          "field": "fp:7", "member": False, "n": 2, "point": "[1 : 2 : 3 : 4 : 5 : 6]",
+          "schema_version": 1, "value": "6"}),
+        (["member", "--n", "1", "--d", "2", "[1/2:3:18]"], 0,
+         {"command": "member", "d": 2, "field": "rational", "member": True, "n": 1,
+          "point": "[1/2 : 3 : 18]", "schema_version": 1}),
+        (["invert", "--n", "1", "--d", "3", "[1:2:4:9]"], 1,
+         {"command": "invert", "d": 3, "failing_minor": "z_{3,0} z_{0,3} - z_{2,1} z_{1,2}",
+          "field": "rational", "member": False, "n": 1, "point": "[1 : 2 : 4 : 9]",
+          "schema_version": 1, "value": "1"}),
+        (["invert", "--n", "2", "--d", "2", "--field", "fp:7", "[1:2:3:4:6:2]"], 0,
+         {"command": "invert", "d": 2, "field": "fp:7", "member": True, "n": 2,
+          "point": "[1 : 2 : 3 : 4 : 6 : 2]", "preimage": "[1 : 2 : 3]", "schema_version": 1}),
+    ], ids=["member-false-fp", "member-true-q", "invert-false-q", "invert-true-fp"])
+    def test_json(self, capsys, argv, code, expected):
+        got, out = run(capsys, *argv, "--format", "json")
+        assert got == code
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv,code,expected", [
+        (["member", "--n", "2", "--d", "2", "--field", "fp:7", "[1:2:3:4:6:2]"], 0, "true\n"),
+        (["invert", "--n", "2", "--d", "2", "--field", "fp:7", "[1:2:3:4:5:6]"], 1,
+         "not on the variety (minor z_{2,0,0} z_{0,1,1} - z_{1,1,0} z_{1,0,1} evaluates to 6)\n"),
+        (["member", "--n", "1", "--d", "2", "[1/2:3:-4/5]"], 1,
+         "false (minor z_{2,0} z_{0,2} - z_{1,1}^2 evaluates to -47/5)\n"),
+    ])
+    def test_text(self, capsys, argv, code, expected):
+        assert run(capsys, *argv) == (code, expected)
 
 
 class TestOracleCommand:
