@@ -42,7 +42,7 @@ from .multiindex import (
     parse_coordinate_name,
     pure_power,
 )
-from .morphism import coordinate_index
+from .morphism import chart_column, coordinate_index
 from .projective import ProjectivePoint
 
 
@@ -164,12 +164,6 @@ def _pair_str(pair) -> str:
     return f"{{{pair[0].coordinate_name()}, {pair[1].coordinate_name()}}}"
 
 
-def _chart_column(ctx: VeroneseContext, i: int) -> tuple[MultiIndex, ...]:
-    """Entries (d-1)e_i + e_j of the column based at x_i^(d-1)."""
-    base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
-    return tuple(base.bump(j) for j in range(ctx.n + 1))
-
-
 def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
     """Generate the chain for chart i and coordinate z_m.
 
@@ -190,7 +184,7 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
     if len(m) != ctx.n + 1 or m.degree != ctx.d:
         raise ContractError(f"{m} is not a degree-{ctx.d} multi-index in {ctx.n + 1} variables")
     P = pure_power(ctx.n, ctx.d, i)
-    column = _chart_column(ctx, i)
+    column = chart_column(ctx, i)
     steps: list[Binomial2] = []
     w: MultiIndex | None = None
     for j in range(ctx.n, -1, -1):
@@ -243,7 +237,7 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     res = _chain_structure(ctx, chain)
     if not res:
         return res
-    return _chain_identity(ctx, chain, _chart_column(ctx, chain.chart), Q)
+    return _chain_identity(ctx, chain, chart_column(ctx, chain.chart), Q)
 
 
 def _chain_structure(ctx: VeroneseContext, chain: RewriteChain) -> VerifyResult:
@@ -255,7 +249,7 @@ def _chain_structure(ctx: VeroneseContext, chain: RewriteChain) -> VerifyResult:
         return VerifyResult(False, "chain chart or target malformed for this context")
     require_matrix(ctx)
     P = pure_power(ctx.n, ctx.d, i)
-    column = _chart_column(ctx, i)
+    column = chart_column(ctx, i)
 
     state = Counter()
     for j in range(ctx.n + 1):
@@ -292,7 +286,7 @@ def _chain_identity(
     ctx: VeroneseContext, chain: RewriteChain, column: tuple[MultiIndex, ...], Q: ProjectivePoint
 ) -> VerifyResult:
     """The numeric half of verify_rewrite_chain, for a chain whose structure
-    holds; column is _chart_column(ctx, chain.chart), whose entry i is the
+    holds; column is chart_column(ctx, chain.chart), whose entry i is the
     pure power z_{d e_i}."""
     if Q.dim != ctx.N:
         return VerifyResult(False, f"point has dimension {Q.dim}, expected {ctx.N}")

@@ -10,12 +10,13 @@ Subcommands:
     oracle   exhaustive finite-field set-equality reports
 
 Common flags: --n, --d, --field rational|fp:<prime>, --format text|json,
---seed (default 0), --budget (default 5000000).  minors, member, invert
-and verify refuse a context whose 2-minor candidate count C(n+1, 2) *
-C(cols, 2) exceeds the budget before building any table; oracle bounds
-points x quadrics.  Identical configuration and seed produce
-byte-identical output; JSON documents carry schema_version 1 and sort
-their keys.
+--seed (default 0), --budget (default 5000000).  minors, member, invert,
+verify and oracle refuse a context whose 2-minor candidate count
+C(n+1, 2) * C(cols, 2) exceeds the budget before building any table;
+oracle then also bounds each search by points x quadrics.  oracle accepts
+--workers (>= 1) for compatibility and ignores it.  Identical
+configuration and seed produce byte-identical output; JSON documents carry
+schema_version 1 and sort their keys.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
 refusal.
@@ -38,9 +39,10 @@ from .errors import (
     NoChartError,
     VeroneseError,
 )
-from .matrix import build_matrix, cached_minors, minor_candidates, sorted_binomials
+from .matrix import build_matrix, cached_minors, check_minor_budget, sorted_binomials
 from .morphism import (
     available_charts,
+    chart_column,
     failing_minor,
     inverse_map,
     inverse_on_chart,
@@ -85,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for random test points")
         p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET,
                        help="cost limit: 2-minor candidates C(n+1,2)*C(cols,2) for "
-                       "minors, member, invert and verify; points x quadrics for oracle")
+                       "minors, member, invert, verify and oracle; oracle also "
+                       "bounds points x quadrics")
 
     common(sub.add_parser("matrix", help="print the L and M grids"), needs_field=False)
     common(sub.add_parser("minors", help="list canonical 2-minors"), needs_field=False)
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="exhaustive finite-field reports")
     common(p_orc)
     p_orc.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility (>= 1); never changes the result")
+                       help="ignored; accepted for compatibility (>= 1)")
 
     return parser
 
@@ -148,17 +151,9 @@ def cmd_matrix(args) -> int:
     return EXIT_OK
 
 
-def _check_minor_budget(ctx, budget: int) -> None:
-    """Refuse, before any table is built, a context whose 2-minor candidate
-    count exceeds the budget."""
-    estimate = minor_candidates(ctx)
-    if estimate > budget:
-        raise BudgetError(estimate, budget, "2-minor candidates")
-
-
 def cmd_minors(args) -> int:
     ctx = VeroneseContext(args.n, args.d)
-    _check_minor_budget(ctx, args.budget)
+    check_minor_budget(ctx, args.budget)
     listing = [str(b) for b in sorted_binomials(cached_minors(ctx))]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -197,11 +192,9 @@ def _membership(args, command: str):
     context, the point and the JSON document, whose "member" says whether
     every minor vanishes and which otherwise names the failing minor."""
     ctx = VeroneseContext(args.n, args.d)
-    _check_minor_budget(ctx, args.budget)
+    check_minor_budget(ctx, args.budget)
     field = field_from_name(args.field)
     Q = parse_point(field, args.point)
-    if Q.dim != ctx.N:
-        raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
     fail = failing_minor(ctx, Q)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -287,7 +280,7 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
         points = [
             _chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART)
         ]
-        column = certs._chart_column(ctx, i)
+        column = chart_column(ctx, i)
         for m in ctx.monomials():
             # verify_rewrite_chain at each point, with the point-free
             # structural half run once per chain
@@ -316,7 +309,7 @@ def _chart_point(rng: Random, field, ctx, i: int):
 
 def cmd_verify(args) -> int:
     ctx = VeroneseContext(args.n, args.d)
-    _check_minor_budget(ctx, args.budget)
+    check_minor_budget(ctx, args.budget)
     field = field_from_name(args.field)
     external = None
     if args.propagation_cert:
@@ -353,7 +346,7 @@ def cmd_oracle(args) -> int:
     field = field_from_name(args.field)
     if not isinstance(field, PrimeField):
         raise ContractError("oracle runs need --field fp:<prime>")
-    reports = orc.census(ctx, field.p, args.budget, args.workers)
+    reports = orc.census(ctx, field.p, args.budget)
     ok = all(r.equal for r in reports)
     doc = {
         "schema_version": SCHEMA_VERSION,

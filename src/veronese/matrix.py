@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add, sub
 
-from .errors import ContractError, EmptyMatrixError
+from .errors import BudgetError, ContractError, EmptyMatrixError
 from .multiindex import (
     MultiIndex,
     VeroneseContext,
@@ -42,19 +42,11 @@ class SymbolicMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
-    def entry(self, i: int, k: int) -> MultiIndex:
-        return self.entries[i][k]
-
     def row(self, i: int) -> tuple[MultiIndex, ...]:
         return self.entries[i]
 
     def column(self, k: int) -> tuple[MultiIndex, ...]:
         return tuple(row[k] for row in self.entries)
-
-    def column_bases(self) -> tuple[MultiIndex, ...]:
-        """Degree-(d-1) vectors indexing the columns; column k is its base
-        multiplied by each variable in turn."""
-        return enumerate_monomials(self.ctx.n, self.ctx.d - 1)
 
     def to_doc(self) -> dict:
         """JSON-ready document {n, d, rows} with entries as exponent lists."""
@@ -189,6 +181,15 @@ def minor_candidates(ctx: VeroneseContext) -> int:
     """C(n+1, 2) * C(cols, 2): the 2x2 submatrices minors2 visits, in closed
     form, so a caller can bound the cost before building anything (d >= 1)."""
     return binom(ctx.n + 1, 2) * binom(ctx.cols, 2)
+
+
+def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
+    """Refuse, before any table is built, a context whose 2-minor candidate
+    count exceeds the budget; d = 0 raises EmptyMatrixError first."""
+    require_matrix(ctx)
+    estimate = minor_candidates(ctx)
+    if estimate > budget:
+        raise BudgetError(estimate, budget, "2-minor candidates")
 
 
 def is_matrix_minor(ctx: VeroneseContext, binomial: Binomial2) -> bool:

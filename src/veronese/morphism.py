@@ -20,8 +20,13 @@ from math import lcm
 
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, cached_minors, sorted_binomials
-from .multiindex import MultiIndex, VeroneseContext, pure_power, rank
+from .multiindex import MultiIndex, VeroneseContext, pure_power
 from .projective import QQ, PrimeField, ProjectivePoint, Scalar, normalize
+
+
+def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
+    if Q.dim != ctx.N:
+        raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +80,7 @@ def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
 
 def is_on_variety(ctx: VeroneseContext, Q: ProjectivePoint) -> bool:
     """True iff every canonical 2-minor vanishes exactly at Q."""
-    if Q.dim != ctx.N:
-        raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
+    _require_target(ctx, Q)
     return _minors_vanish(_minor_table(ctx), Q)
 
 
@@ -107,15 +111,22 @@ def _minors_vanish(table, Q: ProjectivePoint) -> bool:
 
 def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, Scalar] | None:
     """First minor (in listing order) that does not vanish at Q, with its
-    value; None when Q is on the variety."""
-    if Q.dim != ctx.N:
-        raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
-    c = Q.coords
+    value; None when Q is on the variety.  Coordinates are coerced through
+    Q.field, as in is_on_variety."""
+    _require_target(ctx, Q)
+    c = [Q.field.coerce(v) for v in Q.coords]
     for b, (ia, ib, ic, ie) in _minor_table(ctx):
         v = c[ia] * c[ib] - c[ic] * c[ie]
         if v:
             return b, v
     return None
+
+
+def chart_column(ctx: VeroneseContext, i: int) -> tuple[MultiIndex, ...]:
+    """Entries (d-1)e_i + e_j, j = 0..n, of the column based at x_i^(d-1);
+    entry i is the pure power d e_i."""
+    base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
+    return tuple(base.bump(j) for j in range(ctx.n + 1))
 
 
 def chart_select(ctx: VeroneseContext, Q: ProjectivePoint) -> int:
@@ -124,12 +135,10 @@ def chart_select(ctx: VeroneseContext, Q: ProjectivePoint) -> int:
     For a point satisfying all minors that index always exists; its absence
     certifies the input was no projective point of the variety at all.
     """
-    if Q.dim != ctx.N:
-        raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
-    for i in range(ctx.n + 1):
-        if Q.coords[rank(pure_power(ctx.n, ctx.d, i))]:
-            return i
-    raise NoChartError("every pure-power coordinate vanishes; no chart contains the point")
+    charts = available_charts(ctx, Q)
+    if not charts:
+        raise NoChartError("every pure-power coordinate vanishes; no chart contains the point")
+    return charts[0]
 
 
 def inverse_on_chart(ctx: VeroneseContext, Q: ProjectivePoint, i: int) -> ProjectivePoint:
@@ -139,14 +148,12 @@ def inverse_on_chart(ctx: VeroneseContext, Q: ProjectivePoint, i: int) -> Projec
     """
     if not 0 <= i <= ctx.n:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
-    if Q.dim != ctx.N:
-        raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
-    base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
-    if not Q.coords[rank(base.bump(i))]:
+    _require_target(ctx, Q)
+    idx = coordinate_index(ctx)
+    column = [Q.coords[idx[m]] for m in chart_column(ctx, i)]
+    if not column[i]:
         raise NoChartError(f"chart {i} unavailable: coordinate z_{{d e_{i}}} is zero")
-    return normalize(
-        ProjectivePoint(Q.field, tuple(Q.coords[rank(base.bump(j))] for j in range(ctx.n + 1)))
-    )
+    return normalize(ProjectivePoint(Q.field, tuple(column)))
 
 
 def inverse_map(ctx: VeroneseContext, Q: ProjectivePoint, check: bool = False) -> ProjectivePoint:
@@ -163,8 +170,6 @@ def inverse_map(ctx: VeroneseContext, Q: ProjectivePoint, check: bool = False) -
 
 def available_charts(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[int, ...]:
     """All i with the pure-power coordinate z_{d e_i} nonzero at Q."""
-    if Q.dim != ctx.N:
-        raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
-    return tuple(
-        i for i in range(ctx.n + 1) if Q.coords[rank(pure_power(ctx.n, ctx.d, i))]
-    )
+    _require_target(ctx, Q)
+    idx = coordinate_index(ctx)
+    return tuple(i for i in range(ctx.n + 1) if Q.coords[idx[pure_power(ctx.n, ctx.d, i)]])

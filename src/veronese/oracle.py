@@ -10,12 +10,19 @@ The minor-vanishing derivations behind the equality use only field axioms,
 so a check over F_q exercises the identical algebra as any other field;
 the reports say so explicitly to keep the evidence honest.
 
-Enumeration is partitioned by the position of the leading 1.  Within a
-partition a depth-first search assigns the remaining coordinates in index
-order and checks each quadric as soon as its highest-index coordinate has
-a value, so a prefix is cut only when a fully assigned quadric fails.  The
-search is still exhaustive: it returns exactly the canonical points a scan
-of every residue vector would keep.
+One depth-first search assigns z_0, ..., z_N in index order and checks
+each quadric as soon as its highest-index coordinate has a value, so a
+prefix is cut only when a fully assigned quadric fails.  Canonical points
+have their first nonzero coordinate equal to 1: until that leading 1 is
+placed a coordinate takes only 0 or 1, after it any residue, and the
+all-zero vector is no point.  The search is still exhaustive: it returns
+exactly the canonical points a scan of every residue vector would keep.
+
+Every search is bounded before it starts.  brute_force_variety refuses a
+context whose 2-minor candidate count C(n+1, 2) * C(cols, 2) exceeds the
+budget before it builds the minor table, the guard every command applies;
+vanishing_set then refuses a search whose estimate, points x quadrics,
+exceeds it.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .matrix import Binomial2, cached_minors, toric_quadrics
+from .matrix import Binomial2, cached_minors, check_minor_budget, toric_quadrics
 from .morphism import indexed_binomials, veronese_eval
 from .multiindex import VeroneseContext
 from .projective import (
@@ -62,15 +69,16 @@ class EqualityReport:
     witnesses: tuple[ProjectivePoint, ...]
 
 
-def _filter_partition(N: int, q: int, lead: int, quads) -> list[tuple[int, ...]]:
-    """Canonical vectors with leading 1 at `lead` where all quadrics vanish,
-    in lexicographic order.
+def _search(N: int, q: int, quads) -> list[tuple[int, ...]]:
+    """Canonical vectors of P^N(F_q) where all quadrics vanish: leading 1 at
+    position N first, down to position 0, lexicographic within a position.
 
-    Works on raw residue tuples for speed; callers wrap survivors."""
+    Trying 0 before 1 on the zero prefix gives that order.  Works on raw
+    residue tuples for speed; callers wrap survivors."""
     by_top = [[] for _ in range(N + 1)]
     for quad in quads:
         by_top[max(quad)].append(quad)
-    v = [0] * lead + [1] + [0] * (N - lead)
+    v = [0] * (N + 1)
 
     # every quad in by_top[k] reads only v[0..k], so stale entries beyond k
     # left by an earlier branch are never seen
@@ -80,26 +88,27 @@ def _filter_partition(N: int, q: int, lead: int, quads) -> list[tuple[int, ...]]
                 return False
         return True
 
-    if not all(vanishes(k) for k in range(lead + 1)):
-        return []
-    if lead == N:
-        return [tuple(v)]
-    # iterative, so the depth N - lead is not bounded by the recursion limit;
-    # v[k] holds the value under trial at depth k, starting below 0
+    # iterative, so the depth N + 1 is not bounded by the recursion limit;
+    # v[k] holds the value under trial at depth k, starting below 0, and
+    # lead is where the leading 1 was last placed: v[0..k-1] is all zero
+    # exactly while lead >= k, so a stale lead needs no reset
     out = []
-    k = lead + 1
-    v[k] = -1
-    while k > lead:
-        if v[k] == q - 1:
+    lead = N + 1
+    k = 0
+    v[0] = -1
+    while k >= 0:
+        if v[k] == (q - 1 if k > lead else 1):
             k -= 1
             continue
         v[k] += 1
+        if v[k] == 1 and lead > k:
+            lead = k
         if vanishes(k):
-            if k == N:
-                out.append(tuple(v))
-            else:
+            if k < N:
                 k += 1
                 v[k] = -1
+            elif lead <= N:
+                out.append(tuple(v))
     return out
 
 
@@ -108,13 +117,10 @@ def vanishing_set(
     q: int,
     binomials: frozenset[Binomial2],
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> set[ProjectivePoint]:
     """All canonical points of P^N(F_q) where every given quadric vanishes.
 
-    The budget is checked against the up-front estimate points x quadrics.
-    `workers` is accepted for compatibility and never changes the result;
-    the search runs in the calling thread."""
+    The budget is checked against the up-front estimate points x quadrics."""
     field = PrimeField(q)
     npoints = count_projective_points(ctx.N, q)
     cost = npoints * max(1, len(binomials))
@@ -123,16 +129,15 @@ def vanishing_set(
     quads = [quad for _, quad in indexed_binomials(ctx, binomials)]
     return {
         ProjectivePoint(field, tuple(Fp(c, q) for c in v))
-        for lead in range(ctx.N, -1, -1)
-        for v in _filter_partition(ctx.N, q, lead, quads)
+        for v in _search(ctx.N, q, quads)
     }
 
 
-def brute_force_variety(
-    ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> set[ProjectivePoint]:
-    """V(2-minors)(F_q) as a set of canonical points."""
-    return vanishing_set(ctx, q, cached_minors(ctx), budget, workers)
+def brute_force_variety(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> set[ProjectivePoint]:
+    """V(2-minors)(F_q) as a set of canonical points; the 2-minor candidate
+    guard runs before the minor table is built."""
+    check_minor_budget(ctx, budget)
+    return vanishing_set(ctx, q, cached_minors(ctx), budget)
 
 
 def brute_force_image(ctx: VeroneseContext, q: int) -> set[ProjectivePoint]:
@@ -148,10 +153,8 @@ def _image_report(ctx: VeroneseContext, q: int, variety: set[ProjectivePoint]) -
     return _report(ctx, q, "veronese-image", variety, brute_force_image(ctx, q))
 
 
-def _toric_report(
-    ctx: VeroneseContext, q: int, variety: set[ProjectivePoint], budget: int, workers: int
-) -> EqualityReport:
-    toric = vanishing_set(ctx, q, toric_quadrics(ctx), budget, workers)
+def _toric_report(ctx: VeroneseContext, q: int, variety: set[ProjectivePoint], budget: int) -> EqualityReport:
+    toric = vanishing_set(ctx, q, toric_quadrics(ctx), budget)
     return _report(ctx, q, "toric-quadrics", variety, toric)
 
 
@@ -170,29 +173,25 @@ def _report(
     )
 
 
-def check_set_equality(
-    ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> EqualityReport:
+def check_set_equality(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> EqualityReport:
     """Compare V(2-minors)(F_q) with the embedding image; equality expected."""
-    return _image_report(ctx, q, brute_force_variety(ctx, q, budget, workers))
+    return _image_report(ctx, q, brute_force_variety(ctx, q, budget))
 
 
-def check_toric_equality(
-    ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> EqualityReport:
+def check_toric_equality(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> EqualityReport:
     """Compare V(2-minors)(F_q) with the vanishing set of all balanced
     quadrics; the latter generator set is larger, so its variety can only
     be smaller, and equality is the content."""
-    return _toric_report(ctx, q, brute_force_variety(ctx, q, budget, workers), budget, workers)
+    return _toric_report(ctx, q, brute_force_variety(ctx, q, budget), budget)
 
 
 def census(
-    ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET, workers: int = 1
+    ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[EqualityReport, EqualityReport]:
     """check_set_equality and check_toric_equality, in that order, sharing
     one search for V(2-minors)(F_q)."""
-    variety = brute_force_variety(ctx, q, budget, workers)
-    return _image_report(ctx, q, variety), _toric_report(ctx, q, variety, budget, workers)
+    variety = brute_force_variety(ctx, q, budget)
+    return _image_report(ctx, q, variety), _toric_report(ctx, q, variety, budget)
 
 
 def report_to_doc(report: EqualityReport) -> dict:

@@ -38,7 +38,7 @@ from veronese import (
 )
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
-from veronese.morphism import _minor_table
+from veronese.morphism import _minor_table, chart_column
 
 
 def image_point_on_chart(rng, field, ctx, i):
@@ -355,7 +355,7 @@ def reference_chain_structure(ctx, chain):
         return certs.VerifyResult(False, "chain chart or target malformed for this context")
     minors = cached_minors(ctx)
     P = pure_power(ctx.n, ctx.d, i)
-    column = certs._chart_column(ctx, i)
+    column = chart_column(ctx, i)
     state = Counter()
     for j in range(ctx.n + 1):
         if m[j]:
@@ -391,7 +391,7 @@ def reference_verify_rewrite_chain(ctx, chain, Q):
     res = reference_chain_structure(ctx, chain)
     if not res:
         return res
-    return certs._chain_identity(ctx, chain, certs._chart_column(ctx, chain.chart), Q)
+    return certs._chain_identity(ctx, chain, chart_column(ctx, chain.chart), Q)
 
 
 def tamperings(ctx):

@@ -323,20 +323,23 @@ class TestOversizeRationals:
 
 
 class TestMinorBudget:
-    """minors, member, invert and verify refuse, before building any table,
-    a context whose C(n+1, 2) * C(cols, 2) 2-minor candidates exceed --budget."""
+    """minors, member, invert, verify and oracle refuse, before building any
+    table, a context whose C(n+1, 2) * C(cols, 2) 2-minor candidates exceed
+    --budget."""
 
-    @pytest.mark.parametrize("argv", [
-        ["minors", "--n", "7", "--d", "7"],
-        ["member", "--n", "7", "--d", "7", "[1 : 2]"],
-        ["invert", "--n", "7", "--d", "7", "--field", "fp:5", "[1 : 2]"],
-        ["verify", "--n", "7", "--d", "7", "--format", "json"],
-    ], ids=["minors", "member", "invert", "verify"])
-    def test_large_context_refused_fast(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv,estimate,budget", [
+        (["minors", "--n", "7", "--d", "7"], 41201160, 5000000),
+        (["member", "--n", "7", "--d", "7", "[1 : 2]"], 41201160, 5000000),
+        (["invert", "--n", "7", "--d", "7", "--field", "fp:5", "[1 : 2]"], 41201160, 5000000),
+        (["verify", "--n", "7", "--d", "7", "--format", "json"], 41201160, 5000000),
+        (["oracle", "--n", "7", "--d", "7", "--field", "fp:2"], 41201160, 5000000),
+        (["oracle", "--n", "5", "--d", "5", "--field", "fp:2", "--budget", "1000"], 118125, 1000),
+    ], ids=["minors", "member", "invert", "verify", "oracle", "oracle-5-5-budget-1000"])
+    def test_large_context_refused_fast(self, capsys, monkeypatch, argv, estimate, budget):
         def no_table(matrix):
             raise AssertionError("a minor table was built before the budget check")
 
-        # without the guard the run would build 41 million candidates
+        # without the guard the run would build every candidate first
         monkeypatch.setattr(matrix_module, "minors2", no_table)
         start = time.perf_counter()
         code = main(argv)
@@ -345,8 +348,8 @@ class TestMinorBudget:
         assert code == 3
         assert captured.out == ""
         assert captured.err == (
-            "error: enumeration refused: estimated 41201160 2-minor candidates "
-            "exceed budget 5000000\n"
+            f"error: enumeration refused: estimated {estimate} 2-minor candidates "
+            f"exceed budget {budget}\n"
         )
         assert elapsed < 1.0
 

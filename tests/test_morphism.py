@@ -173,8 +173,24 @@ class TestIntegerMembership:
         (QQ, (Fraction(1), Fp(2, 7), Fraction(4))),
     ], ids=["foreign-modulus", "mixed-moduli", "rational-in-fp", "residue-in-rational"])
     def test_coordinates_of_another_field_are_refused(self, field, coords):
+        Q = ProjectivePoint(field, coords)
         with pytest.raises(ContractError):
-            is_on_variety(VeroneseContext(1, 2), ProjectivePoint(field, coords))
+            is_on_variety(VeroneseContext(1, 2), Q)
+        with pytest.raises(ContractError):
+            failing_minor(VeroneseContext(1, 2), Q)
+
+    @pytest.mark.parametrize("coords,member,value", [
+        ((1, 2, 11), True, None), ((1, 2, 12), False, Fp(1, 7)),
+    ], ids=["member", "non-member"])
+    def test_unreduced_residues_are_coerced(self, coords, member, value):
+        # 11 = 4 and 12 = 5 in F_7; the minor z_{2,0} z_{0,2} - z_{1,1}^2 reads 1*5 - 2^2
+        ctx, Q = VeroneseContext(1, 2), ProjectivePoint(PrimeField(7), coords)
+        assert is_on_variety(ctx, Q) is member
+        fail = failing_minor(ctx, Q)
+        assert (fail is None) is member
+        if fail is not None:
+            assert str(fail[0]) == "z_{2,0} z_{0,2} - z_{1,1}^2"
+            assert fail[1] == value and isinstance(fail[1], Fp)
 
 
 class TestChartSelect:

@@ -7,6 +7,7 @@ import pytest
 
 from veronese import (
     BudgetError,
+    EmptyMatrixError,
     PrimeField,
     VeroneseContext,
     brute_force_image,
@@ -25,7 +26,7 @@ from veronese import (
 from veronese import oracle
 from veronese.matrix import cached_minors, sorted_binomials, toric_quadrics
 from veronese.morphism import indexed_binomials
-from veronese.oracle import _filter_partition
+from veronese.oracle import _search
 
 # frozen by an independent brute-force enumeration over all residue vectors
 FROZEN_VARIETY_COUNTS = {
@@ -58,14 +59,18 @@ GENERATOR_SETS = {
 }
 
 
+def _product_reference(N, q, quads):
+    """The partitions of _product_filter concatenated, leading 1 at N first."""
+    return [v for lead in range(N, -1, -1) for v in _product_filter(N, q, lead, quads)]
+
+
 class TestSearchAgainstProductReference:
     @pytest.mark.parametrize("gens", sorted(GENERATOR_SETS))
     @pytest.mark.parametrize("n,d,q", sorted(FROZEN_VARIETY_COUNTS) + [(3, 2, 3), (3, 3, 2)])
     def test_identical_partitions(self, n, d, q, gens):
         ctx = VeroneseContext(n, d)
         quads = [quad for _, quad in indexed_binomials(ctx, GENERATOR_SETS[gens](ctx))]
-        for lead in range(ctx.N + 1):
-            assert _filter_partition(ctx.N, q, lead, quads) == _product_filter(ctx.N, q, lead, quads)
+        assert _search(ctx.N, q, quads) == _product_reference(ctx.N, q, quads)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_identical_partitions_for_arbitrary_quads(self, seed):
@@ -73,8 +78,7 @@ class TestSearchAgainstProductReference:
         rng = Random(seed)
         N, q = 4, 3
         quads = [tuple(rng.randrange(N + 1) for _ in range(4)) for _ in range(rng.randrange(1, 4))]
-        for lead in range(N + 1):
-            assert _filter_partition(N, q, lead, quads) == _product_filter(N, q, lead, quads)
+        assert _search(N, q, quads) == _product_reference(N, q, quads)
 
 
 class TestBruteForceVariety:
@@ -96,9 +100,12 @@ class TestBruteForceVariety:
             brute_force_variety(ctx, 5, budget=1000)
         assert err.value.estimated > err.value.budget
 
-    def test_partitioning_invariance(self):
-        ctx = VeroneseContext(2, 2)
-        assert brute_force_variety(ctx, 3, workers=1) == brute_force_variety(ctx, 3, workers=4)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degree_zero_has_no_matrix(self, n):
+        # the guard reports the missing grid; at n = 0 the column count
+        # C(n+d-1, n) alone would raise ContractError
+        with pytest.raises(EmptyMatrixError):
+            brute_force_variety(VeroneseContext(n, 0), 3)
 
 
 class TestBruteForceImage:
