@@ -12,11 +12,11 @@ Subcommands:
 Common flags: --n, --d, --field rational|fp:<prime>, --format text|json,
 --seed (default 0), --budget (default 5000000).  minors, member, invert,
 verify and oracle refuse a context whose 2-minor candidate count
-C(n+1, 2) * C(cols, 2) exceeds the budget before building any table;
-oracle then also bounds each search by points x quadrics.  oracle accepts
---workers (>= 1) for compatibility and ignores it.  Identical
-configuration and seed produce byte-identical output; JSON documents carry
-schema_version 1 and sort their keys.
+C(n+1, 2) * C(cols, 2), or C(d, 2) if larger, exceeds the budget before
+building any table; oracle then also bounds each search by points x
+quadrics.  oracle accepts --workers (>= 1) for compatibility and ignores
+it.  Identical configuration and seed produce byte-identical output; JSON
+documents carry schema_version 1 and sort their keys.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
 refusal.

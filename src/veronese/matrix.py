@@ -185,9 +185,12 @@ def minor_candidates(ctx: VeroneseContext) -> int:
 
 def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
     """Refuse, before any table is built, a context whose 2-minor candidate
-    count exceeds the budget; d = 0 raises EmptyMatrixError first."""
+    count, or C(d, 2) if larger, exceeds the budget; d = 0 raises
+    EmptyMatrixError first.  C(d, 2) bounds n = 0, whose one-row grid has no
+    minors while evaluation still grows with d; for n >= 1 cols >= d, so
+    the candidate count is never below it."""
     require_matrix(ctx)
-    estimate = minor_candidates(ctx)
+    estimate = max(minor_candidates(ctx), binom(ctx.d, 2))
     if estimate > budget:
         raise BudgetError(estimate, budget, "2-minor candidates")
 

@@ -4,8 +4,9 @@ chartwise inverse.
 A source point [x_0 : ... : x_n] maps to the vector of all degree-d
 monomial values, ordered lex-descending so that coordinate rank(m) holds
 x^m.  Membership in the model variety means every canonical 2-minor
-vanishes exactly.  is_on_variety tests this on plain ints: over Q on the
-point scaled by the lcm of its denominators, over F_p on the residues.
+vanishes exactly.  Points hold elements of their field, coerced when the
+point is built.  is_on_variety tests the minors on plain ints: over Q on
+the point scaled by the lcm of its denominators, over F_p on the residues.
 failing_minor keeps field arithmetic, because it reports the minor's value
 in the field.  The inverse reads off one matrix column: on the chart
 where z_{d e_i} is nonzero, the column whose base is x_i^(d-1) lists
@@ -21,7 +22,7 @@ from math import lcm
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, cached_minors, sorted_binomials
 from .multiindex import MultiIndex, VeroneseContext, pure_power
-from .projective import QQ, PrimeField, ProjectivePoint, Scalar, normalize
+from .projective import PrimeField, ProjectivePoint, Scalar, normalize
 
 
 def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
@@ -88,21 +89,18 @@ def _minors_vanish(table, Q: ProjectivePoint) -> bool:
     """Whether every quad of table vanishes at Q, tested on plain ints.
 
     A 2-minor is a homogeneous quadric, so over Q scaling the point by L,
-    the lcm of its denominators, leaves its vanishing unchanged.  Coercing
-    through the field turns a coordinate of another field or modulus into
-    a ContractError.
+    the lcm of its denominators, leaves its vanishing unchanged; over F_p
+    the residues are tested mod p.
     """
-    field = Q.field
-    if isinstance(field, PrimeField):
-        p = field.p
-        z = [field.coerce(c).value for c in Q.coords]
+    if isinstance(Q.field, PrimeField):
+        p = Q.field.p
+        z = [c.value for c in Q.coords]
         for _, (ia, ib, ic, ie) in table:
             if (z[ia] * z[ib] - z[ic] * z[ie]) % p:
                 return False
         return True
-    c = [QQ.coerce(v) for v in Q.coords]
-    L = lcm(*(v.denominator for v in c))
-    z = [v.numerator * (L // v.denominator) for v in c]
+    L = lcm(*(v.denominator for v in Q.coords))
+    z = [v.numerator * (L // v.denominator) for v in Q.coords]
     for _, (ia, ib, ic, ie) in table:
         if z[ia] * z[ib] != z[ic] * z[ie]:
             return False
@@ -111,10 +109,9 @@ def _minors_vanish(table, Q: ProjectivePoint) -> bool:
 
 def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, Scalar] | None:
     """First minor (in listing order) that does not vanish at Q, with its
-    value; None when Q is on the variety.  Coordinates are coerced through
-    Q.field, as in is_on_variety."""
+    value, an element of Q.field; None when Q is on the variety."""
     _require_target(ctx, Q)
-    c = [Q.field.coerce(v) for v in Q.coords]
+    c = Q.coords
     for b, (ia, ib, ic, ie) in _minor_table(ctx):
         v = c[ia] * c[ib] - c[ic] * c[ie]
         if v:

@@ -10,13 +10,10 @@ The minor-vanishing derivations behind the equality use only field axioms,
 so a check over F_q exercises the identical algebra as any other field;
 the reports say so explicitly to keep the evidence honest.
 
-One depth-first search assigns z_0, ..., z_N in index order and checks
-each quadric as soon as its highest-index coordinate has a value, so a
-prefix is cut only when a fully assigned quadric fails.  Canonical points
-have their first nonzero coordinate equal to 1: until that leading 1 is
-placed a coordinate takes only 0 or 1, after it any residue, and the
-all-zero vector is no point.  The search is still exhaustive: it returns
-exactly the canonical points a scan of every residue vector would keep.
+Both sides rest on projective._search, the package's one enumeration of
+the canonical points of P^m(F_q): the minor variety is that depth-first
+search over z_0, ..., z_N pruned by the quadrics, and the image applies
+the embedding to every point of P^n(F_q) it streams.
 
 Every search is bounded before it starts.  brute_force_variety refuses a
 context whose 2-minor candidate count C(n+1, 2) * C(cols, 2) exceeds the
@@ -34,9 +31,9 @@ from .matrix import Binomial2, cached_minors, check_minor_budget, toric_quadrics
 from .morphism import indexed_binomials, veronese_eval
 from .multiindex import VeroneseContext
 from .projective import (
-    Fp,
     PrimeField,
     ProjectivePoint,
+    _search,
     count_projective_points,
     enumerate_projective_points,
 )
@@ -69,49 +66,6 @@ class EqualityReport:
     witnesses: tuple[ProjectivePoint, ...]
 
 
-def _search(N: int, q: int, quads) -> list[tuple[int, ...]]:
-    """Canonical vectors of P^N(F_q) where all quadrics vanish: leading 1 at
-    position N first, down to position 0, lexicographic within a position.
-
-    Trying 0 before 1 on the zero prefix gives that order.  Works on raw
-    residue tuples for speed; callers wrap survivors."""
-    by_top = [[] for _ in range(N + 1)]
-    for quad in quads:
-        by_top[max(quad)].append(quad)
-    v = [0] * (N + 1)
-
-    # every quad in by_top[k] reads only v[0..k], so stale entries beyond k
-    # left by an earlier branch are never seen
-    def vanishes(k: int) -> bool:
-        for ia, ib, ic, ie in by_top[k]:
-            if (v[ia] * v[ib] - v[ic] * v[ie]) % q:
-                return False
-        return True
-
-    # iterative, so the depth N + 1 is not bounded by the recursion limit;
-    # v[k] holds the value under trial at depth k, starting below 0, and
-    # lead is where the leading 1 was last placed: v[0..k-1] is all zero
-    # exactly while lead >= k, so a stale lead needs no reset
-    out = []
-    lead = N + 1
-    k = 0
-    v[0] = -1
-    while k >= 0:
-        if v[k] == (q - 1 if k > lead else 1):
-            k -= 1
-            continue
-        v[k] += 1
-        if v[k] == 1 and lead > k:
-            lead = k
-        if vanishes(k):
-            if k < N:
-                k += 1
-                v[k] = -1
-            elif lead <= N:
-                out.append(tuple(v))
-    return out
-
-
 def vanishing_set(
     ctx: VeroneseContext,
     q: int,
@@ -127,10 +81,7 @@ def vanishing_set(
     if cost > budget:
         raise BudgetError(cost, budget)
     quads = [quad for _, quad in indexed_binomials(ctx, binomials)]
-    return {
-        ProjectivePoint(field, tuple(Fp(c, q) for c in v))
-        for v in _search(ctx.N, q, quads)
-    }
+    return {ProjectivePoint(field, v) for v in _search(ctx.N, q, quads)}
 
 
 def brute_force_variety(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> set[ProjectivePoint]:

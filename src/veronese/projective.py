@@ -6,23 +6,28 @@ residue in [0, p) with operator arithmetic, so generic code can mix the two
 backends freely; there is deliberately no floating point anywhere.
 
 A ProjectivePoint is an immutable coordinate tuple over one field with at
-least one nonzero entry.  Its canonical representative scales the first
-nonzero coordinate to 1, which makes exact set operations on points
-possible (plain dataclass equality compares canonical tuples).
+least one nonzero entry, coerced into the field when the point is built.
+Its canonical representative scales the first nonzero coordinate to 1,
+which makes exact set operations on points possible (plain dataclass
+equality compares canonical tuples).  _search is the one enumeration of
+the canonical points of P^m(F_q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from random import Random
 
 from .errors import ContractError, InvalidPointError
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every 64-bit integer."""
+    """Deterministic Miller-Rabin with bases 2..37, exact for p < 2**64.
+    Larger p raise ContractError: those bases pass composites such as
+    318665857834031151167461."""
+    if p >= 2**64:
+        raise ContractError(f"modulus too large: {p.bit_length()} bits; primality is decided only below 2**64")
     if p < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -224,9 +229,6 @@ class PrimeField:
     def format_scalar(self, x: Fp) -> str:
         return str(x.value)
 
-    def elements(self):
-        return (Fp(v, self.p) for v in range(self.p))
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -253,17 +255,22 @@ def field_from_name(name: str) -> Field:
 class ProjectivePoint:
     """A point of P^m: m+1 exact coordinates over one field, not all zero.
 
-    Dataclass equality is coordinatewise (useful for sets of canonical
-    points); use proj_eq for equality up to a scalar.
+    Construction coerces each coordinate through field.coerce: ints become
+    field elements, and anything else that is no element of the field, such
+    as a float, raises ContractError.  Dataclass equality is coordinatewise
+    (useful for sets of canonical points); use proj_eq for equality up to a
+    scalar.
     """
 
     field: Field
     coords: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if len(self.coords) == 0:
+        coords = tuple(map(self.field.coerce, self.coords))
+        object.__setattr__(self, "coords", coords)
+        if len(coords) == 0:
             raise InvalidPointError("a point needs at least one coordinate")
-        if not any(self.coords):
+        if not any(coords):
             raise InvalidPointError("all coordinates are zero")
 
     @property
@@ -281,8 +288,8 @@ class ProjectivePoint:
 
 
 def point(field: Field, values) -> ProjectivePoint:
-    """Build a point, coercing ints (and field elements) to scalars."""
-    return ProjectivePoint(field, tuple(field.coerce(v) for v in values))
+    """Build a point from any iterable of coordinates."""
+    return ProjectivePoint(field, tuple(values))
 
 
 def normalize(p: ProjectivePoint) -> ProjectivePoint:
@@ -303,22 +310,58 @@ def proj_eq(p: ProjectivePoint, q: ProjectivePoint) -> bool:
     return normalize(p).coords == normalize(q).coords
 
 
-def enumerate_projective_points(m: int, q: int | PrimeField):
-    """Stream every point of P^m(F_q) exactly once, canonically.
+def _search(N: int, q: int, quads=()):
+    """Stream the canonical residue vectors of P^N(F_q) at which every quad
+    (a, b, c, e) vanishes, v_a v_b = v_c v_e mod q: leading 1 at position N
+    first, down to position 0, lexicographic within a position.
 
-    Points are grouped by the position of the leading 1, last position
-    first, with the free tail coordinates in ascending lexicographic order;
-    (q^(m+1) - 1)/(q - 1) points in total.  The grouping makes the stream
-    restartable and partitionable.
-    """
+    A depth-first search over v_0, ..., v_N checks each quad once its top
+    index is assigned, so it cuts a prefix only when a quad fails and stays
+    exhaustive.  Until the leading 1 is placed a coordinate takes only 0 or
+    1, which with 0 tried first gives the order above."""
+    by_top = [[] for _ in range(N + 1)]
+    for quad in quads:
+        by_top[max(quad)].append(quad)
+    v = [0] * (N + 1)
+
+    # every quad in by_top[k] reads only v[0..k], so stale entries beyond k
+    # left by an earlier branch are never seen
+    def vanishes(k: int) -> bool:
+        for ia, ib, ic, ie in by_top[k]:
+            if (v[ia] * v[ib] - v[ic] * v[ie]) % q:
+                return False
+        return True
+
+    # iterative, so the depth N + 1 is not bounded by the recursion limit;
+    # v[k] holds the value under trial at depth k, starting below 0, and
+    # lead is where the leading 1 was last placed: v[0..k-1] is all zero
+    # exactly while lead >= k, so a stale lead needs no reset
+    lead = N + 1
+    k = 0
+    v[0] = -1
+    while k >= 0:
+        if v[k] == (q - 1 if k > lead else 1):
+            k -= 1
+            continue
+        v[k] += 1
+        if v[k] == 1 and lead > k:
+            lead = k
+        if vanishes(k):
+            if k < N:
+                k += 1
+                v[k] = -1
+            elif lead <= N:
+                yield tuple(v)
+
+
+def enumerate_projective_points(m: int, q: int | PrimeField):
+    """Stream every point of P^m(F_q) exactly once, canonically, in the
+    order of _search; (q^(m+1) - 1)/(q - 1) points in total."""
     field = q if isinstance(q, PrimeField) else PrimeField(q)
     if m < 0:
         raise ContractError(f"ambient dimension must be >= 0, got {m}")
-    zero, one = field.zero, field.one
-    for lead in range(m, -1, -1):
-        head = (zero,) * lead + (one,)
-        for tail in product(range(field.p), repeat=m - lead):
-            yield ProjectivePoint(field, head + tuple(Fp(t, field.p) for t in tail))
+    for v in _search(m, field.p):
+        yield ProjectivePoint(field, v)
 
 
 def count_projective_points(m: int, q: int) -> int:

@@ -134,6 +134,15 @@ class TestPointCommands:
         code, _ = run(capsys, "eval", "--n", "1", "--d", "2", "--field", "fp:4", "[1 : 2]")
         assert code == 2
 
+    # a composite that passes Miller-Rabin to every base up to 37, and 2**64 + 13
+    @pytest.mark.parametrize("p,bits", [("318665857834031151167461", 79), ("18446744073709551629", 65)])
+    def test_modulus_from_2_64_is_usage_error(self, capsys, p, bits):
+        code = main(["member", "--n", "1", "--d", "2", "--field", f"fp:{p}", "[1 : 2 : 4]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: modulus too large: {bits} bits; primality is decided only below 2**64\n"
+
 
 class TestVerifyCommand:
     def test_passes_over_rationals(self, capsys):
@@ -334,7 +343,11 @@ class TestMinorBudget:
         (["verify", "--n", "7", "--d", "7", "--format", "json"], 41201160, 5000000),
         (["oracle", "--n", "7", "--d", "7", "--field", "fp:2"], 41201160, 5000000),
         (["oracle", "--n", "5", "--d", "5", "--field", "fp:2", "--budget", "1000"], 118125, 1000),
-    ], ids=["minors", "member", "invert", "verify", "oracle", "oracle-5-5-budget-1000"])
+        # n = 0 has no minors; C(d, 2) bounds it instead
+        (["verify", "--n", "0", "--d", "100000000"], 4999999950000000, 5000000),
+        (["oracle", "--n", "0", "--d", "100000000", "--field", "fp:2"], 4999999950000000, 5000000),
+    ], ids=["minors", "member", "invert", "verify", "oracle", "oracle-5-5-budget-1000",
+            "verify-0-1e8", "oracle-0-1e8"])
     def test_large_context_refused_fast(self, capsys, monkeypatch, argv, estimate, budget):
         def no_table(matrix):
             raise AssertionError("a minor table was built before the budget check")

@@ -1,0 +1,58 @@
+"""Byte-identity corpus for the command line.
+
+golden_cli.json holds command lines with the exit code, stdout and stderr
+that cli.main gave for each.  Every line is replayed in process and must
+give the same bytes, which pins the output contract: JSON documents with
+schema_version 1 and sorted keys, the text layouts, the error messages and
+the exit codes 0/1/2/3.  No line makes argparse print, because argparse
+words its usage and errors differently across Python versions.
+
+After a deliberate output change, rewrite the recorded outputs with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and review the diff of golden_cli.json.  To add a line, append an entry
+holding only its "argv" and rewrite.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from veronese.cli import _HANDLERS, main
+
+CORPUS = Path(__file__).with_name("golden_cli.json")
+
+
+def replay(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def load() -> list[dict]:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", load(), ids=lambda case: " ".join(case["argv"]))
+def test_same_bytes(case):
+    assert replay(case["argv"]) == case
+
+
+def test_corpus_covers_every_subcommand_and_exit_code():
+    cases = load()
+    assert {case["argv"][0] for case in cases} == set(_HANDLERS)
+    assert {case["exit"] for case in cases} == {0, 1, 2, 3}
+    for command in _HANDLERS:
+        formats = {"json" if "json" in case["argv"] else "text" for case in cases if case["argv"][0] == command}
+        assert formats == {"text", "json"}, command
+
+
+if __name__ == "__main__":
+    # one case per line, so a diff names the command lines that changed
+    lines = (json.dumps(replay(case["argv"]), sort_keys=True) for case in load())
+    CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")

@@ -26,7 +26,7 @@ from veronese import (
 from veronese import oracle
 from veronese.matrix import cached_minors, sorted_binomials, toric_quadrics
 from veronese.morphism import indexed_binomials
-from veronese.oracle import _search
+from veronese.projective import _search, enumerate_projective_points
 
 # frozen by an independent brute-force enumeration over all residue vectors
 FROZEN_VARIETY_COUNTS = {
@@ -70,7 +70,7 @@ class TestSearchAgainstProductReference:
     def test_identical_partitions(self, n, d, q, gens):
         ctx = VeroneseContext(n, d)
         quads = [quad for _, quad in indexed_binomials(ctx, GENERATOR_SETS[gens](ctx))]
-        assert _search(ctx.N, q, quads) == _product_reference(ctx.N, q, quads)
+        assert list(_search(ctx.N, q, quads)) == _product_reference(ctx.N, q, quads)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_identical_partitions_for_arbitrary_quads(self, seed):
@@ -78,7 +78,12 @@ class TestSearchAgainstProductReference:
         rng = Random(seed)
         N, q = 4, 3
         quads = [tuple(rng.randrange(N + 1) for _ in range(4)) for _ in range(rng.randrange(1, 4))]
-        assert _search(N, q, quads) == _product_reference(N, q, quads)
+        assert list(_search(N, q, quads)) == _product_reference(N, q, quads)
+
+    @pytest.mark.parametrize("m,q", [(0, 2), (1, 2), (2, 3), (3, 2), (2, 5), (4, 3), (1, 7)])
+    def test_enumeration_is_the_search_without_quadrics(self, m, q):
+        points = [tuple(c.value for c in P) for P in enumerate_projective_points(m, q)]
+        assert points == _product_reference(m, q, [])
 
 
 class TestBruteForceVariety:

@@ -11,11 +11,15 @@ from veronese import (
     Fp,
     InvalidPointError,
     PrimeField,
+    ProjectivePoint,
     QQ,
+    VeroneseContext,
+    VeroneseError,
     count_projective_points,
     enumerate_projective_points,
     field_from_name,
     format_point,
+    inverse_map,
     normalize,
     parse_point,
     point,
@@ -32,6 +36,17 @@ class TestFields:
             PrimeField(9)
         with pytest.raises(ContractError):
             PrimeField(1)
+
+    @pytest.mark.parametrize("p", [318665857834031151167461, 2**64 + 13],
+                             ids=["strong-pseudoprime-to-bases-2-37", "prime-above-2**64"])
+    def test_moduli_from_2_64_refused(self, p):
+        # 399165290221 * 798330580441 passes every Miller-Rabin base up to
+        # 37, and 2**64 + 13 is prime; neither is answered
+        with pytest.raises(ContractError):
+            PrimeField(p)
+        with pytest.raises(ContractError):
+            field_from_name(f"fp:{p}")
+        assert PrimeField(2**64 - 59).p == 2**64 - 59  # the largest prime below 2**64
 
     def test_field_from_name(self):
         assert field_from_name("rational") is QQ
@@ -124,6 +139,47 @@ class TestProjEq:
         p = point(QQ, [3, 0, -5])
         scaled = point(QQ, [Fraction(-7, 2) * c for c in p.coords])
         assert proj_eq(p, scaled)
+
+
+def _is_element(field, c) -> bool:
+    return type(c) is Fraction if field == QQ else type(c) is Fp and c.p == field.p
+
+
+COORDINATES = st.one_of(
+    st.integers(-10, 10),
+    st.fractions(max_denominator=10),
+    st.builds(Fp, st.integers(0, 6), st.just(7)),
+    st.builds(Fp, st.integers(0, 4), st.just(5)),
+    st.floats(),
+)
+
+
+class TestCoercionAtConstruction:
+    def test_residues_of_zero_are_no_point(self):
+        with pytest.raises(InvalidPointError):
+            ProjectivePoint(PrimeField(7), (7, 14, 21))
+
+    def test_ints_become_field_elements(self):
+        P = ProjectivePoint(PrimeField(7), (1, 2, 11))
+        assert P.coords == (Fp(1, 7), Fp(2, 7), Fp(4, 7))
+        R = normalize(ProjectivePoint(QQ, (2, 4)))
+        assert R.coords == (Fraction(1), Fraction(2))
+        assert all(type(c) is Fraction for c in R.coords)
+
+    @given(st.sampled_from([QQ, PrimeField(7)]), st.lists(COORDINATES, min_size=3, max_size=3))
+    def test_a_point_holds_only_elements_of_its_field(self, field, coords):
+        try:
+            P = ProjectivePoint(field, coords)
+        except VeroneseError:
+            return
+        assert all(_is_element(field, c) for c in P.coords)
+        assert all(_is_element(field, c) for c in normalize(P).coords)
+        assert proj_eq(P, normalize(P)) is True
+        try:
+            preimage = inverse_map(VeroneseContext(1, 2), P)
+        except VeroneseError:  # no chart contains P
+            return
+        assert all(_is_element(field, c) for c in preimage.coords)
 
 
 class TestEnumeration:
