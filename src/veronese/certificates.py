@@ -43,7 +43,7 @@ from .multiindex import (
     pure_power,
 )
 from .morphism import chart_column, coordinate_index
-from .projective import ProjectivePoint
+from .projective import ProjectivePoint, integer_coords
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,8 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
     if len(m) != ctx.n + 1 or m.degree != ctx.d:
         raise ContractError(f"{m} is not a degree-{ctx.d} multi-index in {ctx.n + 1} variables")
-    P = pure_power(ctx.n, ctx.d, i)
     column = chart_column(ctx, i)
+    P = column[i]
     steps: list[Binomial2] = []
     w: MultiIndex | None = None
     for j in range(ctx.n, -1, -1):
@@ -206,7 +206,7 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
 def _realizes_row_and_column(ctx: VeroneseContext, i: int, b: Binomial2) -> bool:
     """Whether the minor has a 2x2 realization on row i and the column of
     z_{d e_i}, i.e. three of four entries in that row and column."""
-    P = pure_power(ctx.n, ctx.d, i)
+    P = chart_column(ctx, i)[i]
     if P in b.pos:
         p_pair, o_pair = b.pos, b.neg
     elif P in b.neg:
@@ -237,7 +237,7 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     res = _chain_structure(ctx, chain)
     if not res:
         return res
-    return _chain_identity(ctx, chain, chart_column(ctx, chain.chart), Q)
+    return _chain_identity(ctx, chain, *integer_coords(Q))
 
 
 def _chain_structure(ctx: VeroneseContext, chain: RewriteChain) -> VerifyResult:
@@ -248,8 +248,8 @@ def _chain_structure(ctx: VeroneseContext, chain: RewriteChain) -> VerifyResult:
     if not 0 <= i <= ctx.n or len(m) != ctx.n + 1 or m.degree != ctx.d:
         return VerifyResult(False, "chain chart or target malformed for this context")
     require_matrix(ctx)
-    P = pure_power(ctx.n, ctx.d, i)
     column = chart_column(ctx, i)
+    P = column[i]
 
     state = Counter()
     for j in range(ctx.n + 1):
@@ -282,26 +282,26 @@ def _chain_structure(ctx: VeroneseContext, chain: RewriteChain) -> VerifyResult:
     return VerifyResult(True)
 
 
-def _chain_identity(
-    ctx: VeroneseContext, chain: RewriteChain, column: tuple[MultiIndex, ...], Q: ProjectivePoint
-) -> VerifyResult:
+def _chain_identity(ctx: VeroneseContext, chain: RewriteChain, z: list[int], p: int) -> VerifyResult:
     """The numeric half of verify_rewrite_chain, for a chain whose structure
-    holds; column is chart_column(ctx, chain.chart), whose entry i is the
-    pure power z_{d e_i}."""
-    if Q.dim != ctx.N:
-        return VerifyResult(False, f"point has dimension {Q.dim}, expected {ctx.N}")
+    holds, at the point whose projective.integer_coords are (z, p).  Both
+    sides of the identity are homogeneous of degree d, so it holds at the
+    scaled point exactly when it holds at the point; over F_p it is tested
+    mod p."""
+    if len(z) != ctx.N + 1:
+        return VerifyResult(False, f"point has dimension {len(z) - 1}, expected {ctx.N}")
     i, m = chain.chart, chain.target
     idx = coordinate_index(ctx)
-    z = Q.coords
+    column = chart_column(ctx, i)
     zP = z[idx[column[i]]]
     if not zP:
         return VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
-    lhs = Q.field.one
+    lhs = 1
     for j, e in enumerate(m):
         if e:
-            lhs = lhs * z[idx[column[j]]] ** e
-    rhs = zP ** (ctx.d - 1) * z[idx[m]]
-    if lhs != rhs:
+            lhs *= z[idx[column[j]]] ** e
+    diff = lhs - zP ** (ctx.d - 1) * z[idx[m]]
+    if (diff % p) if p else diff:
         return VerifyResult(False, "claimed identity fails numerically at the supplied point")
     return VerifyResult(True)
 

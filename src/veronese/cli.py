@@ -10,13 +10,13 @@ Subcommands:
     oracle   exhaustive finite-field set-equality reports
 
 Common flags: --n, --d, --field rational|fp:<prime>, --format text|json,
---seed (default 0), --budget (default 5000000).  minors, member, invert,
-verify and oracle refuse a context whose 2-minor candidate count
-C(n+1, 2) * C(cols, 2), or C(d, 2) if larger, exceeds the budget before
-building any table; oracle then also bounds each search by points x
-quadrics.  oracle accepts --workers (>= 1) for compatibility and ignores
-it.  Identical configuration and seed produce byte-identical output; JSON
-documents carry schema_version 1 and sort their keys.
+--seed (default 0), --budget (default 5000000).  Every subcommand refuses
+a context whose 2-minor candidate count C(n+1, 2) * C(cols, 2), or C(d, 2)
+if larger, exceeds the budget before building any table; oracle then also
+bounds each search by points x quadrics.  oracle accepts --workers (>= 1)
+for compatibility and ignores it.  Identical configuration and seed
+produce byte-identical output; JSON documents carry schema_version 1 and
+sort their keys.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
 refusal.
@@ -42,7 +42,6 @@ from .errors import (
 from .matrix import build_matrix, cached_minors, check_minor_budget, sorted_binomials
 from .morphism import (
     available_charts,
-    chart_column,
     failing_minor,
     inverse_map,
     inverse_on_chart,
@@ -54,6 +53,7 @@ from .projective import (
     PrimeField,
     field_from_name,
     format_point,
+    integer_coords,
     parse_point,
     proj_eq,
     random_point,
@@ -86,9 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0, help="seed for random test points")
         p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET,
-                       help="cost limit: 2-minor candidates C(n+1,2)*C(cols,2) for "
-                       "minors, member, invert, verify and oracle; oracle also "
-                       "bounds points x quadrics")
+                       help="cost limit on the 2-minor candidates C(n+1,2)*C(cols,2), "
+                       "or C(d,2) if larger; oracle also bounds points x quadrics")
 
     common(sub.add_parser("matrix", help="print the L and M grids"), needs_field=False)
     common(sub.add_parser("minors", help="list canonical 2-minors"), needs_field=False)
@@ -139,6 +138,7 @@ def _grid_lines(rows: list[list[str]], label: str) -> list[str]:
 
 def cmd_matrix(args) -> int:
     ctx = VeroneseContext(args.n, args.d)
+    check_minor_budget(ctx, args.budget)
     matrix = build_matrix(ctx)
     doc = {"schema_version": SCHEMA_VERSION, **matrix.to_doc()}
     mono = [[m.monomial_name() for m in row] for row in matrix.entries]
@@ -169,6 +169,7 @@ def cmd_minors(args) -> int:
 
 def cmd_eval(args) -> int:
     ctx = VeroneseContext(args.n, args.d)
+    check_minor_budget(ctx, args.budget)
     field = field_from_name(args.field)
     x = parse_point(field, args.point)
     if x.dim != ctx.n:
@@ -278,19 +279,19 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     total = 0
     for i in range(ctx.n + 1):
         points = [
-            _chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART)
+            integer_coords(_chart_point(rng, field, ctx, i)) for _ in range(CHAIN_POINTS_PER_CHART)
         ]
-        column = chart_column(ctx, i)
         for m in ctx.monomials():
             # verify_rewrite_chain at each point, with the point-free
-            # structural half run once per chain
+            # structural half run once per chain and each point read as
+            # ints once per chart
             chain = certs.rewrite_chain(ctx, i, m)
             total += len(points)
             if not certs._chain_structure(ctx, chain):
                 chain_failures += len(points)
                 continue
-            for Qx in points:
-                if not certs._chain_identity(ctx, chain, column, Qx):
+            for z, p in points:
+                if not certs._chain_identity(ctx, chain, z, p):
                     chain_failures += 1
     record("rewrite-chains", chain_failures == 0,
            f"{total} chain verifications, {chain_failures} failures")

@@ -5,24 +5,43 @@ A source point [x_0 : ... : x_n] maps to the vector of all degree-d
 monomial values, ordered lex-descending so that coordinate rank(m) holds
 x^m.  Membership in the model variety means every canonical 2-minor
 vanishes exactly.  Points hold elements of their field, coerced when the
-point is built.  is_on_variety tests the minors on plain ints: over Q on
-the point scaled by the lcm of its denominators, over F_p on the residues.
-failing_minor keeps field arithmetic, because it reports the minor's value
-in the field.  The inverse reads off one matrix column: on the chart
-where z_{d e_i} is nonzero, the column whose base is x_i^(d-1) lists
+point is built; the embedding and the membership test compute on
+projective.integer_coords, the point scaled to plain ints over Q and its
+residues over F_p.  Both are homogeneous, so the scaling changes neither
+the normalized image nor whether a minor vanishes.
+
+The minors of the coordinate matrix M vanish at a point exactly when M
+has rank at most one there, so is_on_variety tests rank one through a
+pivot instead of scanning every minor.  Let piv = M[i0][k0] be the first
+nonzero entry in row-major order (one exists: every coordinate is an
+entry, and a point has a nonzero coordinate).  The test checks
+
+    M[i][k] * piv == M[i][k0] * M[i0][k]        for every i and k.
+
+Each check is the minor on rows i0, i and columns k0, k, or identically
+true when i = i0 or k = k0, so a point on the variety passes.
+Conversely, if every check holds then M = (column k0)(row i0) / piv,
+since piv is nonzero in an integral domain (Z, or F_p), so M has rank
+one and every minor vanishes.  Rows above i0 are zero and row i0 holds
+trivially, so only the rows below it are read.
+
+failing_minor keeps field arithmetic over the minor table, because it
+reports the first failing minor in listing order and its value in the
+field.  The inverse reads off one matrix column: on the chart where
+z_{d e_i} is nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
 point.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, cached_minors, sorted_binomials
+from .matrix import Binomial2, build_matrix, cached_minors, sorted_binomials
 from .multiindex import MultiIndex, VeroneseContext, pure_power
-from .projective import PrimeField, ProjectivePoint, Scalar, normalize
+from .projective import Fp, ProjectivePoint, Scalar, integer_coords, normalize
 
 
 def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
@@ -61,48 +80,55 @@ def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
     """
     if x.dim != ctx.n:
         raise ContractError(f"expected a point of P^{ctx.n}, got dimension {x.dim}")
-    one = x.field.one
-    # power table: pows[j][e] = x_j^e
+    v, p = integer_coords(x)
+    # power table: pows[j][e] = v_j^e, reduced mod p over F_p
     pows = []
-    for c in x.coords:
-        row = [one]
+    for c in v:
+        row = [1]
         for _ in range(ctx.d):
-            row.append(row[-1] * c)
+            row.append(row[-1] * c % p if p else row[-1] * c)
         pows.append(row)
     coords = []
     for m in ctx.monomials():
-        v = one
+        c = 1
         for j, e in enumerate(m):
             if e:
-                v = v * pows[j][e]
-        coords.append(v)
-    return normalize(ProjectivePoint(x.field, tuple(coords)))
+                c *= pows[j][e]
+        coords.append(c)
+    # x_j^d is nonzero for a nonzero x_j, so the image has a nonzero entry;
+    # over F_p a product of residues is 0 mod p only when a factor is 0
+    lead = next(c for c in coords if c)
+    if p:
+        inv = pow(lead, -1, p)
+        image = tuple(Fp(c * inv, p) for c in coords)
+    else:
+        image = tuple(Fraction(c, lead) for c in coords)
+    return ProjectivePoint(x.field, image)
+
+
+@lru_cache(maxsize=None)
+def _index_grid(ctx: VeroneseContext) -> tuple[tuple[int, ...], ...]:
+    """G[i][k] = rank(beta_k + e_i): the flat coordinate index of each entry
+    of the coordinate matrix, beta_k the base of column k."""
+    idx = coordinate_index(ctx)
+    return tuple(tuple(idx[m] for m in row) for row in build_matrix(ctx).entries)
 
 
 def is_on_variety(ctx: VeroneseContext, Q: ProjectivePoint) -> bool:
-    """True iff every canonical 2-minor vanishes exactly at Q."""
+    """True iff every canonical 2-minor vanishes exactly at Q, decided as
+    the rank-one test of the module docstring."""
     _require_target(ctx, Q)
-    return _minors_vanish(_minor_table(ctx), Q)
-
-
-def _minors_vanish(table, Q: ProjectivePoint) -> bool:
-    """Whether every quad of table vanishes at Q, tested on plain ints.
-
-    A 2-minor is a homogeneous quadric, so over Q scaling the point by L,
-    the lcm of its denominators, leaves its vanishing unchanged; over F_p
-    the residues are tested mod p.
-    """
-    if isinstance(Q.field, PrimeField):
-        p = Q.field.p
-        z = [c.value for c in Q.coords]
-        for _, (ia, ib, ic, ie) in table:
-            if (z[ia] * z[ib] - z[ic] * z[ie]) % p:
+    z, p = integer_coords(Q)
+    M = [[z[a] for a in row] for row in _index_grid(ctx)]
+    i0, k0 = next((i, k) for i, row in enumerate(M) for k, v in enumerate(row) if v)
+    top = M[i0]
+    piv = top[k0]
+    for row in M[i0 + 1:]:
+        c = row[k0]
+        if p:
+            if any((a * piv - c * b) % p for a, b in zip(row, top)):
                 return False
-        return True
-    L = lcm(*(v.denominator for v in Q.coords))
-    z = [v.numerator * (L // v.denominator) for v in Q.coords]
-    for _, (ia, ib, ic, ie) in table:
-        if z[ia] * z[ib] != z[ic] * z[ie]:
+        elif any(a * piv != c * b for a, b in zip(row, top)):
             return False
     return True
 
@@ -119,9 +145,10 @@ def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, 
     return None
 
 
+@lru_cache(maxsize=None)
 def chart_column(ctx: VeroneseContext, i: int) -> tuple[MultiIndex, ...]:
     """Entries (d-1)e_i + e_j, j = 0..n, of the column based at x_i^(d-1);
-    entry i is the pure power d e_i."""
+    entry i is the pure power d e_i.  Built once per context and chart."""
     base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
     return tuple(base.bump(j) for j in range(ctx.n + 1))
 
@@ -157,8 +184,8 @@ def inverse_map(ctx: VeroneseContext, Q: ProjectivePoint, check: bool = False) -
     """Preimage of a variety point under the embedding.
 
     Trusts the caller that Q is on the variety unless check=True (the
-    membership test costs one pass over all minors, which oracle loops have
-    already paid).
+    membership test costs one rank-one pass over the matrix, which oracle
+    loops have already paid).
     """
     if check and not is_on_variety(ctx, Q):
         raise ContractError("point is not on the variety; no preimage exists")

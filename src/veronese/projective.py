@@ -9,14 +9,17 @@ A ProjectivePoint is an immutable coordinate tuple over one field with at
 least one nonzero entry, coerced into the field when the point is built.
 Its canonical representative scales the first nonzero coordinate to 1,
 which makes exact set operations on points possible (plain dataclass
-equality compares canonical tuples).  _search is the one enumeration of
-the canonical points of P^m(F_q).
+equality compares canonical tuples).  integer_coords reads a point as
+plain ints, the form the membership test, the embedding and the chain
+identities compute on.  _search is the one enumeration of the canonical
+points of P^m(F_q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .errors import ContractError, InvalidPointError
@@ -257,15 +260,17 @@ class ProjectivePoint:
 
     Construction coerces each coordinate through field.coerce: ints become
     field elements, and anything else that is no element of the field, such
-    as a float, raises ContractError.  Dataclass equality is coordinatewise
-    (useful for sets of canonical points); use proj_eq for equality up to a
-    scalar.
+    as a float, raises ContractError, as does a field that is neither QQ
+    nor a PrimeField.  Dataclass equality is coordinatewise (useful for sets
+    of canonical points); use proj_eq for equality up to a scalar.
     """
 
     field: Field
     coords: tuple[Scalar, ...]
 
     def __post_init__(self):
+        if not isinstance(self.field, (RationalField, PrimeField)):
+            raise ContractError(f"not a field: {self.field!r}")
         coords = tuple(map(self.field.coerce, self.coords))
         object.__setattr__(self, "coords", coords)
         if len(coords) == 0:
@@ -299,6 +304,21 @@ def normalize(p: ProjectivePoint) -> ProjectivePoint:
         return p
     inv = lead ** -1
     return ProjectivePoint(p.field, tuple(c * inv for c in p.coords))
+
+
+def integer_coords(x: ProjectivePoint) -> tuple[list[int], int]:
+    """x's coordinates as plain ints, with the characteristic c of its field.
+
+    Over F_c they are the residues, to be read mod c.  Over Q (c = 0) they
+    are the coordinates scaled by L, the lcm of their denominators: the
+    same projective point, so a homogeneous polynomial vanishes at one
+    exactly when it vanishes at the other, and an identity between two
+    homogeneous polynomials of one degree holds at both or at neither.
+    """
+    if isinstance(x.field, PrimeField):
+        return [c.value for c in x.coords], x.field.p
+    L = lcm(*(c.denominator for c in x.coords))
+    return [c.numerator * (L // c.denominator) for c in x.coords], 0
 
 
 def proj_eq(p: ProjectivePoint, q: ProjectivePoint) -> bool:

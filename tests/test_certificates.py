@@ -3,6 +3,7 @@
 import json
 import time
 from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -38,7 +39,8 @@ from veronese import (
 )
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
-from veronese.morphism import _minor_table, chart_column
+from veronese.projective import integer_coords
+from veronese.morphism import _minor_table, chart_column, coordinate_index
 
 
 def image_point_on_chart(rng, field, ctx, i):
@@ -387,11 +389,32 @@ def reference_chain_structure(ctx, chain):
     return certs.VerifyResult(True)
 
 
+def reference_chain_identity(ctx, chain, Q):
+    """The numeric check in field arithmetic, the reference for the check
+    on integer coordinates."""
+    if Q.dim != ctx.N:
+        return certs.VerifyResult(False, f"point has dimension {Q.dim}, expected {ctx.N}")
+    i, m = chain.chart, chain.target
+    idx = coordinate_index(ctx)
+    z = Q.coords
+    column = chart_column(ctx, i)
+    zP = z[idx[column[i]]]
+    if not zP:
+        return certs.VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
+    lhs = Q.field.one
+    for j, e in enumerate(m):
+        if e:
+            lhs = lhs * z[idx[column[j]]] ** e
+    if lhs != zP ** (ctx.d - 1) * z[idx[m]]:
+        return certs.VerifyResult(False, "claimed identity fails numerically at the supplied point")
+    return certs.VerifyResult(True)
+
+
 def reference_verify_rewrite_chain(ctx, chain, Q):
     res = reference_chain_structure(ctx, chain)
     if not res:
         return res
-    return certs._chain_identity(ctx, chain, chart_column(ctx, chain.chart), Q)
+    return reference_chain_identity(ctx, chain, Q)
 
 
 def tamperings(ctx):
@@ -414,6 +437,10 @@ def tamperings(ctx):
 
     return replacements
 
+
+# numerators and denominators of either sign, small and far past a machine word
+_INTEGERS = st.integers(-99, 99) | st.integers(-(2**80), 2**80)
+CHAIN_RATIONALS = st.builds(Fraction, _INTEGERS, _INTEGERS.filter(bool))
 
 DIFFERENTIAL_CONTEXTS = [(n, d) for n in range(1, 5) for d in range(1, 5)] + [(0, 1), (0, 3)]
 
@@ -454,6 +481,33 @@ class TestVerifiersMatchMinorSetReference:
             Q = points[chain.chart]
             assert verify_rewrite_chain(ctx, chain, Q) == reference_verify_rewrite_chain(ctx, chain, Q)
             assert certs._chain_structure(ctx, chain) == reference_chain_structure(ctx, chain)
+
+    @given(st.data())
+    def test_chain_identity_matches_field_arithmetic(self, data):
+        # images with leading zeros (some charts then unavailable), perturbed
+        # images, arbitrary points and points of the wrong dimension
+        ctx = VeroneseContext(*data.draw(st.sampled_from(
+            [(0, 1), (0, 3), (1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])))
+        field = data.draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101)]))
+        scalars = CHAIN_RATIONALS if field is QQ else st.integers(-5, 2**70).map(field.from_int)
+        chain = rewrite_chain(ctx, data.draw(st.integers(0, ctx.n)), data.draw(st.sampled_from(ctx.monomials())))
+        kind = data.draw(st.sampled_from(["image", "perturbed", "arbitrary", "wrong-dimension"]))
+        size = {"arbitrary": ctx.N + 1, "wrong-dimension": ctx.N + 2}.get(kind, ctx.n + 1)
+        lead = data.draw(st.integers(0, size - 1))
+        rest = data.draw(st.lists(scalars, min_size=size - lead, max_size=size - lead).filter(any))
+        Q = point(field, [0] * lead + rest)
+        if kind in ("image", "perturbed"):
+            Q = veronese_eval(ctx, Q)
+        if kind == "perturbed":
+            coords = list(Q.coords)
+            coords[data.draw(st.integers(0, ctx.N))] += data.draw(scalars.filter(bool))
+            if any(coords):
+                Q = point(field, coords)
+        expected = reference_chain_identity(ctx, chain, Q)
+        assert certs._chain_identity(ctx, chain, *integer_coords(Q)) == expected
+        assert verify_rewrite_chain(ctx, chain, Q) == reference_verify_rewrite_chain(ctx, chain, Q)
+        if kind == "image" and Q.coords[coordinate_index(ctx)[chart_column(ctx, chain.chart)[chain.chart]]]:
+            assert expected.ok
 
     def test_tampering_is_caught(self):
         ctx = VeroneseContext(3, 4)

@@ -154,6 +154,17 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--n", "1", "--d", "4", "--field", "fp:7")
         assert code == 0
 
+    @pytest.mark.parametrize("field", ["rational", "fp:101"])
+    def test_builds_no_minor_table(self, capsys, monkeypatch, field):
+        def no_table(_):
+            raise AssertionError("verify built the minor table")
+
+        monkeypatch.setattr(matrix_module, "minors2", no_table)
+        matrix_module.cached_minors.cache_clear()
+        code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field)
+        assert code == 0
+        assert "all checks passed" in out
+
     def test_text_is_deterministic(self, capsys):
         _, first = run(capsys, "verify", "--n", "1", "--d", "2", "--seed", "3")
         _, second = run(capsys, "verify", "--n", "1", "--d", "2", "--seed", "3")
@@ -332,8 +343,8 @@ class TestOversizeRationals:
 
 
 class TestMinorBudget:
-    """minors, member, invert, verify and oracle refuse, before building any
-    table, a context whose C(n+1, 2) * C(cols, 2) 2-minor candidates exceed
+    """Every subcommand refuses, before building any table, a context whose
+    C(n+1, 2) * C(cols, 2) 2-minor candidates, or C(d, 2) if larger, exceed
     --budget."""
 
     @pytest.mark.parametrize("argv,estimate,budget", [
@@ -346,14 +357,17 @@ class TestMinorBudget:
         # n = 0 has no minors; C(d, 2) bounds it instead
         (["verify", "--n", "0", "--d", "100000000"], 4999999950000000, 5000000),
         (["oracle", "--n", "0", "--d", "100000000", "--field", "fp:2"], 4999999950000000, 5000000),
+        (["eval", "--n", "0", "--d", "80000", "[3/2]"], 3199960000, 5000000),
+        (["matrix", "--n", "9", "--d", "9", "--format", "json"], 13296415275, 5000000),
     ], ids=["minors", "member", "invert", "verify", "oracle", "oracle-5-5-budget-1000",
-            "verify-0-1e8", "oracle-0-1e8"])
+            "verify-0-1e8", "oracle-0-1e8", "eval-0-80000", "matrix-9-9"])
     def test_large_context_refused_fast(self, capsys, monkeypatch, argv, estimate, budget):
-        def no_table(matrix):
+        def no_table(_):
             raise AssertionError("a minor table was built before the budget check")
 
         # without the guard the run would build every candidate first
         monkeypatch.setattr(matrix_module, "minors2", no_table)
+        monkeypatch.setattr(cli, "build_matrix", no_table)
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
@@ -384,6 +398,7 @@ class TestMinorBudget:
     @pytest.mark.parametrize("command,extra", [
         ("minors", []), ("member", ["[1 : 2 : 3 : 4 : 6 : 9 : 8 : 12 : 18 : 27]"]),
         ("invert", ["[1 : 2 : 3 : 4 : 6 : 9 : 8 : 12 : 18 : 27]"]), ("verify", []),
+        ("eval", ["[1 : 2 : 3]"]), ("matrix", []),
     ])
     def test_budget_equal_to_estimate_runs(self, capsys, command, extra):
         estimate = minor_candidates(VeroneseContext(2, 3))

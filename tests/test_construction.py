@@ -114,7 +114,7 @@ def ref_toric_quadrics(ctx):
 
 def clear_caches():
     for cache in (enumerate_monomials, matrix_module.cached_matrix, matrix_module.cached_minors,
-                  morphism.coordinate_index, morphism._minor_table):
+                  morphism.coordinate_index, morphism._minor_table, morphism.chart_column):
         cache.cache_clear()
 
 

@@ -20,11 +20,14 @@ from veronese import (
     inverse_map,
     inverse_on_chart,
     is_on_variety,
+    normalize,
     point,
     proj_eq,
     random_point,
     veronese_eval,
 )
+from veronese import matrix as matrix_module
+from veronese.matrix import cached_minors
 from veronese.morphism import _minor_table
 
 
@@ -95,8 +98,8 @@ class TestMembership:
 
 
 def fraction_loop(ctx, Q):
-    """The membership loop over field arithmetic that is_on_variety replaced,
-    kept as its reference."""
+    """Every minor of the table tested in field arithmetic: the reference
+    for the rank-one test of is_on_variety."""
     c = Q.coords
     for _, (ia, ib, ic, ie) in _minor_table(ctx):
         if c[ia] * c[ib] != c[ic] * c[ie]:
@@ -114,19 +117,33 @@ rationals = st.builds(
 residues = st.integers(-5, 2**70)
 
 
+CONTEXTS = [(0, 1), (0, 3), (1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4),
+            (3, 2), (3, 3), (3, 4)]
+FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101)]) | st.just(QQ)
+
+
+def scalars_of(field):
+    return rationals if field is QQ else residues.map(field.from_int)
+
+
+@st.composite
+def source_points(draw, field, size):
+    """A point with `size` coordinates, some leading ones zero, so that the
+    first nonzero entry of its image's matrix can sit below row 0."""
+    lead = draw(st.integers(0, size - 1))
+    rest = draw(st.lists(scalars_of(field), min_size=size - lead, max_size=size - lead).filter(any))
+    return ProjectivePoint(field, (0,) * lead + tuple(rest))
+
+
 @st.composite
 def membership_cases(draw):
     """A context up to (3,4), a field, and an image point, a perturbed image
     point or an arbitrary point of P^N, zero coordinates included."""
-    ctx = VeroneseContext(*draw(st.sampled_from(
-        [(0, 3), (1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]
-    )))
-    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(101)]) | st.just(QQ))
-    scalars = rationals if field is QQ else residues.map(field.from_int)
+    ctx = VeroneseContext(*draw(st.sampled_from(CONTEXTS)))
+    field = draw(FIELDS)
+    scalars = scalars_of(field)
     kind = draw(st.sampled_from(["image", "perturbed", "arbitrary"]))
-    size = ctx.N + 1 if kind == "arbitrary" else ctx.n + 1
-    values = draw(st.lists(scalars, min_size=size, max_size=size).filter(any))
-    Q = ProjectivePoint(field, tuple(values))
+    Q = draw(source_points(field, ctx.N + 1 if kind == "arbitrary" else ctx.n + 1))
     if kind != "arbitrary":
         Q = veronese_eval(ctx, Q)
     if kind == "perturbed":
@@ -138,9 +155,26 @@ def membership_cases(draw):
     return ctx, Q
 
 
+def field_eval(ctx, x):
+    """The embedding in field arithmetic: the reference for veronese_eval,
+    which computes on integer coordinates."""
+    pows = [[x.field.one] for _ in x.coords]
+    for row, c in zip(pows, x.coords):
+        for _ in range(ctx.d):
+            row.append(row[-1] * c)
+    coords = []
+    for m in ctx.monomials():
+        v = x.field.one
+        for j, e in enumerate(m):
+            v = v * pows[j][e]
+        coords.append(v)
+    return normalize(ProjectivePoint(x.field, tuple(coords)))
+
+
 class TestIntegerMembership:
-    """is_on_variety tests the minors on integer-scaled coordinates or
-    residues; failing_minor and fraction_loop use field arithmetic."""
+    """is_on_variety tests rank one on integer-scaled coordinates or
+    residues; failing_minor and fraction_loop test every minor in field
+    arithmetic."""
 
     @given(membership_cases())
     def test_matches_field_arithmetic(self, case):
@@ -148,6 +182,53 @@ class TestIntegerMembership:
         expected = fraction_loop(ctx, Q)
         assert is_on_variety(ctx, Q) == expected
         assert (failing_minor(ctx, Q) is None) == expected
+
+    @pytest.mark.parametrize("coords,member", [
+        # the image of [0 : 1 : 2]: row 0 of the matrix is zero
+        ((0, 0, 0, 1, 2, 4), True),
+        ((0, 0, 0, 1, 2, 5), False),
+        # the image of [0 : 0 : 3]: the pivot is the last entry of the last
+        # row, with no row below it
+        ((0, 0, 0, 0, 0, 9), True),
+        ((0, 0, 0, 0, 1, 9), False),
+        # row 0 is (z_{2,0,0}, z_{1,1,0}, z_{1,0,1}) = (0, 0, 1): the pivot
+        # sits in its last column, and z_{2,0,0} z_{0,0,2} - z_{1,0,1}^2 = -1
+        ((0, 0, 1, 0, 3, 9), False),
+        ((0, 0, 1, 0, 0, 9), False),
+        ((1, 2, 3, 4, 6, 9), True),
+        ((1, 2, 3, 4, 6, 8), False),
+    ])
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
+    def test_pivots_away_from_the_corner(self, field, coords, member):
+        ctx = VeroneseContext(2, 2)
+        Q = ProjectivePoint(field, coords)
+        assert is_on_variety(ctx, Q) == fraction_loop(ctx, Q)
+        if field is QQ:
+            assert is_on_variety(ctx, Q) is member
+
+    def test_answers_without_the_minor_table(self, monkeypatch):
+        def no_table(matrix):
+            raise AssertionError("is_on_variety built the minor table")
+
+        monkeypatch.setattr(matrix_module, "minors2", no_table)
+        cached_minors.cache_clear()
+        _minor_table.cache_clear()
+        ctx = VeroneseContext(4, 4)
+        for field in (QQ, PrimeField(101)):
+            Q = veronese_eval(ctx, random_point(Random(4), field, ctx.n, lead_zeros=2))
+            assert is_on_variety(ctx, Q) is True
+            coords = list(Q.coords)
+            coords[-1] += field.one
+            assert is_on_variety(ctx, ProjectivePoint(field, tuple(coords))) is False
+        assert _minor_table.cache_info().currsize == 0
+
+    @given(st.sampled_from(CONTEXTS), FIELDS, st.data())
+    def test_embedding_matches_field_arithmetic(self, nd, field, data):
+        ctx = VeroneseContext(*nd)
+        x = data.draw(source_points(field, ctx.n + 1))
+        image = veronese_eval(ctx, x)
+        assert image == field_eval(ctx, x)
+        assert all(type(c) is type(field.one) for c in image.coords)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     def test_perturbed_images_are_not_members(self, field):

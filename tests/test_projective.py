@@ -159,6 +159,11 @@ class TestCoercionAtConstruction:
         with pytest.raises(InvalidPointError):
             ProjectivePoint(PrimeField(7), (7, 14, 21))
 
+    @pytest.mark.parametrize("field", ["rational", None, 7, Fraction], ids=["str", "None", "int", "type"])
+    def test_a_field_must_be_a_field(self, field):
+        with pytest.raises(ContractError, match="not a field"):
+            ProjectivePoint(field, (1, 2))
+
     def test_ints_become_field_elements(self):
         P = ProjectivePoint(PrimeField(7), (1, 2, 11))
         assert P.coords == (Fp(1, 7), Fp(2, 7), Fp(4, 7))
