@@ -2,112 +2,73 @@
 as a determinantal variety: the catalecticant coordinate matrix, its
 2-minor binomial quadrics, the embedding with its explicit chartwise
 inverse, symbolic certificates for the covering and identity arguments,
-and an exhaustive finite-field oracle."""
+and an exhaustive finite-field oracle.
 
-from .errors import (
-    BudgetError,
-    ContractError,
-    EmptyMatrixError,
-    InvalidPointError,
-    NoChartError,
-    VeroneseError,
-)
-from .multiindex import (
-    MultiIndex,
-    VeroneseContext,
-    binom,
-    enumerate_monomials,
-    lex_compare,
-    parse_coordinate_name,
-    pure_power,
-    rank,
-    unit,
-    unrank,
-)
-from .matrix import (
-    Binomial2,
-    SymbolicMatrix,
-    build_matrix,
-    build_matrix_by_columns,
-    is_matrix_minor,
-    minor_candidates,
-    minors2,
-    parse_binomial,
-    sorted_binomials,
-    toric_quadrics,
-)
-from .projective import (
-    Fp,
-    PrimeField,
-    ProjectivePoint,
-    QQ,
-    count_projective_points,
-    enumerate_projective_points,
-    field_from_name,
-    format_point,
-    normalize,
-    parse_point,
-    point,
-    proj_eq,
-    random_point,
-)
-from .morphism import (
-    available_charts,
-    chart_select,
-    failing_minor,
-    inverse_map,
-    inverse_on_chart,
-    is_on_variety,
-    veronese_eval,
-)
-from .certificates import (
-    PropagationStep,
-    RewriteChain,
-    VerifyResult,
-    ZeroPropagationCertificate,
-    all_rewrite_chains,
-    chain_from_doc,
-    chain_to_doc,
-    propagation_from_doc,
-    propagation_to_doc,
-    rewrite_chain,
-    verify_rewrite_chain,
-    verify_zero_propagation,
-    zero_propagation_certificate,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    EqualityReport,
-    brute_force_image,
-    brute_force_variety,
-    census,
-    check_set_equality,
-    check_toric_equality,
-    report_to_doc,
-    vanishing_set,
-)
+Every public name lives in one submodule, recorded in _EXPORTS.  `import
+veronese` loads none of them: the first access to a name imports its
+home module and caches the value here (PEP 562), so a process pays only
+for the modules it uses.  Submodules resolve the same way, e.g.
+`veronese.matrix` after a bare `import veronese`.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError", "ContractError", "EmptyMatrixError", "InvalidPointError",
-    "NoChartError", "VeroneseError",
-    "MultiIndex", "VeroneseContext", "binom", "enumerate_monomials",
-    "lex_compare", "parse_coordinate_name", "pure_power", "rank", "unit", "unrank",
-    "Binomial2", "SymbolicMatrix", "build_matrix", "build_matrix_by_columns",
-    "is_matrix_minor", "minor_candidates", "minors2", "parse_binomial",
-    "sorted_binomials", "toric_quadrics",
-    "Fp", "PrimeField", "ProjectivePoint", "QQ", "count_projective_points",
-    "enumerate_projective_points", "field_from_name", "format_point",
-    "normalize", "parse_point", "point", "proj_eq", "random_point",
-    "available_charts", "chart_select", "failing_minor", "inverse_map",
-    "inverse_on_chart", "is_on_variety", "veronese_eval",
-    "PropagationStep", "RewriteChain", "VerifyResult",
-    "ZeroPropagationCertificate", "all_rewrite_chains", "chain_from_doc",
-    "chain_to_doc", "propagation_from_doc", "propagation_to_doc",
-    "rewrite_chain", "verify_rewrite_chain", "verify_zero_propagation",
-    "zero_propagation_certificate",
-    "DEFAULT_BUDGET", "EqualityReport", "brute_force_image",
-    "brute_force_variety", "census", "check_set_equality", "check_toric_equality",
-    "report_to_doc", "vanishing_set",
-]
+# home module -> the public names it exports
+_EXPORTS = {
+    "errors": (
+        "BudgetError", "ContractError", "EmptyMatrixError", "InvalidPointError",
+        "NoChartError", "VeroneseError",
+    ),
+    "multiindex": (
+        "MultiIndex", "VeroneseContext", "binom", "enumerate_monomials",
+        "lex_compare", "parse_coordinate_name", "pure_power", "rank", "unit", "unrank",
+    ),
+    "matrix": (
+        "Binomial2", "DEFAULT_BUDGET", "SymbolicMatrix", "build_matrix",
+        "build_matrix_by_columns", "is_matrix_minor", "minor_candidates", "minors2",
+        "parse_binomial", "sorted_binomials", "toric_quadrics",
+    ),
+    "projective": (
+        "Fp", "PrimeField", "ProjectivePoint", "QQ", "count_projective_points",
+        "enumerate_projective_points", "field_from_name", "format_point",
+        "normalize", "parse_point", "point", "proj_eq", "random_point",
+    ),
+    "morphism": (
+        "available_charts", "chart_select", "failing_minor", "inverse_map",
+        "inverse_on_chart", "is_on_variety", "veronese_eval",
+    ),
+    "certificates": (
+        "PropagationStep", "RewriteChain", "VerifyResult",
+        "ZeroPropagationCertificate", "all_rewrite_chains", "chain_from_doc",
+        "chain_to_doc", "propagation_from_doc", "propagation_to_doc",
+        "rewrite_chain", "verify_rewrite_chain", "verify_zero_propagation",
+        "zero_propagation_certificate",
+    ),
+    "oracle": (
+        "EqualityReport", "brute_force_image", "brute_force_variety", "census",
+        "check_set_equality", "check_toric_equality", "report_to_doc", "vanishing_set",
+    ),
+    "cli": (),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # the import binds the submodule as a package attribute
+        return import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

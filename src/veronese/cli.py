@@ -20,6 +20,11 @@ sort their keys.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
 refusal.
+
+Each process imports only what its subcommand runs: the modules imported
+at the top serve every subcommand, verify imports certificates and oracle
+imports oracle inside their handlers, so matrix, minors, eval, invert and
+member load neither.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ import json
 import sys
 from random import Random
 
-from . import certificates as certs
-from . import oracle as orc
 from .errors import (
     BudgetError,
     ContractError,
@@ -39,7 +42,13 @@ from .errors import (
     NoChartError,
     VeroneseError,
 )
-from .matrix import build_matrix, cached_minors, check_minor_budget, sorted_binomials
+from .matrix import (
+    DEFAULT_BUDGET,
+    build_matrix,
+    cached_minors,
+    check_minor_budget,
+    sorted_binomials,
+)
 from .morphism import (
     available_charts,
     failing_minor,
@@ -85,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", default="rational", help="rational or fp:<prime>")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0, help="seed for random test points")
-        p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cost limit on the 2-minor candidates C(n+1,2)*C(cols,2), "
                        "or C(d,2) if larger; oracle also bounds points x quadrics")
 
@@ -238,6 +247,8 @@ def cmd_invert(args) -> int:
 
 def _verify_checks(ctx, field, seed: int, external_cert=None):
     """Run the composite verification; returns a list of check dicts."""
+    from . import certificates as certs
+
     checks = []
     rng = Random(seed)
 
@@ -309,6 +320,8 @@ def _chart_point(rng: Random, field, ctx, i: int):
 
 
 def cmd_verify(args) -> int:
+    from . import certificates as certs
+
     ctx = VeroneseContext(args.n, args.d)
     check_minor_budget(ctx, args.budget)
     field = field_from_name(args.field)
@@ -343,6 +356,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle as orc
+
     ctx = VeroneseContext(args.n, args.d)
     field = field_from_name(args.field)
     if not isinstance(field, PrimeField):

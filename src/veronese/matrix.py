@@ -183,6 +183,11 @@ def minor_candidates(ctx: VeroneseContext) -> int:
     return binom(ctx.n + 1, 2) * binom(ctx.cols, 2)
 
 
+# the cost limit every command applies when none is given: check_minor_budget
+# bounds the 2-minor candidates with it, the oracle also points x quadrics
+DEFAULT_BUDGET = 5_000_000
+
+
 def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
     """Refuse, before any table is built, a context whose 2-minor candidate
     count, or C(d, 2) if larger, exceeds the budget; d = 0 raises
@@ -233,7 +238,17 @@ def is_matrix_minor(ctx: VeroneseContext, binomial: Binomial2) -> bool:
 def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     """Every canonical balanced quadric z_a z_b - z_c z_e on the degree-d
     coordinates: the full catalecticant-style generating set the minors are
-    compared against.  Pairs with equal componentwise sums are matched up."""
+    compared against.  Pairs with equal componentwise sums are matched up.
+
+    Each (p1, p2) from combinations is already a distinct canonical
+    binomial, so Binomial2(p1, p2) is built directly.  The monomials come
+    strictly lex-decreasing, so every pair (a, b) has a >= b, and a sum
+    group receives its pairs in falling order of a.  Distinct pairs with
+    one sum never share a leader (b = s - a), so within a group the leaders
+    fall strictly: p1[0] > p2[0], and p1 != p2.  Distinct combinations give
+    distinct (pos, neg), and groups differ in their sum, so no binomial
+    repeats.
+    """
     if ctx.d < 1:
         raise EmptyMatrixError("d = 0: a single coordinate admits no quadric")
     monos = enumerate_monomials(ctx.n, ctx.d)
@@ -241,13 +256,9 @@ def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     for idx, a in enumerate(monos):
         for b in monos[idx:]:
             by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
-    out = set()
-    for pairs in by_sum.values():
-        for p1, p2 in combinations(pairs, 2):
-            b = Binomial2.canonical(p1, p2)
-            if b is not None:
-                out.add(b)
-    return frozenset(out)
+    return frozenset(
+        Binomial2(p1, p2) for pairs in by_sum.values() for p1, p2 in combinations(pairs, 2)
+    )
 
 
 def sorted_binomials(binomials: frozenset[Binomial2]) -> list[Binomial2]:

@@ -27,7 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .matrix import Binomial2, cached_minors, check_minor_budget, toric_quadrics
+from .matrix import (
+    DEFAULT_BUDGET,
+    Binomial2,
+    cached_minors,
+    check_minor_budget,
+    toric_quadrics,
+)
 from .morphism import indexed_binomials, veronese_eval
 from .multiindex import VeroneseContext
 from .projective import (
@@ -37,8 +43,6 @@ from .projective import (
     count_projective_points,
     enumerate_projective_points,
 )
-
-DEFAULT_BUDGET = 5_000_000
 
 FIELD_NOTE = (
     "exhaustive check over a prime field; the minor-vanishing algebra it "

@@ -393,7 +393,7 @@ class TestMinorBudget:
         # the verify-sweep contexts
         counts = [minor_candidates(VeroneseContext(n, d)) for n, d in [(2, 3), (3, 4), (4, 4)]]
         assert counts == [45, 1140, 5950]
-        assert max(counts) * 800 < cli.orc.DEFAULT_BUDGET
+        assert max(counts) * 800 < matrix_module.DEFAULT_BUDGET
 
     @pytest.mark.parametrize("command,extra", [
         ("minors", []), ("member", ["[1 : 2 : 3 : 4 : 6 : 9 : 8 : 12 : 18 : 27]"]),

@@ -1,10 +1,12 @@
 """The coordinate matrix, its 2-minors, and the balanced quadric set."""
 
 from itertools import combinations, product
+from operator import add
 
 import pytest
 
 from veronese import (
+    DEFAULT_BUDGET,
     Binomial2,
     ContractError,
     EmptyMatrixError,
@@ -19,6 +21,7 @@ from veronese import (
     sorted_binomials,
     toric_quadrics,
 )
+from veronese.matrix import check_minor_budget
 
 # golden fixture: the 3x6 grid of the degree-3 embedding of the plane
 PLANE_CUBIC_GRID = [
@@ -166,6 +169,30 @@ class TestToricQuadrics:
         ctx = VeroneseContext(1, 4)
         ms, ts = minors2(build_matrix(ctx)), toric_quadrics(ctx)
         assert ms < ts and len(ms) == 6 and len(ts) == 7
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_direct_build_equals_canonicalizing_reference(self, n, d):
+        ctx = VeroneseContext(n, d)
+        check_minor_budget(ctx, DEFAULT_BUDGET)
+        assert toric_quadrics(ctx) == ref_toric_quadrics(ctx)
+
+
+def ref_toric_quadrics(ctx):
+    """The canonicalizing build toric_quadrics replaced: every pair of
+    pairs with one sum goes through Binomial2.canonical into a set."""
+    monos = enumerate_monomials(ctx.n, ctx.d)
+    by_sum = {}
+    for idx, a in enumerate(monos):
+        for b in monos[idx:]:
+            by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
+    out = set()
+    for pairs in by_sum.values():
+        for p1, p2 in combinations(pairs, 2):
+            b = Binomial2.canonical(p1, p2)
+            if b is not None:
+                out.add(b)
+    return frozenset(out)
 
 
 class TestBinomialCanonicalForm:

@@ -1,0 +1,122 @@
+"""The package namespace and the modules each entry point imports.
+
+`import veronese` loads no submodule; a public name imports its home
+module on first access.  The boundary tests run in a fresh interpreter
+and read sys.modules, so they pin which modules a command loads, not how
+long loading takes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import veronese
+
+SRC = str(Path(veronese.__file__).resolve().parent.parent)
+
+
+def fresh(code: str):
+    """Run code in a new interpreter that can import the package; returns
+    the JSON it prints on its last line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+SUBMODULES = ("errors", "multiindex", "matrix", "projective", "morphism", "certificates",
+              "oracle", "cli")
+
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'veronese')"
+
+
+def loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of cli.main(argv) and the veronese modules it loaded."""
+    exit_code, modules = fresh(
+        "import contextlib, io, json, sys\n"
+        "from veronese.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}]))\n"
+    )
+    return exit_code, set(modules)
+
+
+class TestImportBoundaries:
+    def test_bare_import_loads_no_submodule(self):
+        assert fresh(f"import json, sys\nimport veronese\nprint(json.dumps({LOADED}))") == ["veronese"]
+
+    @pytest.mark.parametrize("argv", [
+        ["member", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+        ["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+        ["eval", "--n", "1", "--d", "3", "[1 : 2]"],
+        ["minors", "--n", "2", "--d", "2"],
+        ["matrix", "--n", "2", "--d", "2"],
+    ])
+    def test_point_commands_load_neither_certificates_nor_oracle(self, argv):
+        exit_code, modules = loaded_by(argv)
+        assert exit_code == 0
+        assert "veronese.cli" in modules
+        assert not modules & {"veronese.certificates", "veronese.oracle"}
+
+    def test_oracle_does_not_load_certificates(self):
+        exit_code, modules = loaded_by(["oracle", "--n", "1", "--d", "2", "--field", "fp:3"])
+        assert exit_code == 0
+        assert "veronese.oracle" in modules
+        assert "veronese.certificates" not in modules
+
+    def test_verify_does_not_load_oracle(self):
+        exit_code, modules = loaded_by(["verify", "--n", "1", "--d", "2"])
+        assert exit_code == 0
+        assert "veronese.certificates" in modules
+        assert "veronese.oracle" not in modules
+
+    def test_submodules_resolve_after_bare_import(self):
+        code = (
+            "import json, veronese\n"
+            "print(json.dumps([callable(veronese.matrix.cached_minors),"
+            " callable(veronese.morphism._minor_table),"
+            f" [getattr(veronese, m).__name__ for m in {SUBMODULES!r}]]))"
+        )
+        assert fresh(code) == [True, True, [f"veronese.{m}" for m in SUBMODULES]]
+
+    def test_dir_of_a_bare_import_lists_every_name(self):
+        listing = fresh("import json, veronese\nprint(json.dumps(dir(veronese)))")
+        assert set(veronese.__all__) | set(SUBMODULES) <= set(listing)
+
+
+class TestPublicNames:
+    def test_every_name_is_its_home_module_object(self):
+        assert len(veronese.__all__) == len(set(veronese.__all__))
+        for name in veronese.__all__:
+            home = import_module(f"veronese.{veronese._HOME[name]}")
+            assert getattr(veronese, name) is getattr(home, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from veronese import *", namespace)
+        for name in veronese.__all__:
+            assert namespace[name] is getattr(veronese, name), name
+
+    def test_first_access_caches_the_value(self):
+        value = veronese.toric_quadrics
+        assert vars(veronese)["toric_quadrics"] is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            veronese.no_such_name
+        assert not hasattr(veronese, "cached_minors")
+
+    def test_default_budget_resolves_from_the_package(self):
+        from veronese import cli, matrix, oracle
+
+        assert veronese.DEFAULT_BUDGET == 5_000_000
+        assert veronese.DEFAULT_BUDGET is matrix.DEFAULT_BUDGET is oracle.DEFAULT_BUDGET
+        assert cli.build_parser().parse_args(["matrix", "--n", "1", "--d", "1"]).budget == 5_000_000
