@@ -32,9 +32,8 @@ never call minors2, and the two derivations of "2-minor" check each other.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import ContractError
+from .errors import ContractError, Frozen
 from .matrix import Binomial2, is_matrix_minor, parse_binomial, require_matrix
 from .multiindex import (
     MultiIndex,
@@ -46,47 +45,48 @@ from .morphism import chart_column, coordinate_index
 from .projective import ProjectivePoint, integer_coords
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(Frozen):
     """Truthy verification outcome; diagnostic locates the first failure."""
 
-    ok: bool
-    diagnostic: str | None = None
+    __slots__ = ("ok", "diagnostic")
+
+    def __init__(self, ok: bool, diagnostic: str | None = None):
+        self._assign(ok, diagnostic)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PropagationStep:
-    target: MultiIndex
-    minor: Binomial2
-    prerequisites: tuple[MultiIndex, ...]
+class PropagationStep(Frozen):
+    __slots__ = ("target", "minor", "prerequisites")
+
+    def __init__(self, target: MultiIndex, minor: Binomial2, prerequisites: tuple[MultiIndex, ...]):
+        self._assign(target, minor, prerequisites)
 
 
-@dataclass(frozen=True)
-class ZeroPropagationCertificate:
+class ZeroPropagationCertificate(Frozen):
     """Ordered cascade zeroing every coordinate from vanishing pure powers."""
 
-    ctx: VeroneseContext
-    steps: tuple[PropagationStep, ...]
+    __slots__ = ("ctx", "steps")
+
+    def __init__(self, ctx: VeroneseContext, steps: tuple[PropagationStep, ...]):
+        self._assign(ctx, steps)
 
     def targets(self) -> tuple[MultiIndex, ...]:
         return tuple(s.target for s in self.steps)
 
 
-@dataclass(frozen=True)
-class RewriteChain:
+class RewriteChain(Frozen):
     """Minor rewrites certifying one coordinate identity on chart `chart`.
 
     The claimed identity: prod_j z_{(d-1)e_i + e_j}^{target_j} equals
     z_{d e_i}^(d-1) * z_target, with i = chart.
     """
 
-    ctx: VeroneseContext
-    chart: int
-    target: MultiIndex
-    steps: tuple[Binomial2, ...]
+    __slots__ = ("ctx", "chart", "target", "steps")
+
+    def __init__(self, ctx: VeroneseContext, chart: int, target: MultiIndex, steps: tuple[Binomial2, ...]):
+        self._assign(ctx, chart, target, steps)
 
 
 def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertificate:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of its value
+classes.
 
 Every error raised by library code derives from VeroneseError so callers
 (notably the CLI) can map failures to exit codes without catching builtins.
@@ -42,3 +43,51 @@ class BudgetError(VeroneseError):
         )
         self.estimated = estimated
         self.budget = budget
+
+
+class Frozen:
+    """Base of the package's immutable value classes, which behave as
+    frozen dataclasses without importing dataclasses and inspect.
+
+    A subclass names its fields in __slots__, in constructor order, and its
+    __init__ validates and stores them.  Equality holds only against the
+    same class with equal fields (never against a tuple), the hash is that
+    of the field tuple, and the repr reads "Name(field=value, ...)".
+    Assigning or deleting an attribute raises FrozenInstanceError, the one
+    path that imports dataclasses.  Classes built or hashed in hot loops
+    override __init__, __eq__ and __hash__ with field-by-field versions.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle and copy by calling the class on the fields
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -14,12 +14,11 @@ canonical form so that generator sets deduplicate by plain equality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import add, sub
 
-from .errors import BudgetError, ContractError, EmptyMatrixError
+from .errors import BudgetError, ContractError, EmptyMatrixError, Frozen
 from .multiindex import (
     MultiIndex,
     VeroneseContext,
@@ -31,12 +30,13 @@ from .multiindex import (
 Pair = tuple[MultiIndex, MultiIndex]
 
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
+class SymbolicMatrix(Frozen):
     """The (n+1) x cols grid of exponent vectors realizing both L and M."""
 
-    ctx: VeroneseContext
-    entries: tuple[tuple[MultiIndex, ...], ...]
+    __slots__ = ("ctx", "entries")
+
+    def __init__(self, ctx: VeroneseContext, entries: tuple[tuple[MultiIndex, ...], ...]):
+        self._assign(ctx, entries)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,18 +89,32 @@ def _ordered_pair(a: MultiIndex, b: MultiIndex) -> Pair:
     return (a, b) if a >= b else (b, a)
 
 
-@dataclass(frozen=True, slots=True)
-class Binomial2:
+class Binomial2(Frozen):
     """Canonical balanced binomial quadric z_pos0 z_pos1 - z_neg0 z_neg1.
 
     Each pair is stored lex-descending and pos is the pair with the
     lex-larger leading vector, so a binomial and its negation share one
     representation.  Balanced distinct pairs never share a leading vector
     (equal leaders force equal partners), making the choice well defined.
+    A table build makes tens of thousands of binomials, so construction,
+    equality and hashing are specialized; __init__ runs the balance check
+    __post_init__ on every one.
     """
 
-    pos: Pair
-    neg: Pair
+    __slots__ = ("pos", "neg")
+
+    def __init__(self, pos: Pair, neg: Pair):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pos == other.pos and self.neg == other.neg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pos, self.neg))
 
     def __post_init__(self):
         a, b = self.pos

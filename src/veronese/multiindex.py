@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .errors import ContractError
+from .errors import ContractError, Frozen
 
 
 def binom(a: int, b: int) -> int:
@@ -214,24 +213,35 @@ def unrank(k: int, n: int, d: int) -> MultiIndex:
     return MultiIndex(exps)
 
 
-@dataclass(frozen=True)
-class VeroneseContext:
-    """The pair (n, d): source space P^n and embedding degree d.
+class VeroneseContext(Frozen):
+    """The pair (n, d) of ints: source space P^n and embedding degree d.
 
     Derived quantities: N = C(n+d, n) - 1 is the target dimension, cols =
     C(n+d-1, n) is the column count of the coordinate matrix.  Degenerate
     n = 0 and d = 0 contexts are constructible; operations that need d >= 1
     (matrix construction and everything built on it) enforce that themselves.
+    Every cache lookup hashes a context, so hashing is specialized.
     """
 
-    n: int
-    d: int
+    __slots__ = ("n", "d")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ContractError(f"n must be >= 0, got {self.n}")
-        if self.d < 0:
-            raise ContractError(f"d must be >= 0, got {self.d}")
+    def __init__(self, n: int, d: int):
+        if not (isinstance(n, int) and isinstance(d, int)):
+            raise ContractError(f"n and d must be ints, got n={n!r}, d={d!r}")
+        if n < 0:
+            raise ContractError(f"n must be >= 0, got {n}")
+        if d < 0:
+            raise ContractError(f"d must be >= 0, got {d}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.d == other.d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.d))
 
     @property
     def num_coords(self) -> int:

@@ -24,9 +24,7 @@ exceeds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BudgetError
+from .errors import BudgetError, Frozen
 from .matrix import (
     DEFAULT_BUDGET,
     Binomial2,
@@ -51,8 +49,7 @@ FIELD_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(Frozen):
     """Outcome of one exhaustive comparison over F_q.
 
     image_count is the cardinality of whichever set the variety was
@@ -60,14 +57,12 @@ class EqualityReport:
     balanced quadrics); kind names the comparison.
     """
 
-    ctx: VeroneseContext
-    q: int
-    kind: str
-    variety_count: int
-    image_count: int
-    expected_count: int
-    equal: bool
-    witnesses: tuple[ProjectivePoint, ...]
+    __slots__ = ("ctx", "q", "kind", "variety_count", "image_count", "expected_count", "equal",
+                 "witnesses")
+
+    def __init__(self, ctx: VeroneseContext, q: int, kind: str, variety_count: int, image_count: int,
+                 expected_count: int, equal: bool, witnesses: tuple[ProjectivePoint, ...]):
+        self._assign(ctx, q, kind, variety_count, image_count, expected_count, equal, witnesses)
 
 
 def vanishing_set(

@@ -8,7 +8,7 @@ backends freely; there is deliberately no floating point anywhere.
 A ProjectivePoint is an immutable coordinate tuple over one field with at
 least one nonzero entry, coerced into the field when the point is built.
 Its canonical representative scales the first nonzero coordinate to 1,
-which makes exact set operations on points possible (plain dataclass
+which makes exact set operations on points possible (plain point
 equality compares canonical tuples).  integer_coords reads a point as
 plain ints, the form the membership test, the embedding and the chain
 identities compute on.  _search is the one enumeration of the canonical
@@ -17,12 +17,11 @@ points of P^m(F_q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from random import Random
 
-from .errors import ContractError, InvalidPointError
+from .errors import ContractError, Frozen, InvalidPointError
 
 
 def is_prime(p: int) -> bool:
@@ -64,6 +63,9 @@ class Fp:
 
     def __setattr__(self, *_):
         raise AttributeError("Fp elements are immutable")
+
+    def __reduce__(self):  # pickle and copy through __init__, not __setattr__
+        return Fp, (self.value, self.p)
 
     def _lift(self, other) -> "Fp":
         if isinstance(other, Fp):
@@ -189,15 +191,27 @@ class RationalField:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p for prime p; primality is checked at construction."""
+class PrimeField(Frozen):
+    """The field F_p for a prime int p; primality is checked at
+    construction.  Every point hash and comparison over F_p hashes or
+    compares its field, so both are specialized."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ContractError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise ContractError(f"a field size must be an int, got {p!r}")
+        if not is_prime(p):
+            raise ContractError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @property
     def name(self) -> str:
@@ -254,29 +268,38 @@ def field_from_name(name: str) -> Field:
     raise ContractError(f"bad field designator {name!r}")
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Frozen):
     """A point of P^m: m+1 exact coordinates over one field, not all zero.
 
     Construction coerces each coordinate through field.coerce: ints become
     field elements, and anything else that is no element of the field, such
     as a float, raises ContractError, as does a field that is neither QQ
-    nor a PrimeField.  Dataclass equality is coordinatewise (useful for sets
-    of canonical points); use proj_eq for equality up to a scalar.
+    nor a PrimeField.  Equality compares the field and the coordinates
+    exactly (useful for sets of canonical points); use proj_eq for
+    equality up to a scalar.  Searches build and hash points by the
+    thousand, so construction, equality and hashing are specialized.
     """
 
-    field: Field
-    coords: tuple[Scalar, ...]
+    __slots__ = ("field", "coords")
 
-    def __post_init__(self):
-        if not isinstance(self.field, (RationalField, PrimeField)):
-            raise ContractError(f"not a field: {self.field!r}")
-        coords = tuple(map(self.field.coerce, self.coords))
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, field: Field, coords: tuple[Scalar, ...]):
+        if not isinstance(field, (RationalField, PrimeField)):
+            raise ContractError(f"not a field: {field!r}")
+        coords = tuple(map(field.coerce, coords))
         if len(coords) == 0:
             raise InvalidPointError("a point needs at least one coordinate")
         if not any(coords):
             raise InvalidPointError("all coordinates are zero")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.coords) == (other.field, other.coords)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coords))
 
     @property
     def dim(self) -> int:

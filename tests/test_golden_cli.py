@@ -5,7 +5,11 @@ that cli.main gave for each.  Every line is replayed in process and must
 give the same bytes, which pins the output contract: JSON documents with
 schema_version 1 and sorted keys, the text layouts, the error messages and
 the exit codes 0/1/2/3.  No line makes argparse print, because argparse
-words its usage and errors differently across Python versions.
+words its usage and errors differently across Python versions.  The first
+line of each subcommand, and the first that exits with 3 and with 2, are
+also replayed through `python -m veronese.cli` in a fresh process, where a
+mistake that only shows at import time cannot hide behind modules the
+warm interpreter already holds.
 
 After a deliberate output change, rewrite the recorded outputs with
 
@@ -18,13 +22,18 @@ holding only its "argv" and rewrite.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import veronese
 from veronese.cli import _HANDLERS, main
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
+SRC = str(Path(veronese.__file__).resolve().parent.parent)
 
 
 def replay(argv: list[str]) -> dict:
@@ -41,6 +50,29 @@ def load() -> list[dict]:
 @pytest.mark.parametrize("case", load(), ids=lambda case: " ".join(case["argv"]))
 def test_same_bytes(case):
     assert replay(case["argv"]) == case
+
+
+def fresh_cases() -> list[dict]:
+    cases = load()
+    commands = dict.fromkeys(case["argv"][0] for case in cases)
+    return [next(case for case in cases if case["argv"][0] == command) for command in commands] + [
+        next(case for case in cases if case["exit"] == code) for code in (3, 2)
+    ]
+
+
+@pytest.mark.parametrize("case", fresh_cases(), ids=lambda case: " ".join(case["argv"]))
+def test_same_bytes_in_a_fresh_process(case):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-m", "veronese.cli", *case["argv"]], capture_output=True, env=env
+    )
+    assert {
+        "argv": case["argv"],
+        "exit": out.returncode,
+        "stdout": out.stdout.decode(),
+        "stderr": out.stderr.decode(),
+    } == case
 
 
 def test_corpus_covers_every_subcommand_and_exit_code():

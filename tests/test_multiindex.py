@@ -182,6 +182,16 @@ class TestContext:
         with pytest.raises(ContractError):
             VeroneseContext(1, -2)
 
+    # a float or text size was stored as given and failed later, e.g. in .N
+    @pytest.mark.parametrize("n,d", [(2.5, 2), ("3", 2), (2, 2.0), (1, None)])
+    def test_non_int_sizes_rejected(self, n, d):
+        with pytest.raises(ContractError, match="^n and d must be ints"):
+            VeroneseContext(n, d)
+
+    def test_int_sizes_unchanged(self):
+        assert (VeroneseContext(2, 3).n, VeroneseContext(2, 3).d) == (2, 3)
+        assert VeroneseContext(10**30, 1).n == 10**30
+
     @given(st.integers(0, 5), st.integers(1, 5))
     def test_column_count_is_smaller_enumeration(self, n, d):
         ctx = VeroneseContext(n, d)

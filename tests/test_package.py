@@ -92,6 +92,49 @@ class TestImportBoundaries:
         assert set(veronese.__all__) | set(SUBMODULES) <= set(listing)
 
 
+# the standard library modules cli imports, directly or through fractions
+CLI_STDLIB = "argparse, contextlib, fractions, io, json, random, re"
+
+
+def added_to_stdlib(statement: str) -> set[str]:
+    """The modules that statement adds, in a fresh interpreter, to those
+    loaded by the standard library modules cli imports."""
+    return set(fresh(
+        f"import sys\nimport {CLI_STDLIB}\n"
+        "baseline = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(set(sys.modules) - baseline)))\n"
+    ))
+
+
+class TestNoDataclasses:
+    """The value classes are written without dataclasses, whose import
+    loads inspect: no command may load either."""
+
+    def test_bare_import(self):
+        added = added_to_stdlib("import veronese")
+        assert "veronese" in added
+        assert not added & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--n", "2", "--d", "2"],
+        ["minors", "--n", "2", "--d", "2"],
+        ["eval", "--n", "1", "--d", "3", "--field", "fp:7", "[1 : 2]"],
+        ["member", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+        ["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+        ["verify", "--n", "2", "--d", "2"],
+        ["oracle", "--n", "1", "--d", "2", "--field", "fp:3"],
+    ], ids=lambda argv: argv[0])
+    def test_commands(self, argv):
+        added = added_to_stdlib(
+            "from veronese.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0"
+        )
+        assert "veronese.cli" in added
+        assert not added & {"dataclasses", "inspect"}
+
+
 class TestPublicNames:
     def test_every_name_is_its_home_module_object(self):
         assert len(veronese.__all__) == len(set(veronese.__all__))

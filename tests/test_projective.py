@@ -48,6 +48,16 @@ class TestFields:
             field_from_name(f"fp:{p}")
         assert PrimeField(2**64 - 59).p == 2**64 - 59  # the largest prime below 2**64
 
+    # PrimeField(7.0) passed as GF(7.0) until pow failed in veronese_eval;
+    # PrimeField("7") raised TypeError
+    @pytest.mark.parametrize("p", [7.0, "7", Fraction(7), None])
+    def test_non_int_size_rejected(self, p):
+        with pytest.raises(ContractError, match="^a field size must be an int"):
+            PrimeField(p)
+
+    def test_int_size_unchanged(self):
+        assert PrimeField(7).p == 7 and repr(PrimeField(7)) == "GF(7)"
+
     def test_field_from_name(self):
         assert field_from_name("rational") is QQ
         assert field_from_name("fp:5") == PrimeField(5)
