@@ -10,7 +10,7 @@ the catalecticant-style matrix the rest of the demos revolve around.
 from veronese import (
     VeroneseContext,
     build_matrix,
-    build_matrix_by_columns,
+    enumerate_monomials,
     minors2,
     sorted_binomials,
     toric_quadrics,
@@ -29,9 +29,12 @@ for row in grid.entries:
     print("  ", "  ".join(f"{m.coordinate_name():10s}" for m in row))
 print()
 
-# an independent construction assembles the grid column by column; the two
+# an independent construction assembles the grid column by column: column k
+# is the k-th degree-(d-1) monomial times each variable in turn; the two
 # routes must agree cell for cell
-assert build_matrix_by_columns(ctx).entries == grid.entries
+bases = enumerate_monomials(ctx.n, ctx.d - 1)
+by_columns = tuple(tuple(base.bump(i) for base in bases) for i in range(ctx.n + 1))
+assert by_columns == grid.entries
 print("column-wise construction agrees cell for cell")
 print()
 

@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "matrix": (
         "Binomial2", "DEFAULT_BUDGET", "SymbolicMatrix", "build_matrix",
-        "build_matrix_by_columns", "is_matrix_minor", "minor_candidates", "minors2",
-        "parse_binomial", "sorted_binomials", "toric_quadrics",
+        "is_matrix_minor", "minor_candidates", "minors2", "parse_binomial",
+        "sorted_binomials", "toric_quadrics",
     ),
     "projective": (
         "Fp", "PrimeField", "ProjectivePoint", "QQ", "count_projective_points",

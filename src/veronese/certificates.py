@@ -15,33 +15,24 @@ z_{d e_i}^{d-1} z_m.  Every minor used keeps three of its four entries on
 row i and the column of z_{d e_i}.
 
 Certificates are generated symbolically once per context, independent of
-any point; verification is structural (membership, ordering, shape) plus,
-for chains, an exact numeric check at a supplied variety point.
-
-Membership is decided in closed form by matrix.is_matrix_minor, without
-building the minor set.  Column beta of the matrix holds z_{beta+e_i} on
-row i, so the minor on rows i, j and columns beta, gamma is
-z_{beta+e_i} z_{gamma+e_j} - z_{gamma+e_i} z_{beta+e_j}.  Hence a
-canonical balanced binomial with degree-d entries is a 2-minor exactly
-when an entry on one side and an entry on the other differ by a unit move
-e_i - e_j, i != j: given such a pair a = c + e_i - e_j, the columns
-beta = a - e_i and gamma = e - e_i realize it.  The verifiers therefore
-never call minors2, and the two derivations of "2-minor" check each other.
+any point, on coordinate indices: a step is the quad (a, b, c, e) of
+z_a z_b - z_c z_e, canonical when a <= b, c <= e and a < c (the index is
+the rank, which reverses lex order).  Verification is structural, with
+the unit-move test matrix.is_minor_quad in place of minors2, plus, for
+chains, an exact numeric check at a variety point.  The public functions
+translate Binomial2 and MultiIndex values at the boundary; a step with an
+entry that is no degree-d coordinate has no quad and is no minor.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from math import prod
+from operator import getitem
 
 from .errors import ContractError, Frozen
-from .matrix import Binomial2, is_matrix_minor, parse_binomial, require_matrix
-from .multiindex import (
-    MultiIndex,
-    VeroneseContext,
-    parse_coordinate_name,
-    pure_power,
-)
-from .morphism import chart_column, coordinate_index
+from .matrix import Binomial2, binomial_quad, is_minor_quad, parse_binomial
+from .morphism import chart_indices
+from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
 
 
@@ -107,20 +98,19 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
     """
     if ctx.d < 2:
         return ZeroPropagationCertificate(ctx, ())
-    known = set(ctx.pure_powers())
+    monos, idx = ctx.monomials(), coordinate_index(ctx)
+    known = {k for k, m in enumerate(monos) if ctx.d in m}  # the pure powers
     steps = []
     for t in range(ctx.n):
-        for j in ctx.monomials():
-            if j[t] < 1 or any(j[s] for s in range(t)) or j == pure_power(ctx.n, ctx.d, t):
+        for target, j in enumerate(monos):
+            if j[t] < 1 or j[t] == ctx.d or any(j[:t]):
                 continue
             k = max(s for s in range(ctx.n + 1) if j[s] > 0)
-            first = j.bump(t).drop(k)
-            other = j.drop(t).bump(k)
-            minor = Binomial2.canonical((first, other), (j, j))
-            assert minor is not None
-            prereqs = (first,) + ((other,) if other in known else ())
+            first, other = _moved(idx, j, k, t), _moved(idx, j, t, k)
+            minor = _binomial(monos, _canonical_quad(first, other, target, target))
+            prereqs = (monos[first],) + ((monos[other],) if other in known else ())
             steps.append(PropagationStep(j, minor, prereqs))
-            known.add(j)
+            known.add(target)
     return ZeroPropagationCertificate(ctx, tuple(steps))
 
 
@@ -129,39 +119,56 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
     established before use, and full coordinate coverage."""
     if cert.ctx != ctx:
         return VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
-    known = set(ctx.pure_powers())
+    monos, idx = ctx.monomials(), coordinate_index(ctx)
+    known = {k for k, m in enumerate(monos) if ctx.d in m}  # the pure powers
     for pos, step in enumerate(cert.steps):
         where = f"step {pos} (target {step.target.coordinate_name()})"
-        if not is_matrix_minor(ctx, step.minor):
+        q = binomial_quad(ctx, step.minor)
+        if q is None or not is_minor_quad(monos, *q):
             return VerifyResult(False, f"{where}: {step.minor} is not a 2-minor of the matrix")
-        t = step.target
-        in_pos, in_neg = t in step.minor.pos, t in step.minor.neg
+        t = idx.get(step.target)
+        in_pos, in_neg = t in q[:2], t in q[2:]
         if in_pos == in_neg:
             return VerifyResult(False, f"{where}: minor must contain the target on exactly one side")
-        target_side, other_side = (
-            (step.minor.pos, step.minor.neg) if in_pos else (step.minor.neg, step.minor.pos)
-        )
+        target_side, other_side = (q[:2], q[2:]) if in_pos else (q[2:], q[:2])
         if other_side[0] not in known and other_side[1] not in known:
-            return VerifyResult(False, f"{where}: no factor of {_pair_str(other_side)} is known zero")
+            pair = ", ".join(monos[f].coordinate_name() for f in other_side)
+            return VerifyResult(False, f"{where}: no factor of {{{pair}}} is known zero")
         partner = target_side[1] if target_side[0] == t else target_side[0]
         if partner != t and partner not in known:
-            return VerifyResult(
-                False, f"{where}: partner {partner.coordinate_name()} is neither the target nor known zero"
-            )
+            name = monos[partner].coordinate_name()
+            return VerifyResult(False, f"{where}: partner {name} is neither the target nor known zero")
         for p in step.prerequisites:
-            if p not in known:
+            if idx.get(p) not in known:
                 return VerifyResult(False, f"{where}: prerequisite {p.coordinate_name()} not yet established")
         known.add(t)
-    missing = [m for m in ctx.monomials() if m not in known]
+    missing = [k for k in range(len(monos)) if k not in known]
     if missing:
-        return VerifyResult(
-            False, f"coverage incomplete: {len(missing)} coordinates never zeroed, first {missing[0].coordinate_name()}"
-        )
+        return VerifyResult(False, f"coverage incomplete: {len(missing)} coordinates never zeroed, "
+                                   f"first {monos[missing[0]].coordinate_name()}")
     return VerifyResult(True)
 
 
-def _pair_str(pair) -> str:
-    return f"{{{pair[0].coordinate_name()}, {pair[1].coordinate_name()}}}"
+def _moved(idx: dict, exps, i: int, j: int) -> int:
+    """Index of the coordinate exps - e_i + e_j."""
+    w = list(exps)
+    w[i] -= 1
+    w[j] += 1
+    return idx[tuple(w)]
+
+
+def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int]:
+    """Canonical quad of +-(z_a z_b - z_c z_e), for distinct balanced pairs."""
+    if a > b:
+        a, b = b, a
+    if c > e:
+        c, e = e, c
+    return (a, b, c, e) if a < c else (c, e, a, b)
+
+
+def _binomial(monos, q) -> Binomial2:
+    """The Binomial2 of a quad, from table entries."""
+    return Binomial2((monos[q[0]], monos[q[1]]), (monos[q[2]], monos[q[3]]))
 
 
 def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
@@ -183,134 +190,134 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
     if len(m) != ctx.n + 1 or m.degree != ctx.d:
         raise ContractError(f"{m} is not a degree-{ctx.d} multi-index in {ctx.n + 1} variables")
-    column = chart_column(ctx, i)
-    P = column[i]
-    steps: list[Binomial2] = []
-    w: MultiIndex | None = None
+    quads = _chain_quads(ctx, chart_indices(ctx, i), i, m)
+    return RewriteChain(ctx, i, m, tuple(_binomial(ctx.monomials(), q) for q in quads))
+
+
+def _chain_quads(ctx: VeroneseContext, col: tuple[int, ...], i: int, m) -> list[tuple[int, int, int, int]]:
+    """The steps of rewrite_chain(ctx, i, m) as quads, col = chart_indices(ctx, i)."""
+    monos, idx = ctx.monomials(), coordinate_index(ctx)
+    quads = []
+    w = None  # index of the working coordinate
     for j in range(ctx.n, -1, -1):
         if j == i or m[j] == 0:
             continue
         count = m[j]
         if w is None:
-            w = column[j]
-            count -= 1
+            w, count = col[j], count - 1
         for _ in range(count):
-            w_next = w.drop(i).bump(j)
-            minor = Binomial2.canonical((P, w_next), (w, column[j]))
-            assert minor is not None
-            steps.append(minor)
-            w = w_next
-    return RewriteChain(ctx, i, m, tuple(steps))
-
-
-def _realizes_row_and_column(ctx: VeroneseContext, i: int, b: Binomial2) -> bool:
-    """Whether the minor has a 2x2 realization on row i and the column of
-    z_{d e_i}, i.e. three of four entries in that row and column."""
-    P = chart_column(ctx, i)[i]
-    if P in b.pos:
-        p_pair, o_pair = b.pos, b.neg
-    elif P in b.neg:
-        p_pair, o_pair = b.neg, b.pos
-    else:
-        return False
-    x = p_pair[1] if p_pair[0] == P else p_pair[0]
-    for cj, y in ((o_pair[0], o_pair[1]), (o_pair[1], o_pair[0])):
-        if cj[i] != ctx.d - 1:
-            continue
-        rest = [s for s in range(ctx.n + 1) if s != i and cj[s] > 0]
-        if len(rest) != 1 or cj[rest[0]] != 1:
-            continue
-        j = rest[0]
-        if y[i] >= 1 and x == y.drop(i).bump(j):
-            return True
-    return False
+            moved = _moved(idx, monos[w], i, j)
+            quads.append(_canonical_quad(col[i], moved, w, col[j]))
+            w = moved
+    return quads
 
 
 def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: ProjectivePoint) -> VerifyResult:
     """Check a chain structurally and numerically at Q.
 
-    Structural: every minor is genuine, satisfies the row/column rule, and
-    the rewrites telescope exactly from the chart-column product to
-    z_{d e_i}^(d-1) z_m at the exponent level.  Numeric: the claimed
-    identity holds exactly at Q, whose chart must be available.
+    Structural (_chain_fault, on the steps as quads): every minor is
+    genuine, satisfies the row/column rule, and the rewrites telescope
+    exactly from the chart-column product to z_{d e_i}^(d-1) z_m.
+    Numeric: the claimed identity, homogeneous of degree d, holds exactly
+    at integer_coords(Q), whose chart must be available.
     """
-    res = _chain_structure(ctx, chain)
-    if not res:
-        return res
-    return _chain_identity(ctx, chain, *integer_coords(Q))
-
-
-def _chain_structure(ctx: VeroneseContext, chain: RewriteChain) -> VerifyResult:
-    """The point-free half of verify_rewrite_chain."""
     if chain.ctx != ctx:
         return VerifyResult(False, f"chain built for {chain.ctx}, verified against {ctx}")
     i, m = chain.chart, chain.target
     if not 0 <= i <= ctx.n or len(m) != ctx.n + 1 or m.degree != ctx.d:
         return VerifyResult(False, "chain chart or target malformed for this context")
-    require_matrix(ctx)
-    column = chart_column(ctx, i)
-    P = column[i]
+    idx = coordinate_index(ctx)
+    col = chart_indices(ctx, i)  # raises EmptyMatrixError when d = 0
+    fault = _chain_fault(ctx, col, i, idx[m], [binomial_quad(ctx, b) for b in chain.steps])
+    if fault is not None:
+        pos, why = fault
+        if pos < len(chain.steps):
+            P = ctx.monomials()[col[i]].coordinate_name()
+            why = f"step {pos}: " + why.format(minor=chain.steps[pos], i=i, P=P)
+        return VerifyResult(False, why)
+    z, p = integer_coords(Q)
+    if len(z) != ctx.N + 1:
+        return VerifyResult(False, f"point has dimension {len(z) - 1}, expected {ctx.N}")
+    chart = _chart_values(ctx, col, i, z)
+    if chart is None:
+        return VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
+    if not _identity_holds(chart, m, z[idx[m]], p):
+        return VerifyResult(False, "claimed identity fails numerically at the supplied point")
+    return VerifyResult(True)
 
-    state = Counter()
-    for j in range(ctx.n + 1):
-        if m[j]:
-            state[column[j]] += m[j]
-    for pos, minor in enumerate(chain.steps):
-        where = f"step {pos}"
-        if not is_matrix_minor(ctx, minor):
-            return VerifyResult(False, f"{where}: {minor} is not a 2-minor of the matrix")
-        if not _realizes_row_and_column(ctx, i, minor):
-            return VerifyResult(
-                False, f"{where}: {minor} has no realization on row {i} and the column of {P.coordinate_name()}"
-            )
-        if _consumable(state, minor.neg):
-            consumed, produced = minor.neg, minor.pos
-        elif _consumable(state, minor.pos):
-            consumed, produced = minor.pos, minor.neg
+
+def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, quads) -> tuple[int, str] | None:
+    """The first failing check, as (step, diagnostic template), of the
+    quads (None: no minor) of the chart-i chain of coordinate index k, col
+    = chart_indices(ctx, i); None when all pass.
+
+    A step is a minor with P = z_{d e_i} among its entries, and every such
+    minor z_P z_x - z_y z_w is realized on row i and the column of P.  Its
+    unit move pairs P or x with, say, y: then y = P - e_i + e_j, or
+    |x_i - y_i| <= 1 and w_i = d + x_i - y_i >= d - 1.  Either way the other
+    side holds a chart-column entry (d-1)e_i + e_j, j != i, and balance
+    makes its partner x + e_i - e_j.  A step turns one side of the running
+    product, the negative side first, into the other, from prod_j
+    z_{col_j}^{m_j} to z_P^(d-1) z_k (else a fault at len(quads)).
+    """
+    monos = ctx.monomials()
+    P = col[i]
+    state = {col[j]: e for j, e in enumerate(monos[k]) if e}
+    for pos, q in enumerate(quads):
+        if q is None or not is_minor_quad(monos, *q):
+            return pos, "{minor} is not a 2-minor of the matrix"
+        if P not in q:
+            return pos, "{minor} has no realization on row {i} and the column of {P}"
+        a, b, c, e = q
+        if _consumable(state, c, e):
+            consumed, produced = (c, e), (a, b)
+        elif _consumable(state, a, b):
+            consumed, produced = (a, b), (c, e)
         else:
-            return VerifyResult(False, f"{where}: neither side of {minor} occurs in the running product")
+            return pos, "neither side of {minor} occurs in the running product"
         for f in consumed:
             state[f] -= 1
             if not state[f]:
                 del state[f]
         for f in produced:
-            state[f] += 1
-    goal = Counter({P: ctx.d - 1})
-    goal[m] += 1
-    if +state != +goal:
-        return VerifyResult(False, "telescoping ended away from the claimed product")
-    return VerifyResult(True)
+            state[f] = state.get(f, 0) + 1
+    goal = {P: ctx.d - 1} if ctx.d > 1 else {}
+    goal[k] = goal.get(k, 0) + 1
+    return None if state == goal else (len(quads), "telescoping ended away from the claimed product")
 
 
-def _chain_identity(ctx: VeroneseContext, chain: RewriteChain, z: list[int], p: int) -> VerifyResult:
-    """The numeric half of verify_rewrite_chain, for a chain whose structure
-    holds, at the point whose projective.integer_coords are (z, p).  Both
-    sides of the identity are homogeneous of degree d, so it holds at the
-    scaled point exactly when it holds at the point; over F_p it is tested
-    mod p."""
-    if len(z) != ctx.N + 1:
-        return VerifyResult(False, f"point has dimension {len(z) - 1}, expected {ctx.N}")
-    i, m = chain.chart, chain.target
-    idx = coordinate_index(ctx)
-    column = chart_column(ctx, i)
-    zP = z[idx[column[i]]]
-    if not zP:
-        return VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
-    lhs = 1
-    for j, e in enumerate(m):
-        if e:
-            lhs *= z[idx[column[j]]] ** e
-    diff = lhs - zP ** (ctx.d - 1) * z[idx[m]]
-    if (diff % p) if p else diff:
-        return VerifyResult(False, "claimed identity fails numerically at the supplied point")
-    return VerifyResult(True)
+def _consumable(state: dict, a: int, b: int) -> bool:
+    return state.get(a, 0) >= 2 if a == b else a in state and b in state
 
 
-def _consumable(state: Counter, pair) -> bool:
-    a, b = pair
-    if a == b:
-        return state[a] >= 2
-    return state[a] >= 1 and state[b] >= 1
+def _chart_values(ctx: VeroneseContext, col: tuple[int, ...], i: int, z: list[int]):
+    """What the identity reads of z on chart i, once per point: pw[j][e] =
+    z_{col_j}^e and z_P^(d-1); None when z_P = 0 or z is off P^N."""
+    if len(z) != ctx.N + 1 or not z[col[i]]:
+        return None
+    pw = [[z[c] ** e for e in range(ctx.d + 1)] for c in col]
+    return pw, pw[i][ctx.d - 1]
+
+
+def _identity_holds(chart, m, zm: int, p: int) -> bool:
+    """prod_j z_{col_j}^{m_j} == z_P^(d-1) z_m (mod p if p), for _chart_values."""
+    pw, zPd = chart
+    diff = prod(map(getitem, pw, m)) - zPd * zm
+    return not (diff % p if p else diff)
+
+
+def _chart_failures(ctx: VeroneseContext, i: int, points) -> int:
+    """Failed (chain, point) pairs of verify_rewrite_chain over every chain
+    of chart i and the points' integer_coords (z, p), on quads and ints."""
+    col = chart_indices(ctx, i)
+    charts = [(z, p, _chart_values(ctx, col, i, z)) for z, p in points]
+    failures = 0
+    for k, m in enumerate(ctx.monomials()):
+        if _chain_fault(ctx, col, i, k, _chain_quads(ctx, col, i, m)) is not None:
+            failures += len(points)
+            continue
+        failures += sum(chart is None or not _identity_holds(chart, m, z[k], p) for z, p, chart in charts)
+    return failures
 
 
 def all_rewrite_chains(ctx: VeroneseContext):

@@ -23,6 +23,7 @@ from .multiindex import (
     MultiIndex,
     VeroneseContext,
     binom,
+    coordinate_index,
     enumerate_monomials,
     parse_coordinate_name,
 )
@@ -70,17 +71,6 @@ def build_matrix(ctx: VeroneseContext) -> SymbolicMatrix:
     all_monos = enumerate_monomials(ctx.n, ctx.d)
     rows = tuple(
         tuple(m for m in all_monos if m[i] >= 1) for i in range(ctx.n + 1)
-    )
-    return SymbolicMatrix(ctx, rows)
-
-
-def build_matrix_by_columns(ctx: VeroneseContext) -> SymbolicMatrix:
-    """Column-wise construction used as an independent cross-check: column k
-    is the k-th degree-(d-1) vector bumped by each variable in turn."""
-    require_matrix(ctx)
-    bases = enumerate_monomials(ctx.n, ctx.d - 1)
-    rows = tuple(
-        tuple(base.bump(i) for base in bases) for i in range(ctx.n + 1)
     )
     return SymbolicMatrix(ctx, rows)
 
@@ -214,8 +204,23 @@ def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
         raise BudgetError(estimate, budget, "2-minor candidates")
 
 
+def binomial_quad(ctx: VeroneseContext, binomial: Binomial2) -> tuple[int, int, int, int] | None:
+    """The coordinate indices of binomial's entries, pos then neg; None
+    when an entry is not a degree-d coordinate of ctx."""
+    q = tuple(map(coordinate_index(ctx).get, binomial.coordinates()))
+    return None if None in q else q
+
+
 def is_matrix_minor(ctx: VeroneseContext, binomial: Binomial2) -> bool:
-    """Whether binomial is in minors2(build_matrix(ctx)), in closed form.
+    """Whether binomial is in minors2(build_matrix(ctx)), in closed form:
+    is_minor_quad on its binomial_quad."""
+    q = binomial_quad(ctx, binomial)
+    return q is not None and is_minor_quad(ctx.monomials(), *q)
+
+
+def is_minor_quad(monos: tuple[MultiIndex, ...], a: int, b: int, c: int, e: int) -> bool:
+    """Whether z_a z_b - z_c z_e, given by indices into monos =
+    ctx.monomials(), is a canonical 2-minor of the matrix.
 
     Column beta (a degree-(d-1) vector) holds z_{beta+e_i} on row i, so the
     minor on rows i, j and columns beta, gamma is
@@ -223,29 +228,26 @@ def is_matrix_minor(ctx: VeroneseContext, binomial: Binomial2) -> bool:
         z_{beta+e_i} z_{gamma+e_j} - z_{gamma+e_i} z_{beta+e_j},
 
     whose entries beta+e_i and beta+e_j, on opposite sides, differ by the
-    unit move e_i - e_j.  Conversely, let z_a z_b - z_c z_e be balanced
-    with degree-d entries and a - c = e_i - e_j, i != j.  Then beta =
-    a - e_i = c - e_j and gamma = e - e_i are degree-(d-1) vectors (a has
-    exponent c_i + 1 at i, and b = e - e_i + e_j >= 0 forces e to have a
-    positive exponent at i), and the minor on rows i, j and columns beta,
-    gamma is z_a z_b - z_c z_e.  So a balanced
-    binomial with degree-d entries is a 2-minor iff some entry on one side
-    and some entry on the other differ by a unit move.
+    unit move e_i - e_j.  Conversely, if z_A z_B - z_C z_E is balanced with
+    degree-d entries and A - C = e_i - e_j, i != j, then beta = A - e_i =
+    C - e_j and gamma = E - e_i are degree-(d-1) vectors (A_i = C_i + 1, and
+    B = E - e_i + e_j >= 0 gives E_i > 0), and the minor on rows i, j and
+    columns beta, gamma is z_A z_B - z_C z_E.  So a balanced binomial with
+    degree-d entries is a 2-minor iff an entry on one side and one on the
+    other differ by a unit move (M. Pucci, "The Veronese variety and
+    catalecticant matrices", J. Algebra 202, 1998).
 
-    The minor set holds canonical forms only, so the binomial must be
-    canonical too (a >= b, c >= e, a > c); then pos != neg, so beta !=
-    gamma and the minor is not identically zero.  Balance gives a - c =
-    e - b and a - e = c - b, so testing a against c and e covers all four
-    pairings; entries of equal degree differ by a unit move iff their L1
-    distance is 2.  The degrees of a, b and c are checked, and balance
-    gives the degree of e.
+    The minor set holds canonical forms only: A >= B, C >= E, A > C in lex
+    order, so a <= b, c <= e, a < c for indices (ranks reverse lex order),
+    and the minor is not identically zero.  Balance gives A - C = E - B and
+    A - E = C - B, so testing A against C and E covers all four pairings;
+    entries of equal degree differ by a unit move iff their L1 distance is 2.
     """
-    (a, b), (c, e) = binomial.pos, binomial.neg
-    return (
-        a >= b and c >= e and a > c
-        and len(a) == ctx.n + 1
-        and sum(a) == sum(b) == sum(c) == ctx.d
-        and (sum(map(abs, map(sub, a, c))) == 2 or sum(map(abs, map(sub, a, e))) == 2)
+    if not (0 <= a <= b < len(monos) and a < c <= e < len(monos)):
+        return False
+    A, B, C, E = monos[a], monos[b], monos[c], monos[e]
+    return list(map(add, A, B)) == list(map(add, C, E)) and (
+        sum(map(abs, map(sub, A, C))) == 2 or sum(map(abs, map(sub, A, E))) == 2
     )
 
 

@@ -39,20 +39,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, build_matrix, cached_minors, sorted_binomials
-from .multiindex import MultiIndex, VeroneseContext, pure_power
+from .matrix import Binomial2, build_matrix, cached_minors, require_matrix, sorted_binomials
+from .multiindex import MultiIndex, VeroneseContext, coordinate_index, pure_power
 from .projective import Fp, ProjectivePoint, Scalar, integer_coords, normalize
 
 
 def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
     if Q.dim != ctx.N:
         raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
-
-
-@lru_cache(maxsize=None)
-def coordinate_index(ctx: VeroneseContext) -> dict[MultiIndex, int]:
-    """Flat coordinate index of each degree-d exponent vector (its rank)."""
-    return {m: k for k, m in enumerate(ctx.monomials())}
 
 
 def indexed_binomials(
@@ -78,6 +72,21 @@ def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
 
     Coordinate rank(m) of the result is the monomial value x^m.
     """
+    coords, p = _integer_image(ctx, x)
+    # x_j^d is nonzero for a nonzero x_j, so the image has a nonzero entry;
+    # over F_p a product of residues is 0 mod p only when a factor is 0
+    lead = next(c for c in coords if c)
+    if p:
+        inv = pow(lead, -1, p)
+        image = tuple(Fp(c * inv, p) for c in coords)
+    else:
+        image = tuple(Fraction(c, lead) for c in coords)
+    return ProjectivePoint(x.field, image)
+
+
+def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int], int]:
+    """The image of x as projective.integer_coords gives a point of P^N:
+    the values v^m at (v, p) = integer_coords(x), to be read mod p if p."""
     if x.dim != ctx.n:
         raise ContractError(f"expected a point of P^{ctx.n}, got dimension {x.dim}")
     v, p = integer_coords(x)
@@ -95,15 +104,7 @@ def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
             if e:
                 c *= pows[j][e]
         coords.append(c)
-    # x_j^d is nonzero for a nonzero x_j, so the image has a nonzero entry;
-    # over F_p a product of residues is 0 mod p only when a factor is 0
-    lead = next(c for c in coords if c)
-    if p:
-        inv = pow(lead, -1, p)
-        image = tuple(Fp(c * inv, p) for c in coords)
-    else:
-        image = tuple(Fraction(c, lead) for c in coords)
-    return ProjectivePoint(x.field, image)
+    return coords, p
 
 
 @lru_cache(maxsize=None)
@@ -146,11 +147,13 @@ def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, 
 
 
 @lru_cache(maxsize=None)
-def chart_column(ctx: VeroneseContext, i: int) -> tuple[MultiIndex, ...]:
-    """Entries (d-1)e_i + e_j, j = 0..n, of the column based at x_i^(d-1);
-    entry i is the pure power d e_i.  Built once per context and chart."""
-    base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
-    return tuple(base.bump(j) for j in range(ctx.n + 1))
+def chart_indices(ctx: VeroneseContext, i: int) -> tuple[int, ...]:
+    """Coordinate indices of the entries (d-1)e_i + e_j, j = 0..n, of the
+    column based at x_i^(d-1); entry i is the pure power z_{d e_i}."""
+    require_matrix(ctx)
+    idx = coordinate_index(ctx)
+    base = [ctx.d - 1 if s == i else 0 for s in range(ctx.n + 1)]
+    return tuple(idx[tuple(e + (s == j) for s, e in enumerate(base))] for j in range(ctx.n + 1))
 
 
 def chart_select(ctx: VeroneseContext, Q: ProjectivePoint) -> int:
@@ -173,8 +176,7 @@ def inverse_on_chart(ctx: VeroneseContext, Q: ProjectivePoint, i: int) -> Projec
     if not 0 <= i <= ctx.n:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
     _require_target(ctx, Q)
-    idx = coordinate_index(ctx)
-    column = [Q.coords[idx[m]] for m in chart_column(ctx, i)]
+    column = [Q.coords[k] for k in chart_indices(ctx, i)]
     if not column[i]:
         raise NoChartError(f"chart {i} unavailable: coordinate z_{{d e_{i}}} is zero")
     return normalize(ProjectivePoint(Q.field, tuple(column)))

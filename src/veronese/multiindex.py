@@ -40,8 +40,8 @@ class MultiIndex(tuple):
     Component j is the power of x_j.  Comparison operators implement the
     lexicographic monomial order induced by x_0 > x_1 > ... > x_n (larger
     tuple = lex-larger monomial).  Note that tuple concatenation semantics
-    of ``+`` are intentionally not overridden; use :meth:`plus`,
-    :meth:`bump` and :meth:`drop` for componentwise arithmetic.
+    of ``+`` are intentionally not overridden; use :meth:`plus` and
+    :meth:`bump` for componentwise arithmetic.
     """
 
     __slots__ = ()
@@ -66,23 +66,11 @@ class MultiIndex(tuple):
 
     def bump(self, j: int) -> "MultiIndex":
         """Copy with exponent j raised by one (multiplication by x_j)."""
-        exps = self._exponents_for(j)
-        exps[j] += 1
-        return MultiIndex(exps)
-
-    def drop(self, j: int) -> "MultiIndex":
-        """Copy with exponent j lowered by one (division by x_j)."""
-        exps = self._exponents_for(j)
-        if exps[j] < 1:
-            raise ContractError(f"cannot divide {self} by variable {j}")
-        exps[j] -= 1
-        return MultiIndex(exps)
-
-    def _exponents_for(self, j: int) -> list[int]:
-        """Mutable copy of the exponents, once j names one of them."""
         if not 0 <= j < len(self):
             raise ContractError(f"variable index {j} out of range for {self}")
-        return list(self)
+        exps = list(self)
+        exps[j] += 1
+        return MultiIndex(exps)
 
     def coordinate_name(self) -> str:
         """Name of the coordinate this vector indexes, e.g. "z_{2,1,0}"."""
@@ -262,3 +250,9 @@ class VeroneseContext(Frozen):
     def pure_powers(self) -> tuple[MultiIndex, ...]:
         """Exponent vectors of x_0^d, ..., x_n^d."""
         return tuple(pure_power(self.n, self.d, i) for i in range(self.n + 1))
+
+
+@lru_cache(maxsize=None)
+def coordinate_index(ctx: VeroneseContext) -> dict[MultiIndex, int]:
+    """Flat coordinate index (rank) of each degree-d exponent vector or tuple."""
+    return {m: k for k, m in enumerate(ctx.monomials())}

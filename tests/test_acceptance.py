@@ -18,7 +18,6 @@ from veronese import (
     binom,
     brute_force_variety,
     build_matrix,
-    build_matrix_by_columns,
     check_set_equality,
     check_toric_equality,
     count_projective_points,
@@ -37,6 +36,8 @@ from veronese import (
     zero_propagation_certificate,
 )
 from veronese.cli import main as cli_main
+
+from test_matrix import build_matrix_by_columns
 
 # grid for criteria 4, 5, 6
 FIELD_GRID = [

@@ -4,6 +4,8 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from operator import add
 from random import Random
 
 import pytest
@@ -25,6 +27,7 @@ from veronese import (
     chain_to_doc,
     enumerate_monomials,
     is_matrix_minor,
+    parse_binomial,
     point,
     propagation_from_doc,
     propagation_to_doc,
@@ -39,8 +42,8 @@ from veronese import (
 )
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
-from veronese.projective import integer_coords
-from veronese.morphism import _minor_table, chart_column, coordinate_index
+from veronese.matrix import is_minor_quad
+from veronese.morphism import _minor_table, chart_indices, coordinate_index
 
 
 def image_point_on_chart(rng, field, ctx, i):
@@ -311,8 +314,90 @@ class TestClosedFormMinorTest:
             assert is_matrix_minor(ctx, canon) == (canon in minors)
 
 
-# The verifiers as they were when they tested membership in the built minor
-# set; the closed-form verifiers must give the same results and diagnostics.
+# ---------------------------------------------------------------------------
+# Reference paths.  The certificate generators and the chain verifier as they
+# ran on MultiIndex and Binomial2 objects before the package moved them onto
+# coordinate-index quads, with membership tested in the built minor set, as
+# the verifiers did before the closed-form test.  They share no code with the
+# index core beyond the value classes.
+
+def moved(m, i, j):
+    """m - e_i + e_j: one unit of weight moved from position i to j."""
+    return MultiIndex(e - (k == i) + (k == j) for k, e in enumerate(m))
+
+
+def reference_zero_propagation_certificate(ctx):
+    if ctx.d < 2:
+        return ZeroPropagationCertificate(ctx, ())
+    known = set(ctx.pure_powers())
+    steps = []
+    for t in range(ctx.n):
+        for j in ctx.monomials():
+            if j[t] < 1 or any(j[s] for s in range(t)) or j == pure_power(ctx.n, ctx.d, t):
+                continue
+            k = max(s for s in range(ctx.n + 1) if j[s] > 0)
+            first = moved(j, k, t)
+            other = moved(j, t, k)
+            minor = Binomial2.canonical((first, other), (j, j))
+            prereqs = (first,) + ((other,) if other in known else ())
+            steps.append(PropagationStep(j, minor, prereqs))
+            known.add(j)
+    return ZeroPropagationCertificate(ctx, tuple(steps))
+
+
+def reference_chart_column(ctx, i):
+    base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
+    return tuple(base.bump(j) for j in range(ctx.n + 1))
+
+
+def reference_rewrite_chain(ctx, i, m):
+    column = reference_chart_column(ctx, i)
+    P = column[i]
+    steps = []
+    w = None
+    for j in range(ctx.n, -1, -1):
+        if j == i or m[j] == 0:
+            continue
+        count = m[j]
+        if w is None:
+            w = column[j]
+            count -= 1
+        for _ in range(count):
+            w_next = moved(w, i, j)
+            steps.append(Binomial2.canonical((P, w_next), (w, column[j])))
+            w = w_next
+    return RewriteChain(ctx, i, m, tuple(steps))
+
+
+def realizes_row_and_column(ctx, i, b):
+    """Whether the minor has a 2x2 realization on row i and the column of
+    z_{d e_i}, i.e. three of four entries in that row and column."""
+    P = pure_power(ctx.n, ctx.d, i)
+    if P in b.pos:
+        p_pair, o_pair = b.pos, b.neg
+    elif P in b.neg:
+        p_pair, o_pair = b.neg, b.pos
+    else:
+        return False
+    x = p_pair[1] if p_pair[0] == P else p_pair[0]
+    for cj, y in ((o_pair[0], o_pair[1]), (o_pair[1], o_pair[0])):
+        if cj[i] != ctx.d - 1:
+            continue
+        rest = [s for s in range(ctx.n + 1) if s != i and cj[s] > 0]
+        if len(rest) != 1 or cj[rest[0]] != 1:
+            continue
+        j = rest[0]
+        if y[i] >= 1 and x == moved(y, i, j):
+            return True
+    return False
+
+
+def consumable(state, pair):
+    a, b = pair
+    if a == b:
+        return state[a] >= 2
+    return state[a] >= 1 and state[b] >= 1
+
 
 def reference_verify_zero_propagation(ctx, cert):
     if cert.ctx != ctx:
@@ -331,7 +416,8 @@ def reference_verify_zero_propagation(ctx, cert):
             (step.minor.pos, step.minor.neg) if in_pos else (step.minor.neg, step.minor.pos)
         )
         if other_side[0] not in known and other_side[1] not in known:
-            return certs.VerifyResult(False, f"{where}: no factor of {certs._pair_str(other_side)} is known zero")
+            pair = f"{{{other_side[0].coordinate_name()}, {other_side[1].coordinate_name()}}}"
+            return certs.VerifyResult(False, f"{where}: no factor of {pair} is known zero")
         partner = target_side[1] if target_side[0] == t else target_side[0]
         if partner != t and partner not in known:
             return certs.VerifyResult(
@@ -357,7 +443,7 @@ def reference_chain_structure(ctx, chain):
         return certs.VerifyResult(False, "chain chart or target malformed for this context")
     minors = cached_minors(ctx)
     P = pure_power(ctx.n, ctx.d, i)
-    column = chart_column(ctx, i)
+    column = reference_chart_column(ctx, i)
     state = Counter()
     for j in range(ctx.n + 1):
         if m[j]:
@@ -366,13 +452,13 @@ def reference_chain_structure(ctx, chain):
         where = f"step {pos}"
         if minor not in minors:
             return certs.VerifyResult(False, f"{where}: {minor} is not a 2-minor of the matrix")
-        if not certs._realizes_row_and_column(ctx, i, minor):
+        if not realizes_row_and_column(ctx, i, minor):
             return certs.VerifyResult(
                 False, f"{where}: {minor} has no realization on row {i} and the column of {P.coordinate_name()}"
             )
-        if certs._consumable(state, minor.neg):
+        if consumable(state, minor.neg):
             consumed, produced = minor.neg, minor.pos
-        elif certs._consumable(state, minor.pos):
+        elif consumable(state, minor.pos):
             consumed, produced = minor.pos, minor.neg
         else:
             return certs.VerifyResult(False, f"{where}: neither side of {minor} occurs in the running product")
@@ -397,7 +483,7 @@ def reference_chain_identity(ctx, chain, Q):
     i, m = chain.chart, chain.target
     idx = coordinate_index(ctx)
     z = Q.coords
-    column = chart_column(ctx, i)
+    column = reference_chart_column(ctx, i)
     zP = z[idx[column[i]]]
     if not zP:
         return certs.VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
@@ -480,7 +566,6 @@ class TestVerifiersMatchMinorSetReference:
         for chain in cases:
             Q = points[chain.chart]
             assert verify_rewrite_chain(ctx, chain, Q) == reference_verify_rewrite_chain(ctx, chain, Q)
-            assert certs._chain_structure(ctx, chain) == reference_chain_structure(ctx, chain)
 
     @given(st.data())
     def test_chain_identity_matches_field_arithmetic(self, data):
@@ -504,9 +589,9 @@ class TestVerifiersMatchMinorSetReference:
             if any(coords):
                 Q = point(field, coords)
         expected = reference_chain_identity(ctx, chain, Q)
-        assert certs._chain_identity(ctx, chain, *integer_coords(Q)) == expected
+        assert verify_rewrite_chain(ctx, chain, Q) == expected
         assert verify_rewrite_chain(ctx, chain, Q) == reference_verify_rewrite_chain(ctx, chain, Q)
-        if kind == "image" and Q.coords[coordinate_index(ctx)[chart_column(ctx, chain.chart)[chain.chart]]]:
+        if kind == "image" and Q.coords[coordinate_index(ctx)[pure_power(ctx.n, ctx.d, chain.chart)]]:
             assert expected.ok
 
     def test_tampering_is_caught(self):
@@ -522,6 +607,164 @@ class TestVerifiersMatchMinorSetReference:
                 assert not res
                 diagnostics.add(res.diagnostic.split(": ", 1)[1])
         assert any(diag.endswith("is not a 2-minor of the matrix") for diag in diagnostics)
+
+
+def shifted(b, s):
+    """b with e_s added to the first entry of each side: balanced, but with
+    entries of degrees d + 1 and d."""
+    (a, x), (c, e) = b.pos, b.neg
+    return Binomial2((a.bump(s), x), (c.bump(s), e))
+
+
+def widened(b):
+    """b with a zero exponent appended to every entry: n + 2 variables."""
+    (a, x), (c, e) = ((MultiIndex((*v, 0)) for v in pair) for pair in (b.pos, b.neg))
+    return Binomial2((a, x), (c, e))
+
+
+TAMPERINGS = ["genuine", "off-degree", "wrong-length", "reversed-pair", "swapped-sides",
+              "truncated", "foreign-minor", "other-chain-step", "foreign-chain"]
+
+
+class TestIndexCoreMatchesReference:
+    """The index core behind rewrite_chain, verify_rewrite_chain and the
+    zero-propagation pair against the object-based reference paths above."""
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    @pytest.mark.parametrize("d", range(0, 6))
+    def test_generators(self, n, d):
+        ctx = VeroneseContext(n, d)
+        assert zero_propagation_certificate(ctx) == reference_zero_propagation_certificate(ctx)
+        if d >= 1:
+            for i in range(n + 1):
+                for m in ctx.monomials():
+                    assert rewrite_chain(ctx, i, m) == reference_rewrite_chain(ctx, i, m)
+
+    @given(st.data())
+    def test_tampered_chains(self, data):
+        n = data.draw(st.integers(0, 4), label="n")
+        d = data.draw(st.integers(1, 5), label="d")
+        ctx = VeroneseContext(n, d)
+        field = data.draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7), PrimeField(101)]))
+        i = data.draw(st.integers(0, n), label="chart")
+        chain = rewrite_chain(ctx, i, data.draw(st.sampled_from(ctx.monomials()), label="target"))
+        steps = chain.steps
+        kind = data.draw(st.sampled_from(TAMPERINGS), label="kind")
+        # a tampered step replaces step k, or is inserted at k
+        k = data.draw(st.integers(0, len(steps)), label="k")
+        insert = k == len(steps) or data.draw(st.booleans(), label="insert")
+        base = steps[min(k, len(steps) - 1)] if steps else min(
+            cached_minors(VeroneseContext(max(n, 1), max(d, 2))), key=Binomial2.sort_key)
+        if kind == "off-degree":
+            minor = shifted(base, data.draw(st.integers(0, len(base.pos[0]) - 1)))
+        elif kind == "wrong-length":
+            minor = widened(base)
+        elif kind == "reversed-pair":
+            pos, neg = base.pos, base.neg
+            minor = Binomial2(pos[::-1], neg) if pos[0] != pos[1] else Binomial2(pos, neg[::-1])
+        elif kind == "swapped-sides":
+            minor = Binomial2(base.neg, base.pos)
+        elif kind == "foreign-minor":
+            other = VeroneseContext(data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5)))
+            minor = data.draw(st.sampled_from(sorted(cached_minors(other), key=Binomial2.sort_key)))
+        elif kind == "other-chain-step":
+            other = rewrite_chain(ctx, data.draw(st.integers(0, n)), data.draw(st.sampled_from(ctx.monomials())))
+            minor = data.draw(st.sampled_from(other.steps)) if other.steps else base
+        else:
+            minor = None
+        if kind == "truncated":
+            steps = steps[:k]
+        elif minor is not None:
+            steps = steps[:k] + (minor,) + steps[k + (not insert):]
+        owner = VeroneseContext(n + 1, d) if kind == "foreign-chain" else ctx
+        bad = RewriteChain(owner, i, chain.target, steps)
+        Q = image_point_on_chart(Random(data.draw(st.integers(0, 2**16))), field, ctx, i)
+        assert verify_rewrite_chain(ctx, bad, Q) == reference_verify_rewrite_chain(ctx, bad, Q)
+        if kind == "genuine":
+            assert verify_rewrite_chain(ctx, bad, Q).ok
+
+    @pytest.mark.parametrize("n,d", [(0, 2), (1, 3), (2, 2), (2, 3)])
+    def test_quad_test_on_every_quad(self, n, d):
+        # is_minor_quad against the built minor set on every quad of indices,
+        # out-of-range indices included
+        ctx = VeroneseContext(n, d)
+        monos = ctx.monomials()
+        minors = cached_minors(ctx)
+        span = range(-1, len(monos) + 1)
+        inside = range(len(monos))
+        for q in product(span, repeat=4):
+            expected = all(x in inside for x in q) and _as_minor(monos, q) in minors
+            assert is_minor_quad(monos, *q) == expected, q
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 4), (3, 3)])
+    def test_quad_chains_on_ints(self, n, d):
+        # the quads the verify command checks are the steps rewrite_chain
+        # returns, and their structure check fails on any index out of range,
+        # any non-canonical quad and any unbalanced one
+        ctx = VeroneseContext(n, d)
+        monos = ctx.monomials()
+        for i in range(n + 1):
+            col = chart_indices(ctx, i)
+            for k, m in enumerate(monos):
+                quads = certs._chain_quads(ctx, col, i, m)
+                assert [certs._binomial(monos, q) for q in quads] == list(rewrite_chain(ctx, i, m).steps)
+                assert certs._chain_fault(ctx, col, i, k, quads) is None
+                for pos, (a, b, c, e) in enumerate(quads):
+                    for bad in ((a, b, c, len(monos)), (-1, b, c, e), (c, e, a, b), (b, a, c, e)
+                                if a != b else (a, b, e, c), (a, b, c, c if c != e else a)):
+                        if bad == (a, b, c, e):
+                            continue
+                        tampered = quads[:pos] + [bad] + quads[pos + 1:]
+                        fault = certs._chain_fault(ctx, col, i, k, tampered)
+                        assert fault is not None and fault[0] == pos, bad
+
+
+    @pytest.mark.parametrize("n,d,chart,target,steps,diagnostic", [
+        # both sides of the second step occur in the running product: the
+        # negative side is consumed, and the product misses its goal
+        (1, 5, 0, (0, 5), ["z_{5,0} z_{3,2} - z_{4,1}^2"] * 2 + ["z_{5,0} z_{2,3} - z_{4,1} z_{3,2}"],
+         "telescoping ended away from the claimed product"),
+        # a squared side needs its factor twice in the running product
+        (1, 3, 0, (2, 1), ["z_{3,0} z_{1,2} - z_{2,1}^2"],
+         "step 0: neither side of z_{3,0} z_{1,2} - z_{2,1}^2 occurs in the running product"),
+        # chart-column entries, but not z_{2,0,0}: no realization on row 0
+        (2, 2, 0, (2, 0, 0), ["z_{1,1,0} z_{0,0,2} - z_{1,0,1} z_{0,1,1}"],
+         "step 0: z_{1,1,0} z_{0,0,2} - z_{1,0,1} z_{0,1,1} has no realization on row 0 "
+         "and the column of z_{2,0,0}"),
+    ])
+    def test_step_rules(self, n, d, chart, target, steps, diagnostic):
+        ctx = VeroneseContext(n, d)
+        chain = RewriteChain(ctx, chart, MultiIndex(target), tuple(map(parse_binomial, steps)))
+        Q = image_point_on_chart(Random(5), QQ, ctx, chart)
+        assert verify_rewrite_chain(ctx, chain, Q) == reference_verify_rewrite_chain(ctx, chain, Q)
+        assert verify_rewrite_chain(ctx, chain, Q).diagnostic == diagnostic
+
+    @pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (2, 5), (3, 3), (3, 4), (4, 2)])
+    def test_minors_through_the_pure_power_are_realized(self, n, d):
+        # the index core's realization check is membership of z_{d e_i}
+        ctx = VeroneseContext(n, d)
+        for b in cached_minors(ctx):
+            for i in range(n + 1):
+                assert realizes_row_and_column(ctx, i, b) == (pure_power(n, d, i) in b.coordinates()), (i, b)
+
+    def test_partner_neither_target_nor_known(self):
+        # z_{2,1} z_{1,2} = z_{3,0} z_{0,3} = 0 forces z_{2,1} = 0 only if
+        # z_{1,2} is zero already, which it is not at step 0
+        ctx = VeroneseContext(1, 3)
+        cert = zero_propagation_certificate(ctx)
+        step = PropagationStep(cert.steps[0].target, parse_binomial("z_{3,0} z_{0,3} - z_{2,1} z_{1,2}"),
+                               cert.steps[0].prerequisites)
+        tampered = ZeroPropagationCertificate(ctx, (step,) + cert.steps[1:])
+        res = verify_zero_propagation(ctx, tampered)
+        assert res == reference_verify_zero_propagation(ctx, tampered)
+        assert res.diagnostic == "step 0 (target z_{2,1}): partner z_{1,2} is neither the target nor known zero"
+
+
+def _as_minor(monos, q):
+    pos, neg = (monos[q[0]], monos[q[1]]), (monos[q[2]], monos[q[3]])
+    if list(map(add, *pos)) != list(map(add, *neg)):
+        return None
+    return Binomial2(pos, neg)
 
 
 class TestVerifiersBuildNoMinorSet:
@@ -556,9 +799,6 @@ class TestVerifiersBuildNoMinorSet:
     def test_degree_zero_chain_is_an_empty_matrix_error(self):
         ctx = VeroneseContext(2, 0)
         chain = RewriteChain(ctx, 0, MultiIndex((0, 0, 0)), ())
-        with pytest.raises(EmptyMatrixError) as err:
-            certs._chain_structure(ctx, chain)
-        assert str(err.value) == "d = 0: no monomial has any variable as a factor"
         with pytest.raises(EmptyMatrixError, match=r"^d = 0: no monomial has any variable as a factor$"):
             verify_rewrite_chain(ctx, chain, point(QQ, [1]))
 

@@ -3,6 +3,7 @@
 import json
 import re
 import time
+from collections import Counter
 from math import comb
 from random import Random
 
@@ -10,6 +11,8 @@ import pytest
 
 from veronese import (
     QQ,
+    Binomial2,
+    MultiIndex,
     PrimeField,
     ProjectivePoint,
     RewriteChain,
@@ -29,6 +32,13 @@ from veronese.morphism import (
     veronese_eval,
 )
 from veronese.projective import proj_eq, random_point
+
+from test_certificates import (
+    reference_rewrite_chain,
+    reference_verify_rewrite_chain,
+    reference_verify_zero_propagation,
+    reference_zero_propagation_certificate,
+)
 
 
 def run(capsys, *argv):
@@ -165,6 +175,39 @@ class TestVerifyCommand:
         assert code == 0
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("field", ["rational", "fp:101"])
+    def test_chain_phase_builds_no_binomial_or_multiindex(self, capsys, monkeypatch, field):
+        # the rewrite-chain phase follows the zero-propagation check: count
+        # the constructions on either side of it
+        counts = Counter()
+        phase = ["before"]
+        new_index, init_binomial = MultiIndex.__new__, Binomial2.__init__
+        verify_cert = certs.verify_zero_propagation
+
+        def counting_new(cls, exponents):
+            counts[phase[-1], "MultiIndex"] += 1
+            return new_index(cls, exponents)
+
+        def counting_init(self, pos, neg):
+            counts[phase[-1], "Binomial2"] += 1
+            init_binomial(self, pos, neg)
+
+        def then_chains(ctx, cert):
+            res = verify_cert(ctx, cert)
+            phase.append("chains")
+            return res
+
+        monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(Binomial2, "__init__", counting_init)
+        monkeypatch.setattr(certs, "verify_zero_propagation", then_chains)
+        code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field)
+        assert code == 0
+        assert out.endswith("PASS rewrite-chains: 700 chain verifications, 0 failures\nall checks passed\n")
+        assert phase == ["before", "chains"]
+        # the certificate's 31 steps are built before the phase
+        assert counts["before", "Binomial2"] >= 31
+        assert counts["chains", "Binomial2"] == counts["chains", "MultiIndex"] == 0
+
     def test_text_is_deterministic(self, capsys):
         _, first = run(capsys, "verify", "--n", "1", "--d", "2", "--seed", "3")
         _, second = run(capsys, "verify", "--n", "1", "--d", "2", "--seed", "3")
@@ -204,6 +247,41 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL zero-propagation-certificate" in out
 
+    TAMPERED_VERDICTS = {
+        "reversed": "step 0 (target z_{0,1,3}): prerequisite z_{0,2,2} not yet established",
+        "dropped-last": "coverage incomplete: 1 coordinates never zeroed, first z_{0,1,3}",
+        "off-degree-entry": "step 2 (target z_{2,2,0}): z_{4,0,0} z_{0,2,0} - z_{2,1,0}^2 "
+                            "is not a 2-minor of the matrix",
+        "balanced-non-minor": "step 0 (target z_{3,1,0}): z_{4,0,0} z_{0,4,0} - z_{2,2,0}^2 "
+                              "is not a 2-minor of the matrix",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TAMPERED_VERDICTS))
+    def test_tampered_certificate_bytes(self, capsys, tmp_path, kind):
+        cert_file = tmp_path / "cascade.json"
+        run(capsys, "verify", "--n", "2", "--d", "4", "--emit-propagation-cert", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        steps = doc["steps"]
+        if kind == "reversed":
+            steps.reverse()
+        elif kind == "dropped-last":
+            steps.pop()
+        elif kind == "off-degree-entry":
+            steps[2]["minor"] = "z_{4,0,0} z_{0,2,0} - z_{2,1,0}^2"
+        else:
+            steps[0]["minor"] = "z_{4,0,0} z_{0,4,0} - z_{2,2,0}^2"
+        cert_file.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--n", "2", "--d", "4",
+                        "--propagation-cert", str(cert_file))
+        assert code == 1
+        assert out == (
+            "PASS roundtrip-inverse-of-embedding: 48 seeded points, 0 failures\n"
+            "PASS chart-agreement: 32 multi-chart points, 0 disagreements\n"
+            f"FAIL zero-propagation-certificate: {self.TAMPERED_VERDICTS[kind]}\n"
+            "PASS rewrite-chains: 225 chain verifications, 0 failures\n"
+            "verification FAILED\n"
+        )
+
     def test_unreadable_certificate_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -230,9 +308,22 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
 
 
-def per_point_verify_checks(ctx, field, seed: int):
+def reference_chart_point(rng, field, ctx, i):
+    """The chart point of the verify command, built as a normalized image
+    point: random_point with x_i set to one if it is zero."""
+    x = random_point(rng, field, ctx.n, lead_zeros=0)
+    if not x.coords[i]:
+        coords = list(x.coords)
+        coords[i] = field.one
+        x = ProjectivePoint(field, tuple(coords))
+    return veronese_eval(ctx, x)
+
+
+def per_point_verify_checks(ctx, field, seed: int, make_chain=reference_rewrite_chain,
+                            make_point=reference_chart_point):
     """_verify_checks as it was with verify_rewrite_chain run once per
-    (chain, point) pair, kept as its reference."""
+    (chain, point) pair, on the object-based reference generators and
+    verifiers of test_certificates, kept as its reference."""
     checks = []
     rng = Random(seed)
 
@@ -263,32 +354,36 @@ def per_point_verify_checks(ctx, field, seed: int):
     record("chart-agreement", disagreements == 0,
            f"{multi} multi-chart points, {disagreements} disagreements")
 
-    cert = certs.zero_propagation_certificate(ctx)
-    res = certs.verify_zero_propagation(ctx, cert)
+    cert = reference_zero_propagation_certificate(ctx)
+    res = reference_verify_zero_propagation(ctx, cert)
     record("zero-propagation-certificate", res.ok,
            res.diagnostic or f"{len(cert.steps)} steps, full coverage")
 
     chain_failures = 0
     total = 0
     for i in range(ctx.n + 1):
-        points = [
-            cli._chart_point(rng, field, ctx, i) for _ in range(cli.CHAIN_POINTS_PER_CHART)
-        ]
+        points = [make_point(rng, field, ctx, i) for _ in range(cli.CHAIN_POINTS_PER_CHART)]
         for m in ctx.monomials():
-            chain = certs.rewrite_chain(ctx, i, m)
+            chain = make_chain(ctx, i, m)
             for Qx in points:
                 total += 1
-                if not certs.verify_rewrite_chain(ctx, chain, Qx):
+                if not reference_verify_rewrite_chain(ctx, chain, Qx):
                     chain_failures += 1
     record("rewrite-chains", chain_failures == 0,
            f"{total} chain verifications, {chain_failures} failures")
     return checks
 
 
+def corrupted(m) -> bool:
+    """The chains whose last step the corrupted runs drop."""
+    return sum(m) % 3 == m[0] % 3
+
+
 class TestVerifyChecksReference:
     @pytest.mark.parametrize("n,d,field,seed", [
         (1, 1, QQ, 0), (1, 3, PrimeField(2), 4), (2, 3, QQ, 7),
         (2, 4, PrimeField(7), 1), (3, 3, PrimeField(101), 2), (3, 4, QQ, 3),
+        (0, 3, PrimeField(7), 5), (4, 3, QQ, 6),
     ])
     def test_same_checks_as_per_point_loop(self, n, d, field, seed):
         ctx = VeroneseContext(n, d)
@@ -296,27 +391,40 @@ class TestVerifyChecksReference:
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     def test_same_failure_counts_with_corrupted_chains_and_points(self, monkeypatch, field):
+        # the verify command checks index quads at int points; the reference
+        # checks Binomial2 chains at field points.  Both drop the last step of
+        # the same chains and double the same coordinate of each chart point,
+        # which moves the point off the variety without leaving the chart.
         ctx = VeroneseContext(2, 3)
-        make_chain, make_point = certs.rewrite_chain, cli._chart_point
+        make_quads, make_point = certs._chain_quads, cli._chart_point
+
+        def corrupted_quads(ctx, col, i, m):
+            quads = make_quads(ctx, col, i, m)
+            return quads[:-1] if quads and corrupted(m) else quads
+
+        def bent_point(rng, field, ctx, i):
+            z, p = make_point(rng, field, ctx, i)
+            k = rng.randrange(len(z))
+            z[k] = 2 * z[k] % p if p else 2 * z[k]
+            return z, p
 
         def corrupted_chain(ctx, i, m):
-            # drop the last step of every third chain
-            chain = make_chain(ctx, i, m)
-            if chain.steps and sum(m) % 3 == m[0] % 3:
+            chain = reference_rewrite_chain(ctx, i, m)
+            if chain.steps and corrupted(m):
                 return RewriteChain(ctx, i, m, chain.steps[:-1])
             return chain
 
-        def bent_point(rng, field, ctx, i):
-            # move one coordinate off the variety
-            Q = make_point(rng, field, ctx, i)
+        def bent_reference_point(rng, field, ctx, i):
+            Q = reference_chart_point(rng, field, ctx, i)
             coords = list(Q.coords)
-            coords[rng.randrange(len(coords))] += field.one
+            k = rng.randrange(len(coords))
+            coords[k] = coords[k] + coords[k]
             return ProjectivePoint(field, tuple(coords))
 
-        monkeypatch.setattr(certs, "rewrite_chain", corrupted_chain)
+        monkeypatch.setattr(certs, "_chain_quads", corrupted_quads)
         monkeypatch.setattr(cli, "_chart_point", bent_point)
         checks = cli._verify_checks(ctx, field, 5)
-        assert checks == per_point_verify_checks(ctx, field, 5)
+        assert checks == per_point_verify_checks(ctx, field, 5, corrupted_chain, bent_reference_point)
         total, failures = re.fullmatch(
             r"(\d+) chain verifications, (\d+) failures", checks[-1]["detail"]
         ).groups()

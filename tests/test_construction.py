@@ -3,9 +3,9 @@ replaced, and the construction checks that must keep firing.
 
 The reference primitives below are the earlier MultiIndex construction and
 arithmetic, Binomial2 balance check and canonical ordering, and the earlier
-minors2/toric_quadrics.  The certificate generators are unchanged code that
-runs on these primitives, so patching the reference primitives in yields
-the reference certificates and chains.
+minors2/toric_quadrics.  The certificates and chains of the reference come
+from the object-based generators kept in test_certificates, which run on
+these primitives; the package generates them on coordinate indices.
 """
 
 from dataclasses import FrozenInstanceError
@@ -29,6 +29,8 @@ from veronese import (
 )
 from veronese import matrix as matrix_module
 from veronese import morphism
+
+from test_certificates import reference_rewrite_chain, reference_zero_propagation_certificate
 
 CONTEXTS = [(1, 1), (0, 3), (1, 4), (2, 5), (3, 4), (4, 4)]
 
@@ -54,12 +56,6 @@ def ref_plus(self, other):
 
 def ref_bump(self, j):
     return MultiIndex(e + 1 if k == j else e for k, e in enumerate(self))
-
-
-def ref_drop(self, j):
-    if self[j] < 1:
-        raise ContractError(f"cannot divide {self} by variable {j}")
-    return MultiIndex(e - 1 if k == j else e for k, e in enumerate(self))
 
 
 def ref_ordered_pair(a, b):
@@ -114,7 +110,7 @@ def ref_toric_quadrics(ctx):
 
 def clear_caches():
     for cache in (enumerate_monomials, matrix_module.cached_matrix, matrix_module.cached_minors,
-                  morphism.coordinate_index, morphism._minor_table, morphism.chart_column):
+                  morphism.coordinate_index, morphism._minor_table, morphism.chart_indices):
         cache.cache_clear()
 
 
@@ -122,13 +118,17 @@ def plain_binomial(b):
     return (tuple(map(tuple, b.pos)), tuple(map(tuple, b.neg)))
 
 
-def plain_tables(ctx, build_minors, build_quadrics):
+def reference_chains(ctx):
+    return [reference_rewrite_chain(ctx, i, m) for i in range(ctx.n + 1) for m in ctx.monomials()]
+
+
+def plain_tables(ctx, build_minors, build_quadrics, build_cert, build_chains):
     """Every table as plain tuples, built from empty caches."""
     clear_caches()
     minors = build_minors(build_matrix(ctx))
     quadrics = build_quadrics(ctx) if ctx.d >= 1 else frozenset()
-    cert = zero_propagation_certificate(ctx)
-    chains = list(all_rewrite_chains(ctx)) if ctx.d >= 1 else []
+    cert = build_cert(ctx)
+    chains = list(build_chains(ctx)) if ctx.d >= 1 else []
     clear_caches()
     return {
         "minors": sorted(map(plain_binomial, minors)),
@@ -144,7 +144,6 @@ def reference_primitives(monkeypatch):
     monkeypatch.setattr(MultiIndex, "__new__", staticmethod(ref_new))
     monkeypatch.setattr(MultiIndex, "plus", ref_plus)
     monkeypatch.setattr(MultiIndex, "bump", ref_bump)
-    monkeypatch.setattr(MultiIndex, "drop", ref_drop)
     monkeypatch.setattr(Binomial2, "__post_init__", ref_post_init)
     monkeypatch.setattr(Binomial2, "canonical", staticmethod(ref_canonical))
     monkeypatch.setattr(matrix_module, "_ordered_pair", ref_ordered_pair)
@@ -157,9 +156,11 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n,d", CONTEXTS)
     def test_tables_equal(self, n, d, reference_primitives, monkeypatch):
         ctx = VeroneseContext(n, d)
-        reference = plain_tables(ctx, ref_minors2, ref_toric_quadrics)
+        reference = plain_tables(ctx, ref_minors2, ref_toric_quadrics,
+                                 reference_zero_propagation_certificate, reference_chains)
         monkeypatch.undo()
-        fast = plain_tables(ctx, minors2, toric_quadrics)
+        fast = plain_tables(ctx, minors2, toric_quadrics, zero_propagation_certificate,
+                            all_rewrite_chains)
         assert fast == reference
         assert sum(map(len, reference.values())) > 0
 
@@ -183,26 +184,18 @@ class TestArithmetic:
         assert out == ref_plus(MultiIndex(a), MultiIndex(b))
 
     @given(exponents, st.data())
-    def test_bump_and_drop_are_componentwise(self, a, data):
+    def test_bump_is_componentwise(self, a, data):
         j = data.draw(st.integers(0, len(a) - 1))
         m = MultiIndex(a)
         bumped = m.bump(j)
         assert type(bumped) is MultiIndex
         assert bumped == tuple(e + (k == j) for k, e in enumerate(a)) == ref_bump(m, j)
-        assert bumped.drop(j) == m
-        if a[j]:
-            assert m.drop(j) == tuple(e - (k == j) for k, e in enumerate(a)) == ref_drop(m, j)
-        else:
-            with pytest.raises(ContractError, match=r"^cannot divide .* by variable"):
-                m.drop(j)
 
     @pytest.mark.parametrize("j", [-1, 3, 7])
     def test_variable_index_out_of_range_rejected(self, j):
         m = MultiIndex((2, 1, 0))
         with pytest.raises(ContractError, match="out of range"):
             m.bump(j)
-        with pytest.raises(ContractError, match="out of range"):
-            m.drop(j)
 
     def test_plus_length_mismatch_rejected(self):
         with pytest.raises(ContractError, match=r"^length mismatch: \(1,2\) vs \(1\)$"):

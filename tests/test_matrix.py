@@ -13,15 +13,15 @@ from veronese import (
     MultiIndex,
     VeroneseContext,
     binom,
+    SymbolicMatrix,
     build_matrix,
-    build_matrix_by_columns,
     enumerate_monomials,
     minors2,
     parse_binomial,
     sorted_binomials,
     toric_quadrics,
 )
-from veronese.matrix import check_minor_budget
+from veronese.matrix import check_minor_budget, require_matrix
 
 # golden fixture: the 3x6 grid of the degree-3 embedding of the plane
 PLANE_CUBIC_GRID = [
@@ -29,6 +29,17 @@ PLANE_CUBIC_GRID = [
     [(2,1,0),(1,2,0),(1,1,1),(0,3,0),(0,2,1),(0,1,2)],
     [(2,0,1),(1,1,1),(1,0,2),(0,2,1),(0,1,2),(0,0,3)],
 ]
+
+
+def build_matrix_by_columns(ctx: VeroneseContext) -> SymbolicMatrix:
+    """Column-wise construction, the reference for build_matrix: column k
+    is the k-th degree-(d-1) vector bumped by each variable in turn."""
+    require_matrix(ctx)
+    bases = enumerate_monomials(ctx.n, ctx.d - 1)
+    rows = tuple(
+        tuple(base.bump(i) for base in bases) for i in range(ctx.n + 1)
+    )
+    return SymbolicMatrix(ctx, rows)
 
 
 def minors_by_brute_force(n: int, d: int) -> set[frozenset]:

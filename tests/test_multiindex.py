@@ -148,9 +148,6 @@ class TestMultiIndex:
         m = MultiIndex((2, 1, 0))
         assert tuple(m.plus(MultiIndex((0, 1, 2)))) == (2, 2, 2)
         assert tuple(m.bump(2)) == (2, 1, 1)
-        assert tuple(m.drop(0)) == (1, 1, 0)
-        with pytest.raises(ContractError):
-            m.drop(2)
 
     def test_textual_forms(self):
         m = MultiIndex((2, 1, 0))
