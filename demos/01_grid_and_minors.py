@@ -8,6 +8,7 @@ the catalecticant-style matrix the rest of the demos revolve around.
 """
 
 from veronese import (
+    MultiIndex,
     VeroneseContext,
     build_matrix,
     enumerate_monomials,
@@ -33,7 +34,10 @@ print()
 # is the k-th degree-(d-1) monomial times each variable in turn; the two
 # routes must agree cell for cell
 bases = enumerate_monomials(ctx.n, ctx.d - 1)
-by_columns = tuple(tuple(base.bump(i) for base in bases) for i in range(ctx.n + 1))
+by_columns = tuple(
+    tuple(MultiIndex(e + (j == i) for j, e in enumerate(base)) for base in bases)
+    for i in range(ctx.n + 1)
+)
 assert by_columns == grid.entries
 print("column-wise construction agrees cell for cell")
 print()

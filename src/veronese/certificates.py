@@ -26,11 +26,12 @@ entry that is no degree-d coordinate has no quad and is no minor.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import prod
 from operator import getitem
 
 from .errors import ContractError, Frozen
-from .matrix import Binomial2, binomial_quad, is_minor_quad, parse_binomial
+from .matrix import Binomial2, _canonical_quad, _quad_binomials, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
 from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
@@ -100,22 +101,24 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
         return ZeroPropagationCertificate(ctx, ())
     monos, idx = ctx.monomials(), coordinate_index(ctx)
     known = {k for k, m in enumerate(monos) if ctx.d in m}  # the pure powers
-    steps = []
+    targets, quads, prereqs = [], [], []
     for t in range(ctx.n):
         for target, j in enumerate(monos):
             if j[t] < 1 or j[t] == ctx.d or any(j[:t]):
                 continue
             k = max(s for s in range(ctx.n + 1) if j[s] > 0)
             first, other = _moved(idx, j, k, t), _moved(idx, j, t, k)
-            minor = _binomial(monos, _canonical_quad(first, other, target, target))
-            prereqs = (monos[first],) + ((monos[other],) if other in known else ())
-            steps.append(PropagationStep(j, minor, prereqs))
+            targets.append(j)
+            quads.append(_canonical_quad(first, other, target, target))
+            prereqs.append((monos[first],) + ((monos[other],) if other in known else ()))
             known.add(target)
+    steps = map(PropagationStep, targets, _step_binomials(monos, quads), prereqs)
     return ZeroPropagationCertificate(ctx, tuple(steps))
 
 
 def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertificate) -> VerifyResult:
-    """Check the cascade: minors genuine, zero-forcing shape, prerequisites
+    """Check the cascade: minors genuine, zero-forcing shape (the target
+    squared on one side, a known-zero factor on the other), prerequisites
     established before use, and full coordinate coverage."""
     if cert.ctx != ctx:
         return VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
@@ -135,9 +138,12 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
             pair = ", ".join(monos[f].coordinate_name() for f in other_side)
             return VerifyResult(False, f"{where}: no factor of {{{pair}}} is known zero")
         partner = target_side[1] if target_side[0] == t else target_side[0]
-        if partner != t and partner not in known:
+        if partner != t:
+            # z_a z_b - z_t z_x with z_x = 0 vanishes whatever z_t is
             name = monos[partner].coordinate_name()
-            return VerifyResult(False, f"{where}: partner {name} is neither the target nor known zero")
+            why = ("is known zero, so the minor does not force the target" if partner in known
+                   else "is neither the target nor known zero")
+            return VerifyResult(False, f"{where}: partner {name} {why}")
         for p in step.prerequisites:
             if idx.get(p) not in known:
                 return VerifyResult(False, f"{where}: prerequisite {p.coordinate_name()} not yet established")
@@ -157,18 +163,13 @@ def _moved(idx: dict, exps, i: int, j: int) -> int:
     return idx[tuple(w)]
 
 
-def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int]:
-    """Canonical quad of +-(z_a z_b - z_c z_e), for distinct balanced pairs."""
-    if a > b:
-        a, b = b, a
-    if c > e:
-        c, e = e, c
-    return (a, b, c, e) if a < c else (c, e, a, b)
-
-
-def _binomial(monos, q) -> Binomial2:
-    """The Binomial2 of a quad, from table entries."""
-    return Binomial2((monos[q[0]], monos[q[1]]), (monos[q[2]], monos[q[3]]))
+def _step_binomials(monos, quads):
+    """The Binomial2 of each canonical step quad, by matrix._quad_binomials
+    on a table of just the coordinates the steps use, so that a chain of a
+    few steps does not pay for a pair table of every coordinate."""
+    used = list(set(chain.from_iterable(quads)))
+    at = {k: s for s, k in enumerate(used)}
+    return _quad_binomials([monos[k] for k in used], [tuple(map(at.__getitem__, q)) for q in quads])
 
 
 def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
@@ -191,7 +192,7 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
     if len(m) != ctx.n + 1 or m.degree != ctx.d:
         raise ContractError(f"{m} is not a degree-{ctx.d} multi-index in {ctx.n + 1} variables")
     quads = _chain_quads(ctx, chart_indices(ctx, i), i, m)
-    return RewriteChain(ctx, i, m, tuple(_binomial(ctx.monomials(), q) for q in quads))
+    return RewriteChain(ctx, i, m, tuple(_step_binomials(ctx.monomials(), quads)))
 
 
 def _chain_quads(ctx: VeroneseContext, col: tuple[int, ...], i: int, m) -> list[tuple[int, int, int, int]]:

@@ -9,14 +9,21 @@ Every 2x2 subdeterminant of M is the balanced binomial quadric
 z_a z_b - z_c z_e with a + b = c + e; these generate the ideal whose
 vanishing locus the rest of the package studies.  Binomials are kept in a
 canonical form so that generator sets deduplicate by plain equality.
+
+The tables are built on coordinate indices (ranks): a quadric is the quad
+(a, b, c, e) of z_a z_b - z_c z_e, and _quad_binomials, the one path from
+quads to Binomial2 values, checks balance on packed exponent codes,
+code(m) = sum_j m_j (2d+1)^j.  A digit of a pair sum is at most 2d < 2d+1,
+so adding codes never carries and code(A) + code(B) is the code of A + B:
+code(A) + code(B) == code(C) + code(E) iff A + B == C + E.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations
-from operator import add, sub
+from itertools import chain, combinations, starmap
+from operator import add, mul, sub
 
 from .errors import BudgetError, ContractError, EmptyMatrixError, Frozen
 from .multiindex import (
@@ -86,9 +93,9 @@ class Binomial2(Frozen):
     lex-larger leading vector, so a binomial and its negation share one
     representation.  Balanced distinct pairs never share a leading vector
     (equal leaders force equal partners), making the choice well defined.
-    A table build makes tens of thousands of binomials, so construction,
-    equality and hashing are specialized; __init__ runs the balance check
-    __post_init__ on every one.
+    A table build makes tens of thousands of binomials, so equality and
+    hashing are specialized, and the tables come from _quad_binomials,
+    which checks balance on packed codes; __init__ runs __post_init__.
     """
 
     __slots__ = ("pos", "neg")
@@ -165,20 +172,63 @@ def parse_binomial(text: str) -> Binomial2:
 
 
 def minors2(matrix: SymbolicMatrix) -> frozenset[Binomial2]:
-    """All distinct canonical 2-minors of the grid.
+    """All distinct canonical 2-minors of the grid, canonicalized on the
+    coordinate indices of matrix.ctx (ContractError for an entry that is no
+    degree-d coordinate); identically-zero minors are dropped."""
+    ctx = matrix.ctx
+    idx = coordinate_index(ctx)
+    try:
+        grid = [[idx[m] for m in row] for row in matrix.entries]
+    except KeyError as exc:
+        raise ContractError(f"grid entry {exc.args[0]} is not a degree-{ctx.d} coordinate of {ctx}") from None
+    cols = range(matrix.shape[1])
+    quads = (_canonical_quad(ri[k], rj[l], ri[l], rj[k])
+             for ri, rj in combinations(grid, 2) for k, l in combinations(cols, 2))
+    return frozenset(_quad_binomials(ctx.monomials(), filter(None, quads)))
 
-    Identically-zero minors (symmetric 2x2 submatrices with equal cross
-    terms) are dropped; repeats collapse through canonicalization.
-    """
-    nrows, ncols = matrix.shape
-    out = set()
-    for i, j in combinations(range(nrows), 2):
-        ri, rj = matrix.entries[i], matrix.entries[j]
-        for k, l in combinations(range(ncols), 2):
-            b = Binomial2.canonical((ri[k], rj[l]), (ri[l], rj[k]))
-            if b is not None:
-                out.add(b)
-    return frozenset(out)
+
+def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int] | None:
+    """Canonical quad of +-(z_a z_b - z_c z_e) on coordinate indices:
+    a <= b, c <= e and a < c.  Ranks reverse lex order, so this is
+    Binomial2.canonical; None when the pairs are equal (identically zero)."""
+    if a > b:
+        a, b = b, a
+    if c > e:
+        c, e = e, c
+    if a < c:
+        return a, b, c, e
+    return None if a == c and b == e else (c, e, a, b)
+
+
+def _packed_codes(monos) -> list[int]:
+    """code(m) = sum_j m_j (2d+1)^j of each degree-d vector in monos."""
+    base = 2 * sum(monos[0]) + 1
+    weights = [base ** j for j in range(len(monos[0]))]
+    return [sum(map(mul, m, weights)) for m in monos]
+
+
+def _quad_binomials(monos, quads):
+    """Yield the Binomial2 of each canonical quad of indices into monos, a
+    table of same-degree vectors, checking balance on packed codes.  Each
+    index pair gets one (monos[a], monos[b]) tuple, shared through a flat
+    S x S list, and the slots are filled without __init__."""
+    S = len(monos)
+    codes = _packed_codes(monos) if S else []
+    pairs = [None] * (S * S)
+    new, set_pos, set_neg = object.__new__, Binomial2.pos.__set__, Binomial2.neg.__set__
+    for a, b, c, e in quads:
+        if codes[a] + codes[b] != codes[c] + codes[e]:
+            raise ContractError(f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}")
+        pos = pairs[a * S + b]
+        if pos is None:
+            pos = pairs[a * S + b] = (monos[a], monos[b])
+        neg = pairs[c * S + e]
+        if neg is None:
+            neg = pairs[c * S + e] = (monos[c], monos[e])
+        binomial = new(Binomial2)
+        set_pos(binomial, pos)
+        set_neg(binomial, neg)
+        yield binomial
 
 
 def minor_candidates(ctx: VeroneseContext) -> int:
@@ -254,27 +304,21 @@ def is_minor_quad(monos: tuple[MultiIndex, ...], a: int, b: int, c: int, e: int)
 def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     """Every canonical balanced quadric z_a z_b - z_c z_e on the degree-d
     coordinates: the full catalecticant-style generating set the minors are
-    compared against.  Pairs with equal componentwise sums are matched up.
-
-    Each (p1, p2) from combinations is already a distinct canonical
-    binomial, so Binomial2(p1, p2) is built directly.  The monomials come
-    strictly lex-decreasing, so every pair (a, b) has a >= b, and a sum
-    group receives its pairs in falling order of a.  Distinct pairs with
-    one sum never share a leader (b = s - a), so within a group the leaders
-    fall strictly: p1[0] > p2[0], and p1 != p2.  Distinct combinations give
-    distinct (pos, neg), and groups differ in their sum, so no binomial
-    repeats.
+    compared against.  Index pairs a <= b are grouped by the sum of their
+    packed codes.  A group receives its pairs in rising order of a, and no
+    two pairs with one sum share a leader, so each (p1, p2) of combinations
+    is a canonical quad (p1[0] < p2[0]), and none repeats.
     """
     if ctx.d < 1:
         raise EmptyMatrixError("d = 0: a single coordinate admits no quadric")
     monos = enumerate_monomials(ctx.n, ctx.d)
-    by_sum: dict[tuple[int, ...], list[Pair]] = {}
-    for idx, a in enumerate(monos):
-        for b in monos[idx:]:
-            by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
-    return frozenset(
-        Binomial2(p1, p2) for pairs in by_sum.values() for p1, p2 in combinations(pairs, 2)
-    )
+    codes = _packed_codes(monos)
+    by_sum: dict[int, list[tuple[int, int]]] = {}
+    for a, ca in enumerate(codes):
+        for b, cb in enumerate(codes[a:], a):
+            by_sum.setdefault(ca + cb, []).append((a, b))
+    quads = chain.from_iterable(starmap(add, combinations(pairs, 2)) for pairs in by_sum.values())
+    return frozenset(_quad_binomials(monos, quads))
 
 
 def sorted_binomials(binomials: frozenset[Binomial2]) -> list[Binomial2]:

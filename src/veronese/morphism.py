@@ -37,9 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, build_matrix, cached_minors, require_matrix, sorted_binomials
+from .matrix import Binomial2, build_matrix, cached_minors, require_matrix
 from .multiindex import MultiIndex, VeroneseContext, coordinate_index, pure_power
 from .projective import Fp, ProjectivePoint, Scalar, integer_coords, normalize
 
@@ -53,12 +54,12 @@ def indexed_binomials(
     ctx: VeroneseContext, binomials: frozenset[Binomial2]
 ) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
     """Binomials paired with the flat indices of their four coordinates, in
-    the deterministic listing order."""
+    the deterministic listing order: ascending quads, since ranks reverse
+    the lex order that sorted_binomials lists descending."""
     idx = coordinate_index(ctx)
-    return tuple(
-        (b, (idx[b.pos[0]], idx[b.pos[1]], idx[b.neg[0]], idx[b.neg[1]]))
-        for b in sorted_binomials(binomials)
-    )
+    rows = sorted((((idx[b.pos[0]], idx[b.pos[1]], idx[b.neg[0]], idx[b.neg[1]]), b) for b in binomials),
+                  key=itemgetter(0))
+    return tuple((b, q) for q, b in rows)
 
 
 @lru_cache(maxsize=None)

@@ -40,8 +40,8 @@ class MultiIndex(tuple):
     Component j is the power of x_j.  Comparison operators implement the
     lexicographic monomial order induced by x_0 > x_1 > ... > x_n (larger
     tuple = lex-larger monomial).  Note that tuple concatenation semantics
-    of ``+`` are intentionally not overridden; use :meth:`plus` and
-    :meth:`bump` for componentwise arithmetic.
+    of ``+`` are intentionally not overridden; use :meth:`plus` for the
+    componentwise sum.
     """
 
     __slots__ = ()
@@ -63,14 +63,6 @@ class MultiIndex(tuple):
         if len(self) != len(other):
             raise ContractError(f"length mismatch: {self} vs {other}")
         return MultiIndex(map(add, self, other))
-
-    def bump(self, j: int) -> "MultiIndex":
-        """Copy with exponent j raised by one (multiplication by x_j)."""
-        if not 0 <= j < len(self):
-            raise ContractError(f"variable index {j} out of range for {self}")
-        exps = list(self)
-        exps[j] += 1
-        return MultiIndex(exps)
 
     def coordinate_name(self) -> str:
         """Name of the coordinate this vector indexes, e.g. "z_{2,1,0}"."""

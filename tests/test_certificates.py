@@ -45,6 +45,8 @@ from veronese.matrix import cached_minors
 from veronese.matrix import is_minor_quad
 from veronese.morphism import _minor_table, chart_indices, coordinate_index
 
+from test_matrix import bump
+
 
 def image_point_on_chart(rng, field, ctx, i):
     x = random_point(rng, field, ctx.n)
@@ -347,7 +349,7 @@ def reference_zero_propagation_certificate(ctx):
 
 def reference_chart_column(ctx, i):
     base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
-    return tuple(base.bump(j) for j in range(ctx.n + 1))
+    return tuple(bump(base, j) for j in range(ctx.n + 1))
 
 
 def reference_rewrite_chain(ctx, i, m):
@@ -419,7 +421,12 @@ def reference_verify_zero_propagation(ctx, cert):
             pair = f"{{{other_side[0].coordinate_name()}, {other_side[1].coordinate_name()}}}"
             return certs.VerifyResult(False, f"{where}: no factor of {pair} is known zero")
         partner = target_side[1] if target_side[0] == t else target_side[0]
-        if partner != t and partner not in known:
+        if partner != t and partner in known:
+            return certs.VerifyResult(
+                False, f"{where}: partner {partner.coordinate_name()} is known zero, so the minor does not force "
+                       "the target"
+            )
+        if partner != t:
             return certs.VerifyResult(
                 False, f"{where}: partner {partner.coordinate_name()} is neither the target nor known zero"
             )
@@ -613,7 +620,7 @@ def shifted(b, s):
     """b with e_s added to the first entry of each side: balanced, but with
     entries of degrees d + 1 and d."""
     (a, x), (c, e) = b.pos, b.neg
-    return Binomial2((a.bump(s), x), (c.bump(s), e))
+    return Binomial2((bump(a, s), x), (bump(c, s), e))
 
 
 def widened(b):
@@ -707,7 +714,7 @@ class TestIndexCoreMatchesReference:
             col = chart_indices(ctx, i)
             for k, m in enumerate(monos):
                 quads = certs._chain_quads(ctx, col, i, m)
-                assert [certs._binomial(monos, q) for q in quads] == list(rewrite_chain(ctx, i, m).steps)
+                assert [_as_minor(monos, q) for q in quads] == list(rewrite_chain(ctx, i, m).steps)
                 assert certs._chain_fault(ctx, col, i, k, quads) is None
                 for pos, (a, b, c, e) in enumerate(quads):
                     for bad in ((a, b, c, len(monos)), (-1, b, c, e), (c, e, a, b), (b, a, c, e)
@@ -758,6 +765,20 @@ class TestIndexCoreMatchesReference:
         res = verify_zero_propagation(ctx, tampered)
         assert res == reference_verify_zero_propagation(ctx, tampered)
         assert res.diagnostic == "step 0 (target z_{2,1}): partner z_{1,2} is neither the target nor known zero"
+
+    def test_partner_known_zero_forces_nothing(self):
+        # after step 0 zeroes z_{2,1}, the minor z_{3,0} z_{0,3} - z_{2,1} z_{1,2}
+        # vanishes whatever z_{1,2} is: it cannot be the step for target z_{1,2}
+        ctx = VeroneseContext(1, 3)
+        cert = zero_propagation_certificate(ctx)
+        assert [s.target for s in cert.steps] == [MultiIndex((2, 1)), MultiIndex((1, 2))]
+        forged = ZeroPropagationCertificate(ctx, cert.steps[:1] + (
+            PropagationStep(MultiIndex((1, 2)), parse_binomial("z_{3,0} z_{0,3} - z_{2,1} z_{1,2}"),
+                            (MultiIndex((2, 1)),)),))
+        res = verify_zero_propagation(ctx, forged)
+        assert res == reference_verify_zero_propagation(ctx, forged)
+        assert res.diagnostic == ("step 1 (target z_{1,2}): partner z_{2,1} is known zero, "
+                                  "so the minor does not force the target")
 
 
 def _as_minor(monos, q):

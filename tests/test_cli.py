@@ -182,6 +182,7 @@ class TestVerifyCommand:
         counts = Counter()
         phase = ["before"]
         new_index, init_binomial = MultiIndex.__new__, Binomial2.__init__
+        table_binomials = certs._quad_binomials
         verify_cert = certs.verify_zero_propagation
 
         def counting_new(cls, exponents):
@@ -192,6 +193,12 @@ class TestVerifyCommand:
             counts[phase[-1], "Binomial2"] += 1
             init_binomial(self, pos, neg)
 
+        def counting_table(monos, quads):
+            # the table constructor fills the slots without __init__
+            for binomial in table_binomials(monos, quads):
+                counts[phase[-1], "Binomial2"] += 1
+                yield binomial
+
         def then_chains(ctx, cert):
             res = verify_cert(ctx, cert)
             phase.append("chains")
@@ -199,6 +206,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counting_new))
         monkeypatch.setattr(Binomial2, "__init__", counting_init)
+        monkeypatch.setattr(certs, "_quad_binomials", counting_table)
         monkeypatch.setattr(certs, "verify_zero_propagation", then_chains)
         code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field)
         assert code == 0
@@ -279,6 +287,26 @@ class TestVerifyCommand:
             "PASS chart-agreement: 32 multi-chart points, 0 disagreements\n"
             f"FAIL zero-propagation-certificate: {self.TAMPERED_VERDICTS[kind]}\n"
             "PASS rewrite-chains: 225 chain verifications, 0 failures\n"
+            "verification FAILED\n"
+        )
+
+    def test_forged_partner_certificate_fails(self, capsys, tmp_path):
+        # step 1 swaps in a minor whose partner of the target is already
+        # known zero, so the minor forces nothing on the target
+        cert_file = tmp_path / "cascade.json"
+        run(capsys, "verify", "--n", "1", "--d", "3", "--emit-propagation-cert", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        doc["steps"][1] = {"target": "z_{1,2}", "minor": "z_{3,0} z_{0,3} - z_{2,1} z_{1,2}",
+                           "prerequisites": ["z_{2,1}"]}
+        cert_file.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--n", "1", "--d", "3", "--propagation-cert", str(cert_file))
+        assert code == 1
+        assert out == (
+            "PASS roundtrip-inverse-of-embedding: 48 seeded points, 0 failures\n"
+            "PASS chart-agreement: 24 multi-chart points, 0 disagreements\n"
+            "FAIL zero-propagation-certificate: step 1 (target z_{1,2}): partner z_{2,1} is known zero, "
+            "so the minor does not force the target\n"
+            "PASS rewrite-chains: 40 chain verifications, 0 failures\n"
             "verification FAILED\n"
         )
 

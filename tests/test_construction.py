@@ -8,6 +8,7 @@ from the object-based generators kept in test_certificates, which run on
 these primitives; the package generates them on coordinate indices.
 """
 
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import combinations
 
@@ -23,7 +24,9 @@ from veronese import (
     build_matrix,
     enumerate_monomials,
     minors2,
+    SymbolicMatrix,
     parse_binomial,
+    sorted_binomials,
     toric_quadrics,
     zero_propagation_certificate,
 )
@@ -52,10 +55,6 @@ def ref_plus(self, other):
     if len(self) != len(other):
         raise ContractError(f"length mismatch: {self} vs {other}")
     return MultiIndex(a + b for a, b in zip(self, other))
-
-
-def ref_bump(self, j):
-    return MultiIndex(e + 1 if k == j else e for k, e in enumerate(self))
 
 
 def ref_ordered_pair(a, b):
@@ -143,7 +142,6 @@ def plain_tables(ctx, build_minors, build_quadrics, build_cert, build_chains):
 def reference_primitives(monkeypatch):
     monkeypatch.setattr(MultiIndex, "__new__", staticmethod(ref_new))
     monkeypatch.setattr(MultiIndex, "plus", ref_plus)
-    monkeypatch.setattr(MultiIndex, "bump", ref_bump)
     monkeypatch.setattr(Binomial2, "__post_init__", ref_post_init)
     monkeypatch.setattr(Binomial2, "canonical", staticmethod(ref_canonical))
     monkeypatch.setattr(matrix_module, "_ordered_pair", ref_ordered_pair)
@@ -171,6 +169,133 @@ class TestAgainstReference:
             assert all(type(m) is MultiIndex for m in b.coordinates())
 
 
+TABLE_CONTEXTS = [(n, d) for n in range(5) for d in range(1, 6)] + [(5, 3), (6, 2)]
+
+
+def listing(binomials):
+    return [str(b) for b in sorted_binomials(binomials)]
+
+
+class TestTablesOnTheIndexGrid:
+    """minors2 and toric_quadrics build on coordinate-index quads through
+    matrix._quad_binomials, which checks balance on packed exponent codes."""
+
+    @pytest.mark.parametrize("n,d", TABLE_CONTEXTS)
+    def test_tables_equal_reference(self, n, d, reference_primitives, monkeypatch):
+        ctx = VeroneseContext(n, d)
+        clear_caches()
+        reference = ref_minors2(build_matrix(ctx)), ref_toric_quadrics(ctx)
+        expected = [listing(table) for table in reference]
+        monkeypatch.undo()
+        clear_caches()
+        fast = minors2(build_matrix(ctx)), toric_quadrics(ctx)
+        assert fast == reference
+        assert [listing(table) for table in fast] == expected
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)])
+    def test_balance_on_codes_is_exact(self, n, d):
+        # every quad a <= b, c <= e, a < c: the constructor accepts exactly
+        # the balanced ones, including the pure-power squares whose pair sum
+        # 2d e_j has the digit 2d, the largest a pair sum can hold
+        monos = VeroneseContext(n, d).monomials()
+        pairs = [(a, b) for a in range(len(monos)) for b in range(a, len(monos))]
+        digits = Counter()
+        for (a, b), (c, e) in combinations(pairs, 2):
+            balanced = monos[a].plus(monos[b]) == monos[c].plus(monos[e])
+            try:
+                (out,) = matrix_module._quad_binomials(monos, [(a, b, c, e)])
+            except ContractError as exc:
+                assert not balanced
+                assert str(exc) == f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}"
+            else:
+                assert balanced
+                assert out == Binomial2((monos[a], monos[b]), (monos[c], monos[e]))
+            digits[max(monos[a].plus(monos[b]))] += 1
+        assert digits[2 * d] > 0
+
+    def test_unbalanced_quad_rejected(self):
+        monos = VeroneseContext(2, 2).monomials()
+        with pytest.raises(ContractError, match=r"^unbalanced binomial: \(2,0,0\)\*\(2,0,0\) vs "):
+            list(matrix_module._quad_binomials(monos, [(0, 0, 1, 2)]))
+
+    def test_pairs_are_shared(self):
+        ctx = VeroneseContext(3, 3)
+        by_pair = {}
+        for b in toric_quadrics(ctx):
+            for pair in (b.pos, b.neg):
+                assert by_pair.setdefault(pair, pair) is pair
+
+    @pytest.mark.parametrize("entry", [(4, 0, 0), (1, 1, 0, 1), (0, 2, 0)])
+    def test_foreign_grid_entry_rejected(self, entry):
+        ctx = VeroneseContext(2, 3)
+        rows = [list(row) for row in build_matrix(ctx).entries]
+        rows[1][2] = MultiIndex(entry)
+        foreign = SymbolicMatrix(ctx, tuple(map(tuple, rows)))
+        with pytest.raises(ContractError, match=r"^grid entry .* is not a degree-3 coordinate of "
+                                                r"VeroneseContext\(n=2, d=3\)$"):
+            minors2(foreign)
+
+    def test_identically_zero_candidates_dropped(self):
+        # two equal rows: every candidate z_x z_y - z_y z_x is identically zero
+        ctx = VeroneseContext(2, 3)
+        row = build_matrix(ctx).entries[0]
+        twin_rows = SymbolicMatrix(ctx, (row, row))
+        assert minors2(twin_rows) == frozenset() == ref_minors2(twin_rows)
+        assert matrix_module._canonical_quad(4, 2, 2, 4) is None
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_indexed_binomials_follow_the_listing_order(self, n):
+        # ascending canonical quads are the lex-descending listing order
+        for d in range(1, 6):
+            ctx = VeroneseContext(n, d)
+            for table in (minors2(build_matrix(ctx)), toric_quadrics(ctx)):
+                indexed = morphism.indexed_binomials(ctx, table)
+                assert [b for b, _ in indexed] == sorted_binomials(table)
+                assert all(q == matrix_module.binomial_quad(ctx, b) for b, q in indexed)
+
+    def test_misplaced_grid_entry_is_unbalanced(self):
+        # a degree-d coordinate in the wrong cell makes some candidate unbalanced
+        ctx = VeroneseContext(2, 3)
+        rows = [list(row) for row in build_matrix(ctx).entries]
+        rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+        with pytest.raises(ContractError, match="^unbalanced binomial"):
+            minors2(SymbolicMatrix(ctx, tuple(map(tuple, rows))))
+
+    def test_builds_make_no_multiindex_once_monomials_are_cached(self, monkeypatch):
+        ctx = VeroneseContext(3, 4)
+        clear_caches()
+        ctx.monomials()
+        counts = Counter()
+        new_index, init_binomial = MultiIndex.__new__, Binomial2.__init__
+        table_binomials = matrix_module._quad_binomials
+
+        def counting_index(cls, exponents):
+            counts["MultiIndex"] += 1
+            return new_index(cls, exponents)
+
+        def counting_init(self, pos, neg):
+            counts["Binomial2.__init__"] += 1
+            init_binomial(self, pos, neg)
+
+        def counting_table(monos, quads):
+            for binomial in table_binomials(monos, quads):
+                counts["Binomial2"] += 1
+                yield binomial
+
+        monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counting_index))
+        monkeypatch.setattr(Binomial2, "__init__", counting_init)
+        monkeypatch.setattr(matrix_module, "_quad_binomials", counting_table)
+        quadrics = toric_quadrics(ctx)
+        assert counts == Counter(Binomial2=len(quadrics))
+        minors = minors2(build_matrix(ctx))
+        # one binomial per candidate (none is identically zero on the
+        # grid); repeats collapse in the set
+        assert len(minors) == 990
+        assert counts == Counter(Binomial2=len(quadrics) + matrix_module.minor_candidates(ctx))
+        monkeypatch.undo()
+        clear_caches()
+
+
 exponents = st.lists(st.integers(0, 30), min_size=1, max_size=7)
 
 
@@ -182,20 +307,6 @@ class TestArithmetic:
         assert type(out) is MultiIndex
         assert out == tuple(x + y for x, y in zip(a, b))
         assert out == ref_plus(MultiIndex(a), MultiIndex(b))
-
-    @given(exponents, st.data())
-    def test_bump_is_componentwise(self, a, data):
-        j = data.draw(st.integers(0, len(a) - 1))
-        m = MultiIndex(a)
-        bumped = m.bump(j)
-        assert type(bumped) is MultiIndex
-        assert bumped == tuple(e + (k == j) for k, e in enumerate(a)) == ref_bump(m, j)
-
-    @pytest.mark.parametrize("j", [-1, 3, 7])
-    def test_variable_index_out_of_range_rejected(self, j):
-        m = MultiIndex((2, 1, 0))
-        with pytest.raises(ContractError, match="out of range"):
-            m.bump(j)
 
     def test_plus_length_mismatch_rejected(self):
         with pytest.raises(ContractError, match=r"^length mismatch: \(1,2\) vs \(1\)$"):

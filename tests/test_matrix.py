@@ -31,13 +31,18 @@ PLANE_CUBIC_GRID = [
 ]
 
 
+def bump(m, j: int) -> MultiIndex:
+    """m + e_j: the exponent vector of x^m * x_j."""
+    return MultiIndex(e + (k == j) for k, e in enumerate(m))
+
+
 def build_matrix_by_columns(ctx: VeroneseContext) -> SymbolicMatrix:
     """Column-wise construction, the reference for build_matrix: column k
     is the k-th degree-(d-1) vector bumped by each variable in turn."""
     require_matrix(ctx)
     bases = enumerate_monomials(ctx.n, ctx.d - 1)
     rows = tuple(
-        tuple(base.bump(i) for base in bases) for i in range(ctx.n + 1)
+        tuple(bump(base, i) for base in bases) for i in range(ctx.n + 1)
     )
     return SymbolicMatrix(ctx, rows)
 
@@ -102,7 +107,7 @@ class TestBuildMatrix:
         for i, row in enumerate(m.entries):
             assert all(e[i] >= 1 for e in row)
             assert list(row) == sorted(row, reverse=True)
-            assert sorted(row) == sorted(b.bump(i) for b in bases)
+            assert sorted(row) == sorted(bump(b, i) for b in bases)
 
     def test_serialization_document(self):
         doc = build_matrix(VeroneseContext(1, 2)).to_doc()

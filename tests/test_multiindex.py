@@ -147,7 +147,6 @@ class TestMultiIndex:
     def test_arithmetic_helpers(self):
         m = MultiIndex((2, 1, 0))
         assert tuple(m.plus(MultiIndex((0, 1, 2)))) == (2, 2, 2)
-        assert tuple(m.bump(2)) == (2, 1, 1)
 
     def test_textual_forms(self):
         m = MultiIndex((2, 1, 0))

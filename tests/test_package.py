@@ -163,3 +163,47 @@ class TestPublicNames:
         assert veronese.DEFAULT_BUDGET == 5_000_000
         assert veronese.DEFAULT_BUDGET is matrix.DEFAULT_BUDGET is oracle.DEFAULT_BUDGET
         assert cli.build_parser().parse_args(["matrix", "--n", "1", "--d", "1"]).budget == 5_000_000
+
+
+# every functools cache in the package, by home module and name.  The
+# tables-cold benchmark clears the caches it knows by name before each
+# build; a new per-context cache on the table path would make later builds
+# warm, and the benchmark would read that as a speed-up.
+PINNED_CACHES = {
+    "multiindex.enumerate_monomials", "multiindex.coordinate_index",
+    "matrix.cached_matrix", "matrix.cached_minors",
+    "morphism._minor_table", "morphism._index_grid", "morphism.chart_indices",
+}
+
+# the names bench/workloads.py clears, as attribute paths from the package
+BENCH_CLEARED = ("enumerate_monomials", "matrix.cached_matrix", "matrix.cached_minors",
+                 "morphism.coordinate_index", "morphism._minor_table")
+
+
+class TestCaches:
+    def test_module_level_caches_are_pinned(self):
+        from functools import _lru_cache_wrapper
+
+        found = set()
+        for name in SUBMODULES:
+            module = import_module(f"veronese.{name}")
+            found |= {f"{name}.{attr}" for attr, value in vars(module).items()
+                      if isinstance(value, _lru_cache_wrapper) and value.__module__ == module.__name__}
+        assert found == PINNED_CACHES
+
+    def test_no_cache_outside_module_level(self):
+        # a decorator on a method or nested function escapes the scan above
+        import re
+
+        pattern = re.compile(r"^\s*@(?:functools\.)?(?:lru_cache|cache)\b", re.M)
+        package = Path(veronese.__file__).resolve().parent
+        uses = sum(len(pattern.findall(f.read_text(encoding="utf-8"))) for f in package.glob("*.py"))
+        assert uses == len(PINNED_CACHES)
+
+    @pytest.mark.parametrize("path", BENCH_CLEARED)
+    def test_benchmark_cache_names_resolve(self, path):
+        target = veronese
+        for attr in path.split("."):
+            target = getattr(target, attr)
+        target.cache_clear()
+        assert target.cache_info().currsize == 0
