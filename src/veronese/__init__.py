@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "multiindex": (
         "MultiIndex", "VeroneseContext", "binom", "enumerate_monomials",
-        "lex_compare", "parse_coordinate_name", "pure_power", "rank", "unit", "unrank",
+        "parse_coordinate_name", "pure_power", "rank",
     ),
     "matrix": (
         "Binomial2", "DEFAULT_BUDGET", "SymbolicMatrix", "build_matrix",

@@ -19,19 +19,19 @@ any point, on coordinate indices: a step is the quad (a, b, c, e) of
 z_a z_b - z_c z_e, canonical when a <= b, c <= e and a < c (the index is
 the rank, which reverses lex order).  Verification is structural, with
 the unit-move test matrix.is_minor_quad in place of minors2, plus, for
-chains, an exact numeric check at a variety point.  The public functions
-translate Binomial2 and MultiIndex values at the boundary; a step with an
-entry that is no degree-d coordinate has no quad and is no minor.
+chains, an exact numeric check at a variety point.  At the boundary the
+generators build each step with Binomial2(pos, neg) and the verifiers
+read steps back with matrix.binomial_quad; a step with an entry that is
+no degree-d coordinate has no quad and is no minor.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import prod
 from operator import getitem
 
 from .errors import ContractError, Frozen
-from .matrix import Binomial2, _canonical_quad, _quad_binomials, binomial_quad, is_minor_quad, parse_binomial
+from .matrix import Binomial2, _canonical_quad, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
 from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
@@ -63,9 +63,6 @@ class ZeroPropagationCertificate(Frozen):
 
     def __init__(self, ctx: VeroneseContext, steps: tuple[PropagationStep, ...]):
         self._assign(ctx, steps)
-
-    def targets(self) -> tuple[MultiIndex, ...]:
-        return tuple(s.target for s in self.steps)
 
 
 class RewriteChain(Frozen):
@@ -101,18 +98,17 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
         return ZeroPropagationCertificate(ctx, ())
     monos, idx = ctx.monomials(), coordinate_index(ctx)
     known = {k for k, m in enumerate(monos) if ctx.d in m}  # the pure powers
-    targets, quads, prereqs = [], [], []
+    steps = []
     for t in range(ctx.n):
         for target, j in enumerate(monos):
             if j[t] < 1 or j[t] == ctx.d or any(j[:t]):
                 continue
             k = max(s for s in range(ctx.n + 1) if j[s] > 0)
             first, other = _moved(idx, j, k, t), _moved(idx, j, t, k)
-            targets.append(j)
-            quads.append(_canonical_quad(first, other, target, target))
-            prereqs.append((monos[first],) + ((monos[other],) if other in known else ()))
+            a, b, c, e = _canonical_quad(first, other, target, target)
+            prereqs = (monos[first],) + ((monos[other],) if other in known else ())
+            steps.append(PropagationStep(j, Binomial2((monos[a], monos[b]), (monos[c], monos[e])), prereqs))
             known.add(target)
-    steps = map(PropagationStep, targets, _step_binomials(monos, quads), prereqs)
     return ZeroPropagationCertificate(ctx, tuple(steps))
 
 
@@ -163,15 +159,6 @@ def _moved(idx: dict, exps, i: int, j: int) -> int:
     return idx[tuple(w)]
 
 
-def _step_binomials(monos, quads):
-    """The Binomial2 of each canonical step quad, by matrix._quad_binomials
-    on a table of just the coordinates the steps use, so that a chain of a
-    few steps does not pay for a pair table of every coordinate."""
-    used = list(set(chain.from_iterable(quads)))
-    at = {k: s for s, k in enumerate(used)}
-    return _quad_binomials([monos[k] for k in used], [tuple(map(at.__getitem__, q)) for q in quads])
-
-
 def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
     """Generate the chain for chart i and coordinate z_m.
 
@@ -191,8 +178,10 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
     if len(m) != ctx.n + 1 or m.degree != ctx.d:
         raise ContractError(f"{m} is not a degree-{ctx.d} multi-index in {ctx.n + 1} variables")
-    quads = _chain_quads(ctx, chart_indices(ctx, i), i, m)
-    return RewriteChain(ctx, i, m, tuple(_step_binomials(ctx.monomials(), quads)))
+    monos = ctx.monomials()
+    steps = tuple(Binomial2((monos[a], monos[b]), (monos[c], monos[e]))
+                  for a, b, c, e in _chain_quads(ctx, chart_indices(ctx, i), i, m))
+    return RewriteChain(ctx, i, m, steps)
 
 
 def _chain_quads(ctx: VeroneseContext, col: tuple[int, ...], i: int, m) -> list[tuple[int, int, int, int]]:

@@ -11,11 +11,14 @@ vanishing locus the rest of the package studies.  Binomials are kept in a
 canonical form so that generator sets deduplicate by plain equality.
 
 The tables are built on coordinate indices (ranks): a quadric is the quad
-(a, b, c, e) of z_a z_b - z_c z_e, and _quad_binomials, the one path from
-quads to Binomial2 values, checks balance on packed exponent codes,
-code(m) = sum_j m_j (2d+1)^j.  A digit of a pair sum is at most 2d < 2d+1,
-so adding codes never carries and code(A) + code(B) is the code of A + B:
-code(A) + code(B) == code(C) + code(E) iff A + B == C + E.
+(a, b, c, e) of z_a z_b - z_c z_e.  _grid_quads canonicalizes the 2x2
+candidates of a grid of indices, for minors2 and morphism's minor table,
+and _quad_binomials turns table quads into Binomial2 values, checking
+balance on packed exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit
+of a pair sum is at most 2d < 2d+1, so adding codes never carries and
+code(A) + code(B) is the code of A + B: code(A) + code(B) ==
+code(C) + code(E) iff A + B == C + E.  Quadrics flow one way, from quads
+to Binomial2; binomial_quad reads a binomial from outside back as a quad.
 """
 
 from __future__ import annotations
@@ -49,12 +52,6 @@ class SymbolicMatrix(Frozen):
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-    def row(self, i: int) -> tuple[MultiIndex, ...]:
-        return self.entries[i]
-
-    def column(self, k: int) -> tuple[MultiIndex, ...]:
-        return tuple(row[k] for row in self.entries)
 
     def to_doc(self) -> dict:
         """JSON-ready document {n, d, rows} with entries as exponent lists."""
@@ -181,10 +178,15 @@ def minors2(matrix: SymbolicMatrix) -> frozenset[Binomial2]:
         grid = [[idx[m] for m in row] for row in matrix.entries]
     except KeyError as exc:
         raise ContractError(f"grid entry {exc.args[0]} is not a degree-{ctx.d} coordinate of {ctx}") from None
-    cols = range(matrix.shape[1])
+    return frozenset(_quad_binomials(ctx.monomials(), _grid_quads(grid)))
+
+
+def _grid_quads(grid):
+    """The canonical quad of every 2x2 candidate of a grid of coordinate
+    indices, repeats kept, identically-zero candidates skipped."""
     quads = (_canonical_quad(ri[k], rj[l], ri[l], rj[k])
-             for ri, rj in combinations(grid, 2) for k, l in combinations(cols, 2))
-    return frozenset(_quad_binomials(ctx.monomials(), filter(None, quads)))
+             for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2))
+    return filter(None, quads)
 
 
 def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int] | None:

@@ -25,10 +25,11 @@ since piv is nonzero in an integral domain (Z, or F_p), so M has rank
 one and every minor vanishes.  Rows above i0 are zero and row i0 holds
 trivially, so only the rows below it are read.
 
-failing_minor keeps field arithmetic over the minor table, because it
-reports the first failing minor in listing order and its value in the
-field.  The inverse reads off one matrix column: on the chart where
-z_{d e_i} is nonzero, the column whose base is x_i^(d-1) lists
+failing_minor keeps field arithmetic over the minor table, the sorted
+distinct quads of the index grid's 2x2 candidates, because it reports
+the first failing minor in listing order and its value in the field.
+The inverse reads off one matrix column: on the chart where z_{d e_i} is
+nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
 point.
 """
@@ -37,10 +38,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, build_matrix, cached_minors, require_matrix
+from .matrix import Binomial2, _grid_quads, _quad_binomials, build_matrix, require_matrix
 from .multiindex import MultiIndex, VeroneseContext, coordinate_index, pure_power
 from .projective import Fp, ProjectivePoint, Scalar, integer_coords, normalize
 
@@ -50,22 +50,13 @@ def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
         raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
 
 
-def indexed_binomials(
-    ctx: VeroneseContext, binomials: frozenset[Binomial2]
-) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
-    """Binomials paired with the flat indices of their four coordinates, in
-    the deterministic listing order: ascending quads, since ranks reverse
-    the lex order that sorted_binomials lists descending."""
-    idx = coordinate_index(ctx)
-    rows = sorted((((idx[b.pos[0]], idx[b.pos[1]], idx[b.neg[0]], idx[b.neg[1]]), b) for b in binomials),
-                  key=itemgetter(0))
-    return tuple((b, q) for q, b in rows)
-
-
 @lru_cache(maxsize=None)
 def _minor_table(ctx: VeroneseContext) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
-    """The minors as indexed_binomials, built once per context."""
-    return indexed_binomials(ctx, cached_minors(ctx))
+    """The distinct minors as (Binomial2, quad) pairs, built once per
+    context from the index grid, in listing order: ascending quads, since
+    ranks reverse the lex order that sorted_binomials lists descending."""
+    quads = sorted(set(_grid_quads(_index_grid(ctx))))
+    return tuple(zip(_quad_binomials(ctx.monomials(), quads), quads))
 
 
 def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:

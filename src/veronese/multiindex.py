@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from operator import add
 
 from .errors import ContractError, Frozen
 
@@ -39,9 +38,8 @@ class MultiIndex(tuple):
 
     Component j is the power of x_j.  Comparison operators implement the
     lexicographic monomial order induced by x_0 > x_1 > ... > x_n (larger
-    tuple = lex-larger monomial).  Note that tuple concatenation semantics
-    of ``+`` are intentionally not overridden; use :meth:`plus` for the
-    componentwise sum.
+    tuple = lex-larger monomial).  ``+`` keeps tuple concatenation; a
+    componentwise sum is map(add, a, b).
     """
 
     __slots__ = ()
@@ -57,12 +55,6 @@ class MultiIndex(tuple):
     @property
     def degree(self) -> int:
         return sum(self)
-
-    def plus(self, other: "MultiIndex") -> "MultiIndex":
-        """Componentwise sum (the exponent vector of the product monomial)."""
-        if len(self) != len(other):
-            raise ContractError(f"length mismatch: {self} vs {other}")
-        return MultiIndex(map(add, self, other))
 
     def coordinate_name(self) -> str:
         """Name of the coordinate this vector indexes, e.g. "z_{2,1,0}"."""
@@ -85,13 +77,6 @@ class MultiIndex(tuple):
         return f"MultiIndex({tuple(self)})"
 
 
-def unit(length: int, j: int) -> MultiIndex:
-    """The j-th unit vector e_j of the given length."""
-    if not 0 <= j < length:
-        raise ContractError(f"unit index {j} out of range for length {length}")
-    return MultiIndex(1 if k == j else 0 for k in range(length))
-
-
 def pure_power(n: int, d: int, i: int) -> MultiIndex:
     """Exponent vector of x_i^d in n+1 variables."""
     if not 0 <= i <= n:
@@ -111,18 +96,6 @@ def parse_coordinate_name(text: str) -> MultiIndex:
         return MultiIndex(m.group(1).split(","))
     except ValueError as exc:  # an exponent past int()'s digit limit
         raise ContractError(f"not a coordinate name: {text!r}: {exc}") from None
-
-
-def lex_compare(a: MultiIndex, b: MultiIndex) -> int:
-    """Compare two same-degree monomials; +1 if x^a > x^b, -1 if smaller,
-    0 if equal."""
-    if len(a) != len(b):
-        raise ContractError(f"length mismatch: {a} vs {b}")
-    if a.degree != b.degree:
-        raise ContractError(f"degree mismatch: {a} (deg {a.degree}) vs {b} (deg {b.degree})")
-    if a == b:
-        return 0
-    return 1 if tuple(a) > tuple(b) else -1
 
 
 @lru_cache(maxsize=None)
@@ -171,26 +144,6 @@ def rank(m: MultiIndex) -> int:
             r += binom(d - c + nvars - 1, nvars - 1)
         d -= e
     return r
-
-
-def unrank(k: int, n: int, d: int) -> MultiIndex:
-    """The MultiIndex at position k of enumerate_monomials(n, d)."""
-    total = binom(n + d, n)
-    if not 0 <= k < total:
-        raise IndexError(f"rank {k} out of range [0, {total}) for (n={n}, d={d})")
-    exps = []
-    remaining = d
-    for pos in range(n):
-        nvars = n - pos  # variables after this position
-        for c in range(remaining, -1, -1):
-            block = binom(remaining - c + nvars - 1, nvars - 1)
-            if k < block:
-                exps.append(c)
-                remaining -= c
-                break
-            k -= block
-    exps.append(remaining)
-    return MultiIndex(exps)
 
 
 class VeroneseContext(Frozen):

@@ -12,8 +12,9 @@ the reports say so explicitly to keep the evidence honest.
 
 Both sides rest on projective._search, the package's one enumeration of
 the canonical points of P^m(F_q): the minor variety is that depth-first
-search over z_0, ..., z_N pruned by the quadrics, and the image applies
-the embedding to every point of P^n(F_q) it streams.
+search over z_0, ..., z_N pruned by the quadrics, read as index quads by
+matrix.binomial_quad and sorted into listing order, and the image
+applies the embedding to every point of P^n(F_q) it streams.
 
 Every search is bounded before it starts.  brute_force_variety refuses a
 context whose 2-minor candidate count C(n+1, 2) * C(cols, 2) exceeds the
@@ -24,15 +25,16 @@ exceeds it.
 
 from __future__ import annotations
 
-from .errors import BudgetError, Frozen
+from .errors import BudgetError, ContractError, Frozen
 from .matrix import (
     DEFAULT_BUDGET,
     Binomial2,
+    binomial_quad,
     cached_minors,
     check_minor_budget,
     toric_quadrics,
 )
-from .morphism import indexed_binomials, veronese_eval
+from .morphism import veronese_eval
 from .multiindex import VeroneseContext
 from .projective import (
     PrimeField,
@@ -73,13 +75,20 @@ def vanishing_set(
 ) -> set[ProjectivePoint]:
     """All canonical points of P^N(F_q) where every given quadric vanishes.
 
-    The budget is checked against the up-front estimate points x quadrics."""
+    The budget is checked against the up-front estimate points x quadrics;
+    a quadric with an entry that is no degree-d coordinate raises ContractError."""
     field = PrimeField(q)
     npoints = count_projective_points(ctx.N, q)
     cost = npoints * max(1, len(binomials))
     if cost > budget:
         raise BudgetError(cost, budget)
-    quads = [quad for _, quad in indexed_binomials(ctx, binomials)]
+    quads = []
+    for b in binomials:
+        quad = binomial_quad(ctx, b)
+        if quad is None:
+            raise ContractError(f"quadric {b} has an entry that is no degree-{ctx.d} coordinate of {ctx}")
+        quads.append(quad)
+    quads.sort()
     return {ProjectivePoint(field, v) for v in _search(ctx.N, q, quads)}
 
 

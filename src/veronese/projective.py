@@ -408,6 +408,9 @@ def enumerate_projective_points(m: int, q: int | PrimeField):
 
 
 def count_projective_points(m: int, q: int) -> int:
+    """|P^m(F_q)| = (q^(m+1) - 1) / (q - 1); ContractError for q < 2."""
+    if q < 2:
+        raise ContractError(f"a finite field has at least 2 elements, got q={q}")
     return (q ** (m + 1) - 1) // (q - 1)
 
 

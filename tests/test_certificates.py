@@ -78,10 +78,11 @@ class TestZeroPropagationGeneration:
     def test_coverage(self, n, d):
         ctx = VeroneseContext(n, d)
         cert = zero_propagation_certificate(ctx)
-        covered = set(ctx.pure_powers()) | set(cert.targets())
+        targets = [s.target for s in cert.steps]
+        covered = set(ctx.pure_powers()) | set(targets)
         assert covered == set(ctx.monomials())
         # targets are pairwise distinct
-        assert len(set(cert.targets())) == len(cert.steps)
+        assert len(set(targets)) == len(cert.steps)
 
     def test_degree_one_is_empty_and_complete(self):
         ctx = VeroneseContext(2, 1)
@@ -166,6 +167,25 @@ class TestRewriteChainGeneration:
             for i in range(3):
                 k = sum(e for j, e in enumerate(m) if j != i)
                 assert len(rewrite_chain(ctx, i, m).steps) == max(0, k - 1)
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 4), (3, 3)])
+    def test_every_step_passes_the_balance_check(self, monkeypatch, n, d):
+        # the generators build each step with Binomial2(pos, neg), whose
+        # __post_init__ checks balance on the vectors
+        checked = []
+        post_init = Binomial2.__post_init__
+
+        def counting(self):
+            checked.append(id(self))
+            post_init(self)
+
+        monkeypatch.setattr(Binomial2, "__post_init__", counting)
+        ctx = VeroneseContext(n, d)
+        cert = zero_propagation_certificate(ctx)
+        chains = list(all_rewrite_chains(ctx))
+        steps = [s.minor for s in cert.steps] + [b for c in chains for b in c.steps]
+        assert len(steps) > len(cert.steps) > 0
+        assert checked == list(map(id, steps))
 
 
 class TestRewriteChainVerification:
@@ -305,7 +325,7 @@ class TestClosedFormMinorTest:
                                                  max_size=width), label=label))
 
         a, b = entry("a"), entry("b")
-        total = a.plus(b)
+        total = tuple(map(add, a, b))
         c = MultiIndex(data.draw(st.integers(0, t), label="c") for t in total)
         e = MultiIndex(t - x for t, x in zip(total, c))
         raw = Binomial2((a, b), (c, e))

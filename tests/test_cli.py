@@ -182,7 +182,6 @@ class TestVerifyCommand:
         counts = Counter()
         phase = ["before"]
         new_index, init_binomial = MultiIndex.__new__, Binomial2.__init__
-        table_binomials = certs._quad_binomials
         verify_cert = certs.verify_zero_propagation
 
         def counting_new(cls, exponents):
@@ -193,12 +192,6 @@ class TestVerifyCommand:
             counts[phase[-1], "Binomial2"] += 1
             init_binomial(self, pos, neg)
 
-        def counting_table(monos, quads):
-            # the table constructor fills the slots without __init__
-            for binomial in table_binomials(monos, quads):
-                counts[phase[-1], "Binomial2"] += 1
-                yield binomial
-
         def then_chains(ctx, cert):
             res = verify_cert(ctx, cert)
             phase.append("chains")
@@ -206,7 +199,6 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counting_new))
         monkeypatch.setattr(Binomial2, "__init__", counting_init)
-        monkeypatch.setattr(certs, "_quad_binomials", counting_table)
         monkeypatch.setattr(certs, "verify_zero_propagation", then_chains)
         code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field)
         assert code == 0

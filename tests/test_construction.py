@@ -1,19 +1,20 @@
 """The table construction path against the generator-based reference it
 replaced, and the construction checks that must keep firing.
 
-The reference primitives below are the earlier MultiIndex construction and
-arithmetic, Binomial2 balance check and canonical ordering, and the earlier
-minors2/toric_quadrics.  The certificates and chains of the reference come
-from the object-based generators kept in test_certificates, which run on
-these primitives; the package generates them on coordinate indices.
+The reference primitives below are the earlier MultiIndex construction,
+Binomial2 balance check and canonical ordering, and the earlier
+minors2/toric_quadrics; componentwise sums are tuple(map(add, a, b)).  The
+certificates and chains of the reference come from the object-based
+generators kept in test_certificates, which run on these primitives; the
+package generates them on coordinate indices.
 """
 
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import combinations
+from operator import add
 
 import pytest
-from hypothesis import given, strategies as st
 
 from veronese import (
     Binomial2,
@@ -51,12 +52,6 @@ def ref_new(cls, exponents):
     return self
 
 
-def ref_plus(self, other):
-    if len(self) != len(other):
-        raise ContractError(f"length mismatch: {self} vs {other}")
-    return MultiIndex(a + b for a, b in zip(self, other))
-
-
 def ref_ordered_pair(a, b):
     return (a, b) if tuple(a) >= tuple(b) else (b, a)
 
@@ -66,7 +61,7 @@ def ref_post_init(self):
     c, e = self.neg
     if not (len(a) == len(b) == len(c) == len(e)):
         raise ContractError("mixed-length multi-indices in a binomial")
-    if a.plus(b) != c.plus(e):
+    if tuple(map(add, a, b)) != tuple(map(add, c, e)):
         raise ContractError(f"unbalanced binomial: {a}*{b} vs {c}*{e}")
 
 
@@ -97,7 +92,7 @@ def ref_toric_quadrics(ctx):
     by_sum = {}
     for idx, a in enumerate(monos):
         for b in monos[idx:]:
-            by_sum.setdefault(tuple(a.plus(b)), []).append((a, b))
+            by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
     out = set()
     for pairs in by_sum.values():
         for p1, p2 in combinations(pairs, 2):
@@ -141,7 +136,6 @@ def plain_tables(ctx, build_minors, build_quadrics, build_cert, build_chains):
 @pytest.fixture
 def reference_primitives(monkeypatch):
     monkeypatch.setattr(MultiIndex, "__new__", staticmethod(ref_new))
-    monkeypatch.setattr(MultiIndex, "plus", ref_plus)
     monkeypatch.setattr(Binomial2, "__post_init__", ref_post_init)
     monkeypatch.setattr(Binomial2, "canonical", staticmethod(ref_canonical))
     monkeypatch.setattr(matrix_module, "_ordered_pair", ref_ordered_pair)
@@ -201,7 +195,7 @@ class TestTablesOnTheIndexGrid:
         pairs = [(a, b) for a in range(len(monos)) for b in range(a, len(monos))]
         digits = Counter()
         for (a, b), (c, e) in combinations(pairs, 2):
-            balanced = monos[a].plus(monos[b]) == monos[c].plus(monos[e])
+            balanced = tuple(map(add, monos[a], monos[b])) == tuple(map(add, monos[c], monos[e]))
             try:
                 (out,) = matrix_module._quad_binomials(monos, [(a, b, c, e)])
             except ContractError as exc:
@@ -210,7 +204,7 @@ class TestTablesOnTheIndexGrid:
             else:
                 assert balanced
                 assert out == Binomial2((monos[a], monos[b]), (monos[c], monos[e]))
-            digits[max(monos[a].plus(monos[b]))] += 1
+            digits[max(map(add, monos[a], monos[b]))] += 1
         assert digits[2 * d] > 0
 
     def test_unbalanced_quad_rejected(self):
@@ -244,14 +238,22 @@ class TestTablesOnTheIndexGrid:
         assert matrix_module._canonical_quad(4, 2, 2, 4) is None
 
     @pytest.mark.parametrize("n", range(5))
-    def test_indexed_binomials_follow_the_listing_order(self, n):
-        # ascending canonical quads are the lex-descending listing order
+    def test_minor_table_follows_the_listing_order(self, n):
+        # ascending canonical quads are the lex-descending listing order:
+        # the minor table holds (Binomial2, quad) pairs in that order, the
+        # shape bench/tracer.py reads, and sorting the quads of a table,
+        # as the oracle does, lists it in that order too
         for d in range(1, 6):
             ctx = VeroneseContext(n, d)
-            for table in (minors2(build_matrix(ctx)), toric_quadrics(ctx)):
-                indexed = morphism.indexed_binomials(ctx, table)
-                assert [b for b, _ in indexed] == sorted_binomials(table)
-                assert all(q == matrix_module.binomial_quad(ctx, b) for b, q in indexed)
+            table = morphism._minor_table(ctx)
+            assert all(type(b) is Binomial2 and type(q) is tuple and len(q) == 4 for b, q in table)
+            quads = [q for _, q in table]
+            assert quads == sorted(set(quads))
+            assert all(q == matrix_module.binomial_quad(ctx, b) for b, q in table)
+            assert [b for b, _ in table] == sorted_binomials(matrix_module.cached_minors(ctx))
+            toric = sorted_binomials(toric_quadrics(ctx))
+            toric_quads = [matrix_module.binomial_quad(ctx, b) for b in toric]
+            assert toric_quads == sorted(toric_quads)
 
     def test_misplaced_grid_entry_is_unbalanced(self):
         # a degree-d coordinate in the wrong cell makes some candidate unbalanced
@@ -294,23 +296,6 @@ class TestTablesOnTheIndexGrid:
         assert counts == Counter(Binomial2=len(quadrics) + matrix_module.minor_candidates(ctx))
         monkeypatch.undo()
         clear_caches()
-
-
-exponents = st.lists(st.integers(0, 30), min_size=1, max_size=7)
-
-
-class TestArithmetic:
-    @given(exponents, st.data())
-    def test_plus_is_componentwise(self, a, data):
-        b = data.draw(st.lists(st.integers(0, 30), min_size=len(a), max_size=len(a)))
-        out = MultiIndex(a).plus(MultiIndex(b))
-        assert type(out) is MultiIndex
-        assert out == tuple(x + y for x, y in zip(a, b))
-        assert out == ref_plus(MultiIndex(a), MultiIndex(b))
-
-    def test_plus_length_mismatch_rejected(self):
-        with pytest.raises(ContractError, match=r"^length mismatch: \(1,2\) vs \(1\)$"):
-            MultiIndex((1, 2)).plus(MultiIndex((1,)))
 
 
 class TestChecksStillFire:

@@ -117,12 +117,12 @@ class TestBuildMatrix:
 class TestColumnConstruction:
     def test_first_column_of_plane_cubic(self):
         m = build_matrix_by_columns(VeroneseContext(2, 3))
-        assert [tuple(e) for e in m.column(0)] == [(3, 0, 0), (2, 1, 0), (2, 0, 1)]
+        assert [tuple(row[0]) for row in m.entries] == [(3, 0, 0), (2, 1, 0), (2, 0, 1)]
 
     def test_conic_columns(self):
         m = build_matrix_by_columns(VeroneseContext(1, 2))
-        assert [tuple(e) for e in m.column(0)] == [(2, 0), (1, 1)]
-        assert [tuple(e) for e in m.column(1)] == [(1, 1), (0, 2)]
+        assert [tuple(row[0]) for row in m.entries] == [(2, 0), (1, 1)]
+        assert [tuple(row[1]) for row in m.entries] == [(1, 1), (0, 2)]
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("d", range(1, 6))
@@ -163,7 +163,7 @@ class TestMinors:
     @pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_balance_invariant(self, n, d):
         for b in minors2(build_matrix(VeroneseContext(n, d))):
-            assert b.pos[0].plus(b.pos[1]) == b.neg[0].plus(b.neg[1])
+            assert list(map(add, *b.pos)) == list(map(add, *b.neg))
             assert set(b.pos) != set(b.neg) or b.pos != b.neg
 
 

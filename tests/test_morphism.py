@@ -222,6 +222,23 @@ class TestIntegerMembership:
             assert is_on_variety(ctx, ProjectivePoint(field, tuple(coords))) is False
         assert _minor_table.cache_info().currsize == 0
 
+    def test_failing_minor_leaves_the_minor_set_unbuilt(self, monkeypatch):
+        # the table comes from the quads of the index grid, not from minors2
+        def no_minors(matrix):
+            raise AssertionError("failing_minor built the minor set")
+
+        monkeypatch.setattr(matrix_module, "minors2", no_minors)
+        cached_minors.cache_clear()
+        _minor_table.cache_clear()
+        ctx = VeroneseContext(3, 3)
+        Q = veronese_eval(ctx, point(QQ, [1, 2, 3, 4]))
+        assert failing_minor(ctx, Q) is None
+        coords = list(Q.coords)
+        coords[-1] += 1
+        assert failing_minor(ctx, ProjectivePoint(QQ, tuple(coords))) is not None
+        assert cached_minors.cache_info().currsize == 0
+        assert _minor_table.cache_info().currsize == 1
+
     @given(st.sampled_from(CONTEXTS), FIELDS, st.data())
     def test_embedding_matches_field_arithmetic(self, nd, field, data):
         ctx = VeroneseContext(*nd)

@@ -7,6 +7,7 @@ import pytest
 
 from veronese import (
     BudgetError,
+    ContractError,
     EmptyMatrixError,
     PrimeField,
     VeroneseContext,
@@ -18,14 +19,14 @@ from veronese import (
     count_projective_points,
     format_point,
     normalize,
+    parse_binomial,
     point,
     report_to_doc,
     vanishing_set,
     veronese_eval,
 )
 from veronese import oracle
-from veronese.matrix import cached_minors, sorted_binomials, toric_quadrics
-from veronese.morphism import indexed_binomials
+from veronese.matrix import binomial_quad, cached_minors, sorted_binomials, toric_quadrics
 from veronese.projective import _search, enumerate_projective_points
 
 # frozen by an independent brute-force enumeration over all residue vectors
@@ -69,7 +70,7 @@ class TestSearchAgainstProductReference:
     @pytest.mark.parametrize("n,d,q", sorted(FROZEN_VARIETY_COUNTS) + [(3, 2, 3), (3, 3, 2)])
     def test_identical_partitions(self, n, d, q, gens):
         ctx = VeroneseContext(n, d)
-        quads = [quad for _, quad in indexed_binomials(ctx, GENERATOR_SETS[gens](ctx))]
+        quads = sorted(binomial_quad(ctx, b) for b in GENERATOR_SETS[gens](ctx))
         assert list(_search(ctx.N, q, quads)) == _product_reference(ctx.N, q, quads)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -217,6 +218,17 @@ class TestVanishingSet:
         ctx = VeroneseContext(1, 1)
         pts = vanishing_set(ctx, 3, frozenset())
         assert len(pts) == count_projective_points(ctx.N, 3)
+
+    @pytest.mark.parametrize("text", [
+        "z_{3,0,0} z_{1,1,0} - z_{2,1,0} z_{2,0,0}",  # degree 3 in a degree-2 context
+        "z_{2,0} z_{0,2} - z_{1,1}^2",  # two variables in a three-variable context
+    ])
+    def test_foreign_quadric_refused(self, text):
+        b = parse_binomial(text)
+        with pytest.raises(ContractError) as exc:
+            vanishing_set(VeroneseContext(2, 2), 3, frozenset({b}))
+        assert str(exc.value) == (f"quadric {b} has an entry that is no degree-2 coordinate "
+                                  "of VeroneseContext(n=2, d=2)")
 
     def test_fewer_generators_grow_the_locus(self):
         ctx = VeroneseContext(1, 4)

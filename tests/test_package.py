@@ -8,6 +8,7 @@ long loading takes.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -207,3 +208,17 @@ class TestCaches:
             target = getattr(target, attr)
         target.cache_clear()
         assert target.cache_info().currsize == 0
+
+
+class TestTooling:
+    def test_ci_installs_the_declared_test_dependencies(self):
+        # both files read as text: Python 3.10 has no tomllib
+        root = Path(SRC).parent
+        workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        tier1 = workflow[workflow.index("\n  tier1:"):workflow.index("\n  bench-smoke:")]
+        installed = re.search(r"- name: Install test dependencies\n\s+run: python -m pip install (.+)\n", tier1)
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        section = pyproject[pyproject.index("[project.optional-dependencies]\n"):]
+        declared = re.search(r"^test = \[(.*)\]$", section, re.M)
+        assert installed and declared
+        assert installed.group(1).split() == re.findall(r'"([^"]+)"', declared.group(1))

@@ -216,6 +216,12 @@ class TestEnumeration:
             lead = next(c for c in p.coords if c)
             assert lead == PrimeField(q).one
 
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_count_refuses_a_field_size_below_two(self, q):
+        with pytest.raises(ContractError) as exc:
+            count_projective_points(2, q)
+        assert str(exc.value) == f"a finite field has at least 2 elements, got q={q}"
+
     def test_p2_f3_against_raw_dedup(self):
         # independent oracle: scale-normalize every nonzero residue vector
         from itertools import product as iproduct
