@@ -10,10 +10,11 @@ Subcommands:
     oracle   exhaustive finite-field set-equality reports
 
 Common flags: --n, --d, --field rational|fp:<prime>, --format text|json,
---seed (default 0), --budget (default 5000000).  Every subcommand refuses
-a context whose 2-minor candidate count C(n+1, 2) * C(cols, 2), or C(d, 2)
-if larger, exceeds the budget before building any table; oracle then also
-bounds each search by points x quadrics.  oracle accepts --workers (>= 1)
+--seed (default 0), --budget (default 5000000).  main refuses a context
+whose 2-minor candidate count C(n+1, 2) * C(cols, 2), or C(d, 2) or
+C(n+1, 2) if larger, exceeds the budget before it dispatches, so before
+any point, field or file argument is read; oracle then also bounds each
+search by points x quadrics.  oracle accepts --workers (>= 1)
 for compatibility and ignores it.  Identical configuration and seed
 produce byte-identical output; JSON documents carry schema_version 1 and
 sort their keys.
@@ -42,15 +43,10 @@ from .errors import (
     NoChartError,
     VeroneseError,
 )
-from .matrix import (
-    DEFAULT_BUDGET,
-    build_matrix,
-    cached_minors,
-    check_minor_budget,
-    sorted_binomials,
-)
+from .matrix import DEFAULT_BUDGET, build_matrix, check_minor_budget
 from .morphism import (
     _integer_image,
+    _minor_table,
     available_charts,
     failing_minor,
     inverse_map,
@@ -96,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for random test points")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cost limit on the 2-minor candidates C(n+1,2)*C(cols,2), "
-                       "or C(d,2) if larger; oracle also bounds points x quadrics")
+                       "or C(d,2) or C(n+1,2) if larger; oracle also bounds points x quadrics")
 
     common(sub.add_parser("matrix", help="print the L and M grids"), needs_field=False)
     common(sub.add_parser("minors", help="list canonical 2-minors"), needs_field=False)
@@ -145,9 +141,7 @@ def _grid_lines(rows: list[list[str]], label: str) -> list[str]:
     return lines
 
 
-def cmd_matrix(args) -> int:
-    ctx = VeroneseContext(args.n, args.d)
-    check_minor_budget(ctx, args.budget)
+def cmd_matrix(args, ctx) -> int:
     matrix = build_matrix(ctx)
     doc = {"schema_version": SCHEMA_VERSION, **matrix.to_doc()}
     mono = [[m.monomial_name() for m in row] for row in matrix.entries]
@@ -160,10 +154,8 @@ def cmd_matrix(args) -> int:
     return EXIT_OK
 
 
-def cmd_minors(args) -> int:
-    ctx = VeroneseContext(args.n, args.d)
-    check_minor_budget(ctx, args.budget)
-    listing = [str(b) for b in sorted_binomials(cached_minors(ctx))]
+def cmd_minors(args, ctx) -> int:
+    listing = [str(b) for b, _ in _minor_table(ctx)]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "minors",
@@ -176,9 +168,7 @@ def cmd_minors(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    ctx = VeroneseContext(args.n, args.d)
-    check_minor_budget(ctx, args.budget)
+def cmd_eval(args, ctx) -> int:
     field = field_from_name(args.field)
     x = parse_point(field, args.point)
     if x.dim != ctx.n:
@@ -197,12 +187,10 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _membership(args, command: str):
+def _membership(args, ctx, command: str):
     """Parse and test the point of a member or invert run; returns the
-    context, the point and the JSON document, whose "member" says whether
-    every minor vanishes and which otherwise names the failing minor."""
-    ctx = VeroneseContext(args.n, args.d)
-    check_minor_budget(ctx, args.budget)
+    point and the JSON document, whose "member" says whether every minor
+    vanishes and which otherwise names the failing minor."""
     field = field_from_name(args.field)
     Q = parse_point(field, args.point)
     fail = failing_minor(ctx, Q)
@@ -219,15 +207,15 @@ def _membership(args, command: str):
         doc["value"] = field.format_scalar(value)
         doc["failing_minor"] = str(minor)
     doc["point"] = format_point(Q)
-    return ctx, Q, doc
+    return Q, doc
 
 
 def _failure_line(prefix: str, doc: dict) -> str:
     return f"{prefix} (minor {doc['failing_minor']} evaluates to {doc['value']})"
 
 
-def cmd_member(args) -> int:
-    _, _, doc = _membership(args, "member")
+def cmd_member(args, ctx) -> int:
+    _, doc = _membership(args, ctx, "member")
     if doc["member"]:
         _emit(doc, args.format, ["true"])
         return EXIT_OK
@@ -235,8 +223,8 @@ def cmd_member(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def cmd_invert(args) -> int:
-    ctx, Q, doc = _membership(args, "invert")
+def cmd_invert(args, ctx) -> int:
+    Q, doc = _membership(args, ctx, "invert")
     if not doc["member"]:
         _emit(doc, args.format, [_failure_line("not on the variety", doc)])
         return EXIT_CHECK_FAILED
@@ -308,11 +296,9 @@ def _chart_point(rng: Random, field, ctx, i: int) -> tuple[list[int], int]:
     return _integer_image(ctx, x)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, ctx) -> int:
     from . import certificates as certs
 
-    ctx = VeroneseContext(args.n, args.d)
-    check_minor_budget(ctx, args.budget)
     field = field_from_name(args.field)
     external = None
     if args.propagation_cert:
@@ -344,10 +330,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, ctx) -> int:
     from . import oracle as orc
 
-    ctx = VeroneseContext(args.n, args.d)
     field = field_from_name(args.field)
     if not isinstance(field, PrimeField):
         raise ContractError("oracle runs need --field fp:<prime>")
@@ -394,7 +379,9 @@ def main(argv=None) -> int:
     if getattr(args, "workers", 1) < 1:
         parser.error("require --workers >= 1")
     try:
-        return _HANDLERS[args.command](args)
+        ctx = VeroneseContext(args.n, args.d)
+        check_minor_budget(ctx, args.budget)
+        return _HANDLERS[args.command](args, ctx)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -246,12 +246,13 @@ DEFAULT_BUDGET = 5_000_000
 
 def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
     """Refuse, before any table is built, a context whose 2-minor candidate
-    count, or C(d, 2) if larger, exceeds the budget; d = 0 raises
-    EmptyMatrixError first.  C(d, 2) bounds n = 0, whose one-row grid has no
-    minors while evaluation still grows with d; for n >= 1 cols >= d, so
-    the candidate count is never below it."""
+    count, or C(d, 2) or C(n+1, 2) if larger, exceeds the budget; d = 0
+    raises EmptyMatrixError first.  The floors bound the grids without
+    minors whose tables still grow: C(d, 2) the one-row grid of n = 0,
+    C(n+1, 2) the one-column grid of d = 1.  For n >= 1 and d >= 2,
+    cols >= max(d, 2), so the candidate count is never below either."""
     require_matrix(ctx)
-    estimate = max(minor_candidates(ctx), binom(ctx.d, 2))
+    estimate = max(minor_candidates(ctx), binom(ctx.d, 2), binom(ctx.n + 1, 2))
     if estimate > budget:
         raise BudgetError(estimate, budget, "2-minor candidates")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .errors import ContractError, Frozen
 
@@ -103,28 +104,18 @@ def enumerate_monomials(n: int, d: int) -> tuple[MultiIndex, ...]:
     """All C(n+d, n) degree-d exponent vectors in n+1 variables, strictly
     lex-decreasing.
 
-    Generated directly in order by the descending-lex successor: move one
-    unit of weight from the rightmost nonzero position before the end onto
-    its right neighbour, collecting everything beyond it.
+    Each vector counts the variable indices of one sorted multiset of d
+    indices; combinations_with_replacement lists those multisets in
+    ascending order, which is lex-descending order of the vectors.
     """
     if n < 0 or d < 0:
         raise ContractError(f"enumerate_monomials requires n, d >= 0, got ({n}, {d})")
     out = []
-    cur = [d] + [0] * n
-    while True:
-        out.append(MultiIndex(cur))
-        pivot = -1
-        for j in range(n - 1, -1, -1):
-            if cur[j] > 0:
-                pivot = j
-                break
-        if pivot < 0:
-            break
-        carry = sum(cur[pivot + 1:]) + 1
-        cur[pivot] -= 1
-        cur[pivot + 1] = carry
-        for j in range(pivot + 2, n + 1):
-            cur[j] = 0
+    for indices in combinations_with_replacement(range(n + 1), d):
+        exponents = [0] * (n + 1)
+        for j in indices:
+            exponents[j] += 1
+        out.append(MultiIndex(exponents))
     return tuple(out)
 
 

@@ -12,6 +12,7 @@ import pytest
 from veronese import (
     QQ,
     Binomial2,
+    BudgetError,
     MultiIndex,
     PrimeField,
     ProjectivePoint,
@@ -536,6 +537,70 @@ class TestMinorBudget:
         err = capsys.readouterr().err
         assert (at, below) == (0, 3)
         assert err == "error: enumeration refused: estimated 45 2-minor candidates exceed budget 44\n"
+
+
+class TestGuardInMain:
+    """main runs the cost guard once, before dispatch, so no subcommand can
+    skip it, and the one-column grid of d = 1 is bounded by C(n+1, 2)."""
+
+    # the refused run reads none of these: a malformed point, a field the
+    # subcommand rejects, a certificate file that does not exist
+    EXTRA = {
+        "eval": ["not a point"],
+        "invert": ["not a point"],
+        "member": ["not a point"],
+        "verify": ["--propagation-cert", "no-such-file.json"],
+        "oracle": ["--field", "rational"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_every_handler_is_guarded(self, capsys, monkeypatch, command):
+        def entered(*_):
+            raise AssertionError(f"{command} ran past the budget")
+
+        monkeypatch.setitem(cli._HANDLERS, command, entered)
+        code = main([command, "--n", "2", "--d", "3", "--budget", "44",
+                     *self.EXTRA.get(command, [])])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "error: enumeration refused: estimated 45 2-minor candidates exceed budget 44\n"
+        )
+
+    def test_default_budget_bounds_degree_one(self):
+        admitted = VeroneseContext(3161, 1)
+        matrix_module.check_minor_budget(admitted, matrix_module.DEFAULT_BUDGET)
+        with pytest.raises(BudgetError) as low:
+            matrix_module.check_minor_budget(admitted, 4_997_540)
+        with pytest.raises(BudgetError) as refused:
+            matrix_module.check_minor_budget(VeroneseContext(3162, 1), matrix_module.DEFAULT_BUDGET)
+        assert (low.value.estimated, refused.value.estimated) == (4_997_541, 5_000_703)
+
+    def test_degree_one_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code = main(["matrix", "--n", "2000", "--d", "1", "--format", "json", "--budget", "0"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "error: enumeration refused: estimated 2001000 2-minor candidates exceed budget 0\n"
+        )
+        assert elapsed < 1.0
+
+    def test_estimate_unchanged_from_degree_two(self):
+        # the C(n+1, 2) floor binds only at d = 1; a formula check, no tables
+        for n in range(60):
+            for d in range(2, 40):
+                ctx = VeroneseContext(n, d)
+                with pytest.raises(BudgetError) as exc:
+                    matrix_module.check_minor_budget(ctx, -1)
+                assert exc.value.estimated == max(minor_candidates(ctx), comb(d, 2))
+
+    def test_minors_listing_builds_no_minor_set(self, capsys):
+        matrix_module.cached_minors.cache_clear()
+        code, out = run(capsys, "minors", "--n", "2", "--d", "3")
+        assert code == 0 and out.endswith("count: 36\n")
+        assert matrix_module.cached_minors.cache_info().currsize == 0
 
 
 class TestMembershipDocuments:

@@ -85,6 +85,20 @@ class TestEnumeration:
     def test_matches_filter_oracle(self, n, d):
         assert list(enumerate_monomials(n, d)) == monomials_by_filter(n, d)
 
+    def test_matches_sorted_compositions(self):
+        def compositions(d, parts):
+            if parts == 1:
+                yield (d,)
+                return
+            for first in range(d + 1):
+                for rest in compositions(d - first, parts - 1):
+                    yield (first, *rest)
+
+        for n in range(7):
+            for d in range(8):
+                expected = sorted(compositions(d, n + 1), reverse=True)
+                assert [tuple(m) for m in enumerate_monomials(n, d)] == expected
+
 
 class TestRank:
     def test_spec_examples(self):

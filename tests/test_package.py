@@ -222,3 +222,10 @@ class TestTooling:
         declared = re.search(r"^test = \[(.*)\]$", section, re.M)
         assert installed and declared
         assert installed.group(1).split() == re.findall(r'"([^"]+)"', declared.group(1))
+
+    def test_console_script_resolves_to_a_callable(self):
+        pyproject = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+        section = pyproject[pyproject.index("[project.scripts]\n"):]
+        entry = re.search(r'^veronese = "([\w.]+):(\w+)"$', section, re.M)
+        assert entry
+        assert callable(getattr(import_module(entry.group(1)), entry.group(2)))
