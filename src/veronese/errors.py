@@ -55,7 +55,9 @@ class Frozen:
     of the field tuple, and the repr reads "Name(field=value, ...)".
     Assigning or deleting an attribute raises FrozenInstanceError, the one
     path that imports dataclasses.  Classes built or hashed in hot loops
-    override __init__, __eq__ and __hash__ with field-by-field versions.
+    override __init__, __eq__ and __hash__ with field-by-field versions;
+    matrix.Binomial2, built by the ten thousand, is instead the tuple of its
+    fields with this behaviour and Frozen's __setattr__ and __delattr__.
     """
 
     __slots__ = ()

@@ -17,16 +17,19 @@ and _quad_binomials turns table quads into Binomial2 values, checking
 balance on packed exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit
 of a pair sum is at most 2d < 2d+1, so adding codes never carries and
 code(A) + code(B) is the code of A + B: code(A) + code(B) ==
-code(C) + code(E) iff A + B == C + E.  Quadrics flow one way, from quads
-to Binomial2; binomial_quad reads a binomial from outside back as a quad.
+code(C) + code(E) iff A + B == C + E.  toric_quadrics checks the same
+codes once per pair and makes its binomials from pairs of pairs in C.
+A Binomial2 is the tuple (pos, neg), so the tables hash and free them
+in C too.  Quadrics flow one way, from quads to Binomial2; binomial_quad
+reads a binomial from outside back as a quad.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain, combinations, starmap
-from operator import add, mul, sub
+from itertools import chain, combinations, repeat
+from operator import add, itemgetter, mul, sub
 
 from .errors import BudgetError, ContractError, EmptyMatrixError, Frozen
 from .multiindex import (
@@ -83,32 +86,53 @@ def _ordered_pair(a: MultiIndex, b: MultiIndex) -> Pair:
     return (a, b) if a >= b else (b, a)
 
 
-class Binomial2(Frozen):
+class Binomial2(tuple):
     """Canonical balanced binomial quadric z_pos0 z_pos1 - z_neg0 z_neg1.
 
     Each pair is stored lex-descending and pos is the pair with the
     lex-larger leading vector, so a binomial and its negation share one
     representation.  Balanced distinct pairs never share a leading vector
     (equal leaders force equal partners), making the choice well defined.
-    A table build makes tens of thousands of binomials, so equality and
-    hashing are specialized, and the tables come from _quad_binomials,
-    which checks balance on packed codes; __init__ runs __post_init__.
+
+    A binomial is the tuple (pos, neg), its fields named by _fields, so a
+    table build of tens of thousands hashes, makes and frees them in C: the
+    hash is hash((pos, neg)), and the tables make each with tuple.__new__
+    once balance holds on packed codes.  The public constructor runs
+    __post_init__, the check on the vectors.  Otherwise it behaves as a
+    frozen dataclass (errors.Frozen): equal only to another Binomial2,
+    never to a tuple, unordered, immutable, shown as Binomial2(pos=...,
+    neg=...), and pickled by calling the class on its fields.
     """
 
-    __slots__ = ("pos", "neg")
+    __slots__ = ()
+    _fields = ("pos", "neg")
+    pos = property(itemgetter(0))
+    neg = property(itemgetter(1))
+    __hash__ = tuple.__hash__
+    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
 
-    def __init__(self, pos: Pair, neg: Pair):
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
+    def __new__(cls, pos: Pair, neg: Pair):
+        self = tuple.__new__(cls, (pos, neg))
         self.__post_init__()
+        return self
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pos == other.pos and self.neg == other.neg
+        # False, not NotImplemented: the reflected tuple.__eq__ would say True
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):  # unordered: tuple's order would compare the fields
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.pos, self.neg))
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(pos={self[0]!r}, neg={self[1]!r})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
 
     def __post_init__(self):
         a, b = self.pos
@@ -129,9 +153,6 @@ class Binomial2(Frozen):
         if p1[0] > p2[0]:
             return Binomial2(p1, p2)
         return Binomial2(p2, p1)
-
-    def coordinates(self) -> tuple[MultiIndex, MultiIndex, MultiIndex, MultiIndex]:
-        return (*self.pos, *self.neg)
 
     def sort_key(self):
         return (self.pos, self.neg)
@@ -213,11 +234,11 @@ def _quad_binomials(monos, quads):
     """Yield the Binomial2 of each canonical quad of indices into monos, a
     table of same-degree vectors, checking balance on packed codes.  Each
     index pair gets one (monos[a], monos[b]) tuple, shared through a flat
-    S x S list, and the slots are filled without __init__."""
+    S x S list, and each binomial is one tuple.__new__."""
     S = len(monos)
     codes = _packed_codes(monos) if S else []
     pairs = [None] * (S * S)
-    new, set_pos, set_neg = object.__new__, Binomial2.pos.__set__, Binomial2.neg.__set__
+    new = tuple.__new__
     for a, b, c, e in quads:
         if codes[a] + codes[b] != codes[c] + codes[e]:
             raise ContractError(f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}")
@@ -227,10 +248,7 @@ def _quad_binomials(monos, quads):
         neg = pairs[c * S + e]
         if neg is None:
             neg = pairs[c * S + e] = (monos[c], monos[e])
-        binomial = new(Binomial2)
-        set_pos(binomial, pos)
-        set_neg(binomial, neg)
-        yield binomial
+        yield new(Binomial2, (pos, neg))
 
 
 def minor_candidates(ctx: VeroneseContext) -> int:
@@ -260,8 +278,12 @@ def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
 def binomial_quad(ctx: VeroneseContext, binomial: Binomial2) -> tuple[int, int, int, int] | None:
     """The coordinate indices of binomial's entries, pos then neg; None
     when an entry is not a degree-d coordinate of ctx."""
-    q = tuple(map(coordinate_index(ctx).get, binomial.coordinates()))
-    return None if None in q else q
+    (a, b), (c, e) = binomial
+    index = coordinate_index(ctx)
+    try:
+        return index[a], index[b], index[c], index[e]
+    except KeyError:
+        return None
 
 
 def is_matrix_minor(ctx: VeroneseContext, binomial: Binomial2) -> bool:
@@ -307,21 +329,28 @@ def is_minor_quad(monos: tuple[MultiIndex, ...], a: int, b: int, c: int, e: int)
 def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     """Every canonical balanced quadric z_a z_b - z_c z_e on the degree-d
     coordinates: the full catalecticant-style generating set the minors are
-    compared against.  Index pairs a <= b are grouped by the sum of their
-    packed codes.  A group receives its pairs in rising order of a, and no
-    two pairs with one sum share a leader, so each (p1, p2) of combinations
-    is a canonical quad (p1[0] < p2[0]), and none repeats.
+    compared against.  Pairs (monos[a], monos[b]), a <= b, are grouped by
+    the sum of their packed codes, and each group's code sums are checked
+    against its key: every two pairs of a group then balance, the per-quad
+    check at pair cost.  A group receives its pairs in rising order of a,
+    and no two pairs with one sum share a leader, so each (p1, p2) of
+    combinations is a canonical binomial (p1 leads), and none repeats.
     """
     if ctx.d < 1:
         raise EmptyMatrixError("d = 0: a single coordinate admits no quadric")
     monos = enumerate_monomials(ctx.n, ctx.d)
     codes = _packed_codes(monos)
-    by_sum: dict[int, list[tuple[int, int]]] = {}
-    for a, ca in enumerate(codes):
-        for b, cb in enumerate(codes[a:], a):
-            by_sum.setdefault(ca + cb, []).append((a, b))
-    quads = chain.from_iterable(starmap(add, combinations(pairs, 2)) for pairs in by_sum.values())
-    return frozenset(_quad_binomials(monos, quads))
+    by_sum: dict[int, list[Pair]] = {}
+    for a, (A, ca) in enumerate(zip(monos, codes)):
+        for B, cb in zip(monos[a:], codes[a:]):
+            by_sum.setdefault(ca + cb, []).append((A, B))
+    code = dict(zip(monos, codes))
+    for key, pairs in by_sum.items():
+        for A, B in pairs:
+            if code[A] + code[B] != key:
+                raise ContractError(f"unbalanced pair {A}*{B} in the group of code sum {key}")
+    groups = (map(tuple.__new__, repeat(Binomial2), combinations(pairs, 2)) for pairs in by_sum.values())
+    return frozenset(chain.from_iterable(groups))
 
 
 def sorted_binomials(binomials: frozenset[Binomial2]) -> list[Binomial2]:

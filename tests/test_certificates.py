@@ -772,7 +772,7 @@ class TestIndexCoreMatchesReference:
         ctx = VeroneseContext(n, d)
         for b in cached_minors(ctx):
             for i in range(n + 1):
-                assert realizes_row_and_column(ctx, i, b) == (pure_power(n, d, i) in b.coordinates()), (i, b)
+                assert realizes_row_and_column(ctx, i, b) == (pure_power(n, d, i) in (*b.pos, *b.neg)), (i, b)
 
     def test_partner_neither_target_nor_known(self):
         # z_{2,1} z_{1,2} = z_{3,0} z_{0,3} = 0 forces z_{2,1} = 0 only if

@@ -179,19 +179,19 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("field", ["rational", "fp:101"])
     def test_chain_phase_builds_no_binomial_or_multiindex(self, capsys, monkeypatch, field):
         # the rewrite-chain phase follows the zero-propagation check: count
-        # the constructions on either side of it
+        # the public constructions on either side of it
         counts = Counter()
         phase = ["before"]
-        new_index, init_binomial = MultiIndex.__new__, Binomial2.__init__
+        new_index, new_binomial = MultiIndex.__new__, Binomial2.__new__
         verify_cert = certs.verify_zero_propagation
 
         def counting_new(cls, exponents):
             counts[phase[-1], "MultiIndex"] += 1
             return new_index(cls, exponents)
 
-        def counting_init(self, pos, neg):
+        def counting_binomial(cls, pos, neg):
             counts[phase[-1], "Binomial2"] += 1
-            init_binomial(self, pos, neg)
+            return new_binomial(cls, pos, neg)
 
         def then_chains(ctx, cert):
             res = verify_cert(ctx, cert)
@@ -199,7 +199,7 @@ class TestVerifyCommand:
             return res
 
         monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counting_new))
-        monkeypatch.setattr(Binomial2, "__init__", counting_init)
+        monkeypatch.setattr(Binomial2, "__new__", staticmethod(counting_binomial))
         monkeypatch.setattr(certs, "verify_zero_propagation", then_chains)
         code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field)
         assert code == 0

@@ -9,10 +9,12 @@ generators kept in test_certificates, which run on these primitives; the
 package generates them on coordinate indices.
 """
 
+import ast
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from itertools import combinations
+from itertools import chain, combinations, starmap
 from operator import add
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from veronese import (
 )
 from veronese import matrix as matrix_module
 from veronese import morphism
+from veronese.multiindex import coordinate_index
 
 from test_certificates import reference_rewrite_chain, reference_zero_propagation_certificate
 
@@ -160,7 +163,7 @@ class TestAgainstReference:
     def test_fast_path_keeps_types(self, n, d):
         ctx = VeroneseContext(n, d)
         for b in minors2(build_matrix(ctx)) | toric_quadrics(ctx):
-            assert all(type(m) is MultiIndex for m in b.coordinates())
+            assert all(type(m) is MultiIndex for m in (*b.pos, *b.neg))
 
 
 TABLE_CONTEXTS = [(n, d) for n in range(5) for d in range(1, 6)] + [(5, 3), (6, 2)]
@@ -264,38 +267,125 @@ class TestTablesOnTheIndexGrid:
             minors2(SymbolicMatrix(ctx, tuple(map(tuple, rows))))
 
     def test_builds_make_no_multiindex_once_monomials_are_cached(self, monkeypatch):
+        # the tables make their binomials with tuple.__new__, in C for the
+        # toric quadrics, so no public construction of either class runs
         ctx = VeroneseContext(3, 4)
         clear_caches()
         ctx.monomials()
         counts = Counter()
-        new_index, init_binomial = MultiIndex.__new__, Binomial2.__init__
-        table_binomials = matrix_module._quad_binomials
+        new_index, new_binomial = MultiIndex.__new__, Binomial2.__new__
 
         def counting_index(cls, exponents):
             counts["MultiIndex"] += 1
             return new_index(cls, exponents)
 
-        def counting_init(self, pos, neg):
-            counts["Binomial2.__init__"] += 1
-            init_binomial(self, pos, neg)
-
-        def counting_table(monos, quads):
-            for binomial in table_binomials(monos, quads):
-                counts["Binomial2"] += 1
-                yield binomial
+        def counting_binomial(cls, pos, neg):
+            counts["Binomial2"] += 1
+            return new_binomial(cls, pos, neg)
 
         monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counting_index))
-        monkeypatch.setattr(Binomial2, "__init__", counting_init)
-        monkeypatch.setattr(matrix_module, "_quad_binomials", counting_table)
+        monkeypatch.setattr(Binomial2, "__new__", staticmethod(counting_binomial))
         quadrics = toric_quadrics(ctx)
-        assert counts == Counter(Binomial2=len(quadrics))
         minors = minors2(build_matrix(ctx))
-        # one binomial per candidate (none is identically zero on the
-        # grid); repeats collapse in the set
-        assert len(minors) == 990
-        assert counts == Counter(Binomial2=len(quadrics) + matrix_module.minor_candidates(ctx))
+        assert counts == Counter()
+        assert (len(minors), len(quadrics)) == (990, 1221)
+        assert all(type(b) is Binomial2 for b in minors | quadrics)
         monkeypatch.undo()
         clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# the slotted binomial the tables built before Binomial2 became its
+# (pos, neg) tuple, with the construction that filled its slots
+
+
+class SlotBinomial2:
+    __slots__ = ("pos", "neg")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pos == other.pos and self.neg == other.neg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pos, self.neg))
+
+
+def slot_quad_binomials(monos, quads):
+    S = len(monos)
+    codes = matrix_module._packed_codes(monos) if S else []
+    pairs = [None] * (S * S)
+    new, set_pos, set_neg = object.__new__, SlotBinomial2.pos.__set__, SlotBinomial2.neg.__set__
+    for a, b, c, e in quads:
+        if codes[a] + codes[b] != codes[c] + codes[e]:
+            raise ContractError(f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}")
+        pos = pairs[a * S + b]
+        if pos is None:
+            pos = pairs[a * S + b] = (monos[a], monos[b])
+        neg = pairs[c * S + e]
+        if neg is None:
+            neg = pairs[c * S + e] = (monos[c], monos[e])
+        binomial = new(SlotBinomial2)
+        set_pos(binomial, pos)
+        set_neg(binomial, neg)
+        yield binomial
+
+
+def slot_minors2(matrix):
+    idx = coordinate_index(matrix.ctx)
+    grid = [[idx[m] for m in row] for row in matrix.entries]
+    return frozenset(slot_quad_binomials(matrix.ctx.monomials(), matrix_module._grid_quads(grid)))
+
+
+def slot_toric_quadrics(ctx):
+    monos = enumerate_monomials(ctx.n, ctx.d)
+    codes = matrix_module._packed_codes(monos)
+    by_sum = {}
+    for a, ca in enumerate(codes):
+        for b, cb in enumerate(codes[a:], a):
+            by_sum.setdefault(ca + cb, []).append((a, b))
+    quads = chain.from_iterable(starmap(add, combinations(pairs, 2)) for pairs in by_sum.values())
+    return frozenset(slot_quad_binomials(monos, quads))
+
+
+def tables_cold_counts():
+    """TablesCold.FULL and its (minors, quadrics) counts, read from
+    bench/workloads.py as literals, without importing the harness."""
+    source = (Path(__file__).resolve().parents[1] / "bench" / "workloads.py").read_text(encoding="utf-8")
+    (cls,) = [node for node in ast.parse(source).body
+              if isinstance(node, ast.ClassDef) and node.name == "TablesCold"]
+    values = {node.targets[0].id: ast.literal_eval(node.value) for node in cls.body
+              if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("EXPECTED", "FULL")}
+    return {ctx: values["EXPECTED"][ctx][:2] for ctx in values["FULL"]}
+
+
+class TestTupleTablesAgainstSlotTables:
+    """The tuple-backed tables against the slot-filling construction they
+    replaced: the same elements, hashes and set iteration order."""
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(1, 6)])
+    def test_same_sets_hashes_and_order(self, n, d):
+        ctx = VeroneseContext(n, d)
+        clear_caches()
+        fast = minors2(build_matrix(ctx)), toric_quadrics(ctx)
+        reference = slot_minors2(build_matrix(ctx)), slot_toric_quadrics(ctx)
+        for table, ref in zip(fast, reference):
+            assert [tuple(b) for b in table] == [(r.pos, r.neg) for r in ref]
+            assert list(map(hash, table)) == list(map(hash, ref))
+            assert set(map(tuple, table)) == {(r.pos, r.neg) for r in ref}
+            for b in table:
+                assert type(b) is Binomial2
+                assert tuple(map(add, *b.pos)) == tuple(map(add, *b.neg))
+        clear_caches()
+
+    @pytest.mark.parametrize("ctx,counts", sorted(tables_cold_counts().items()))
+    def test_tables_cold_counts(self, ctx, counts):
+        ctx = VeroneseContext(*ctx)
+        assert (len(minors2(build_matrix(ctx))), len(toric_quadrics(ctx))) == counts
+
+    def test_tables_cold_contexts_are_read(self):
+        assert tables_cold_counts()[4, 5] == (22575, 39625)
+        assert len(tables_cold_counts()) == 7
 
 
 class TestChecksStillFire:

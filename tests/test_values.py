@@ -1,9 +1,9 @@
 """The hand-written value classes against frozen dataclass twins.
 
 The ten value classes of the package are plain classes with __slots__
-(errors.Frozen).  Each twin below is the frozen dataclass definition it
-replaced, validation included, under the same name, so reprs can be
-compared as text.  Field values are drawn from small domains, so that
+(errors.Frozen), except Binomial2, which is the tuple (pos, neg).  Each
+twin below is the frozen dataclass definition it replaced, validation
+included, under the same name, so reprs can be compared as text.  Field values are drawn from small domains, so that
 equal and unequal pairs both occur, and nested values are the package's
 own objects in both versions.
 """
@@ -178,9 +178,18 @@ def names(twin) -> list[str]:
     return [f.name for f in fields(twin)]
 
 
+def field_names(real) -> list[str]:
+    """Binomial2 is the tuple of its fields, named by _fields; a tuple
+    subclass leaves __slots__ empty.  The other classes slot their fields."""
+    if issubclass(real, tuple):
+        assert real.__slots__ == ()
+        return list(real._fields)
+    return list(real.__slots__)
+
+
 @pytest.mark.parametrize("twin", TWINS, ids=lambda t: t.__name__)
 def test_fields_in_constructor_order(twin):
-    assert list(REAL[twin].__slots__) == names(twin)
+    assert field_names(REAL[twin]) == names(twin)
     assert REAL[twin].__qualname__ == twin.__qualname__
 
 
@@ -230,6 +239,19 @@ def test_binomial_has_no_dict():
     b = QUADRICS[0]
     assert not hasattr(b, "__dict__")
     assert not hasattr(Binomial2(b.pos, b.neg), "__dict__")
+
+
+@given(pairs)
+def test_binomial_is_its_field_tuple(args):
+    # hashed as the tuple (pos, neg), yet never equal to it and unordered,
+    # as the dataclass twin
+    b, tb = matrix.Binomial2(*args), Binomial2(*args)
+    assert hash(b) == hash((b.pos, b.neg)) == hash(tb)
+    assert b != (b.pos, b.neg) and (b.pos, b.neg) != b
+    assert not b == (b.pos, b.neg)
+    assert refusal(lambda: b < b)[0] is refusal(lambda: tb < tb)[0] is TypeError
+    assert refusal(lambda: b >= b) == refusal(lambda: tb >= tb)
+    assert not hasattr(b, "__dict__")
 
 
 @given(st.booleans(), st.sampled_from([None, "", "step 0: bad"]))
