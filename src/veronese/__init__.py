@@ -23,12 +23,12 @@ _EXPORTS = {
     ),
     "multiindex": (
         "MultiIndex", "VeroneseContext", "binom", "enumerate_monomials",
-        "parse_coordinate_name", "pure_power", "rank",
+        "parse_coordinate_name", "pure_power",
     ),
     "matrix": (
         "Binomial2", "DEFAULT_BUDGET", "SymbolicMatrix", "build_matrix",
-        "is_matrix_minor", "minor_candidates", "minors2", "parse_binomial",
-        "sorted_binomials", "toric_quadrics",
+        "minor_candidates", "minors2", "parse_binomial", "sorted_binomials",
+        "toric_quadrics",
     ),
     "projective": (
         "Fp", "PrimeField", "ProjectivePoint", "QQ", "count_projective_points",
@@ -41,10 +41,9 @@ _EXPORTS = {
     ),
     "certificates": (
         "PropagationStep", "RewriteChain", "VerifyResult",
-        "ZeroPropagationCertificate", "all_rewrite_chains", "chain_from_doc",
-        "chain_to_doc", "propagation_from_doc", "propagation_to_doc",
-        "rewrite_chain", "verify_rewrite_chain", "verify_zero_propagation",
-        "zero_propagation_certificate",
+        "ZeroPropagationCertificate", "all_rewrite_chains", "propagation_from_doc",
+        "propagation_to_doc", "rewrite_chain", "verify_rewrite_chain",
+        "verify_zero_propagation", "zero_propagation_certificate",
     ),
     "oracle": (
         "EqualityReport", "brute_force_image", "brute_force_variety", "census",

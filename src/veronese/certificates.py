@@ -353,27 +353,3 @@ def propagation_from_doc(doc: dict) -> ZeroPropagationCertificate:
         raise ContractError(f"malformed certificate document: {exc}") from None
     return ZeroPropagationCertificate(ctx, steps)
 
-
-def chain_to_doc(chain: RewriteChain) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "rewrite-chain",
-        "n": chain.ctx.n,
-        "d": chain.ctx.d,
-        "chart": chain.chart,
-        "target": chain.target.coordinate_name(),
-        "steps": [str(b) for b in chain.steps],
-    }
-
-
-def chain_from_doc(doc: dict) -> RewriteChain:
-    try:
-        ctx = VeroneseContext(int(doc["n"]), int(doc["d"]))
-        return RewriteChain(
-            ctx,
-            int(doc["chart"]),
-            parse_coordinate_name(doc["target"]),
-            tuple(parse_binomial(s) for s in doc["steps"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ContractError(f"malformed chain document: {exc}") from None

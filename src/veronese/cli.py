@@ -40,7 +40,6 @@ from .errors import (
     ContractError,
     EmptyMatrixError,
     InvalidPointError,
-    NoChartError,
     VeroneseError,
 )
 from .matrix import DEFAULT_BUDGET, build_matrix, check_minor_budget
@@ -385,13 +384,8 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NoChartError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ContractError, InvalidPointError, EmptyMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ContractError, InvalidPointError, EmptyMatrixError,
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VeroneseError as exc:

@@ -15,13 +15,14 @@ The tables are built on coordinate indices (ranks): a quadric is the quad
 candidates of a grid of indices, for minors2 and morphism's minor table,
 and _quad_binomials turns table quads into Binomial2 values, checking
 balance on packed exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit
-of a pair sum is at most 2d < 2d+1, so adding codes never carries and
-code(A) + code(B) is the code of A + B: code(A) + code(B) ==
-code(C) + code(E) iff A + B == C + E.  toric_quadrics checks the same
-codes once per pair and makes its binomials from pairs of pairs in C.
-A Binomial2 is the tuple (pos, neg), so the tables hash and free them
-in C too.  Quadrics flow one way, from quads to Binomial2; binomial_quad
-reads a binomial from outside back as a quad.
+of a pair sum is at most 2d < 2d+1, so adding codes never carries:
+code(A) + code(B) is the base-(2d+1) numeral of A + B, and
+code(A) + code(B) == code(C) + code(E) iff A + B == C + E.
+toric_quadrics groups pairs by that sum, so it needs no check, and makes
+its binomials from pairs of pairs in C.  A Binomial2 is the tuple
+(pos, neg), so the tables hash and free them in C too.  Quadrics flow
+one way, from quads to Binomial2; binomial_quad reads a binomial from
+outside back as a quad.
 """
 
 from __future__ import annotations
@@ -154,9 +155,6 @@ class Binomial2(tuple):
             return Binomial2(p1, p2)
         return Binomial2(p2, p1)
 
-    def sort_key(self):
-        return (self.pos, self.neg)
-
     def __str__(self) -> str:
         return f"{_product_str(self.pos)} - {_product_str(self.neg)}"
 
@@ -286,13 +284,6 @@ def binomial_quad(ctx: VeroneseContext, binomial: Binomial2) -> tuple[int, int, 
         return None
 
 
-def is_matrix_minor(ctx: VeroneseContext, binomial: Binomial2) -> bool:
-    """Whether binomial is in minors2(build_matrix(ctx)), in closed form:
-    is_minor_quad on its binomial_quad."""
-    q = binomial_quad(ctx, binomial)
-    return q is not None and is_minor_quad(ctx.monomials(), *q)
-
-
 def is_minor_quad(monos: tuple[MultiIndex, ...], a: int, b: int, c: int, e: int) -> bool:
     """Whether z_a z_b - z_c z_e, given by indices into monos =
     ctx.monomials(), is a canonical 2-minor of the matrix.
@@ -330,11 +321,11 @@ def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     """Every canonical balanced quadric z_a z_b - z_c z_e on the degree-d
     coordinates: the full catalecticant-style generating set the minors are
     compared against.  Pairs (monos[a], monos[b]), a <= b, are grouped by
-    the sum of their packed codes, and each group's code sums are checked
-    against its key: every two pairs of a group then balance, the per-quad
-    check at pair cost.  A group receives its pairs in rising order of a,
-    and no two pairs with one sum share a leader, so each (p1, p2) of
-    combinations is a canonical binomial (p1 leads), and none repeats.
+    the sum of their packed codes, which is the code of A + B (module
+    docstring), so two pairs share a group iff they balance.  A group
+    receives its pairs in rising order of a, and no two pairs with one sum
+    share a leader, so each (p1, p2) of combinations is a canonical
+    binomial (p1 leads), and none repeats.
     """
     if ctx.d < 1:
         raise EmptyMatrixError("d = 0: a single coordinate admits no quadric")
@@ -344,18 +335,13 @@ def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     for a, (A, ca) in enumerate(zip(monos, codes)):
         for B, cb in zip(monos[a:], codes[a:]):
             by_sum.setdefault(ca + cb, []).append((A, B))
-    code = dict(zip(monos, codes))
-    for key, pairs in by_sum.items():
-        for A, B in pairs:
-            if code[A] + code[B] != key:
-                raise ContractError(f"unbalanced pair {A}*{B} in the group of code sum {key}")
     groups = (map(tuple.__new__, repeat(Binomial2), combinations(pairs, 2)) for pairs in by_sum.values())
     return frozenset(chain.from_iterable(groups))
 
 
 def sorted_binomials(binomials: frozenset[Binomial2]) -> list[Binomial2]:
     """Deterministic listing order: lex-descending leading coordinates."""
-    return sorted(binomials, key=lambda b: b.sort_key(), reverse=True)
+    return sorted(binomials, key=tuple, reverse=True)
 
 
 @lru_cache(maxsize=None)

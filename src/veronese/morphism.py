@@ -2,13 +2,14 @@
 chartwise inverse.
 
 A source point [x_0 : ... : x_n] maps to the vector of all degree-d
-monomial values, ordered lex-descending so that coordinate rank(m) holds
-x^m.  Membership in the model variety means every canonical 2-minor
-vanishes exactly.  Points hold elements of their field, coerced when the
-point is built; the embedding and the membership test compute on
-projective.integer_coords, the point scaled to plain ints over Q and its
-residues over F_p.  Both are homogeneous, so the scaling changes neither
-the normalized image nor whether a minor vanishes.
+monomial values, ordered lex-descending so that coordinate
+coordinate_index(ctx)[m] holds x^m.  Membership in the model variety
+means every canonical 2-minor vanishes exactly.  Points hold elements of
+their field, coerced when the point is built; the embedding and the
+membership test compute on projective.integer_coords, the point scaled to
+plain ints over Q and its residues over F_p.  Both are homogeneous, so
+the scaling changes neither the normalized image nor whether a minor
+vanishes.
 
 The minors of the coordinate matrix M vanish at a point exactly when M
 has rank at most one there, so is_on_variety tests rank one through a
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, _grid_quads, _quad_binomials, build_matrix, require_matrix
-from .multiindex import MultiIndex, VeroneseContext, coordinate_index, pure_power
+from .multiindex import VeroneseContext, coordinate_index, pure_power
 from .projective import Fp, ProjectivePoint, Scalar, integer_coords, normalize
 
 
@@ -62,7 +63,8 @@ def _minor_table(ctx: VeroneseContext) -> tuple[tuple[Binomial2, tuple[int, int,
 def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
     """Image of x under the degree-d embedding, normalized.
 
-    Coordinate rank(m) of the result is the monomial value x^m.
+    Coordinate coordinate_index(ctx)[m] of the result is the monomial
+    value x^m.
     """
     coords, p = _integer_image(ctx, x)
     # x_j^d is nonzero for a nonzero x_j, so the image has a nonzero entry;
@@ -101,8 +103,9 @@ def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int],
 
 @lru_cache(maxsize=None)
 def _index_grid(ctx: VeroneseContext) -> tuple[tuple[int, ...], ...]:
-    """G[i][k] = rank(beta_k + e_i): the flat coordinate index of each entry
-    of the coordinate matrix, beta_k the base of column k."""
+    """G[i][k] = coordinate_index(ctx)[beta_k + e_i]: the flat coordinate
+    index of each entry of the coordinate matrix, beta_k the base of
+    column k."""
     idx = coordinate_index(ctx)
     return tuple(tuple(idx[m] for m in row) for row in build_matrix(ctx).entries)
 
@@ -174,15 +177,13 @@ def inverse_on_chart(ctx: VeroneseContext, Q: ProjectivePoint, i: int) -> Projec
     return normalize(ProjectivePoint(Q.field, tuple(column)))
 
 
-def inverse_map(ctx: VeroneseContext, Q: ProjectivePoint, check: bool = False) -> ProjectivePoint:
+def inverse_map(ctx: VeroneseContext, Q: ProjectivePoint) -> ProjectivePoint:
     """Preimage of a variety point under the embedding.
 
-    Trusts the caller that Q is on the variety unless check=True (the
-    membership test costs one rank-one pass over the matrix, which oracle
-    loops have already paid).
+    Trusts the caller that Q is on the variety: off it, the result is the
+    column of the first available chart and means nothing.  A caller that
+    does not know tests is_on_variety first, as the invert command does.
     """
-    if check and not is_on_variety(ctx, Q):
-        raise ContractError("point is not on the variety; no preimage exists")
     return inverse_on_chart(ctx, Q, chart_select(ctx, Q))
 
 

@@ -119,24 +119,6 @@ def enumerate_monomials(n: int, d: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-def rank(m: MultiIndex) -> int:
-    """0-based position of m in enumerate_monomials(len(m)-1, m.degree).
-
-    Strictly order-reversing: the lex-largest monomial has rank 0.  Runs in
-    O((n+d) * n) via the block count of monomials sharing a leading exponent.
-    """
-    r = 0
-    d = m.degree
-    nvars = len(m)  # variables still unassigned
-    for e in m[:-1]:
-        nvars -= 1
-        # monomials whose current exponent exceeds e come earlier
-        for c in range(e + 1, d + 1):
-            r += binom(d - c + nvars - 1, nvars - 1)
-        d -= e
-    return r
-
-
 class VeroneseContext(Frozen):
     """The pair (n, d) of ints: source space P^n and embedding degree d.
 

@@ -27,7 +27,6 @@ from veronese import (
     proj_eq,
     pure_power,
     random_point,
-    rank,
     rewrite_chain,
     toric_quadrics,
     verify_rewrite_chain,
@@ -36,6 +35,7 @@ from veronese import (
     zero_propagation_certificate,
 )
 from veronese.cli import main as cli_main
+from veronese.multiindex import coordinate_index
 
 from test_matrix import build_matrix_by_columns
 
@@ -132,7 +132,7 @@ def test_criterion_06_chart_cover(variety_sets):
     t0 = time.perf_counter()
     for (n, d, q), variety in sets.items():
         ctx = VeroneseContext(n, d)
-        pure_idx = [rank(pure_power(n, d, i)) for i in range(n + 1)]
+        pure_idx = [coordinate_index(ctx)[pure_power(n, d, i)] for i in range(n + 1)]
         uncovered = [Q for Q in variety if not any(Q.coords[i] for i in pure_idx)]
         assert uncovered == [], f"({n},{d},{q}): {len(uncovered)} points outside every chart"
     report(6, "no variety point escapes all charts", time.perf_counter() - t0, 60.0)

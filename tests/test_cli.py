@@ -14,6 +14,7 @@ from veronese import (
     Binomial2,
     BudgetError,
     MultiIndex,
+    NoChartError,
     PrimeField,
     ProjectivePoint,
     RewriteChain,
@@ -123,6 +124,16 @@ class TestPointCommands:
         code, out = run(capsys, "invert", "--n", "1", "--d", "2", "[0 : 1 : 0]")
         assert code == 1
         assert "not on the variety" in out
+
+    def test_no_chart_is_a_check_failure(self, capsys, monkeypatch):
+        # NoChartError is no usage error: main's VeroneseError clause maps it to 1
+        def no_chart(ctx, Q):
+            raise NoChartError("no chart contains the point")
+
+        monkeypatch.setattr(cli, "inverse_map", no_chart)
+        code = main(["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "error: no chart contains the point\n")
 
     def test_prime_field_eval(self, capsys):
         code, out = run(capsys, "eval", "--n", "1", "--d", "2", "--field", "fp:5", "[2 : 3]")

@@ -13,6 +13,7 @@ import ast
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import chain, combinations, starmap
+from math import comb
 from operator import add
 from pathlib import Path
 
@@ -209,6 +210,22 @@ class TestTablesOnTheIndexGrid:
                 assert out == Binomial2((monos[a], monos[b]), (monos[c], monos[e]))
             digits[max(map(add, monos[a], monos[b]))] += 1
         assert digits[2 * d] > 0
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_pair_codes_are_the_pair_sums(self, n):
+        # toric_quadrics groups pairs by code sum without a check, so for
+        # d <= 7 code(A) + code(B) must depend on A + B alone and differ for
+        # different sums: the packed codes are additive and injective on
+        # degree-2d vectors.  ref packs a vector in base 100, a digit no
+        # pair sum reaches, so it is both by construction.
+        for d in range(1, 8):
+            monos = enumerate_monomials(n, d)
+            codes = matrix_module._packed_codes(monos)
+            ref = [sum(e * 100 ** j for j, e in enumerate(m)) for m in monos]
+            sums = {(ra + rb, ca + cb) for a, (ra, ca) in enumerate(zip(ref, codes))
+                    for rb, cb in zip(ref[a:], codes[a:])}
+            assert len({r for r, _ in sums}) == len({c for _, c in sums}) == len(sums), d
+            assert len(sums) == comb(n + 2 * d, n)  # every degree-2d vector
 
     def test_unbalanced_quad_rejected(self):
         monos = VeroneseContext(2, 2).monomials()

@@ -13,8 +13,8 @@ from veronese import (
     enumerate_monomials,
     parse_coordinate_name,
     pure_power,
-    rank,
 )
+from veronese.multiindex import coordinate_index
 
 
 def pascal(a: int, b: int) -> int:
@@ -30,6 +30,22 @@ def monomials_by_filter(n: int, d: int) -> list[MultiIndex]:
     """Independent oracle: generate-then-sort, no successor function."""
     all_tuples = [t for t in product(range(d + 1), repeat=n + 1) if sum(t) == d]
     return [MultiIndex(t) for t in sorted(all_tuples, reverse=True)]
+
+
+def rank(m: MultiIndex) -> int:
+    """Independent oracle for coordinate_index: the 0-based position of m
+    in enumerate_monomials(len(m)-1, m.degree), counted in O((n+d) * n)
+    from the block of monomials sharing each leading exponent."""
+    r = 0
+    d = m.degree
+    nvars = len(m)  # variables still unassigned
+    for e in m[:-1]:
+        nvars -= 1
+        # monomials whose current exponent exceeds e come earlier
+        for c in range(e + 1, d + 1):
+            r += binom(d - c + nvars - 1, nvars - 1)
+        d -= e
+    return r
 
 
 class TestBinom:
@@ -109,8 +125,9 @@ class TestRank:
     @pytest.mark.parametrize("n,d", [(0, 3), (1, 4), (2, 3), (3, 2), (4, 2)])
     def test_listing_position_and_order_reversal(self, n, d):
         seq = enumerate_monomials(n, d)
+        index = coordinate_index(VeroneseContext(n, d))
         for k, m in enumerate(seq):
-            assert rank(m) == k
+            assert rank(m) == index[m] == k
         # lex-larger monomial has the smaller rank
         for a, b in zip(seq, seq[1:]):
             assert rank(a) < rank(b)

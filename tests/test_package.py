@@ -6,6 +6,8 @@ and read sys.modules, so they pin which modules a command loads, not how
 long loading takes.
 """
 
+import ast
+import inspect
 import json
 import os
 import re
@@ -210,7 +212,46 @@ class TestCaches:
         assert target.cache_info().currsize == 0
 
 
+# the parameters bench/tracer.py's hooks read, by name, from the bound
+# arguments of each call they wrap
+TRACER_BINDS = {
+    "oracle.vanishing_set": ("ctx", "q", "binomials", "budget"),
+    "morphism.failing_minor": ("ctx", "Q"),
+    "morphism.is_on_variety": ("ctx", "Q"),
+    "matrix.minors2": ("matrix",),
+}
+
+
+def names_used(files) -> set[str]:
+    """The names the files use in code: Name, Attribute and import alias
+    nodes, so a docstring or comment that mentions a name does not count."""
+    used = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
 class TestTooling:
+    def test_every_public_name_is_used_outside_the_tests(self):
+        # a public name that only tests call is surface to delete
+        root = Path(SRC).parent
+        package = Path(veronese.__file__).resolve().parent
+        files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
+        files += [*(root / "bench").glob("*.py"), *(root / "demos").glob("*.py")]
+        assert sorted(set(veronese.__all__) - names_used(files)) == []
+
+    @pytest.mark.parametrize("path,names", TRACER_BINDS.items(), ids=list(TRACER_BINDS))
+    def test_tracer_bound_parameters_exist(self, path, names):
+        module, name = path.split(".")
+        parameters = inspect.signature(getattr(import_module(f"veronese.{module}"), name)).parameters
+        assert set(names) <= set(parameters)
+
     def test_ci_installs_the_declared_test_dependencies(self):
         # both files read as text: Python 3.10 has no tomllib
         root = Path(SRC).parent

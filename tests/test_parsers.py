@@ -14,15 +14,12 @@ from veronese import (
     PrimeField,
     VeroneseContext,
     VeroneseError,
-    chain_from_doc,
-    chain_to_doc,
     parse_binomial,
     parse_coordinate_name,
     format_point,
     parse_point,
     propagation_from_doc,
     propagation_to_doc,
-    rewrite_chain,
     zero_propagation_certificate,
 )
 from veronese.cli import main
@@ -55,7 +52,6 @@ exponent_points = st.lists(exponent_entries | st.sampled_from(["0", "1", "1/3"])
 )
 
 PROPAGATION = propagation_to_doc(zero_propagation_certificate(VeroneseContext(2, 3)))
-CHAIN = chain_to_doc(rewrite_chain(VeroneseContext(2, 3), 0, VeroneseContext(2, 3).monomials()[-1]))
 
 
 def only_library_errors(fn, *args):
@@ -104,15 +100,10 @@ class TestDocumentParsers:
     @given(anything)
     def test_arbitrary_json(self, doc):
         only_library_errors(propagation_from_doc, doc)
-        only_library_errors(chain_from_doc, doc)
 
     @given(st.data())
     def test_propagation_one_field_changed(self, data):
         only_library_errors(propagation_from_doc, mutated(PROPAGATION, data))
-
-    @given(st.data())
-    def test_chain_one_field_changed(self, data):
-        only_library_errors(chain_from_doc, mutated(CHAIN, data))
 
 
 class TestRegressions:
@@ -144,17 +135,14 @@ class TestRegressions:
         with pytest.raises(ContractError, match="^rational too long to print"):
             QQ.format_scalar(QQ.parse_scalar("1e2000") ** 3)
 
-    @pytest.mark.parametrize("load,doc", [
-        (propagation_from_doc, {**PROPAGATION, "n": float("inf")}),
-        (propagation_from_doc, {**PROPAGATION, "steps": [{**PROPAGATION["steps"][0], "target": 5}]}),
-        (propagation_from_doc, {**PROPAGATION, "steps": [{**PROPAGATION["steps"][0], "prerequisites": [3]}]}),
-        (chain_from_doc, {**CHAIN, "chart": float("-inf")}),
-        (chain_from_doc, {**CHAIN, "target": None}),
-        (chain_from_doc, {**CHAIN, "steps": [1]}),
-    ], ids=["n-inf", "target-int", "prerequisite-int", "chart-inf", "target-none", "step-int"])
-    def test_document_rejects(self, load, doc):
+    @pytest.mark.parametrize("doc", [
+        {**PROPAGATION, "n": float("inf")},
+        {**PROPAGATION, "steps": [{**PROPAGATION["steps"][0], "target": 5}]},
+        {**PROPAGATION, "steps": [{**PROPAGATION["steps"][0], "prerequisites": [3]}]},
+    ], ids=["n-inf", "target-int", "prerequisite-int"])
+    def test_document_rejects(self, doc):
         with pytest.raises(ContractError):
-            load(doc)
+            propagation_from_doc(doc)
 
     @pytest.mark.parametrize("content", [
         json.dumps({**PROPAGATION, "n": float("inf")}),
