@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # home module -> the public names it exports
 _EXPORTS = {
     "errors": (
-        "BudgetError", "ContractError", "EmptyMatrixError", "InvalidPointError",
-        "NoChartError", "VeroneseError",
+        "BudgetError", "ContractError", "InvalidPointError", "NoChartError",
+        "VeroneseError",
     ),
     "multiindex": (
         "MultiIndex", "VeroneseContext", "binom", "enumerate_monomials",

@@ -97,7 +97,7 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
     if ctx.d < 2:
         return ZeroPropagationCertificate(ctx, ())
     monos, idx = ctx.monomials(), coordinate_index(ctx)
-    known = {k for k, m in enumerate(monos) if ctx.d in m}  # the pure powers
+    known = {chart_indices(ctx, i)[i] for i in range(ctx.n + 1)}  # the pure powers
     steps = []
     for t in range(ctx.n):
         for target, j in enumerate(monos):
@@ -119,7 +119,7 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
     if cert.ctx != ctx:
         return VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
     monos, idx = ctx.monomials(), coordinate_index(ctx)
-    known = {k for k, m in enumerate(monos) if ctx.d in m}  # the pure powers
+    known = {chart_indices(ctx, i)[i] for i in range(ctx.n + 1)}  # the pure powers
     for pos, step in enumerate(cert.steps):
         where = f"step {pos} (target {step.target.coordinate_name()})"
         q = binomial_quad(ctx, step.minor)
@@ -172,8 +172,6 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
     consumed factor seeds w, so a chain has sum(m_j, j != i) - 1 steps and
     is empty whenever m_i >= d - 1.
     """
-    if ctx.d < 1:
-        raise ContractError("chains need d >= 1")
     if not 0 <= i <= ctx.n:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
     if len(m) != ctx.n + 1 or m.degree != ctx.d:
@@ -217,7 +215,7 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     if not 0 <= i <= ctx.n or len(m) != ctx.n + 1 or m.degree != ctx.d:
         return VerifyResult(False, "chain chart or target malformed for this context")
     idx = coordinate_index(ctx)
-    col = chart_indices(ctx, i)  # raises EmptyMatrixError when d = 0
+    col = chart_indices(ctx, i)
     fault = _chain_fault(ctx, col, i, idx[m], [binomial_quad(ctx, b) for b in chain.steps])
     if fault is not None:
         pos, why = fault
@@ -339,8 +337,16 @@ def propagation_to_doc(cert: ZeroPropagationCertificate) -> dict:
 
 
 def propagation_from_doc(doc: dict) -> ZeroPropagationCertificate:
+    """Inverse of propagation_to_doc; ContractError for any other document,
+    including a schema_version or kind it does not write."""
     try:
-        ctx = VeroneseContext(int(doc["n"]), int(doc["d"]))
+        version, kind = doc["schema_version"], doc["kind"]
+        if type(version) is not int or version != 1 or kind != "zero-propagation":
+            raise ValueError("not a schema_version 1 zero-propagation certificate")
+        try:
+            ctx = VeroneseContext(doc["n"], doc["d"])
+        except ContractError as exc:
+            raise ValueError(exc) from None
         steps = tuple(
             PropagationStep(
                 parse_coordinate_name(s["target"]),
@@ -349,7 +355,7 @@ def propagation_from_doc(doc: dict) -> ZeroPropagationCertificate:
             )
             for s in doc["steps"]
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed certificate document: {exc}") from None
     return ZeroPropagationCertificate(ctx, steps)
 

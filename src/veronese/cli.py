@@ -35,13 +35,7 @@ import json
 import sys
 from random import Random
 
-from .errors import (
-    BudgetError,
-    ContractError,
-    EmptyMatrixError,
-    InvalidPointError,
-    VeroneseError,
-)
+from .errors import BudgetError, ContractError, InvalidPointError, VeroneseError
 from .matrix import DEFAULT_BUDGET, build_matrix, check_minor_budget
 from .morphism import (
     _integer_image,
@@ -384,8 +378,8 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ContractError, InvalidPointError, EmptyMatrixError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ContractError, InvalidPointError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VeroneseError as exc:

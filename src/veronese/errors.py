@@ -27,11 +27,6 @@ class NoChartError(VeroneseError):
     not a valid projective point at all."""
 
 
-class EmptyMatrixError(VeroneseError):
-    """The coordinate matrix is undefined because d = 0 leaves no monomial
-    with any variable as a factor."""
-
-
 class BudgetError(VeroneseError):
     """An exhaustive enumeration was refused because it would exceed the
     configured budget.  Carries the estimated cost, counted in `unit`."""

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import chain, combinations, repeat
 from operator import add, itemgetter, mul, sub
 
-from .errors import BudgetError, ContractError, EmptyMatrixError, Frozen
+from .errors import BudgetError, ContractError, Frozen
 from .multiindex import (
     MultiIndex,
     VeroneseContext,
@@ -66,16 +66,9 @@ class SymbolicMatrix(Frozen):
         }
 
 
-def require_matrix(ctx: VeroneseContext) -> None:
-    """Raise EmptyMatrixError when d = 0 leaves the grid undefined."""
-    if ctx.d == 0:
-        raise EmptyMatrixError("d = 0: no monomial has any variable as a factor")
-
-
 def build_matrix(ctx: VeroneseContext) -> SymbolicMatrix:
     """Row-wise construction: row i filters the degree-d enumeration down to
     vectors divisible by x_i, preserving the lex-descending order."""
-    require_matrix(ctx)
     all_monos = enumerate_monomials(ctx.n, ctx.d)
     rows = tuple(
         tuple(m for m in all_monos if m[i] >= 1) for i in range(ctx.n + 1)
@@ -251,7 +244,7 @@ def _quad_binomials(monos, quads):
 
 def minor_candidates(ctx: VeroneseContext) -> int:
     """C(n+1, 2) * C(cols, 2): the 2x2 submatrices minors2 visits, in closed
-    form, so a caller can bound the cost before building anything (d >= 1)."""
+    form, so a caller can bound the cost before building anything."""
     return binom(ctx.n + 1, 2) * binom(ctx.cols, 2)
 
 
@@ -262,12 +255,11 @@ DEFAULT_BUDGET = 5_000_000
 
 def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
     """Refuse, before any table is built, a context whose 2-minor candidate
-    count, or C(d, 2) or C(n+1, 2) if larger, exceeds the budget; d = 0
-    raises EmptyMatrixError first.  The floors bound the grids without
-    minors whose tables still grow: C(d, 2) the one-row grid of n = 0,
-    C(n+1, 2) the one-column grid of d = 1.  For n >= 1 and d >= 2,
-    cols >= max(d, 2), so the candidate count is never below either."""
-    require_matrix(ctx)
+    count, or C(d, 2) or C(n+1, 2) if larger, exceeds the budget.  The
+    floors bound the grids without minors whose tables still grow: C(d, 2)
+    the one-row grid of n = 0, C(n+1, 2) the one-column grid of d = 1.  For
+    n >= 1 and d >= 2, cols >= max(d, 2), so the candidate count is never
+    below either."""
     estimate = max(minor_candidates(ctx), binom(ctx.d, 2), binom(ctx.n + 1, 2))
     if estimate > budget:
         raise BudgetError(estimate, budget, "2-minor candidates")
@@ -327,8 +319,6 @@ def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     share a leader, so each (p1, p2) of combinations is a canonical
     binomial (p1 leads), and none repeats.
     """
-    if ctx.d < 1:
-        raise EmptyMatrixError("d = 0: a single coordinate admits no quadric")
     monos = enumerate_monomials(ctx.n, ctx.d)
     codes = _packed_codes(monos)
     by_sum: dict[int, list[Pair]] = {}

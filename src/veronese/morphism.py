@@ -41,8 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, _grid_quads, _quad_binomials, build_matrix, require_matrix
-from .multiindex import VeroneseContext, coordinate_index, pure_power
+from .matrix import Binomial2, _grid_quads, _quad_binomials, build_matrix
+from .multiindex import VeroneseContext, coordinate_index
 from .projective import Fp, ProjectivePoint, Scalar, integer_coords, normalize
 
 
@@ -145,7 +145,6 @@ def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, 
 def chart_indices(ctx: VeroneseContext, i: int) -> tuple[int, ...]:
     """Coordinate indices of the entries (d-1)e_i + e_j, j = 0..n, of the
     column based at x_i^(d-1); entry i is the pure power z_{d e_i}."""
-    require_matrix(ctx)
     idx = coordinate_index(ctx)
     base = [ctx.d - 1 if s == i else 0 for s in range(ctx.n + 1)]
     return tuple(idx[tuple(e + (s == j) for s, e in enumerate(base))] for j in range(ctx.n + 1))
@@ -190,5 +189,4 @@ def inverse_map(ctx: VeroneseContext, Q: ProjectivePoint) -> ProjectivePoint:
 def available_charts(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[int, ...]:
     """All i with the pure-power coordinate z_{d e_i} nonzero at Q."""
     _require_target(ctx, Q)
-    idx = coordinate_index(ctx)
-    return tuple(i for i in range(ctx.n + 1) if Q.coords[idx[pure_power(ctx.n, ctx.d, i)]])
+    return tuple(i for i in range(ctx.n + 1) if Q.coords[chart_indices(ctx, i)[i]])

@@ -123,21 +123,20 @@ class VeroneseContext(Frozen):
     """The pair (n, d) of ints: source space P^n and embedding degree d.
 
     Derived quantities: N = C(n+d, n) - 1 is the target dimension, cols =
-    C(n+d-1, n) is the column count of the coordinate matrix.  Degenerate
-    n = 0 and d = 0 contexts are constructible; operations that need d >= 1
-    (matrix construction and everything built on it) enforce that themselves.
+    C(n+d-1, n) is the column count of the coordinate matrix.  A context
+    needs n >= 0 and d >= 1, so every context has a coordinate matrix.
     Every cache lookup hashes a context, so hashing is specialized.
     """
 
     __slots__ = ("n", "d")
 
     def __init__(self, n: int, d: int):
-        if not (isinstance(n, int) and isinstance(d, int)):
+        if not (isinstance(n, int) and isinstance(d, int)) or bool in (type(n), type(d)):
             raise ContractError(f"n and d must be ints, got n={n!r}, d={d!r}")
         if n < 0:
             raise ContractError(f"n must be >= 0, got {n}")
-        if d < 0:
-            raise ContractError(f"d must be >= 0, got {d}")
+        if d < 1:
+            raise ContractError(f"d must be >= 1, got {d}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
 

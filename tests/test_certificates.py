@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from veronese import (
     Binomial2,
     ContractError,
-    EmptyMatrixError,
     MultiIndex,
     PrimeField,
     PropagationStep,
@@ -424,7 +423,7 @@ def consumable(state, pair):
 def reference_verify_zero_propagation(ctx, cert):
     if cert.ctx != ctx:
         return certs.VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
-    minors = cached_minors(ctx) if ctx.d >= 1 else frozenset()
+    minors = cached_minors(ctx)
     known = set(ctx.pure_powers())
     for pos, step in enumerate(cert.steps):
         where = f"step {pos} (target {step.target.coordinate_name()})"
@@ -658,14 +657,13 @@ class TestIndexCoreMatchesReference:
     zero-propagation pair against the object-based reference paths above."""
 
     @pytest.mark.parametrize("n", range(0, 5))
-    @pytest.mark.parametrize("d", range(0, 6))
+    @pytest.mark.parametrize("d", range(1, 6))
     def test_generators(self, n, d):
         ctx = VeroneseContext(n, d)
         assert zero_propagation_certificate(ctx) == reference_zero_propagation_certificate(ctx)
-        if d >= 1:
-            for i in range(n + 1):
-                for m in ctx.monomials():
-                    assert rewrite_chain(ctx, i, m) == reference_rewrite_chain(ctx, i, m)
+        for i in range(n + 1):
+            for m in ctx.monomials():
+                assert rewrite_chain(ctx, i, m) == reference_rewrite_chain(ctx, i, m)
 
     @given(st.data())
     def test_tampered_chains(self, data):
@@ -836,17 +834,3 @@ class TestVerifiersBuildNoMinorSet:
                 assert verify_rewrite_chain(ctx, rewrite_chain(ctx, i, m), Q)
         assert cached_minors.cache_info().currsize == 0
         assert time.perf_counter() - start < 10.0
-
-    def test_degree_zero_chain_is_an_empty_matrix_error(self):
-        ctx = VeroneseContext(2, 0)
-        chain = RewriteChain(ctx, 0, MultiIndex((0, 0, 0)), ())
-        with pytest.raises(EmptyMatrixError, match=r"^d = 0: no monomial has any variable as a factor$"):
-            verify_rewrite_chain(ctx, chain, point(QQ, [1]))
-
-    def test_degree_zero_certificate_matches_reference(self):
-        ctx = VeroneseContext(2, 0)
-        zero = MultiIndex((0, 0, 0))
-        step = PropagationStep(zero, Binomial2.canonical(
-            (MultiIndex((2, 0, 0)), MultiIndex((0, 2, 0))), (MultiIndex((1, 1, 0)),) * 2), ())
-        for cert in (ZeroPropagationCertificate(ctx, ()), ZeroPropagationCertificate(ctx, (step,))):
-            assert verify_zero_propagation(ctx, cert) == reference_verify_zero_propagation(ctx, cert)

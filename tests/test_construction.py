@@ -124,9 +124,9 @@ def plain_tables(ctx, build_minors, build_quadrics, build_cert, build_chains):
     """Every table as plain tuples, built from empty caches."""
     clear_caches()
     minors = build_minors(build_matrix(ctx))
-    quadrics = build_quadrics(ctx) if ctx.d >= 1 else frozenset()
+    quadrics = build_quadrics(ctx)
     cert = build_cert(ctx)
-    chains = list(build_chains(ctx)) if ctx.d >= 1 else []
+    chains = list(build_chains(ctx))
     clear_caches()
     return {
         "minors": sorted(map(plain_binomial, minors)),

@@ -9,7 +9,6 @@ from veronese import (
     DEFAULT_BUDGET,
     Binomial2,
     ContractError,
-    EmptyMatrixError,
     MultiIndex,
     VeroneseContext,
     binom,
@@ -21,7 +20,7 @@ from veronese import (
     sorted_binomials,
     toric_quadrics,
 )
-from veronese.matrix import check_minor_budget, require_matrix
+from veronese.matrix import check_minor_budget
 
 # golden fixture: the 3x6 grid of the degree-3 embedding of the plane
 PLANE_CUBIC_GRID = [
@@ -39,7 +38,6 @@ def bump(m, j: int) -> MultiIndex:
 def build_matrix_by_columns(ctx: VeroneseContext) -> SymbolicMatrix:
     """Column-wise construction, the reference for build_matrix: column k
     is the k-th degree-(d-1) vector bumped by each variable in turn."""
-    require_matrix(ctx)
     bases = enumerate_monomials(ctx.n, ctx.d - 1)
     rows = tuple(
         tuple(bump(base, i) for base in bases) for i in range(ctx.n + 1)
@@ -89,10 +87,6 @@ class TestBuildMatrix:
             [(3, 0), (2, 1), (1, 2)],
             [(2, 1), (1, 2), (0, 3)],
         ]
-
-    def test_d_zero_rejected(self):
-        with pytest.raises(EmptyMatrixError):
-            build_matrix(VeroneseContext(2, 0))
 
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("d", range(1, 6))

@@ -163,8 +163,20 @@ class TestContext:
         assert ctx.num_coords == len(ctx.monomials())
 
     def test_degenerate_allowed(self):
-        assert VeroneseContext(0, 0).num_coords == 1
-        assert VeroneseContext(2, 0).cols == 0
+        assert VeroneseContext(0, 3).num_coords == 1
+        assert VeroneseContext(0, 3).cols == 1
+        assert VeroneseContext(2, 1).cols == 1
+
+    # d = 0 has no coordinate matrix, and a bool passes isinstance(_, int)
+    @given(st.integers(0, 3), st.integers(max_value=0))
+    def test_context_needs_d_at_least_one_and_no_bools(self, n, d):
+        with pytest.raises(ContractError, match=f"^d must be >= 1, got {d}$"):
+            VeroneseContext(n, d)
+        for bad in ((True, 1), (False, 1), (n, True), (n, False)):
+            with pytest.raises(ContractError, match="^n and d must be ints"):
+                VeroneseContext(*bad)
+        assert VeroneseContext(0, 1).N == 0
+        assert VeroneseContext(n, 1).N == n
 
     def test_negative_rejected(self):
         with pytest.raises(ContractError):

@@ -8,7 +8,6 @@ import pytest
 from veronese import (
     BudgetError,
     ContractError,
-    EmptyMatrixError,
     PrimeField,
     VeroneseContext,
     brute_force_image,
@@ -105,13 +104,6 @@ class TestBruteForceVariety:
         with pytest.raises(BudgetError) as err:
             brute_force_variety(ctx, 5, budget=1000)
         assert err.value.estimated > err.value.budget
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_degree_zero_has_no_matrix(self, n):
-        # the guard reports the missing grid; at n = 0 the column count
-        # C(n+d-1, n) alone would raise ContractError
-        with pytest.raises(EmptyMatrixError):
-            brute_force_variety(VeroneseContext(n, 0), 3)
 
 
 class TestBruteForceImage:

@@ -139,7 +139,16 @@ class TestRegressions:
         {**PROPAGATION, "n": float("inf")},
         {**PROPAGATION, "steps": [{**PROPAGATION["steps"][0], "target": 5}]},
         {**PROPAGATION, "steps": [{**PROPAGATION["steps"][0], "prerequisites": [3]}]},
-    ], ids=["n-inf", "target-int", "prerequisite-int"])
+        {**PROPAGATION, "d": 3.0},
+        {**PROPAGATION, "d": "3"},
+        {**PROPAGATION, "d": True},
+        {**PROPAGATION, "n": True},
+        {**PROPAGATION, "schema_version": 99},
+        {**PROPAGATION, "schema_version": True},
+        {**PROPAGATION, "kind": "nonsense"},
+        {key: value for key, value in PROPAGATION.items() if key != "kind"},
+    ], ids=["n-inf", "target-int", "prerequisite-int", "d-float", "d-text", "d-true", "n-true",
+            "schema-99", "schema-true", "kind-nonsense", "kind-missing"])
     def test_document_rejects(self, doc):
         with pytest.raises(ContractError):
             propagation_from_doc(doc)
@@ -148,7 +157,11 @@ class TestRegressions:
         json.dumps({**PROPAGATION, "n": float("inf")}),
         json.dumps({**PROPAGATION, "steps": [{**PROPAGATION["steps"][0], "minor": 0}]}),
         b"\xff\xfe not utf-8",
-    ], ids=["n-inf", "minor-int", "not-utf-8"])
+        # each of these loaded as the (2, 3) certificate and passed
+        json.dumps({**PROPAGATION, "d": 3.7}),
+        json.dumps({**PROPAGATION, "d": "3"}),
+        json.dumps({**PROPAGATION, "schema_version": 99, "kind": "nonsense"}),
+    ], ids=["n-inf", "minor-int", "not-utf-8", "d-float", "d-text", "foreign-schema"])
     def test_cli_certificate_file_is_usage_error(self, capsys, tmp_path, content):
         cert_file = tmp_path / "cascade.json"
         if isinstance(content, bytes):

@@ -28,8 +28,8 @@ class VeroneseContext:
     def __post_init__(self):
         if self.n < 0:
             raise ContractError(f"n must be >= 0, got {self.n}")
-        if self.d < 0:
-            raise ContractError(f"d must be >= 0, got {self.d}")
+        if self.d < 1:
+            raise ContractError(f"d must be >= 1, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,9 @@ REAL = {
 }
 
 small = st.integers(0, 2)
+degrees = st.integers(1, 2)
 indices = st.tuples(small, small, small).map(MultiIndex)
-contexts = st.builds(multiindex.VeroneseContext, small, small)
+contexts = st.builds(multiindex.VeroneseContext, small, degrees)
 QUADRICS = matrix.sorted_binomials(matrix.toric_quadrics(multiindex.VeroneseContext(2, 2)))
 binomials = st.sampled_from(QUADRICS[:4])
 pairs = st.sampled_from(QUADRICS[:3]).flatmap(
@@ -154,7 +155,7 @@ def tuples_of(values):
 
 # positional constructor arguments per class
 ARGUMENTS = {
-    VeroneseContext: st.tuples(small, small),
+    VeroneseContext: st.tuples(small, degrees),
     SymbolicMatrix: st.tuples(contexts, tuples_of(tuples_of(indices))),
     Binomial2: pairs,
     PrimeField: st.tuples(st.sampled_from([2, 3, 101])),
@@ -273,6 +274,7 @@ m20, m11, m02 = MultiIndex((2, 0)), MultiIndex((1, 1)), MultiIndex((0, 2))
 @pytest.mark.parametrize("twin,args", [
     (VeroneseContext, (-1, 2)),
     (VeroneseContext, (1, -2)),
+    (VeroneseContext, (1, 0)),
     (Binomial2, ((m20, m11), (m20, m20))),
     (Binomial2, ((m20, m02), (m11, MultiIndex((1, 1, 0))))),
     (PrimeField, (9,)),
