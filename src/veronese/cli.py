@@ -22,6 +22,11 @@ sort their keys.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
 refusal.
 
+verify runs its round trip and chart agreement on the ints of each image
+(morphism._verify_point), so it builds and normalizes no image point;
+member and invert answer a member by the rank-one test and read the
+minor table only to name a non-member's failing minor.
+
 Each process imports only what its subcommand runs: the modules imported
 at the top serve every subcommand, verify imports certificates and oracle
 imports oracle inside their handlers, so matrix, minors, eval, invert and
@@ -40,10 +45,9 @@ from .matrix import DEFAULT_BUDGET, build_matrix, check_minor_budget
 from .morphism import (
     _integer_image,
     _minor_table,
-    available_charts,
+    _verify_point,
     failing_minor,
     inverse_map,
-    inverse_on_chart,
     is_on_variety,
     veronese_eval,
 )
@@ -53,7 +57,6 @@ from .projective import (
     field_from_name,
     format_point,
     parse_point,
-    proj_eq,
     random_point,
 )
 
@@ -186,7 +189,8 @@ def _membership(args, ctx, command: str):
     vanishes and which otherwise names the failing minor."""
     field = field_from_name(args.field)
     Q = parse_point(field, args.point)
-    fail = failing_minor(ctx, Q)
+    # a member needs no minor table; only a non-member's report reads it
+    fail = None if is_on_variety(ctx, Q) else failing_minor(ctx, Q)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -236,29 +240,17 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     def record(name: str, ok: bool, detail: str):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    # embedding/inverse roundtrip across every leading-zero pattern
-    bad = 0
-    images = []
+    # embedding/inverse roundtrip across every leading-zero pattern, and
+    # chartwise inverses agree wherever several charts are available
+    bad = multi = disagreements = 0
     for k in range(VERIFY_POINTS):
         x = random_point(rng, field, ctx.n, lead_zeros=k % (ctx.n + 1))
-        Qx = veronese_eval(ctx, x)
-        images.append(Qx)
-        if not (is_on_variety(ctx, Qx) and proj_eq(inverse_map(ctx, Qx), x)):
-            bad += 1
+        ok, charts, agree = _verify_point(ctx, x)
+        bad += not ok
+        multi += charts > 1
+        disagreements += not agree
     record("roundtrip-inverse-of-embedding", bad == 0,
            f"{VERIFY_POINTS} seeded points, {bad} failures")
-
-    # chartwise inverses agree wherever several charts are available
-    disagreements = 0
-    multi = 0
-    for Qx in images:
-        charts = available_charts(ctx, Qx)
-        if len(charts) < 2:
-            continue
-        multi += 1
-        first = inverse_on_chart(ctx, Qx, charts[0])
-        if not all(proj_eq(first, inverse_on_chart(ctx, Qx, i)) for i in charts[1:]):
-            disagreements += 1
     record("chart-agreement", disagreements == 0,
            f"{multi} multi-chart points, {disagreements} disagreements")
 
@@ -300,6 +292,11 @@ def cmd_verify(args, ctx) -> int:
                 doc = json.load(fh)
             except RecursionError:
                 raise ContractError("malformed certificate document: nested too deeply") from None
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                raise  # main reports these with their own messages
+            except ValueError:  # what else json.load raises: an int past str's limit
+                raise ContractError("malformed certificate document: an integer "
+                                    "has more digits than the interpreter converts") from None
         external = certs.propagation_from_doc(doc)
     if args.emit_propagation_cert:
         doc = certs.propagation_to_doc(certs.zero_propagation_certificate(ctx))

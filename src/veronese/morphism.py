@@ -9,7 +9,9 @@ their field, coerced when the point is built; the embedding and the
 membership test compute on projective.integer_coords, the point scaled to
 plain ints over Q and its residues over F_p.  Both are homogeneous, so
 the scaling changes neither the normalized image nor whether a minor
-vanishes.
+vanishes.  _integer_image is the embedding on those ints, and
+veronese_eval normalizes it into a point; _verify_point, the verify
+command's per-point checks, keeps the ints and builds no point.
 
 The minors of the coordinate matrix M vanish at a point exactly when M
 has rank at most one there, so is_on_variety tests rank one through a
@@ -32,7 +34,8 @@ the first failing minor in listing order and its value in the field.
 The inverse reads off one matrix column: on the chart where z_{d e_i} is
 nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
-point.
+point.  On ints that column is compared with a point by
+projective._proportional, without normalizing either.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import lru_cache
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, _grid_quads, _quad_binomials, build_matrix
 from .multiindex import VeroneseContext, coordinate_index
-from .projective import Fp, ProjectivePoint, Scalar, integer_coords, normalize
+from .projective import Fp, ProjectivePoint, Scalar, _proportional, integer_coords, normalize
 
 
 def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
@@ -80,7 +83,7 @@ def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
 
 def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int], int]:
     """The image of x as projective.integer_coords gives a point of P^N:
-    the values v^m at (v, p) = integer_coords(x), to be read mod p if p."""
+    the values v^m at (v, p) = integer_coords(x), reduced mod p if p."""
     if x.dim != ctx.n:
         raise ContractError(f"expected a point of P^{ctx.n}, got dimension {x.dim}")
     v, p = integer_coords(x)
@@ -97,7 +100,7 @@ def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int],
         for j, e in enumerate(m):
             if e:
                 c *= pows[j][e]
-        coords.append(c)
+        coords.append(c % p if p else c)
     return coords, p
 
 
@@ -114,7 +117,12 @@ def is_on_variety(ctx: VeroneseContext, Q: ProjectivePoint) -> bool:
     """True iff every canonical 2-minor vanishes exactly at Q, decided as
     the rank-one test of the module docstring."""
     _require_target(ctx, Q)
-    z, p = integer_coords(Q)
+    return _rank_one(ctx, *integer_coords(Q))
+
+
+def _rank_one(ctx: VeroneseContext, z: list[int], p: int) -> bool:
+    """The rank-one test on the ints (z, p) of a point of P^N, as
+    projective.integer_coords or _integer_image give them."""
     M = [[z[a] for a in row] for row in _index_grid(ctx)]
     i0, k0 = next((i, k) for i, row in enumerate(M) for k, v in enumerate(row) if v)
     top = M[i0]
@@ -156,10 +164,19 @@ def chart_select(ctx: VeroneseContext, Q: ProjectivePoint) -> int:
     For a point satisfying all minors that index always exists; its absence
     certifies the input was no projective point of the variety at all.
     """
-    charts = available_charts(ctx, Q)
+    return _first_chart(available_charts(ctx, Q))
+
+
+def _first_chart(charts: tuple[int, ...]) -> int:
     if not charts:
         raise NoChartError("every pure-power coordinate vanishes; no chart contains the point")
     return charts[0]
+
+
+def _column(ctx: VeroneseContext, z, i: int) -> list:
+    """The chart-i inverse of the point z of P^N before normalizing: its
+    entries on the column based at x_i^(d-1)."""
+    return [z[k] for k in chart_indices(ctx, i)]
 
 
 def inverse_on_chart(ctx: VeroneseContext, Q: ProjectivePoint, i: int) -> ProjectivePoint:
@@ -170,7 +187,7 @@ def inverse_on_chart(ctx: VeroneseContext, Q: ProjectivePoint, i: int) -> Projec
     if not 0 <= i <= ctx.n:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
     _require_target(ctx, Q)
-    column = [Q.coords[k] for k in chart_indices(ctx, i)]
+    column = _column(ctx, Q.coords, i)
     if not column[i]:
         raise NoChartError(f"chart {i} unavailable: coordinate z_{{d e_{i}}} is zero")
     return normalize(ProjectivePoint(Q.field, tuple(column)))
@@ -189,4 +206,24 @@ def inverse_map(ctx: VeroneseContext, Q: ProjectivePoint) -> ProjectivePoint:
 def available_charts(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[int, ...]:
     """All i with the pure-power coordinate z_{d e_i} nonzero at Q."""
     _require_target(ctx, Q)
-    return tuple(i for i in range(ctx.n + 1) if Q.coords[chart_indices(ctx, i)[i]])
+    return _charts(ctx, Q.coords)
+
+
+def _charts(ctx: VeroneseContext, z) -> tuple[int, ...]:
+    """available_charts on the coordinates z of a point of P^N: field
+    elements, or ints reduced mod p as _integer_image gives them."""
+    return tuple(i for i in range(ctx.n + 1) if z[chart_indices(ctx, i)[i]])
+
+
+def _verify_point(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[bool, int, bool]:
+    """The verify command's checks at the image of x, on the ints of
+    _integer_image: whether the round trip holds (the image has rank one
+    and the column of its first chart is x again), how many charts are
+    available, and whether their columns are one point.  Like
+    chart_select, a rank-one image with no chart raises NoChartError."""
+    z, p = _integer_image(ctx, x)
+    charts = _charts(ctx, z)
+    ok = _rank_one(ctx, z, p) and _proportional(
+        _column(ctx, z, _first_chart(charts)), integer_coords(x)[0], p)
+    columns = [_column(ctx, z, i) for i in charts]
+    return ok, len(charts), all(_proportional(c, columns[0], p) for c in columns[1:])

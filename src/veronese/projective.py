@@ -344,6 +344,23 @@ def integer_coords(x: ProjectivePoint) -> tuple[list[int], int]:
     return [c.numerator * (L // c.denominator) for c in x.coords], 0
 
 
+def _proportional(u: list[int], v: list[int], p: int) -> bool:
+    """Whether the int vectors u and v of one length name one projective
+    point, both read mod p if p.  Each needs a nonzero entry, and over F_p
+    entries reduced to [0, p), as integer_coords gives them.
+
+    With k the first index of a nonzero v_k, it checks u_j v_k = v_j u_k
+    for every j.  If u = c v these hold.  Conversely u_k is nonzero, or
+    every u_j v_k would vanish and u with them, so u = (u_k / v_k) v.
+    Nothing is inverted or normalized.
+    """
+    k = next(k for k, c in enumerate(v) if c)
+    a, b = u[k], v[k]
+    if p:
+        return not any((s * b - t * a) % p for s, t in zip(u, v))
+    return all(s * b == t * a for s, t in zip(u, v))
+
+
 def proj_eq(p: ProjectivePoint, q: ProjectivePoint) -> bool:
     """Projective equality: equal canonical representatives."""
     if p.field != q.field:

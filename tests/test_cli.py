@@ -25,8 +25,10 @@ from veronese import (
 from veronese import certificates as certs
 from veronese import cli
 from veronese import matrix as matrix_module
+from veronese import morphism, projective
 from veronese.cli import main
 from veronese.morphism import (
+    _minor_table,
     available_charts,
     inverse_map,
     inverse_on_chart,
@@ -120,6 +122,16 @@ class TestPointCommands:
         code, out = run(capsys, "member", "--n", "1", "--d", "2", "[1 : 3 : 9]")
         assert (code, out.strip()) == (0, "true")
 
+    @pytest.mark.parametrize("command,answer", [("member", "true"), ("invert", "[1 : 1 : 1 : 1 : 1 : 1]")])
+    def test_member_point_builds_no_minor_table(self, capsys, command, answer):
+        # the rank-one test answers a member; only a non-member's report
+        # needs the 118,125-candidate table of (5,5)
+        _minor_table.cache_clear()
+        ones = "[" + " : ".join(["1"] * 252) + "]"
+        code, out = run(capsys, command, "--n", "5", "--d", "5", ones)
+        assert (code, out.strip()) == (0, answer)
+        assert _minor_table.cache_info().currsize == 0
+
     def test_invert_rejects_nonmember(self, capsys):
         code, out = run(capsys, "invert", "--n", "1", "--d", "2", "[0 : 1 : 0]")
         assert code == 1
@@ -186,6 +198,20 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field)
         assert code == 0
         assert "all checks passed" in out
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_builds_and_normalizes_no_image_point(self, monkeypatch, field):
+        # the round trip and chart agreement compare int columns with the
+        # source point's ints, and the later phases read ints as well
+        def forbidden(*_):
+            raise AssertionError("verify built or normalized a point")
+
+        for module in (cli, morphism):
+            monkeypatch.setattr(module, "veronese_eval", forbidden)
+        for module in (morphism, projective):
+            monkeypatch.setattr(module, "normalize", forbidden)
+        checks = cli._verify_checks(VeroneseContext(3, 3), field, 1)
+        assert [c["ok"] for c in checks] == [True] * 4
 
     @pytest.mark.parametrize("field", ["rational", "fp:101"])
     def test_chain_phase_builds_no_binomial_or_multiindex(self, capsys, monkeypatch, field):
@@ -416,6 +442,8 @@ class TestVerifyChecksReference:
         (1, 1, QQ, 0), (1, 3, PrimeField(2), 4), (2, 3, QQ, 7),
         (2, 4, PrimeField(7), 1), (3, 3, PrimeField(101), 2), (3, 4, QQ, 3),
         (0, 3, PrimeField(7), 5), (4, 3, QQ, 6),
+        (0, 1, QQ, 0), (0, 2, PrimeField(3), 1), (2, 1, PrimeField(2), 3),
+        (3, 1, PrimeField(3), 2), (2, 2, PrimeField(3), 9), (1, 4, PrimeField(2), 8),
     ])
     def test_same_checks_as_per_point_loop(self, n, d, field, seed):
         ctx = VeroneseContext(n, d)
@@ -461,6 +489,33 @@ class TestVerifyChecksReference:
             r"(\d+) chain verifications, (\d+) failures", checks[-1]["detail"]
         ).groups()
         assert 0 < int(failures) < int(total)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    @pytest.mark.parametrize("bend", ["off-variety", "wrong-preimage"])
+    def test_same_failure_counts_with_bent_images(self, monkeypatch, field, bend):
+        # verify's round trip reads morphism._integer_image, its chain phase
+        # cli's import of it, and the reference reads it through
+        # veronese_eval.  Doubling z_{d e_n} moves an image with x_0 and x_n
+        # nonzero off the variety, and makes its chart-n column disagree
+        # with its chart-0 column.  The image of x with x_n doubled stays on
+        # the variety, but inverts to another point.
+        ctx = VeroneseContext(2, 3)
+        image = morphism._integer_image
+
+        def bent_image(ctx, x):
+            if bend == "wrong-preimage":
+                return image(ctx, ProjectivePoint(x.field, x.coords[:-1] + (2 * x.coords[-1],)))
+            z, p = image(ctx, x)
+            z[-1] = 2 * z[-1] % p if p else 2 * z[-1]
+            return z, p
+
+        monkeypatch.setattr(morphism, "_integer_image", bent_image)
+        monkeypatch.setattr(cli, "_integer_image", bent_image)
+        checks = cli._verify_checks(ctx, field, 5)
+        assert checks == per_point_verify_checks(ctx, field, 5)
+        roundtrip, agreement, _, chains = (int(re.findall(r"\d+", c["detail"])[-1]) for c in checks)
+        assert 0 < roundtrip < cli.VERIFY_POINTS
+        assert (agreement > 0, chains > 0) == ((True, True) if bend == "off-variety" else (False, False))
 
 
 class TestOversizeRationals:

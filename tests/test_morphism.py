@@ -1,6 +1,8 @@
 """The embedding, membership, chart selection and the chartwise inverse."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 from random import Random
 
 import pytest
@@ -28,7 +30,8 @@ from veronese import (
 )
 from veronese import matrix as matrix_module
 from veronese.matrix import cached_minors
-from veronese.morphism import _minor_table
+from veronese.morphism import _integer_image, _minor_table
+from veronese.projective import integer_coords
 
 
 class TestEval:
@@ -169,6 +172,35 @@ def field_eval(ctx, x):
             v = v * pows[j][e]
         coords.append(v)
     return normalize(ProjectivePoint(x.field, tuple(coords)))
+
+
+def multiset_image(ctx, x):
+    """The embedding on integer_coords as one product per index multiset:
+    combinations_with_replacement over the positions of v lists the
+    multisets of the degree-d monomials in enumerate_monomials' order.
+    The reference for _integer_image's table of powers."""
+    v, p = integer_coords(x)
+    coords = list(map(prod, combinations_with_replacement(v, ctx.d)))
+    return [c % p for c in coords] if p else coords, p
+
+
+class TestIntegerImage:
+    @given(st.integers(0, 4), st.integers(1, 5),
+           st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(2**61 - 1)]),
+           st.data())
+    def test_matches_multiset_products(self, n, d, field, data):
+        ctx = VeroneseContext(n, d)
+        x = data.draw(source_points(field, n + 1))
+        assert _integer_image(ctx, x) == multiset_image(ctx, x)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2**61 - 1)])
+    def test_zero_coordinates(self, field):
+        ctx = VeroneseContext(3, 4)
+        x = ProjectivePoint(field, (0, 5, 0, 2))
+        z, p = _integer_image(ctx, x)
+        assert (z, p) == multiset_image(ctx, x)
+        assert sum(map(bool, z)) == 5  # the monomials in x_1 and x_3 alone
+        assert all(0 <= c < p for c in z) if p else p == 0
 
 
 class TestIntegerMembership:

@@ -171,3 +171,14 @@ class TestRegressions:
         code = main(["verify", "--n", "2", "--d", "3", "--propagation-cert", str(cert_file)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cli_certificate_past_the_digit_limit(self, capsys, tmp_path):
+        # json.load raises a plain ValueError, no JSONDecodeError, for an int
+        # literal past the interpreter's 4,300-digit conversion limit
+        cert_file = tmp_path / "cascade.json"
+        cert_file.write_text(json.dumps({**PROPAGATION, "n": 0}).replace('"n": 0', '"n": ' + "9" * 5001))
+        code = main(["verify", "--n", "2", "--d", "3", "--propagation-cert", str(cert_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: malformed certificate document: an integer has more "
+                                "digits than the interpreter converts\n")

@@ -26,6 +26,7 @@ from veronese import (
     proj_eq,
     random_point,
 )
+from veronese.projective import _proportional, integer_coords
 
 
 class TestFields:
@@ -149,6 +150,25 @@ class TestProjEq:
         p = point(QQ, [3, 0, -5])
         scaled = point(QQ, [Fraction(-7, 2) * c for c in p.coords])
         assert proj_eq(p, scaled)
+
+    @given(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101)]), st.data())
+    def test_proportional_ints_match(self, field, data):
+        # _proportional decides proj_eq on integer_coords, without normalizing
+        size = data.draw(st.integers(1, 4))
+        entries = st.fractions(max_denominator=9) if field is QQ else st.integers(-3, 300)
+        vectors = st.lists(entries, min_size=size, max_size=size)
+
+        def draw_point():
+            return point(field, data.draw(vectors.filter(lambda v: any(map(field.coerce, v)))))
+
+        x = draw_point()
+        if data.draw(st.booleans()):
+            scale = field.coerce(data.draw(entries.filter(lambda c: field.coerce(c))))
+            y = point(field, [scale * c for c in x.coords])
+        else:
+            y = draw_point()
+        (u, p), (v, _) = integer_coords(x), integer_coords(y)
+        assert _proportional(u, v, p) == _proportional(v, u, p) == proj_eq(x, y)
 
 
 def _is_element(field, c) -> bool:
