@@ -20,9 +20,12 @@ z_a z_b - z_c z_e, canonical when a <= b, c <= e and a < c (the index is
 the rank, which reverses lex order).  Verification is structural, with
 the unit-move test matrix.is_minor_quad in place of minors2, plus, for
 chains, an exact numeric check at a variety point.  At the boundary the
-generators build each step with Binomial2(pos, neg) and the verifiers
-read steps back with matrix.binomial_quad; a step with an entry that is
-no degree-d coordinate has no quad and is no minor.
+cascade builds each step with Binomial2(pos, neg), which checks balance;
+rewrite chains make theirs from the quads with tuple.__new__, without
+that re-check, since every chain step balances by construction:
+d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).  The verifiers read steps
+back with matrix.binomial_quad and test each with is_minor_quad; a step
+with an entry that is no degree-d coordinate has no quad and is no minor.
 """
 
 from __future__ import annotations
@@ -176,8 +179,8 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
         raise ContractError(f"chart index {i} out of range for n={ctx.n}")
     if len(m) != ctx.n + 1 or m.degree != ctx.d:
         raise ContractError(f"{m} is not a degree-{ctx.d} multi-index in {ctx.n + 1} variables")
-    monos = ctx.monomials()
-    steps = tuple(Binomial2((monos[a], monos[b]), (monos[c], monos[e]))
+    monos, new = ctx.monomials(), tuple.__new__
+    steps = tuple(new(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e])))
                   for a, b, c, e in _chain_quads(ctx, chart_indices(ctx, i), i, m))
     return RewriteChain(ctx, i, m, steps)
 

@@ -12,22 +12,25 @@ canonical form so that generator sets deduplicate by plain equality.
 
 The tables are built on coordinate indices (ranks): a quadric is the quad
 (a, b, c, e) of z_a z_b - z_c z_e.  _grid_quads canonicalizes the 2x2
-candidates of a grid of indices, for minors2 and morphism's minor table,
-and _quad_binomials turns table quads into Binomial2 values, checking
-balance on packed exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit
-of a pair sum is at most 2d < 2d+1, so adding codes never carries:
-code(A) + code(B) is the base-(2d+1) numeral of A + B, and
-code(A) + code(B) == code(C) + code(E) iff A + B == C + E.
-toric_quadrics groups pairs by that sum, so it needs no check, and makes
-its binomials from pairs of pairs in C.  A Binomial2 is the tuple
-(pos, neg), so the tables hash and free them in C too.  Quadrics flow
-one way, from quads to Binomial2; binomial_quad reads a binomial from
-outside back as a quad.
+candidates of a grid of indices inline, for minors2 and morphism's minor
+table, and _quad_binomials turns table quads into Binomial2 values, one
+pair tuple per index pair from a 2-D table.  Balance is checked on packed
+exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit of a pair sum is
+at most 2d < 2d+1, so adding codes never carries: code(A) + code(B) is
+the base-(2d+1) numeral of A + B, and code(A) + code(B) == code(C) +
+code(E) iff A + B == C + E.  _require_balanced checks a grid once, not
+per candidate: every candidate balances iff each row minus row 0 is
+constant in codes.  toric_quadrics groups pairs by code sum, so it needs
+no check, and makes its binomials from pairs of pairs in C.  A Binomial2
+is the tuple (pos, neg), so the tables hash and free them in C too.
+Quadrics flow one way, from quads to Binomial2; binomial_quad reads a
+binomial from outside back as a quad.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, repeat
 from operator import add, itemgetter, mul, sub
@@ -51,6 +54,8 @@ class SymbolicMatrix(Frozen):
     __slots__ = ("ctx", "entries")
 
     def __init__(self, ctx: VeroneseContext, entries: tuple[tuple[MultiIndex, ...], ...]):
+        if len(set(map(len, entries))) > 1:
+            raise ContractError(f"ragged grid: row lengths {[len(row) for row in entries]}")
         self._assign(ctx, entries)
 
     @property
@@ -90,12 +95,13 @@ class Binomial2(tuple):
 
     A binomial is the tuple (pos, neg), its fields named by _fields, so a
     table build of tens of thousands hashes, makes and frees them in C: the
-    hash is hash((pos, neg)), and the tables make each with tuple.__new__
-    once balance holds on packed codes.  The public constructor runs
-    __post_init__, the check on the vectors.  Otherwise it behaves as a
-    frozen dataclass (errors.Frozen): equal only to another Binomial2,
-    never to a tuple, unordered, immutable, shown as Binomial2(pos=...,
-    neg=...), and pickled by calling the class on its fields.
+    hash is hash((pos, neg)), and the tables and rewrite chains make each
+    with tuple.__new__, balanced by a check on packed codes or by
+    construction.  The public constructor runs __post_init__, the check on
+    the vectors.  Otherwise it behaves as a frozen dataclass
+    (errors.Frozen): equal only to another Binomial2, never to a tuple,
+    unordered, immutable, shown as Binomial2(pos=..., neg=...), and
+    pickled by calling the class on its fields.
     """
 
     __slots__ = ()
@@ -183,22 +189,35 @@ def parse_binomial(text: str) -> Binomial2:
 def minors2(matrix: SymbolicMatrix) -> frozenset[Binomial2]:
     """All distinct canonical 2-minors of the grid, canonicalized on the
     coordinate indices of matrix.ctx (ContractError for an entry that is no
-    degree-d coordinate); identically-zero minors are dropped."""
+    degree-d coordinate, or for an unbalanced candidate); identically-zero
+    minors are dropped."""
     ctx = matrix.ctx
     idx = coordinate_index(ctx)
     try:
         grid = [[idx[m] for m in row] for row in matrix.entries]
     except KeyError as exc:
         raise ContractError(f"grid entry {exc.args[0]} is not a degree-{ctx.d} coordinate of {ctx}") from None
-    return frozenset(_quad_binomials(ctx.monomials(), _grid_quads(grid)))
+    monos = ctx.monomials()
+    _require_balanced(monos, grid)
+    return frozenset(_quad_binomials(monos, _grid_quads(grid)))
 
 
 def _grid_quads(grid):
     """The canonical quad of every 2x2 candidate of a grid of coordinate
-    indices, repeats kept, identically-zero candidates skipped."""
-    quads = (_canonical_quad(ri[k], rj[l], ri[l], rj[k])
-             for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2))
-    return filter(None, quads)
+    indices, repeats kept, identically-zero candidates skipped: the
+    candidate on rows ri, rj and columns k < l is z_a z_b - z_c z_e with
+    (a, e) = (ri[k], rj[k]) and (c, b) = (ri[l], rj[l]), canonicalized
+    inline as _canonical_quad does."""
+    for ri, rj in combinations(grid, 2):
+        for (a, e), (c, b) in combinations(tuple(zip(ri, rj)), 2):
+            if a > b:
+                a, b = b, a
+            if c > e:
+                c, e = e, c
+            if a < c:
+                yield a, b, c, e
+            elif a != c or b != e:
+                yield c, e, a, b
 
 
 def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int] | None:
@@ -221,24 +240,38 @@ def _packed_codes(monos) -> list[int]:
     return [sum(map(mul, m, weights)) for m in monos]
 
 
-def _quad_binomials(monos, quads):
-    """Yield the Binomial2 of each canonical quad of indices into monos, a
-    table of same-degree vectors, checking balance on packed codes.  Each
-    index pair gets one (monos[a], monos[b]) tuple, shared through a flat
-    S x S list, and each binomial is one tuple.__new__."""
-    S = len(monos)
-    codes = _packed_codes(monos) if S else []
-    pairs = [None] * (S * S)
-    new = tuple.__new__
-    for a, b, c, e in quads:
+def _require_balanced(monos, grid) -> None:
+    """ContractError naming the first unbalanced 2x2 candidate of a grid of
+    indices into monos, a table of same-degree vectors, in _grid_quads
+    order.  The candidate on rows ri, rj and columns k, l balances iff
+    code(rj[k]) - code(ri[k]) == code(rj[l]) - code(ri[l]), so every
+    candidate balances iff each row minus row 0 is constant in packed
+    codes: O(rows * cols), and candidates are scanned only when it fails."""
+    if len(grid) < 2:
+        return
+    codes = _packed_codes(monos)
+    first = [codes[a] for a in grid[0]]
+    if all(len(set(map(sub, map(codes.__getitem__, row), first))) <= 1 for row in grid[1:]):
+        return
+    for a, b, c, e in _grid_quads(grid):
         if codes[a] + codes[b] != codes[c] + codes[e]:
             raise ContractError(f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}")
-        pos = pairs[a * S + b]
+
+
+def _quad_binomials(monos, quads):
+    """Yield the Binomial2 of each canonical quad of indices into monos,
+    whose balance the caller has checked with _require_balanced.  Each
+    index pair gets one (monos[a], monos[b]) tuple, shared through an S-row
+    2-D list, and each binomial is one tuple.__new__."""
+    pairs = [[None] * len(monos) for _ in monos]
+    new = tuple.__new__
+    for a, b, c, e in quads:
+        pos = pairs[a][b]
         if pos is None:
-            pos = pairs[a * S + b] = (monos[a], monos[b])
-        neg = pairs[c * S + e]
+            pos = pairs[a][b] = (monos[a], monos[b])
+        neg = pairs[c][e]
         if neg is None:
-            neg = pairs[c * S + e] = (monos[c], monos[e])
+            neg = pairs[c][e] = (monos[c], monos[e])
         yield new(Binomial2, (pos, neg))
 
 
@@ -321,10 +354,10 @@ def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     """
     monos = enumerate_monomials(ctx.n, ctx.d)
     codes = _packed_codes(monos)
-    by_sum: dict[int, list[Pair]] = {}
+    by_sum: defaultdict[int, list[Pair]] = defaultdict(list)
     for a, (A, ca) in enumerate(zip(monos, codes)):
         for B, cb in zip(monos[a:], codes[a:]):
-            by_sum.setdefault(ca + cb, []).append((A, B))
+            by_sum[ca + cb].append((A, B))
     groups = (map(tuple.__new__, repeat(Binomial2), combinations(pairs, 2)) for pairs in by_sum.values())
     return frozenset(chain.from_iterable(groups))
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, _grid_quads, _quad_binomials, build_matrix
+from .matrix import Binomial2, _grid_quads, _quad_binomials, _require_balanced, build_matrix
 from .multiindex import VeroneseContext, coordinate_index
 from .projective import Fp, ProjectivePoint, Scalar, _proportional, integer_coords, normalize
 
@@ -59,8 +59,10 @@ def _minor_table(ctx: VeroneseContext) -> tuple[tuple[Binomial2, tuple[int, int,
     """The distinct minors as (Binomial2, quad) pairs, built once per
     context from the index grid, in listing order: ascending quads, since
     ranks reverse the lex order that sorted_binomials lists descending."""
-    quads = sorted(set(_grid_quads(_index_grid(ctx))))
-    return tuple(zip(_quad_binomials(ctx.monomials(), quads), quads))
+    grid, monos = _index_grid(ctx), ctx.monomials()
+    _require_balanced(monos, grid)
+    quads = sorted(set(_grid_quads(grid)))
+    return tuple(zip(_quad_binomials(monos, quads), quads))
 
 
 def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:

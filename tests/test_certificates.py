@@ -164,24 +164,22 @@ class TestRewriteChainGeneration:
                 k = sum(e for j, e in enumerate(m) if j != i)
                 assert len(rewrite_chain(ctx, i, m).steps) == max(0, k - 1)
 
-    @pytest.mark.parametrize("n,d", [(1, 3), (2, 4), (3, 3)])
-    def test_every_step_passes_the_balance_check(self, monkeypatch, n, d):
-        # the generators build each step with Binomial2(pos, neg), whose
-        # __post_init__ checks balance on the vectors
-        checked = []
-        post_init = Binomial2.__post_init__
-
-        def counting(self):
-            checked.append(id(self))
-            post_init(self)
-
-        monkeypatch.setattr(Binomial2, "__post_init__", counting)
-        ctx = VeroneseContext(n, d)
-        cert = zero_propagation_certificate(ctx)
-        chains = list(all_rewrite_chains(ctx))
-        steps = [s.minor for s in cert.steps] + [b for c in chains for b in c.steps]
-        assert len(steps) > len(cert.steps) > 0
-        assert checked == list(map(id, steps))
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_step_is_a_checked_minor(self, n):
+        # rewrite_chain makes its steps with tuple.__new__, skipping the
+        # balance check of Binomial2(pos, neg): every step must still be what
+        # that checked constructor makes, and a genuine 2-minor
+        for d in range(1, 6):
+            ctx = VeroneseContext(n, d)
+            cert = zero_propagation_certificate(ctx)
+            chains = list(all_rewrite_chains(ctx))
+            steps = [s.minor for s in cert.steps] + [b for c in chains for b in c.steps]
+            for step in steps:
+                assert type(step) is Binomial2
+                assert step == Binomial2(step.pos, step.neg)
+                assert is_minor_quad(ctx.monomials(), *binomial_quad(ctx, step)), step
+            if n and d >= 3:
+                assert len(steps) > len(cert.steps) > 0
 
 
 class TestRewriteChainVerification:

@@ -10,6 +10,7 @@ package generates them on coordinate indices.
 """
 
 import ast
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import chain, combinations, starmap
@@ -18,6 +19,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veronese import (
     Binomial2,
@@ -175,8 +177,10 @@ def listing(binomials):
 
 
 class TestTablesOnTheIndexGrid:
-    """minors2 and toric_quadrics build on coordinate-index quads through
-    matrix._quad_binomials, which checks balance on packed exponent codes."""
+    """minors2 and toric_quadrics build on coordinate-index quads.  Balance
+    holds on packed exponent codes: toric_quadrics groups pairs by code
+    sum, and matrix._require_balanced checks a grid once before
+    matrix._quad_binomials turns its quads into binomials."""
 
     @pytest.mark.parametrize("n,d", TABLE_CONTEXTS)
     def test_tables_equal_reference(self, n, d, reference_primitives, monkeypatch):
@@ -192,23 +196,34 @@ class TestTablesOnTheIndexGrid:
 
     @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)])
     def test_balance_on_codes_is_exact(self, n, d):
-        # every quad a <= b, c <= e, a < c: the constructor accepts exactly
-        # the balanced ones, including the pure-power squares whose pair sum
-        # 2d e_j has the digit 2d, the largest a pair sum can hold
-        monos = VeroneseContext(n, d).monomials()
+        # every quad a <= b, c <= e, a <= c: the packed code sums agree
+        # exactly on the balanced ones, including the pure-power squares
+        # whose pair sum 2d e_j has the digit 2d, the largest a pair sum can
+        # hold.  The 2x2 grid ((a, c), (e, b)) has the one candidate
+        # z_a z_b - z_c z_e, so the grid check and minors2 accept exactly
+        # the balanced quads and name the others.
+        ctx = VeroneseContext(n, d)
+        monos = ctx.monomials()
+        codes = matrix_module._packed_codes(monos)
         pairs = [(a, b) for a in range(len(monos)) for b in range(a, len(monos))]
         digits = Counter()
         for (a, b), (c, e) in combinations(pairs, 2):
-            balanced = tuple(map(add, monos[a], monos[b])) == tuple(map(add, monos[c], monos[e]))
-            try:
-                (out,) = matrix_module._quad_binomials(monos, [(a, b, c, e)])
-            except ContractError as exc:
-                assert not balanced
-                assert str(exc) == f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}"
+            A, B, C, E = monos[a], monos[b], monos[c], monos[e]
+            balanced = tuple(map(add, A, B)) == tuple(map(add, C, E))
+            assert (codes[a] + codes[b] == codes[c] + codes[e]) is balanced
+            grid = SymbolicMatrix(ctx, ((A, C), (E, B)))
+            if balanced:
+                matrix_module._require_balanced(monos, [[a, c], [e, b]])
+                assert minors2(grid) == {Binomial2((A, B), (C, E))}
             else:
-                assert balanced
-                assert out == Binomial2((monos[a], monos[b]), (monos[c], monos[e]))
-            digits[max(map(add, monos[a], monos[b]))] += 1
+                # a == c leaves the canonical form with the pairs swapped
+                named = f"{A}*{B} vs {C}*{E}" if a < c else f"{C}*{E} vs {A}*{B}"
+                message = f"^unbalanced binomial: {re.escape(named)}$"
+                with pytest.raises(ContractError, match=message):
+                    matrix_module._require_balanced(monos, [[a, c], [e, b]])
+                with pytest.raises(ContractError, match=message):
+                    minors2(grid)
+            digits[max(map(add, A, B))] += 1
         assert digits[2 * d] > 0
 
     @pytest.mark.parametrize("n", range(7))
@@ -228,9 +243,25 @@ class TestTablesOnTheIndexGrid:
             assert len(sums) == comb(n + 2 * d, n)  # every degree-2d vector
 
     def test_unbalanced_quad_rejected(self):
-        monos = VeroneseContext(2, 2).monomials()
-        with pytest.raises(ContractError, match=r"^unbalanced binomial: \(2,0,0\)\*\(2,0,0\) vs "):
-            list(matrix_module._quad_binomials(monos, [(0, 0, 1, 2)]))
+        # the grid ((0, 1), (2, 0)) has the one candidate z_0 z_0 - z_1 z_2
+        ctx = VeroneseContext(2, 2)
+        monos = ctx.monomials()
+        message = r"^unbalanced binomial: \(2,0,0\)\*\(2,0,0\) vs \(1,1,0\)\*\(1,0,1\)$"
+        with pytest.raises(ContractError, match=message):
+            matrix_module._require_balanced(monos, [[0, 1], [2, 0]])
+        with pytest.raises(ContractError, match=message):
+            minors2(SymbolicMatrix(ctx, ((monos[0], monos[1]), (monos[2], monos[0]))))
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_ragged_grid_rejected(self, row):
+        # the zip of two rows in _grid_quads would drop a longer row's tail
+        ctx = VeroneseContext(2, 3)
+        rows = [list(r) for r in build_matrix(ctx).entries]
+        rows[row] = rows[row][:3]
+        lengths = [6, 6, 6]
+        lengths[row] = 3
+        with pytest.raises(ContractError, match=re.escape(f"ragged grid: row lengths {lengths}")):
+            SymbolicMatrix(ctx, tuple(map(tuple, rows)))
 
     def test_pairs_are_shared(self):
         ctx = VeroneseContext(3, 3)
@@ -309,6 +340,66 @@ class TestTablesOnTheIndexGrid:
         assert all(type(b) is Binomial2 for b in minors | quadrics)
         monkeypatch.undo()
         clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# the grid rule against the per-candidate check it replaced
+
+
+def candidate_quads(grid):
+    """_canonical_quad of every 2x2 candidate, in _grid_quads order, None
+    for the identically zero ones."""
+    return [matrix_module._canonical_quad(ri[k], rj[l], ri[l], rj[k])
+            for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2)]
+
+
+def reference_balance(monos, grid):
+    """The message of the first unbalanced candidate, checked one by one on
+    the vectors; None when every candidate balances."""
+    for q in filter(None, candidate_quads(grid)):
+        A, B, C, E = (monos[x] for x in q)
+        if tuple(map(add, A, B)) != tuple(map(add, C, E)):
+            return f"unbalanced binomial: {A}*{B} vs {C}*{E}"
+    return None
+
+
+def balance_message(check, *args):
+    try:
+        check(*args)
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def perturbed_grids(draw):
+    """A build_matrix index grid, n <= 4 and d <= 5, with one or two
+    entries swapped with another cell or replaced by another coordinate."""
+    ctx = VeroneseContext(draw(st.integers(0, 4)), draw(st.integers(1, 5)))
+    grid = [list(row) for row in morphism._index_grid(ctx)]
+    rows, cols = len(grid), len(grid[0])
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for _ in range(draw(st.integers(1, 2))):
+        i, k = draw(cells)
+        if draw(st.booleans()):
+            j, l = draw(cells)
+            grid[i][k], grid[j][l] = grid[j][l], grid[i][k]
+        else:
+            grid[i][k] = draw(st.integers(0, len(ctx.monomials()) - 1))
+    return ctx, grid
+
+
+class TestGridRule:
+    @settings(deadline=None)
+    @given(perturbed_grids())
+    def test_grid_check_agrees_with_the_candidates(self, case):
+        ctx, grid = case
+        monos = ctx.monomials()
+        expected = reference_balance(monos, grid)
+        assert balance_message(matrix_module._require_balanced, monos, grid) == expected
+        entries = tuple(tuple(monos[x] for x in row) for row in grid)
+        assert balance_message(minors2, SymbolicMatrix(ctx, entries)) == expected
+        assert list(matrix_module._grid_quads(grid)) == list(filter(None, candidate_quads(grid)))
 
 
 # ---------------------------------------------------------------------------

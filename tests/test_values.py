@@ -37,6 +37,10 @@ class SymbolicMatrix:
     ctx: object
     entries: tuple
 
+    def __post_init__(self):
+        if len(set(map(len, self.entries))) > 1:
+            raise ContractError(f"ragged grid: row lengths {[len(row) for row in self.entries]}")
+
 
 @dataclass(frozen=True, slots=True)
 class Binomial2:
@@ -149,14 +153,18 @@ coordinates = st.tuples(st.just(1), st.integers(-2, 2), st.integers(-2, 2))
 points = st.builds(projective.ProjectivePoint, field_values, coordinates)
 
 
-def tuples_of(values):
-    return st.lists(values, max_size=2).map(tuple)
+def tuples_of(values, min_size=0, max_size=2):
+    return st.lists(values, min_size=min_size, max_size=max_size).map(tuple)
+
+
+# rectangular grids: rows of one length, which SymbolicMatrix requires
+grids = st.integers(0, 2).flatmap(lambda cols: tuples_of(tuples_of(indices, cols, cols)))
 
 
 # positional constructor arguments per class
 ARGUMENTS = {
     VeroneseContext: st.tuples(small, degrees),
-    SymbolicMatrix: st.tuples(contexts, tuples_of(tuples_of(indices))),
+    SymbolicMatrix: st.tuples(contexts, grids),
     Binomial2: pairs,
     PrimeField: st.tuples(st.sampled_from([2, 3, 101])),
     ProjectivePoint: st.tuples(field_values, coordinates),
@@ -275,6 +283,7 @@ m20, m11, m02 = MultiIndex((2, 0)), MultiIndex((1, 1)), MultiIndex((0, 2))
     (VeroneseContext, (-1, 2)),
     (VeroneseContext, (1, -2)),
     (VeroneseContext, (1, 0)),
+    (SymbolicMatrix, (multiindex.VeroneseContext(1, 2), ((m20, m11), (m02,)))),
     (Binomial2, ((m20, m11), (m20, m20))),
     (Binomial2, ((m20, m02), (m11, MultiIndex((1, 1, 0))))),
     (PrimeField, (9,)),
