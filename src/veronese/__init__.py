@@ -22,8 +22,8 @@ _EXPORTS = {
         "VeroneseError",
     ),
     "multiindex": (
-        "MultiIndex", "VeroneseContext", "binom", "enumerate_monomials",
-        "parse_coordinate_name", "pure_power",
+        "MultiIndex", "VeroneseContext", "enumerate_monomials", "parse_coordinate_name",
+        "pure_power",
     ),
     "matrix": (
         "Binomial2", "DEFAULT_BUDGET", "SymbolicMatrix", "build_matrix",

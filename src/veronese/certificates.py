@@ -94,11 +94,9 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
 
     Its first factor precedes j on row t, so it is already zero when the
     step runs.  Entries before the pure power on later rows repeat earlier
-    rows and need no step of their own; for d < 2 every coordinate is a
+    rows and need no step of their own; for d = 1 every coordinate is a
     pure power and the cascade is empty.
     """
-    if ctx.d < 2:
-        return ZeroPropagationCertificate(ctx, ())
     monos, idx = ctx.monomials(), coordinate_index(ctx)
     known = {chart_indices(ctx, i)[i] for i in range(ctx.n + 1)}  # the pure powers
     steps = []
@@ -283,8 +281,8 @@ def _consumable(state: dict, a: int, b: int) -> bool:
 
 def _chart_values(ctx: VeroneseContext, col: tuple[int, ...], i: int, z: list[int]):
     """What the identity reads of z on chart i, once per point: pw[j][e] =
-    z_{col_j}^e and z_P^(d-1); None when z_P = 0 or z is off P^N."""
-    if len(z) != ctx.N + 1 or not z[col[i]]:
+    z_{col_j}^e and z_P^(d-1); None when z_P = 0."""
+    if not z[col[i]]:
         return None
     pw = [[z[c] ** e for e in range(ctx.d + 1)] for c in col]
     return pw, pw[i][ctx.d - 1]

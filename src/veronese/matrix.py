@@ -33,13 +33,13 @@ import re
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, repeat
+from math import comb
 from operator import add, itemgetter, mul, sub
 
 from .errors import BudgetError, ContractError, Frozen
 from .multiindex import (
     MultiIndex,
     VeroneseContext,
-    binom,
     coordinate_index,
     enumerate_monomials,
     parse_coordinate_name,
@@ -278,7 +278,7 @@ def _quad_binomials(monos, quads):
 def minor_candidates(ctx: VeroneseContext) -> int:
     """C(n+1, 2) * C(cols, 2): the 2x2 submatrices minors2 visits, in closed
     form, so a caller can bound the cost before building anything."""
-    return binom(ctx.n + 1, 2) * binom(ctx.cols, 2)
+    return comb(ctx.n + 1, 2) * comb(ctx.cols, 2)
 
 
 # the cost limit every command applies when none is given: check_minor_budget
@@ -293,7 +293,7 @@ def check_minor_budget(ctx: VeroneseContext, budget: int) -> None:
     the one-row grid of n = 0, C(n+1, 2) the one-column grid of d = 1.  For
     n >= 1 and d >= 2, cols >= max(d, 2), so the candidate count is never
     below either."""
-    estimate = max(minor_candidates(ctx), binom(ctx.d, 2), binom(ctx.n + 1, 2))
+    estimate = max(minor_candidates(ctx), comb(ctx.d, 2), comb(ctx.n + 1, 2))
     if estimate > budget:
         raise BudgetError(estimate, budget, "2-minor candidates")
 

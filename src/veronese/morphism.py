@@ -10,23 +10,19 @@ membership test compute on projective.integer_coords, the point scaled to
 plain ints over Q and its residues over F_p.  Both are homogeneous, so
 the scaling changes neither the normalized image nor whether a minor
 vanishes.  _integer_image is the embedding on those ints, and
-veronese_eval normalizes it into a point; _verify_point, the verify
-command's per-point checks, keeps the ints and builds no point.
+veronese_eval makes it a point with projective._canonical;
+_verify_point, the verify command's per-point checks, keeps the ints and
+builds no point.
 
 The minors of the coordinate matrix M vanish at a point exactly when M
-has rank at most one there, so is_on_variety tests rank one through a
-pivot instead of scanning every minor.  Let piv = M[i0][k0] be the first
-nonzero entry in row-major order (one exists: every coordinate is an
-entry, and a point has a nonzero coordinate).  The test checks
-
-    M[i][k] * piv == M[i][k0] * M[i0][k]        for every i and k.
-
-Each check is the minor on rows i0, i and columns k0, k, or identically
-true when i = i0 or k = k0, so a point on the variety passes.
-Conversely, if every check holds then M = (column k0)(row i0) / piv,
-since piv is nonzero in an integral domain (Z, or F_p), so M has rank
-one and every minor vanishes.  Rows above i0 are zero and row i0 holds
-trivially, so only the rows below it are read.
+has rank at most one there, that is, when every row of M is a multiple
+of its first nonzero row M[i0] (one exists: every coordinate is an
+entry, and a point has a nonzero coordinate).  So is_on_variety tests
+each row below i0 with projective._proportional instead of scanning
+every minor; a zero row passes as 0 M[i0], and the rows above i0 are
+zero.  With k0 the first nonzero column of M[i0], each cross-product
+_proportional checks, M[i][k] M[i0][k0] = M[i0][k] M[i][k0], is the
+minor on rows i0, i and columns k0, k.
 
 failing_minor keeps field arithmetic over the minor table, the sorted
 distinct quads of the index grid's 2x2 candidates, because it reports
@@ -40,13 +36,12 @@ projective._proportional, without normalizing either.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, _grid_quads, _quad_binomials, _require_balanced, build_matrix
 from .multiindex import VeroneseContext, coordinate_index
-from .projective import Fp, ProjectivePoint, Scalar, _proportional, integer_coords, normalize
+from .projective import ProjectivePoint, Scalar, _canonical, _proportional, integer_coords, normalize
 
 
 def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
@@ -71,16 +66,9 @@ def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
     Coordinate coordinate_index(ctx)[m] of the result is the monomial
     value x^m.
     """
-    coords, p = _integer_image(ctx, x)
     # x_j^d is nonzero for a nonzero x_j, so the image has a nonzero entry;
     # over F_p a product of residues is 0 mod p only when a factor is 0
-    lead = next(c for c in coords if c)
-    if p:
-        inv = pow(lead, -1, p)
-        image = tuple(Fp(c * inv, p) for c in coords)
-    else:
-        image = tuple(Fraction(c, lead) for c in coords)
-    return ProjectivePoint(x.field, image)
+    return _canonical(x.field, *_integer_image(ctx, x))
 
 
 def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int], int]:
@@ -126,17 +114,8 @@ def _rank_one(ctx: VeroneseContext, z: list[int], p: int) -> bool:
     """The rank-one test on the ints (z, p) of a point of P^N, as
     projective.integer_coords or _integer_image give them."""
     M = [[z[a] for a in row] for row in _index_grid(ctx)]
-    i0, k0 = next((i, k) for i, row in enumerate(M) for k, v in enumerate(row) if v)
-    top = M[i0]
-    piv = top[k0]
-    for row in M[i0 + 1:]:
-        c = row[k0]
-        if p:
-            if any((a * piv - c * b) % p for a, b in zip(row, top)):
-                return False
-        elif any(a * piv != c * b for a, b in zip(row, top)):
-            return False
-    return True
+    i0 = next(i for i, row in enumerate(M) if any(row))
+    return all(_proportional(row, M[i0], p) for row in M[i0 + 1:])
 
 
 def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, Scalar] | None:

@@ -14,24 +14,12 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import ContractError, Frozen
-
-
-def binom(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b) as an exact integer.
-
-    Returns 0 when b < 0 or b > a.  Requires a >= 0.
-    """
-    if a < 0:
-        raise ContractError(f"binom requires a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 class MultiIndex(tuple):
@@ -151,7 +139,7 @@ class VeroneseContext(Frozen):
     @property
     def num_coords(self) -> int:
         """Number of degree-d monomials, N + 1."""
-        return binom(self.n + self.d, self.n)
+        return comb(self.n + self.d, self.n)
 
     @property
     def N(self) -> int:
@@ -159,7 +147,7 @@ class VeroneseContext(Frozen):
 
     @property
     def cols(self) -> int:
-        return binom(self.n + self.d - 1, self.n)
+        return comb(self.n + self.d - 1, self.n)
 
     def monomials(self) -> tuple[MultiIndex, ...]:
         return enumerate_monomials(self.n, self.d)

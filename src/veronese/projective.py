@@ -11,8 +11,11 @@ Its canonical representative scales the first nonzero coordinate to 1,
 which makes exact set operations on points possible (plain point
 equality compares canonical tuples).  integer_coords reads a point as
 plain ints, the form the membership test, the embedding and the chain
-identities compute on.  _search is the one enumeration of the canonical
-points of P^m(F_q).
+identities compute on, and this module holds all projective arithmetic
+on such int vectors: _canonical makes the canonical point they name, and
+_proportional decides whether two of them name one point, which is also
+the rank-one test's row check.  Neither inverts a field element.  _search
+is the one enumeration of the canonical points of P^m(F_q).
 """
 
 from __future__ import annotations
@@ -325,8 +328,7 @@ def normalize(p: ProjectivePoint) -> ProjectivePoint:
     lead = next(c for c in p.coords if c)
     if lead == p.field.one:
         return p
-    inv = lead ** -1
-    return ProjectivePoint(p.field, tuple(c * inv for c in p.coords))
+    return _canonical(p.field, *integer_coords(p))
 
 
 def integer_coords(x: ProjectivePoint) -> tuple[list[int], int]:
@@ -344,15 +346,27 @@ def integer_coords(x: ProjectivePoint) -> tuple[list[int], int]:
     return [c.numerator * (L // c.denominator) for c in x.coords], 0
 
 
+def _canonical(field: Field, z: list[int], p: int) -> ProjectivePoint:
+    """The point of field named by the ints z, read mod p if p, as
+    integer_coords gives them, scaled so its first nonzero entry is 1.
+    z needs a nonzero entry, and over F_p entries reduced to [0, p)."""
+    lead = next(c for c in z if c)
+    if p:
+        inv = pow(lead, -1, p)
+        return ProjectivePoint(field, tuple(Fp(c * inv, p) for c in z))
+    return ProjectivePoint(field, tuple(Fraction(c, lead) for c in z))
+
+
 def _proportional(u: list[int], v: list[int], p: int) -> bool:
-    """Whether the int vectors u and v of one length name one projective
-    point, both read mod p if p.  Each needs a nonzero entry, and over F_p
-    entries reduced to [0, p), as integer_coords gives them.
+    """Whether the int vector u is a multiple c v of the int vector v of
+    the same length, both read mod p if p: for a nonzero u, whether u and
+    v name one projective point.  v needs a nonzero entry; a zero u passes
+    as 0 v.  Over F_p entries are reduced to [0, p), as integer_coords
+    gives them.
 
     With k the first index of a nonzero v_k, it checks u_j v_k = v_j u_k
-    for every j.  If u = c v these hold.  Conversely u_k is nonzero, or
-    every u_j v_k would vanish and u with them, so u = (u_k / v_k) v.
-    Nothing is inverted or normalized.
+    for every j.  If u = c v these hold.  Conversely, they give
+    u = (u_k / v_k) v.  Nothing is inverted or normalized.
     """
     k = next(k for k, c in enumerate(v) if c)
     a, b = u[k], v[k]
@@ -414,10 +428,10 @@ def _search(N: int, q: int, quads=()):
                 yield tuple(v)
 
 
-def enumerate_projective_points(m: int, q: int | PrimeField):
+def enumerate_projective_points(m: int, q: int):
     """Stream every point of P^m(F_q) exactly once, canonically, in the
     order of _search; (q^(m+1) - 1)/(q - 1) points in total."""
-    field = q if isinstance(q, PrimeField) else PrimeField(q)
+    field = PrimeField(q)
     if m < 0:
         raise ContractError(f"ambient dimension must be >= 0, got {m}")
     for v in _search(m, field.p):

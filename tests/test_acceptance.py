@@ -8,6 +8,7 @@ work the criterion names.
 
 import json
 import time
+from math import comb
 from random import Random
 
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from veronese import (
     QQ,
     VeroneseContext,
-    binom,
     brute_force_variety,
     build_matrix,
     check_set_equality,
@@ -89,8 +89,8 @@ def test_criterion_02_shape_law():
     for n in range(1, 5):
         for d in range(1, 6):
             ctx = VeroneseContext(n, d)
-            assert build_matrix(ctx).shape == (n + 1, binom(n + d - 1, n))
-            assert ctx.num_coords == binom(n + d, n) == len(ctx.monomials())
+            assert build_matrix(ctx).shape == (n + 1, comb(n + d - 1, n))
+            assert ctx.num_coords == comb(n + d, n) == len(ctx.monomials())
     report(2, "shape law", time.perf_counter() - t0, 1.0)
 
 

@@ -80,8 +80,10 @@ class TestZeroPropagationGeneration:
         # targets are pairwise distinct
         assert len(set(targets)) == len(cert.steps)
 
-    def test_degree_one_is_empty_and_complete(self):
-        ctx = VeroneseContext(2, 1)
+    @pytest.mark.parametrize("n", range(4))
+    def test_degree_one_is_empty_and_complete(self, n):
+        # at d = 1 every coordinate is a pure power, so the loop skips all
+        ctx = VeroneseContext(n, 1)
         cert = zero_propagation_certificate(ctx)
         assert cert.steps == ()
         assert verify_zero_propagation(ctx, cert)
@@ -229,6 +231,15 @@ class TestRewriteChainVerification:
         res = verify_rewrite_chain(ctx, tampered, Q)
         assert not res
         assert "realization" in res.diagnostic
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_point_of_another_dimension_refused(self, size):
+        # the chain is sound, and the point is refused before any chart is read
+        ctx = VeroneseContext(2, 2)
+        chain = rewrite_chain(ctx, 0, MultiIndex((0, 1, 1)))
+        res = verify_rewrite_chain(ctx, chain, point(QQ, range(1, size + 1)))
+        assert not res
+        assert res.diagnostic == f"point has dimension {size - 1}, expected 5"
 
     def test_truncated_chain_rejected(self):
         ctx = VeroneseContext(1, 4)

@@ -210,6 +210,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "veronese_eval", forbidden)
         for module in (morphism, projective):
             monkeypatch.setattr(module, "normalize", forbidden)
+            monkeypatch.setattr(module, "_canonical", forbidden)
         checks = cli._verify_checks(VeroneseContext(3, 3), field, 1)
         assert [c["ok"] for c in checks] == [True] * 4
 

@@ -1,6 +1,7 @@
 """The coordinate matrix, its 2-minors, and the balanced quadric set."""
 
 from itertools import combinations, product
+from math import comb
 from operator import add
 
 import pytest
@@ -11,7 +12,6 @@ from veronese import (
     ContractError,
     MultiIndex,
     VeroneseContext,
-    binom,
     SymbolicMatrix,
     build_matrix,
     enumerate_monomials,
@@ -92,7 +92,7 @@ class TestBuildMatrix:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_shape_law(self, n, d):
         m = build_matrix(VeroneseContext(n, d))
-        assert m.shape == (n + 1, binom(n + d - 1, n))
+        assert m.shape == (n + 1, comb(n + d - 1, n))
 
     @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3), (3, 2)])
     def test_row_structure(self, n, d):

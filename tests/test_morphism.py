@@ -30,7 +30,7 @@ from veronese import (
 )
 from veronese import matrix as matrix_module
 from veronese.matrix import cached_minors
-from veronese.morphism import _integer_image, _minor_table
+from veronese.morphism import _index_grid, _integer_image, _minor_table, _rank_one, chart_indices
 from veronese.projective import integer_coords
 
 
@@ -123,6 +123,7 @@ residues = st.integers(-5, 2**70)
 CONTEXTS = [(0, 1), (0, 3), (1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4),
             (3, 2), (3, 3), (3, 4)]
 FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101)]) | st.just(QQ)
+WIDE_FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)])
 
 
 def scalars_of(field):
@@ -139,11 +140,11 @@ def source_points(draw, field, size):
 
 
 @st.composite
-def membership_cases(draw):
+def membership_cases(draw, fields=FIELDS):
     """A context up to (3,4), a field, and an image point, a perturbed image
     point or an arbitrary point of P^N, zero coordinates included."""
     ctx = VeroneseContext(*draw(st.sampled_from(CONTEXTS)))
-    field = draw(FIELDS)
+    field = draw(fields)
     scalars = scalars_of(field)
     kind = draw(st.sampled_from(["image", "perturbed", "arbitrary"]))
     Q = draw(source_points(field, ctx.N + 1 if kind == "arbitrary" else ctx.n + 1))
@@ -156,6 +157,31 @@ def membership_cases(draw):
         if any(coords):
             Q = ProjectivePoint(field, tuple(coords))
     return ctx, Q
+
+
+def field_normalize(P):
+    """Scale P by the field inverse of its first nonzero coordinate: the
+    reference for normalize and veronese_eval, which scale ints through
+    projective._canonical and invert no field element."""
+    inv = next(c for c in P.coords if c) ** -1
+    return ProjectivePoint(P.field, tuple(c * inv for c in P.coords))
+
+
+def pivot_rank_one(ctx, z, p):
+    """The rank-one test as a pivot loop: with piv = M[i0][k0] the first
+    nonzero entry in row-major order, every row below i0 must satisfy
+    M[i][k] piv == M[i][k0] M[i0][k].  The reference for _rank_one, which
+    checks each row with projective._proportional."""
+    M = [[z[a] for a in row] for row in _index_grid(ctx)]
+    i0, k0 = next((i, k) for i, row in enumerate(M) for k, v in enumerate(row) if v)
+    top = M[i0]
+    piv = top[k0]
+    for row in M[i0 + 1:]:
+        c = row[k0]
+        diffs = (a * piv - c * b for a, b in zip(row, top))
+        if any(v % p if p else v for v in diffs):
+            return False
+    return True
 
 
 def field_eval(ctx, x):
@@ -171,7 +197,7 @@ def field_eval(ctx, x):
         for j, e in enumerate(m):
             v = v * pows[j][e]
         coords.append(v)
-    return normalize(ProjectivePoint(x.field, tuple(coords)))
+    return field_normalize(ProjectivePoint(x.field, tuple(coords)))
 
 
 def multiset_image(ctx, x):
@@ -271,7 +297,7 @@ class TestIntegerMembership:
         assert cached_minors.cache_info().currsize == 0
         assert _minor_table.cache_info().currsize == 1
 
-    @given(st.sampled_from(CONTEXTS), FIELDS, st.data())
+    @given(st.sampled_from(CONTEXTS), FIELDS | WIDE_FIELDS, st.data())
     def test_embedding_matches_field_arithmetic(self, nd, field, data):
         ctx = VeroneseContext(*nd)
         x = data.draw(source_points(field, ctx.n + 1))
@@ -321,6 +347,36 @@ class TestIntegerMembership:
             assert fail[1] == value and isinstance(fail[1], Fp)
         else:
             assert str(inverse_map(ctx, Q)) == "[1 : 2]"
+
+
+class TestAgainstReplacedKernels:
+    """The rank-one test and the canonical points against the pivot loop
+    and the field-inverse normalize they replaced, over Q and F_p, on
+    image points (leading zeros leave zero rows above the pivot), perturbed
+    images and arbitrary points.  veronese_eval is checked against
+    field_eval in TestIntegerMembership."""
+
+    @given(membership_cases(WIDE_FIELDS))
+    def test_rank_one_matches_the_pivot_loop(self, case):
+        ctx, Q = case
+        z, p = integer_coords(Q)
+        expected = pivot_rank_one(ctx, z, p)
+        assert _rank_one(ctx, z, p) is expected
+        assert is_on_variety(ctx, Q) is expected
+
+    @given(WIDE_FIELDS, st.integers(0, 6), st.data())
+    def test_normalize_matches_the_field_inverse(self, field, m, data):
+        P = data.draw(source_points(field, m + 1))
+        R = normalize(P)
+        assert R == field_normalize(P)
+        assert normalize(R) is R
+
+    @given(membership_cases(WIDE_FIELDS))
+    def test_chart_inverses_match_the_field_inverse(self, case):
+        ctx, Q = case
+        for i in available_charts(ctx, Q):
+            column = [Q.coords[k] for k in chart_indices(ctx, i)]
+            assert inverse_on_chart(ctx, Q, i) == field_normalize(ProjectivePoint(Q.field, column))
 
 
 class TestChartSelect:

@@ -258,6 +258,10 @@ class TestEnumeration:
         with pytest.raises(ContractError):
             list(enumerate_projective_points(1, 6))
 
+    def test_field_size_must_be_an_int(self):
+        with pytest.raises(ContractError, match="a field size must be an int"):
+            list(enumerate_projective_points(1, PrimeField(5)))
+
 
 class TestTextualForm:
     def test_rational_roundtrip(self):

@@ -12,15 +12,34 @@ expanded polynomials in the coordinates z, not a test at points:
   R_0 - R_last = prod_j z_{col_j}^{m_j} - z_P^(d-1) z_m;
 * every minor a certificate uses is an expanded 2x2 determinant of the
   matrix, up to sign.
+
+Membership is checked at points: the grid of a point's coordinates, laid
+out as the catalecticant matrix, has rank at most one in sympy's
+DomainMatrix exactly when the package calls the point a member.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
+from random import Random
 
 import pytest
 import sympy
+from sympy.polys.domains import GF
+from sympy.polys.domains import QQ as SYMPY_QQ
+from sympy.polys.matrices import DomainMatrix
 
-from veronese import VeroneseContext, rewrite_chain, zero_propagation_certificate
+from veronese import (
+    QQ,
+    PrimeField,
+    ProjectivePoint,
+    VeroneseContext,
+    failing_minor,
+    is_on_variety,
+    random_point,
+    rewrite_chain,
+    veronese_eval,
+    zero_propagation_certificate,
+)
 
 CONTEXTS = [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)]
 
@@ -115,3 +134,46 @@ def test_propagation_minors_are_determinants(n, d):
         # product with a factor already known zero
         t = z(step.target)
         assert sympy.Poly(expr, t).degree() == 2
+
+
+def grid_rank(n: int, d: int, Q: ProjectivePoint) -> int:
+    """Rank of the catalecticant matrix at Q, in sympy's QQ or GF(p): row i,
+    column beta holds Q's coordinate at beta + e_i, the coordinates listed
+    in the lex-descending order of vectors(n, d)."""
+    position = {v: k for k, v in enumerate(vectors(n, d))}
+    if Q.field == QQ:
+        domain = SYMPY_QQ
+        scalars = [SYMPY_QQ(c.numerator, c.denominator) for c in Q.coords]
+    else:
+        domain = GF(Q.field.p)
+        scalars = [domain(c.value) for c in Q.coords]
+    bases = vectors(n, d - 1)
+    rows = [[scalars[position[tuple(e + (s == i) for s, e in enumerate(b))]] for b in bases]
+            for i in range(n + 1)]
+    return DomainMatrix(rows, (n + 1, len(bases)), domain).rank()
+
+
+MEMBERSHIP_CONTEXTS = [(n, d) for n in range(5) for d in range(1, 5)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)], ids=str)
+@pytest.mark.parametrize("n,d", MEMBERSHIP_CONTEXTS)
+def test_membership_is_rank_at_most_one(n, d, field):
+    ctx = VeroneseContext(n, d)
+    rng = Random(n * 10 + d)
+    outcomes = set()
+    for k in range(12):
+        # leading zeros leave zero rows above the first nonzero row
+        Q = veronese_eval(ctx, random_point(rng, field, n, lead_zeros=k % (n + 1)))
+        if k % 2:
+            coords = list(Q.coords)
+            coords[rng.randrange(len(coords))] += field.one
+            if not any(coords):
+                continue
+            Q = ProjectivePoint(field, tuple(coords))
+        expected = grid_rank(n, d, Q) <= 1
+        assert is_on_variety(ctx, Q) is expected, Q
+        assert (failing_minor(ctx, Q) is None) is expected, Q
+        outcomes.add(expected)
+    # at d = 1, and for n = 0, the matrix has one column or one row
+    assert outcomes == ({True} if d == 1 or n == 0 else {True, False})
