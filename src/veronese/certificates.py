@@ -12,26 +12,23 @@ embedding with its chartwise inverse is the identity on the variety: for a
 chart i and a degree-d vector m, a chain of minor rewrites turns the
 product of chart-column coordinates prod_j z_{(d-1)e_i + e_j}^{m_j} into
 z_{d e_i}^{d-1} z_m.  Every minor used keeps three of its four entries on
-row i and the column of z_{d e_i}.
+row i and the column of z_{d e_i}.  The chains of a chart form a forest:
+its n + 1 roots are the chart-column coordinates, with empty chains, and
+every other chain is its parent's plus one edge, N - n edges per chart.
 
-Certificates are generated symbolically once per context, independent of
-any point, on coordinate indices: a step is the quad (a, b, c, e) of
-z_a z_b - z_c z_e, canonical when a <= b, c <= e and a < c (the index is
-the rank, which reverses lex order).  Verification is structural, with
-the unit-move test matrix.is_minor_quad in place of minors2, plus, for
-chains, an exact numeric check at a variety point.  At the boundary the
-cascade builds each step with Binomial2(pos, neg), which checks balance;
-rewrite chains make theirs from the quads with tuple.__new__, without
-that re-check, since every chain step balances by construction:
-d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).  The verifiers read steps
-back with matrix.binomial_quad and test each with is_minor_quad; a step
-with an entry that is no degree-d coordinate has no quad and is no minor.
+Certificates are generated symbolically on coordinate indices: a step is
+the quad (a, b, c, e) of z_a z_b - z_c z_e, canonical when a <= b, c <= e
+and a < c (the index is the rank, which reverses lex order).  Verification
+is structural, by the unit-move test matrix.is_minor_quad, plus, for
+chains, an exact numeric check at a variety point.  Cascade steps are
+built with Binomial2(pos, neg), which checks balance, chain edges with
+tuple.__new__: d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import getitem
+from operator import getitem, sub
 
 from .errors import ContractError, Frozen
 from .matrix import Binomial2, _canonical_quad, binomial_quad, is_minor_quad, parse_binomial
@@ -160,64 +157,58 @@ def _moved(idx: dict, exps, i: int, j: int) -> int:
     return idx[tuple(w)]
 
 
-def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
-    """Generate the chain for chart i and coordinate z_m.
-
-    Nonzero exponents of m away from position i are consumed last position
-    first.  Each step exchanges one chart-column factor against the working
-    coordinate w:
-
-        z_{d e_i} z_{w - e_i + e_j} - z_w z_{(d-1)e_i + e_j}
-
-    which moves a unit of weight from position i to position j.  The first
-    consumed factor seeds w, so a chain has sum(m_j, j != i) - 1 steps and
-    is empty whenever m_i >= d - 1.
-    """
-    if not 0 <= i <= ctx.n:
-        raise ContractError(f"chart index {i} out of range for n={ctx.n}")
-    if len(m) != ctx.n + 1 or m.degree != ctx.d:
-        raise ContractError(f"{m} is not a degree-{ctx.d} multi-index in {ctx.n + 1} variables")
-    monos, new = ctx.monomials(), tuple.__new__
-    steps = tuple(new(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e])))
-                  for a, b, c, e in _chain_quads(ctx, chart_indices(ctx, i), i, m))
-    return RewriteChain(ctx, i, m, steps)
+def _edge(monos, idx: dict, col: tuple[int, ...], i: int, k: int) -> tuple[int, tuple[int, int, int, int]]:
+    """(parent, quad) of node k (d - k_i >= 2) in chart i's forest, col =
+    chart_indices(ctx, i): the parent is k + e_i - e_j, j the least index
+    but i with k_j > 0, and the quad is that of z_P z_k - z_parent z_{col_j}."""
+    m = monos[k]
+    j = next(j for j, e in enumerate(m) if e and j != i)
+    p = _moved(idx, m, j, i)
+    return p, _canonical_quad(col[i], k, p, col[j])
 
 
-def _chain_quads(ctx: VeroneseContext, col: tuple[int, ...], i: int, m) -> list[tuple[int, int, int, int]]:
-    """The steps of rewrite_chain(ctx, i, m) as quads, col = chart_indices(ctx, i)."""
+def _forest(ctx: VeroneseContext, i: int, col: tuple[int, ...]) -> list[tuple[int, int, tuple]]:
+    """The N - n edges (k, parent, quad) of chart i's forest, parents first; its roots are col."""
     monos, idx = ctx.monomials(), coordinate_index(ctx)
-    quads = []
-    w = None  # index of the working coordinate
-    for j in range(ctx.n, -1, -1):
-        if j == i or m[j] == 0:
-            continue
-        count = m[j]
-        if w is None:
-            w, count = col[j], count - 1
-        for _ in range(count):
-            moved = _moved(idx, monos[w], i, j)
-            quads.append(_canonical_quad(col[i], moved, w, col[j]))
-            w = moved
-    return quads
+    order = sorted(range(len(monos)), key=lambda k: monos[k][i], reverse=True)
+    return [(k, *_edge(monos, idx, col, i, k)) for k in order if monos[k][i] < ctx.d - 1]
+
+
+def _names_chain(ctx: VeroneseContext, i, m) -> bool:  # i an int chart, no bool; m a coordinate
+    return (isinstance(i, int) and type(i) is not bool and 0 <= i <= ctx.n
+            and isinstance(m, MultiIndex) and len(m) == ctx.n + 1 and m.degree == ctx.d)
+
+
+def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
+    """Generate the chain for chart i and coordinate z_m: the edges on the
+    root path of m in chart i's forest, root first.  A step z_{d e_i}
+    z_{w - e_i + e_j} - z_w z_{(d-1)e_i + e_j} moves a unit of weight from
+    position i to j of the working coordinate w, so a chain has
+    sum(m_j, j != i) - 1 steps and is empty whenever m_i >= d - 1."""
+    if not _names_chain(ctx, i, m):
+        raise ContractError(f"chart {i!r} and target {m!r} name no rewrite chain of {ctx}")
+    monos, idx = ctx.monomials(), coordinate_index(ctx)
+    col, k, quads = chart_indices(ctx, i), idx[m], []
+    while monos[k][i] < ctx.d - 1:
+        k, q = _edge(monos, idx, col, i, k)
+        quads.append(q)
+    return RewriteChain(ctx, i, m, tuple(tuple.__new__(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e])))
+                                         for a, b, c, e in reversed(quads)))
 
 
 def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: ProjectivePoint) -> VerifyResult:
-    """Check a chain structurally and numerically at Q.
-
-    Structural (_chain_fault, on the steps as quads): every minor is
-    genuine, satisfies the row/column rule, and the rewrites telescope
-    exactly from the chart-column product to z_{d e_i}^(d-1) z_m.
-    Numeric: the claimed identity, homogeneous of degree d, holds exactly
-    at integer_coords(Q), whose chart must be available.
-    """
+    """Check a chain structurally (_chain_fault on the steps as quads, a
+    step that is no Binomial2 being no minor), and numerically: the claimed
+    identity, homogeneous of degree d, holds exactly at integer_coords(Q),
+    whose chart must be available."""
     if chain.ctx != ctx:
         return VerifyResult(False, f"chain built for {chain.ctx}, verified against {ctx}")
     i, m = chain.chart, chain.target
-    if not 0 <= i <= ctx.n or len(m) != ctx.n + 1 or m.degree != ctx.d:
-        return VerifyResult(False, "chain chart or target malformed for this context")
-    idx = coordinate_index(ctx)
-    col = chart_indices(ctx, i)
-    fault = _chain_fault(ctx, col, i, idx[m], [binomial_quad(ctx, b) for b in chain.steps])
+    if not (_names_chain(ctx, i, m) and isinstance(chain.steps, tuple)):
+        return VerifyResult(False, "chain chart, target or steps malformed for this context")
+    idx, col = coordinate_index(ctx), chart_indices(ctx, i)
+    quads = [binomial_quad(ctx, b) if isinstance(b, Binomial2) else None for b in chain.steps]
+    fault = _chain_fault(ctx, col, i, idx[m], quads)
     if fault is not None:
         pos, why = fault
         if pos < len(chain.steps):
@@ -227,15 +218,16 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     z, p = integer_coords(Q)
     if len(z) != ctx.N + 1:
         return VerifyResult(False, f"point has dimension {len(z) - 1}, expected {ctx.N}")
-    chart = _chart_values(ctx, col, i, z)
-    if chart is None:
+    bad = _identity_failures(ctx, col, i, z, p, ((idx[m], m),))
+    if bad is None:
         return VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
-    if not _identity_holds(chart, m, z[idx[m]], p):
+    if bad:
         return VerifyResult(False, "claimed identity fails numerically at the supplied point")
     return VerifyResult(True)
 
 
-def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, quads) -> tuple[int, str] | None:
+def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, quads,
+                 parent: int | None = None) -> tuple[int, str] | None:
     """The first failing check, as (step, diagnostic template), of the
     quads (None: no minor) of the chart-i chain of coordinate index k, col
     = chart_indices(ctx, i); None when all pass.
@@ -248,19 +240,30 @@ def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, qua
     makes its partner x + e_i - e_j.  A step turns one side of the running
     product, the negative side first, into the other, from prod_j
     z_{col_j}^{m_j} to z_P^(d-1) z_k (else a fault at len(quads)).
+
+    With a parent, the quads extend its chain, and the product starts as
+    that chain, if sound, leaves k's: z_P^(d-1) z_parent z_col^(k-parent),
+    k's chart product on chart i (z_P != 0, and a root parent's product is
+    its goal) unless a count is negative, which no step clears: a fault.
     """
     monos = ctx.monomials()
     P = col[i]
-    state = {col[j]: e for j, e in enumerate(monos[k]) if e}
+    if parent is None:
+        state = dict(zip(col, monos[k]))
+    else:
+        state = dict(zip(col, map(sub, monos[k], monos[parent])))
+        state[P] += ctx.d - 1
+        state[parent] = state.get(parent, 0) + 1
+    state = {f: e for f, e in state.items() if e}
     for pos, q in enumerate(quads):
         if q is None or not is_minor_quad(monos, *q):
             return pos, "{minor} is not a 2-minor of the matrix"
         if P not in q:
             return pos, "{minor} has no realization on row {i} and the column of {P}"
         a, b, c, e = q
-        if _consumable(state, c, e):
+        if state.get(c, 0) >= 2 if c == e else c in state and e in state:
             consumed, produced = (c, e), (a, b)
-        elif _consumable(state, a, b):
+        elif state.get(a, 0) >= 2 if a == b else a in state and b in state:
             consumed, produced = (a, b), (c, e)
         else:
             return pos, "neither side of {minor} occurs in the running product"
@@ -275,45 +278,42 @@ def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, qua
     return None if state == goal else (len(quads), "telescoping ended away from the claimed product")
 
 
-def _consumable(state: dict, a: int, b: int) -> bool:
-    return state.get(a, 0) >= 2 if a == b else a in state and b in state
-
-
-def _chart_values(ctx: VeroneseContext, col: tuple[int, ...], i: int, z: list[int]):
-    """What the identity reads of z on chart i, once per point: pw[j][e] =
-    z_{col_j}^e and z_P^(d-1); None when z_P = 0."""
+def _identity_failures(ctx: VeroneseContext, col: tuple[int, ...], i: int, z: list[int], p: int, nodes):
+    """How many nodes (k, m) fail prod_j z_{col_j}^{m_j} == z_P^(d-1) z_k (mod
+    p if p) at the ints z; None when z_P = 0."""
     if not z[col[i]]:
         return None
     pw = [[z[c] ** e for e in range(ctx.d + 1)] for c in col]
-    return pw, pw[i][ctx.d - 1]
-
-
-def _identity_holds(chart, m, zm: int, p: int) -> bool:
-    """prod_j z_{col_j}^{m_j} == z_P^(d-1) z_m (mod p if p), for _chart_values."""
-    pw, zPd = chart
-    diff = prod(map(getitem, pw, m)) - zPd * zm
-    return not (diff % p if p else diff)
+    diffs = (prod(map(getitem, pw, m)) - pw[i][ctx.d - 1] * z[k] for k, m in nodes)
+    return sum(1 for diff in diffs if (diff % p if p else diff))
 
 
 def _chart_failures(ctx: VeroneseContext, i: int, points) -> int:
     """Failed (chain, point) pairs of verify_rewrite_chain over every chain
-    of chart i and the points' integer_coords (z, p), on quads and ints."""
+    of chart i and the points' integer_coords (z, p), on chart i's forest:
+    each edge is checked once, and the identity once per chain and point."""
     col = chart_indices(ctx, i)
-    charts = [(z, p, _chart_values(ctx, col, i, z)) for z, p in points]
-    failures = 0
-    for k, m in enumerate(ctx.monomials()):
-        if _chain_fault(ctx, col, i, k, _chain_quads(ctx, col, i, m)) is not None:
-            failures += len(points)
-            continue
-        failures += sum(chart is None or not _identity_holds(chart, m, z[k], p) for z, p, chart in charts)
+    sound = [True] * ctx.num_coords  # a root's empty chain telescopes
+    for k, parent, q in _forest(ctx, i, col):
+        sound[k] = sound[parent] and _chain_fault(ctx, col, i, k, (q,), parent) is None
+    nodes = [(k, m) for k, m in enumerate(ctx.monomials()) if sound[k]]
+    failures = (len(sound) - len(nodes)) * len(points)
+    for z, p in points:
+        bad = _identity_failures(ctx, col, i, z, p, nodes)
+        failures += len(nodes) if bad is None else bad
     return failures
 
 
 def all_rewrite_chains(ctx: VeroneseContext):
-    """Yield the chain for every chart and every degree-d coordinate."""
+    """Yield rewrite_chain(ctx, i, m) for each chart i, then coordinate m; a
+    chart's chains are built parents first, one Binomial2 per forest edge."""
+    monos = ctx.monomials()
     for i in range(ctx.n + 1):
-        for m in ctx.monomials():
-            yield rewrite_chain(ctx, i, m)
+        steps = [()] * len(monos)
+        for k, parent, (a, b, c, e) in _forest(ctx, i, chart_indices(ctx, i)):
+            steps[k] = (*steps[parent], tuple.__new__(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e]))))
+        for m, s in zip(monos, steps):
+            yield RewriteChain(ctx, i, m, s)
 
 
 # ---------------------------------------------------------------------------

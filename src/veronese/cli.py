@@ -259,7 +259,7 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     record("zero-propagation-certificate", res.ok,
            res.diagnostic or f"{len(cert.steps)} steps, full coverage")
 
-    # verify_rewrite_chain for every chain and point, on quads and ints
+    # verify_rewrite_chain for every chain and point, on each chart's forest
     chain_failures = 0
     for i in range(ctx.n + 1):
         points = [_chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART)]

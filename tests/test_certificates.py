@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import add
 from random import Random
 
@@ -38,8 +39,9 @@ from veronese import (
 )
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
-from veronese.matrix import binomial_quad, is_minor_quad
+from veronese.matrix import _canonical_quad, binomial_quad, is_minor_quad
 from veronese.morphism import _minor_table, chart_indices, coordinate_index
+from veronese.projective import integer_coords
 
 from test_matrix import bump
 
@@ -399,6 +401,26 @@ def reference_rewrite_chain(ctx, i, m):
     return RewriteChain(ctx, i, m, tuple(steps))
 
 
+def reference_chain_quads(ctx, col, i, m):
+    """The steps of the chart-i chain of m as canonical index quads, built
+    one chain at a time, col = chart_indices(ctx, i): the per-chain loop
+    the package ran before it built each chart's chains as one forest."""
+    monos, idx = ctx.monomials(), coordinate_index(ctx)
+    quads = []
+    w = None  # index of the working coordinate
+    for j in range(ctx.n, -1, -1):
+        if j == i or m[j] == 0:
+            continue
+        count = m[j]
+        if w is None:
+            w, count = col[j], count - 1
+        for _ in range(count):
+            moved_w = idx[moved(monos[w], i, j)]
+            quads.append(_canonical_quad(col[i], moved_w, w, col[j]))
+            w = moved_w
+    return quads
+
+
 def realizes_row_and_column(ctx, i, b):
     """Whether the minor has a 2x2 realization on row i and the column of
     z_{d e_i}, i.e. three of four entries in that row and column."""
@@ -475,7 +497,7 @@ def reference_chain_structure(ctx, chain):
         return certs.VerifyResult(False, f"chain built for {chain.ctx}, verified against {ctx}")
     i, m = chain.chart, chain.target
     if not 0 <= i <= ctx.n or len(m) != ctx.n + 1 or m.degree != ctx.d:
-        return certs.VerifyResult(False, "chain chart or target malformed for this context")
+        return certs.VerifyResult(False, "chain chart, target or steps malformed for this context")
     minors = cached_minors(ctx)
     P = pure_power(ctx.n, ctx.d, i)
     column = reference_chart_column(ctx, i)
@@ -732,15 +754,15 @@ class TestIndexCoreMatchesReference:
 
     @pytest.mark.parametrize("n,d", [(1, 3), (2, 4), (3, 3)])
     def test_quad_chains_on_ints(self, n, d):
-        # the quads the verify command checks are the steps rewrite_chain
-        # returns, and their structure check fails on any index out of range,
-        # any non-canonical quad and any unbalanced one
+        # the per-chain quads are the steps rewrite_chain returns, and their
+        # structure check fails on any index out of range, any non-canonical
+        # quad and any unbalanced one
         ctx = VeroneseContext(n, d)
         monos = ctx.monomials()
         for i in range(n + 1):
             col = chart_indices(ctx, i)
             for k, m in enumerate(monos):
-                quads = certs._chain_quads(ctx, col, i, m)
+                quads = reference_chain_quads(ctx, col, i, m)
                 assert [_as_minor(monos, q) for q in quads] == list(rewrite_chain(ctx, i, m).steps)
                 assert certs._chain_fault(ctx, col, i, k, quads) is None
                 for pos, (a, b, c, e) in enumerate(quads):
@@ -843,3 +865,155 @@ class TestVerifiersBuildNoMinorSet:
                 assert verify_rewrite_chain(ctx, rewrite_chain(ctx, i, m), Q)
         assert cached_minors.cache_info().currsize == 0
         assert time.perf_counter() - start < 10.0
+
+
+# ---------------------------------------------------------------------------
+# The chains of a chart as one forest: each chain is its parent's plus one
+# edge, so generation makes each edge once and verify checks it once.
+
+def forest_parent(ctx, i, m):
+    """m + e_i - e_j, j the least index other than i with m_j > 0: the
+    parent of m in chart i's forest; None for a root, d - m_i <= 1."""
+    if ctx.d - m[i] <= 1:
+        return None
+    return moved(m, min(s for s in range(ctx.n + 1) if s != i and m[s] > 0), i)
+
+
+BENDS = ["skipped-step", "wrong-partner", "swapped-sides"]
+
+
+def bent_edge(bend):
+    """certs._edge bent at every third node: the edge hangs from the
+    grandparent, so its chain skips the parent's step; or the parent is
+    paired with another chart-column entry, in the genuine minor
+    z_P z_{parent - e_i + e_j'} - z_parent z_{col_j'}; or its sides are
+    swapped."""
+    edge = certs._edge
+
+    def bent(monos, idx, col, i, k):
+        parent, (a, b, c, e) = edge(monos, idx, col, i, k)
+        if k % 3:
+            return parent, (a, b, c, e)
+        if bend == "swapped-sides":
+            return parent, (c, e, a, b)
+        if bend == "skipped-step":  # a root parent has no parent to skip to
+            if sum(monos[parent]) - monos[parent][i] > 1:
+                parent = edge(monos, idx, col, i, parent)[0]
+            return parent, (a, b, c, e)
+        j = min(s for s in range(len(col)) if s != i and monos[k][s])
+        others = [s for s in range(len(col)) if s not in (i, j)]
+        if not others:
+            return parent, (a, b, c, e)
+        k2 = idx[moved(monos[parent], i, others[0])]
+        return parent, _canonical_quad(col[i], k2, parent, col[others[0]])
+
+    return bent
+
+
+class TestChainForest:
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(1, 6)] + [(7, 7)])
+    def test_shape(self, n, d):
+        ctx = VeroneseContext(n, d)
+        chains = {(c.chart, c.target): c for c in all_rewrite_chains(ctx)}
+        assert len(chains) == (n + 1) * ctx.num_coords
+        for i in range(n + 1):
+            assert len(certs._forest(ctx, i, chart_indices(ctx, i))) == ctx.N - n
+        assert len({(i, step) for (i, _), c in chains.items() for step in c.steps}) == (n + 1) * (ctx.N - n)
+        for (i, m), chain in chains.items():
+            parent = forest_parent(ctx, i, m)
+            if parent is None:
+                assert chain.steps == ()
+            else:
+                assert chain.steps[:-1] == chains[i, parent].steps
+                assert len(chain.steps) == len(chains[i, parent].steps) + 1
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_generators_match_per_chain_reference(self, n):
+        for d in range(1, 6):
+            ctx = VeroneseContext(n, d)
+            monos = ctx.monomials()
+            expected = [
+                RewriteChain(ctx, i, m, tuple(_as_minor(monos, q)
+                                              for q in reference_chain_quads(ctx, chart_indices(ctx, i), i, m)))
+                for i in range(n + 1) for m in monos
+            ]
+            assert list(all_rewrite_chains(ctx)) == expected
+            assert [rewrite_chain(ctx, c.chart, c.target) for c in expected] == expected
+
+    @pytest.mark.parametrize("bend", BENDS)
+    @pytest.mark.parametrize("n,d", [(2, 3), (2, 5), (3, 4), (4, 3)])
+    def test_bent_forest_same_failures_as_per_chain(self, monkeypatch, bend, n, d):
+        # _chart_failures checks each edge once and each chain's identity per
+        # point; the reference runs _chain_fault over every whole chain of the
+        # same bent forest, and the identity on its own, at genuine points
+        # and at one point bent off the variety per chart
+        ctx = VeroneseContext(n, d)
+        monos, idx = ctx.monomials(), coordinate_index(ctx)
+        genuine = list(all_rewrite_chains(ctx))
+        monkeypatch.setattr(certs, "_edge", bent_edge(bend))
+        chains = list(all_rewrite_chains(ctx))
+        assert chains != genuine
+        assert chains == [rewrite_chain(ctx, c.chart, c.target) for c in chains]
+        rng = Random(10 * n + d)
+        failures = total = 0
+        for i in range(n + 1):
+            col = chart_indices(ctx, i)
+            points = [integer_coords(image_point_on_chart(rng, field, ctx, i))
+                      for field in (QQ, PrimeField(7), QQ)]
+            z, p = points[-1]
+            z[rng.randrange(len(z))] *= 2
+            expected = 0
+            for chain in chains[i * len(monos):(i + 1) * len(monos)]:
+                k = idx[chain.target]
+                if certs._chain_fault(ctx, col, i, k, [binomial_quad(ctx, b) for b in chain.steps]):
+                    expected += len(points)
+                    continue
+                for z, p in points:
+                    diff = prod(z[c] ** e for c, e in zip(col, chain.target)) - z[col[i]] ** (d - 1) * z[k]
+                    expected += not z[col[i]] or bool(diff % p if p else diff)
+            assert certs._chart_failures(ctx, i, points) == expected
+            failures += expected
+            total += len(monos) * len(points)
+        assert 0 < failures < total
+
+
+MALFORMED = "chain chart, target or steps malformed for this context"
+
+
+class TestMalformedChains:
+    """A malformed chain is a failed verification, never an exception, and
+    rewrite_chain refuses what names no chain with ContractError."""
+
+    ctx = VeroneseContext(1, 3)
+    Q = veronese_eval(ctx, point(QQ, [1, 2]))
+
+    @pytest.mark.parametrize("chart,target", [
+        (0, (1, 2)),                       # a plain tuple, not a MultiIndex
+        ("0", MultiIndex((1, 2))),
+        (0.0, MultiIndex((1, 2))),
+        (True, MultiIndex((1, 2))),        # a bool is no chart, as it is no n or d
+        (2, MultiIndex((1, 2))),
+        (0, MultiIndex((1, 1))),
+        (0, MultiIndex((1, 1, 1))),
+    ])
+    def test_chart_or_target(self, chart, target):
+        res = verify_rewrite_chain(self.ctx, RewriteChain(self.ctx, chart, target, ()), self.Q)
+        assert res == certs.VerifyResult(False, MALFORMED)
+        with pytest.raises(ContractError):
+            rewrite_chain(self.ctx, chart, target)
+
+    def test_steps_not_a_tuple(self):
+        chain = RewriteChain(self.ctx, 0, MultiIndex((0, 3)), None)
+        assert verify_rewrite_chain(self.ctx, chain, self.Q) == certs.VerifyResult(False, MALFORMED)
+
+    @pytest.mark.parametrize("step", [
+        "z_{3,0} z_{1,2} - z_{2,1}^2",
+        (1, 2, 3),
+        ((MultiIndex((3, 0)), MultiIndex((1, 2))), (MultiIndex((2, 1)), MultiIndex((2, 1)))),
+        None,
+    ])
+    def test_step_not_a_binomial(self, step):
+        genuine = rewrite_chain(self.ctx, 0, MultiIndex((0, 3)))
+        chain = RewriteChain(self.ctx, 0, genuine.target, (step,) + genuine.steps[1:])
+        res = verify_rewrite_chain(self.ctx, chain, self.Q)
+        assert res == certs.VerifyResult(False, f"step 0: {step} is not a 2-minor of the matrix")

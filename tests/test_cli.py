@@ -21,6 +21,7 @@ from veronese import (
     VeroneseContext,
     build_matrix,
     minor_candidates,
+    pure_power,
 )
 from veronese import certificates as certs
 from veronese import cli
@@ -434,8 +435,14 @@ def per_point_verify_checks(ctx, field, seed: int, make_chain=reference_rewrite_
 
 
 def corrupted(m) -> bool:
-    """The chains whose last step the corrupted runs drop."""
+    """The forest nodes whose edge the corrupted runs bend."""
     return sum(m) % 3 == m[0] % 3
+
+
+def edge_node(step, P):
+    """The node of a chain step z_P z_k - z_parent z_{col_j}: its k."""
+    side = step.pos if P in step.pos else step.neg
+    return side[1] if side[0] == P else side[0]
 
 
 class TestVerifyChecksReference:
@@ -452,16 +459,18 @@ class TestVerifyChecksReference:
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     def test_same_failure_counts_with_corrupted_chains_and_points(self, monkeypatch, field):
-        # the verify command checks index quads at int points; the reference
-        # checks Binomial2 chains at field points.  Both drop the last step of
-        # the same chains and double the same coordinate of each chart point,
-        # which moves the point off the variety without leaving the chart.
+        # the verify command checks each chart's forest of index quads at int
+        # points; the reference checks whole Binomial2 chains at field points.
+        # Both swap the sides of the same forest edges, which bends every
+        # chain through them, and double the same coordinate of each chart
+        # point, which moves the point off the variety without leaving the
+        # chart.
         ctx = VeroneseContext(2, 3)
-        make_quads, make_point = certs._chain_quads, cli._chart_point
+        make_edge, make_point = certs._edge, cli._chart_point
 
-        def corrupted_quads(ctx, col, i, m):
-            quads = make_quads(ctx, col, i, m)
-            return quads[:-1] if quads and corrupted(m) else quads
+        def corrupted_edge(monos, idx, col, i, k):
+            parent, (a, b, c, e) = make_edge(monos, idx, col, i, k)
+            return parent, ((c, e, a, b) if corrupted(monos[k]) else (a, b, c, e))
 
         def bent_point(rng, field, ctx, i):
             z, p = make_point(rng, field, ctx, i)
@@ -471,9 +480,9 @@ class TestVerifyChecksReference:
 
         def corrupted_chain(ctx, i, m):
             chain = reference_rewrite_chain(ctx, i, m)
-            if chain.steps and corrupted(m):
-                return RewriteChain(ctx, i, m, chain.steps[:-1])
-            return chain
+            P = pure_power(ctx.n, ctx.d, i)
+            return RewriteChain(ctx, i, m, tuple(Binomial2(s.neg, s.pos) if corrupted(edge_node(s, P)) else s
+                                                 for s in chain.steps))
 
         def bent_reference_point(rng, field, ctx, i):
             Q = reference_chart_point(rng, field, ctx, i)
@@ -482,7 +491,7 @@ class TestVerifyChecksReference:
             coords[k] = coords[k] + coords[k]
             return ProjectivePoint(field, tuple(coords))
 
-        monkeypatch.setattr(certs, "_chain_quads", corrupted_quads)
+        monkeypatch.setattr(certs, "_edge", corrupted_edge)
         monkeypatch.setattr(cli, "_chart_point", bent_point)
         checks = cli._verify_checks(ctx, field, 5)
         assert checks == per_point_verify_checks(ctx, field, 5, corrupted_chain, bent_reference_point)
