@@ -44,7 +44,7 @@ from .errors import BudgetError, ContractError, InvalidPointError, VeroneseError
 from .matrix import DEFAULT_BUDGET, build_matrix, check_minor_budget
 from .morphism import (
     _integer_image,
-    _minor_table,
+    _listed_minors,
     _verify_point,
     failing_minor,
     inverse_map,
@@ -151,7 +151,7 @@ def cmd_matrix(args, ctx) -> int:
 
 
 def cmd_minors(args, ctx) -> int:
-    listing = [str(b) for b, _ in _minor_table(ctx)]
+    listing = list(map(str, _listed_minors(ctx)))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "minors",

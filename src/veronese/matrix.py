@@ -12,8 +12,8 @@ canonical form so that generator sets deduplicate by plain equality.
 
 The tables are built on coordinate indices (ranks): a quadric is the quad
 (a, b, c, e) of z_a z_b - z_c z_e.  _grid_quads canonicalizes the 2x2
-candidates of a grid of indices inline, for minors2 and morphism's minor
-table, and _quad_binomials turns table quads into Binomial2 values, one
+candidates of a grid of indices inline, for minors2, and _quad_binomials
+turns quads into Binomial2 values for it and for morphism's listing, one
 pair tuple per index pair from a 2-D table.  Balance is checked on packed
 exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit of a pair sum is
 at most 2d < 2d+1, so adding codes never carries: code(A) + code(B) is

@@ -24,9 +24,16 @@ zero.  With k0 the first nonzero column of M[i0], each cross-product
 _proportional checks, M[i][k] M[i0][k0] = M[i0][k] M[i][k0], is the
 minor on rows i0, i and columns k0, k.
 
-failing_minor keeps field arithmetic over the minor table, the sorted
-distinct quads of the index grid's 2x2 candidates, because it reports
-the first failing minor in listing order and its value in the field.
+failing_minor keeps field arithmetic on Q.coords over _minor_quads, the
+sorted distinct quads of the index grid's 2x2 candidates in one flat
+array, because it reports the first failing minor in listing order and
+its value in the field; it makes a Binomial2 for that minor only.  Each
+grid row ascends in index (ranks reverse lex order), so a candidate on
+rows i < j and columns k < l, based at beta and gamma, leads with its
+top-left entry A = G[i][k] = beta + e_i: the others are A + (e_j - e_i),
+A + (gamma - beta) and their sum, both moves are lex-negative, and lex
+order respects addition.  Its canonical quad is (G[i][k], G[j][l]) with
+the other two entries sorted, so the table is built one leader at a time.
 The inverse reads off one matrix column: on the chart where z_{d e_i} is
 nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
@@ -36,10 +43,11 @@ projective._proportional, without normalizing either.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, _grid_quads, _quad_binomials, _require_balanced, build_matrix
+from .matrix import Binomial2, _quad_binomials, _require_balanced, build_matrix
 from .multiindex import VeroneseContext, coordinate_index
 from .projective import ProjectivePoint, Scalar, _canonical, _proportional, integer_coords, normalize
 
@@ -50,14 +58,51 @@ def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
 
 
 @lru_cache(maxsize=None)
+def _minor_quads(ctx: VeroneseContext) -> array:
+    """The distinct canonical minors of the index grid as one flat array
+    of quads, four indices each, in listing order: ascending quads, since
+    ranks reverse the lex order that sorted_binomials lists descending.
+    Leaders ascend, and each leader's quads are deduplicated and sorted
+    as packed ints (module docstring); no per-minor object is kept."""
+    grid = _index_grid(ctx)
+    _require_balanced(ctx.monomials(), grid)
+    S = ctx.N + 1
+    positions: list[list[tuple[int, int]]] = [[] for _ in range(S)]
+    for i, row in enumerate(grid):
+        for k, a in enumerate(row):
+            positions[a].append((i, k))
+    quads = array("I")
+    for a, cells in enumerate(positions):
+        keys = set()
+        for i, k in cells:
+            tail = grid[i][k + 1:]
+            for rj in grid[i + 1:]:
+                c = rj[k]
+                keys.update([(b * S + c) * S + e if c < e else (b * S + e) * S + c
+                             for b, e in zip(rj[k + 1:], tail)])
+        for key in sorted(keys):
+            bc, e = divmod(key, S)
+            quads.extend((a, *divmod(bc, S), e))
+    return quads
+
+
+def _quads(table: array):
+    """The quads of a flat table, four indices at a time."""
+    it = iter(table)
+    return zip(it, it, it, it)
+
+
+def _listed_minors(ctx: VeroneseContext):
+    """The Binomial2 of each minor of _minor_quads, in listing order, made
+    one at a time."""
+    return _quad_binomials(ctx.monomials(), _quads(_minor_quads(ctx)))
+
+
+@lru_cache(maxsize=None)
 def _minor_table(ctx: VeroneseContext) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
-    """The distinct minors as (Binomial2, quad) pairs, built once per
-    context from the index grid, in listing order: ascending quads, since
-    ranks reverse the lex order that sorted_binomials lists descending."""
-    grid, monos = _index_grid(ctx), ctx.monomials()
-    _require_balanced(monos, grid)
-    quads = sorted(set(_grid_quads(grid)))
-    return tuple(zip(_quad_binomials(monos, quads), quads))
+    """_minor_quads as (Binomial2, quad) pairs, for the benchmark's tracer,
+    which reads listing positions from them; the package never calls it."""
+    return tuple(zip(_listed_minors(ctx), _quads(_minor_quads(ctx))))
 
 
 def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
@@ -123,10 +168,11 @@ def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, 
     value, an element of Q.field; None when Q is on the variety."""
     _require_target(ctx, Q)
     c = Q.coords
-    for b, (ia, ib, ic, ie) in _minor_table(ctx):
+    for ia, ib, ic, ie in _quads(_minor_quads(ctx)):
         v = c[ia] * c[ib] - c[ic] * c[ie]
         if v:
-            return b, v
+            monos = ctx.monomials()
+            return Binomial2((monos[ia], monos[ib]), (monos[ic], monos[ie])), v
     return None
 
 

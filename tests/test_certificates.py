@@ -40,7 +40,7 @@ from veronese import (
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
 from veronese.matrix import _canonical_quad, binomial_quad, is_minor_quad
-from veronese.morphism import _minor_table, chart_indices, coordinate_index
+from veronese.morphism import _minor_quads, _minor_table, chart_indices, coordinate_index
 from veronese.projective import integer_coords
 
 from test_matrix import bump
@@ -841,6 +841,7 @@ class TestVerifiersBuildNoMinorSet:
     def test_cold_cache_stays_empty(self):
         ctx = VeroneseContext(4, 5)
         cached_minors.cache_clear()
+        _minor_quads.cache_clear()
         _minor_table.cache_clear()
         assert verify_zero_propagation(ctx, zero_propagation_certificate(ctx))
         rng = Random(45)
@@ -848,6 +849,7 @@ class TestVerifiersBuildNoMinorSet:
         for chain in all_rewrite_chains(ctx):
             assert verify_rewrite_chain(ctx, chain, points[chain.chart])
         assert cached_minors.cache_info().currsize == 0
+        assert _minor_quads.cache_info().currsize == 0
         assert _minor_table.cache_info().currsize == 0
 
     def test_reach_six_six(self):

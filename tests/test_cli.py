@@ -21,7 +21,9 @@ from veronese import (
     VeroneseContext,
     build_matrix,
     minor_candidates,
+    minors2,
     pure_power,
+    sorted_binomials,
 )
 from veronese import certificates as certs
 from veronese import cli
@@ -29,6 +31,7 @@ from veronese import matrix as matrix_module
 from veronese import morphism, projective
 from veronese.cli import main
 from veronese.morphism import (
+    _minor_quads,
     _minor_table,
     available_charts,
     inverse_map,
@@ -104,6 +107,17 @@ class TestMinorsCommand:
         assert doc["minors"] == ["z_{2,0} z_{0,2} - z_{1,1}^2"]
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
 
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(4) for d in range(1, 5)])
+    def test_lists_the_sorted_minor_set(self, capsys, n, d):
+        # text and JSON bytes against sorted_binomials of minors2
+        listing = [str(b) for b in sorted_binomials(minors2(build_matrix(VeroneseContext(n, d))))]
+        code, out = run(capsys, "minors", "--n", str(n), "--d", str(d))
+        assert (code, out) == (0, "".join(f"{line}\n" for line in [*listing, f"count: {len(listing)}"]))
+        doc = {"command": "minors", "count": len(listing), "d": d, "minors": listing, "n": n,
+               "schema_version": 1}
+        code, out = run(capsys, "minors", "--n", str(n), "--d", str(d), "--format", "json")
+        assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
 
 class TestPointCommands:
     def test_eval(self, capsys):
@@ -127,10 +141,12 @@ class TestPointCommands:
     def test_member_point_builds_no_minor_table(self, capsys, command, answer):
         # the rank-one test answers a member; only a non-member's report
         # needs the 118,125-candidate table of (5,5)
+        _minor_quads.cache_clear()
         _minor_table.cache_clear()
         ones = "[" + " : ".join(["1"] * 252) + "]"
         code, out = run(capsys, command, "--n", "5", "--d", "5", ones)
         assert (code, out.strip()) == (0, answer)
+        assert _minor_quads.cache_info().currsize == 0
         assert _minor_table.cache_info().currsize == 0
 
     def test_invert_rejects_nonmember(self, capsys):
@@ -672,11 +688,19 @@ class TestGuardInMain:
                     matrix_module.check_minor_budget(ctx, -1)
                 assert exc.value.estimated == max(minor_candidates(ctx), comb(d, 2))
 
-    def test_minors_listing_builds_no_minor_set(self, capsys):
+    def test_minors_listing_builds_no_minor_set(self, capsys, monkeypatch):
+        # the listing makes each Binomial2 from the flat quad table as it
+        # prints: neither minors2 nor the pairs of _minor_table are built
+        def no_minors(matrix):
+            raise AssertionError("minors built the minor set")
+
+        monkeypatch.setattr(matrix_module, "minors2", no_minors)
         matrix_module.cached_minors.cache_clear()
+        _minor_table.cache_clear()
         code, out = run(capsys, "minors", "--n", "2", "--d", "3")
         assert code == 0 and out.endswith("count: 36\n")
         assert matrix_module.cached_minors.cache_info().currsize == 0
+        assert _minor_table.cache_info().currsize == 0
 
 
 class TestMembershipDocuments:

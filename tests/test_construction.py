@@ -10,7 +10,9 @@ package generates them on coordinate indices.
 """
 
 import ast
+import gc
 import re
+from array import array
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import chain, combinations, starmap
@@ -110,7 +112,8 @@ def ref_toric_quadrics(ctx):
 
 def clear_caches():
     for cache in (enumerate_monomials, matrix_module.cached_matrix, matrix_module.cached_minors,
-                  morphism.coordinate_index, morphism._minor_table, morphism.chart_indices):
+                  morphism.coordinate_index, morphism._minor_quads, morphism._minor_table,
+                  morphism.chart_indices):
         cache.cache_clear()
 
 
@@ -289,11 +292,30 @@ class TestTablesOnTheIndexGrid:
         assert matrix_module._canonical_quad(4, 2, 2, 4) is None
 
     @pytest.mark.parametrize("n", range(5))
+    def test_minor_quads_are_the_sorted_distinct_grid_quads(self, n):
+        # one flat array of canonical quads, built a leader at a time,
+        # equals the sorted set of the grid's 2x2 candidates; the collector
+        # finds no object in it but its type (an array is tracked from
+        # Python 3.11 on, as an instance of a heap type)
+        for d in range(1, 6):
+            ctx = VeroneseContext(n, d)
+            table = morphism._minor_quads(ctx)
+            assert type(table) is array and table.typecode == "I" and len(table) % 4 == 0
+            assert gc.get_referents(table) in ([], [array])
+            quads = list(morphism._quads(table))
+            assert quads == sorted(set(quads))
+            assert all(a <= b and c <= e and a < c for a, b, c, e in quads)
+            assert quads == sorted(set(matrix_module._grid_quads(morphism._index_grid(ctx))))
+            assert len(quads) == len(minors2(build_matrix(ctx)))
+            assert (not table) == (n == 0 or d == 1)
+
+    @pytest.mark.parametrize("n", range(5))
     def test_minor_table_follows_the_listing_order(self, n):
         # ascending canonical quads are the lex-descending listing order:
-        # the minor table holds (Binomial2, quad) pairs in that order, the
-        # shape bench/tracer.py reads, and sorting the quads of a table,
-        # as the oracle does, lists it in that order too
+        # the minor table, the benchmark's view of _minor_quads, holds
+        # (Binomial2, quad) pairs in that order, the shape bench/tracer.py
+        # reads, and sorting the quads of a table, as the oracle does,
+        # lists it in that order too
         for d in range(1, 6):
             ctx = VeroneseContext(n, d)
             table = morphism._minor_table(ctx)

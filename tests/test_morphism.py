@@ -1,12 +1,13 @@
 """The embedding, membership, chart selection and the chartwise inverse."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import prod
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from veronese import (
     ContractError,
@@ -29,8 +30,8 @@ from veronese import (
     veronese_eval,
 )
 from veronese import matrix as matrix_module
-from veronese.matrix import cached_minors
-from veronese.morphism import _index_grid, _integer_image, _minor_table, _rank_one, chart_indices
+from veronese.matrix import Binomial2, cached_minors
+from veronese.morphism import _index_grid, _integer_image, _minor_quads, _minor_table, _rank_one, chart_indices
 from veronese.projective import integer_coords
 
 
@@ -100,14 +101,32 @@ class TestMembership:
         assert is_on_variety(ctx, point(QQ, [3, 1, 4]))
 
 
-def fraction_loop(ctx, Q):
-    """Every minor of the table tested in field arithmetic: the reference
-    for the rank-one test of is_on_variety."""
+@cache
+def reference_minor_table(ctx):
+    """Every distinct minor as a (Binomial2, quad) pair in listing order:
+    the sorted set of the index grid's canonical quads, each with its
+    binomial.  The table failing_minor scanned before the flat quads of
+    morphism._minor_quads."""
+    quads = sorted(set(matrix_module._grid_quads(_index_grid(ctx))))
+    return tuple(zip(matrix_module._quad_binomials(ctx.monomials(), quads), quads))
+
+
+def reference_failing_minor(ctx, Q):
+    """The first minor of reference_minor_table that does not vanish at Q,
+    with its value in field arithmetic; None when all vanish.  The
+    reference for failing_minor's scan of the flat quad table."""
     c = Q.coords
-    for _, (ia, ib, ic, ie) in _minor_table(ctx):
-        if c[ia] * c[ib] != c[ic] * c[ie]:
-            return False
-    return True
+    for b, (ia, ib, ic, ie) in reference_minor_table(ctx):
+        v = c[ia] * c[ib] - c[ic] * c[ie]
+        if v:
+            return b, v
+    return None
+
+
+def fraction_loop(ctx, Q):
+    """Every minor tested in field arithmetic: the reference for the
+    rank-one test of is_on_variety."""
+    return reference_failing_minor(ctx, Q) is None
 
 
 # denominators of either sign, small and far past a machine word
@@ -140,10 +159,11 @@ def source_points(draw, field, size):
 
 
 @st.composite
-def membership_cases(draw, fields=FIELDS):
-    """A context up to (3,4), a field, and an image point, a perturbed image
-    point or an arbitrary point of P^N, zero coordinates included."""
-    ctx = VeroneseContext(*draw(st.sampled_from(CONTEXTS)))
+def membership_cases(draw, fields=FIELDS, contexts=CONTEXTS):
+    """A context (up to (3,4) by default), a field, and an image point, a
+    perturbed image point or an arbitrary point of P^N, zero coordinates
+    included."""
+    ctx = VeroneseContext(*draw(st.sampled_from(contexts)))
     field = draw(fields)
     scalars = scalars_of(field)
     kind = draw(st.sampled_from(["image", "perturbed", "arbitrary"]))
@@ -270,6 +290,7 @@ class TestIntegerMembership:
 
         monkeypatch.setattr(matrix_module, "minors2", no_table)
         cached_minors.cache_clear()
+        _minor_quads.cache_clear()
         _minor_table.cache_clear()
         ctx = VeroneseContext(4, 4)
         for field in (QQ, PrimeField(101)):
@@ -278,15 +299,18 @@ class TestIntegerMembership:
             coords = list(Q.coords)
             coords[-1] += field.one
             assert is_on_variety(ctx, ProjectivePoint(field, tuple(coords))) is False
+        assert _minor_quads.cache_info().currsize == 0
         assert _minor_table.cache_info().currsize == 0
 
     def test_failing_minor_leaves_the_minor_set_unbuilt(self, monkeypatch):
-        # the table comes from the quads of the index grid, not from minors2
+        # the scan reads the flat quads of the index grid: neither minors2
+        # nor the (Binomial2, quad) pairs of _minor_table are built
         def no_minors(matrix):
             raise AssertionError("failing_minor built the minor set")
 
         monkeypatch.setattr(matrix_module, "minors2", no_minors)
         cached_minors.cache_clear()
+        _minor_quads.cache_clear()
         _minor_table.cache_clear()
         ctx = VeroneseContext(3, 3)
         Q = veronese_eval(ctx, point(QQ, [1, 2, 3, 4]))
@@ -295,7 +319,8 @@ class TestIntegerMembership:
         coords[-1] += 1
         assert failing_minor(ctx, ProjectivePoint(QQ, tuple(coords))) is not None
         assert cached_minors.cache_info().currsize == 0
-        assert _minor_table.cache_info().currsize == 1
+        assert _minor_quads.cache_info().currsize == 1
+        assert _minor_table.cache_info().currsize == 0
 
     @given(st.sampled_from(CONTEXTS), FIELDS | WIDE_FIELDS, st.data())
     def test_embedding_matches_field_arithmetic(self, nd, field, data):
@@ -350,11 +375,26 @@ class TestIntegerMembership:
 
 
 class TestAgainstReplacedKernels:
-    """The rank-one test and the canonical points against the pivot loop
-    and the field-inverse normalize they replaced, over Q and F_p, on
-    image points (leading zeros leave zero rows above the pivot), perturbed
-    images and arbitrary points.  veronese_eval is checked against
-    field_eval in TestIntegerMembership."""
+    """The rank-one test, the canonical points and failing_minor against
+    the pivot loop, the field-inverse normalize and the (Binomial2, quad)
+    loop they replaced, over Q and F_p, on image points (leading zeros
+    leave zero rows above the pivot), perturbed images and arbitrary
+    points.  veronese_eval is checked against field_eval in
+    TestIntegerMembership."""
+
+    # the first draw of a context builds both tables, up to 22,575 minors
+    @settings(deadline=None)
+    @given(membership_cases(st.sampled_from([QQ, PrimeField(2), PrimeField(101)]),
+                            [(n, d) for n in range(5) for d in range(1, 6)]))
+    def test_failing_minor_matches_the_pair_loop(self, case):
+        ctx, Q = case
+        expected = reference_failing_minor(ctx, Q)
+        got = failing_minor(ctx, Q)
+        if expected is None:
+            assert got is None
+        else:
+            assert type(got[0]) is Binomial2 and got[0] == expected[0]
+            assert type(got[1]) is type(expected[1]) and got[1] == expected[1]
 
     @given(membership_cases(WIDE_FIELDS))
     def test_rank_one_matches_the_pivot_loop(self, case):

@@ -175,7 +175,8 @@ class TestPublicNames:
 PINNED_CACHES = {
     "multiindex.enumerate_monomials", "multiindex.coordinate_index",
     "matrix.cached_matrix", "matrix.cached_minors",
-    "morphism._minor_table", "morphism._index_grid", "morphism.chart_indices",
+    "morphism._minor_quads", "morphism._minor_table", "morphism._index_grid",
+    "morphism.chart_indices",
 }
 
 # the names bench/workloads.py clears, as attribute paths from the package
