@@ -15,6 +15,9 @@ z_{d e_i}^{d-1} z_m.  Every minor used keeps three of its four entries on
 row i and the column of z_{d e_i}.  The chains of a chart form a forest:
 its n + 1 roots are the chart-column coordinates, with empty chains, and
 every other chain is its parent's plus one edge, N - n edges per chart.
+With psi_i(z) the chart-i column of z, chart i's identities read
+nu_d(psi_i(z)) = z_P^(d-1) z, P = d e_i: _chart_failures checks a point's
+as one image of the column, verify_rewrite_chain one identity as one product.
 
 Certificates are generated symbolically on coordinate indices: a step is
 the quad (a, b, c, e) of z_a z_b - z_c z_e, canonical when a <= b, c <= e
@@ -28,12 +31,12 @@ tuple.__new__: d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).
 from __future__ import annotations
 
 from math import prod
-from operator import getitem, sub
+from operator import sub
 
 from .errors import ContractError, Frozen
 from .matrix import Binomial2, _canonical_quad, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
-from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
+from .multiindex import MultiIndex, VeroneseContext, _monomial_values, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
 
 
@@ -119,34 +122,40 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
     monos, idx = ctx.monomials(), coordinate_index(ctx)
     known = {chart_indices(ctx, i)[i] for i in range(ctx.n + 1)}  # the pure powers
     for pos, step in enumerate(cert.steps):
-        where = f"step {pos} (target {step.target.coordinate_name()})"
-        q = binomial_quad(ctx, step.minor)
-        if q is None or not is_minor_quad(monos, *q):
-            return VerifyResult(False, f"{where}: {step.minor} is not a 2-minor of the matrix")
-        t = idx.get(step.target)
-        in_pos, in_neg = t in q[:2], t in q[2:]
-        if in_pos == in_neg:
-            return VerifyResult(False, f"{where}: minor must contain the target on exactly one side")
-        target_side, other_side = (q[:2], q[2:]) if in_pos else (q[2:], q[:2])
-        if other_side[0] not in known and other_side[1] not in known:
-            pair = ", ".join(monos[f].coordinate_name() for f in other_side)
-            return VerifyResult(False, f"{where}: no factor of {{{pair}}} is known zero")
-        partner = target_side[1] if target_side[0] == t else target_side[0]
-        if partner != t:
-            # z_a z_b - z_t z_x with z_x = 0 vanishes whatever z_t is
-            name = monos[partner].coordinate_name()
-            why = ("is known zero, so the minor does not force the target" if partner in known
-                   else "is neither the target nor known zero")
-            return VerifyResult(False, f"{where}: partner {name} {why}")
-        for p in step.prerequisites:
-            if idx.get(p) not in known:
-                return VerifyResult(False, f"{where}: prerequisite {p.coordinate_name()} not yet established")
-        known.add(t)
+        why = _step_fault(ctx, monos, idx, known, step)
+        if why is not None:  # the step is named only when it fails
+            return VerifyResult(False, f"step {pos} (target {step.target.coordinate_name()}): {why}")
+        known.add(idx[step.target])
     missing = [k for k in range(len(monos)) if k not in known]
     if missing:
         return VerifyResult(False, f"coverage incomplete: {len(missing)} coordinates never zeroed, "
                                    f"first {monos[missing[0]].coordinate_name()}")
     return VerifyResult(True)
+
+
+def _step_fault(ctx: VeroneseContext, monos, idx: dict, known: set, step: PropagationStep) -> str | None:
+    """Why step does not force its target to zero given the known zeros; None if it does."""
+    q = binomial_quad(ctx, step.minor)
+    if q is None or not is_minor_quad(monos, *q):
+        return f"{step.minor} is not a 2-minor of the matrix"
+    t = idx.get(step.target)
+    in_pos, in_neg = t in q[:2], t in q[2:]
+    if in_pos == in_neg:
+        return "minor must contain the target on exactly one side"
+    target_side, other_side = (q[:2], q[2:]) if in_pos else (q[2:], q[:2])
+    if other_side[0] not in known and other_side[1] not in known:
+        pair = ", ".join(monos[f].coordinate_name() for f in other_side)
+        return f"no factor of {{{pair}}} is known zero"
+    partner = target_side[1] if target_side[0] == t else target_side[0]
+    if partner != t:
+        # z_a z_b - z_t z_x with z_x = 0 vanishes whatever z_t is
+        why = ("is known zero, so the minor does not force the target" if partner in known
+               else "is neither the target nor known zero")
+        return f"partner {monos[partner].coordinate_name()} {why}"
+    for p in step.prerequisites:
+        if idx.get(p) not in known:
+            return f"prerequisite {p.coordinate_name()} not yet established"
+    return None
 
 
 def _moved(idx: dict, exps, i: int, j: int) -> int:
@@ -218,10 +227,10 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     z, p = integer_coords(Q)
     if len(z) != ctx.N + 1:
         return VerifyResult(False, f"point has dimension {len(z) - 1}, expected {ctx.N}")
-    bad = _identity_failures(ctx, col, i, z, p, ((idx[m], m),))
-    if bad is None:
+    if not z[col[i]]:
         return VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
-    if bad:
+    diff = prod(map(pow, (z[c] for c in col), m)) - z[col[i]] ** (ctx.d - 1) * z[idx[m]]
+    if diff % p if p else diff:
         return VerifyResult(False, "claimed identity fails numerically at the supplied point")
     return VerifyResult(True)
 
@@ -278,29 +287,23 @@ def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, qua
     return None if state == goal else (len(quads), "telescoping ended away from the claimed product")
 
 
-def _identity_failures(ctx: VeroneseContext, col: tuple[int, ...], i: int, z: list[int], p: int, nodes):
-    """How many nodes (k, m) fail prod_j z_{col_j}^{m_j} == z_P^(d-1) z_k (mod
-    p if p) at the ints z; None when z_P = 0."""
-    if not z[col[i]]:
-        return None
-    pw = [[z[c] ** e for e in range(ctx.d + 1)] for c in col]
-    diffs = (prod(map(getitem, pw, m)) - pw[i][ctx.d - 1] * z[k] for k, m in nodes)
-    return sum(1 for diff in diffs if (diff % p if p else diff))
-
-
 def _chart_failures(ctx: VeroneseContext, i: int, points) -> int:
     """Failed (chain, point) pairs of verify_rewrite_chain over every chain
     of chart i and the points' integer_coords (z, p), on chart i's forest:
-    each edge is checked once, and the identity once per chain and point."""
+    each edge is checked once, and a point's identities as one image."""
     col = chart_indices(ctx, i)
     sound = [True] * ctx.num_coords  # a root's empty chain telescopes
     for k, parent, q in _forest(ctx, i, col):
         sound[k] = sound[parent] and _chain_fault(ctx, col, i, k, (q,), parent) is None
-    nodes = [(k, m) for k, m in enumerate(ctx.monomials()) if sound[k]]
+    nodes = [k for k, ok in enumerate(sound) if ok]
     failures = (len(sound) - len(nodes)) * len(points)
     for z, p in points:
-        bad = _identity_failures(ctx, col, i, z, p, nodes)
-        failures += len(nodes) if bad is None else bad
+        if not z[col[i]]:  # the precondition fails every sound chain
+            failures += len(nodes)
+            continue
+        lhs, s = _monomial_values([z[c] for c in col], ctx.d, p), z[col[i]] ** (ctx.d - 1)
+        diffs = (lhs[k] - s * z[k] for k in nodes)
+        failures += sum(1 for diff in diffs if (diff % p if p else diff))
     return failures
 
 

@@ -38,13 +38,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from random import Random
 
 from .errors import BudgetError, ContractError, InvalidPointError, VeroneseError
-from .matrix import DEFAULT_BUDGET, build_matrix, check_minor_budget
+from .matrix import DEFAULT_BUDGET, _product_str, build_matrix, check_minor_budget
 from .morphism import (
     _integer_image,
-    _listed_minors,
+    _minor_quads,
+    _quads,
     _verify_point,
     failing_minor,
     inverse_map,
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
+def _emit(doc: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -151,16 +153,23 @@ def cmd_matrix(args, ctx) -> int:
 
 
 def cmd_minors(args, ctx) -> int:
-    listing = list(map(str, _listed_minors(ctx)))
+    # each coordinate is named once; text prints each line as it is made
+    names = [m.coordinate_name() for m in ctx.monomials()]
+    quads = _minor_quads(ctx)
+    count = len(quads) // 4
+    listing = (f"{_product_str(names[a], names[b])} - {_product_str(names[c], names[e])}"
+               for a, b, c, e in _quads(quads))
+    if args.format == "json":
+        listing = list(listing)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "minors",
         "n": ctx.n,
         "d": ctx.d,
-        "count": len(listing),
+        "count": count,
         "minors": listing,
     }
-    _emit(doc, args.format, listing + [f"count: {len(listing)}"])
+    _emit(doc, args.format, chain(listing, [f"count: {count}"]))
     return EXIT_OK
 
 

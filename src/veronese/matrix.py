@@ -155,14 +155,13 @@ class Binomial2(tuple):
         return Binomial2(p2, p1)
 
     def __str__(self) -> str:
-        return f"{_product_str(self.pos)} - {_product_str(self.neg)}"
+        a, b, c, e = (m.coordinate_name() for pair in self for m in pair)
+        return f"{_product_str(a, b)} - {_product_str(c, e)}"
 
 
-def _product_str(pair: Pair) -> str:
-    a, b = pair
-    if a == b:
-        return f"{a.coordinate_name()}^2"
-    return f"{a.coordinate_name()} {b.coordinate_name()}"
+def _product_str(a: str, b: str) -> str:
+    """z_a z_b from the two coordinate names, z_a^2 when they agree."""
+    return f"{a}^2" if a == b else f"{a} {b}"
 
 
 _BINOMIAL_RE = re.compile(

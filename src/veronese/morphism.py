@@ -9,10 +9,10 @@ their field, coerced when the point is built; the embedding and the
 membership test compute on projective.integer_coords, the point scaled to
 plain ints over Q and its residues over F_p.  Both are homogeneous, so
 the scaling changes neither the normalized image nor whether a minor
-vanishes.  _integer_image is the embedding on those ints, and
-veronese_eval makes it a point with projective._canonical;
-_verify_point, the verify command's per-point checks, keeps the ints and
-builds no point.
+vanishes.  _integer_image is the embedding on those ints, the one
+monomial kernel multiindex._monomial_values, and veronese_eval makes it
+a point with projective._canonical; _verify_point, the verify command's
+per-point checks, keeps the ints and builds no point.
 
 The minors of the coordinate matrix M vanish at a point exactly when M
 has rank at most one there, that is, when every row of M is a multiple
@@ -38,7 +38,9 @@ The inverse reads off one matrix column: on the chart where z_{d e_i} is
 nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
 point.  On ints that column is compared with a point by
-projective._proportional, without normalizing either.
+projective._proportional, without normalizing either.  Conversely, nu_d
+of the chart-i column of a variety point z is z_{d e_i}^(d-1) z: nu_d o
+psi_i is the identity on chart i, which the rewrite chains prove.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, _quad_binomials, _require_balanced, build_matrix
-from .multiindex import VeroneseContext, coordinate_index
+from .multiindex import VeroneseContext, _monomial_values, coordinate_index
 from .projective import ProjectivePoint, Scalar, _canonical, _proportional, integer_coords, normalize
 
 
@@ -92,17 +94,12 @@ def _quads(table: array):
     return zip(it, it, it, it)
 
 
-def _listed_minors(ctx: VeroneseContext):
-    """The Binomial2 of each minor of _minor_quads, in listing order, made
-    one at a time."""
-    return _quad_binomials(ctx.monomials(), _quads(_minor_quads(ctx)))
-
-
 @lru_cache(maxsize=None)
 def _minor_table(ctx: VeroneseContext) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
     """_minor_quads as (Binomial2, quad) pairs, for the benchmark's tracer,
     which reads listing positions from them; the package never calls it."""
-    return tuple(zip(_listed_minors(ctx), _quads(_minor_quads(ctx))))
+    quads = _minor_quads(ctx)
+    return tuple(zip(_quad_binomials(ctx.monomials(), _quads(quads)), _quads(quads)))
 
 
 def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
@@ -122,21 +119,7 @@ def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int],
     if x.dim != ctx.n:
         raise ContractError(f"expected a point of P^{ctx.n}, got dimension {x.dim}")
     v, p = integer_coords(x)
-    # power table: pows[j][e] = v_j^e, reduced mod p over F_p
-    pows = []
-    for c in v:
-        row = [1]
-        for _ in range(ctx.d):
-            row.append(row[-1] * c % p if p else row[-1] * c)
-        pows.append(row)
-    coords = []
-    for m in ctx.monomials():
-        c = 1
-        for j, e in enumerate(m):
-            if e:
-                c *= pows[j][e]
-        coords.append(c % p if p else c)
-    return coords, p
+    return _monomial_values(v, ctx.d, p), p
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,8 @@ x_0 > x_1 > ... > x_n, which for equal-degree exponent tuples coincides
 with plain tuple comparison; MultiIndex therefore subclasses tuple and
 inherits its ordering.
 
+_monomial_values, the one monomial evaluator, lists its values in this order.
+
 All values are immutable and every function here is pure, so the module is
 safe for unrestricted concurrent use.
 """
@@ -105,6 +107,25 @@ def enumerate_monomials(n: int, d: int) -> tuple[MultiIndex, ...]:
             exponents[j] += 1
         out.append(MultiIndex(exponents))
     return tuple(out)
+
+
+def _monomial_values(v, d: int, p: int) -> list[int]:
+    """The values v^m at the ints v of the m of enumerate_monomials(len(v) - 1, d),
+    in order, reduced mod p if p.  By suffix products, the degree-k values in
+    x_j..x_n are x_j times the degree-(k-1) ones in x_j..x_n, then the degree-k
+    ones in x_(j+1)..x_n, as combinations_with_replacement lists multisets.  They
+    give row[k] over x_1..x_n; x_0's exponent leads, so the result is x_0^(d-k)
+    row[k], k = 0..d, as a step on x_0 would also build every lower degree."""
+    row = [[1]] + [[]] * d
+    for c in reversed(v[1:]):
+        for k in range(1, d + 1):
+            row[k] = ([c * t % p for t in row[k - 1]] if p else [c * t for t in row[k - 1]]) + row[k]
+    powers = [1]  # x_0^0 .. x_0^d, paired with row highest first
+    for _ in range(d):
+        powers.append(powers[-1] * v[0] % p if p else powers[-1] * v[0])
+    if p:
+        return [w * t % p for w, values in zip(reversed(powers), row) for t in values]
+    return [w * t for w, values in zip(reversed(powers), row) for t in values]
 
 
 class VeroneseContext(Frozen):

@@ -2,8 +2,9 @@
 
 Rational arithmetic is entrusted to fractions.Fraction (always reduced,
 positive denominator).  Prime-field elements are Fp wrappers around a
-residue in [0, p) with operator arithmetic, so generic code can mix the two
-backends freely; there is deliberately no floating point anywhere.
+residue in [0, p) with only +, - and *, which failing_minor uses for a
+minor's value: the package computes on plain ints otherwise and inverts
+no field element.  There is deliberately no floating point anywhere.
 
 A ProjectivePoint is an immutable coordinate tuple over one field with at
 least one nonzero entry, coerced into the field when the point is built.
@@ -98,23 +99,6 @@ class Fp:
         return NotImplemented if other is NotImplemented else Fp(self.value * other.value, self.p)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return Fp(pow(self.value, k, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is NotImplemented else self * other.inverse()
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return Fp(pow(self.value, self.p - 2, self.p), self.p)
 
     def __bool__(self) -> bool:
         return self.value != 0

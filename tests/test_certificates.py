@@ -544,11 +544,15 @@ def reference_chain_identity(ctx, chain, Q):
     zP = z[idx[column[i]]]
     if not zP:
         return certs.VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
+    # powers as repeated products: field elements multiply, but have no **
     lhs = Q.field.one
     for j, e in enumerate(m):
-        if e:
-            lhs = lhs * z[idx[column[j]]] ** e
-    if lhs != zP ** (ctx.d - 1) * z[idx[m]]:
+        for _ in range(e):
+            lhs = lhs * z[idx[column[j]]]
+    rhs = z[idx[m]]
+    for _ in range(ctx.d - 1):
+        rhs = rhs * zP
+    if lhs != rhs:
         return certs.VerifyResult(False, "claimed identity fails numerically at the supplied point")
     return certs.VerifyResult(True)
 
@@ -945,10 +949,11 @@ class TestChainForest:
     @pytest.mark.parametrize("bend", BENDS)
     @pytest.mark.parametrize("n,d", [(2, 3), (2, 5), (3, 4), (4, 3)])
     def test_bent_forest_same_failures_as_per_chain(self, monkeypatch, bend, n, d):
-        # _chart_failures checks each edge once and each chain's identity per
-        # point; the reference runs _chain_fault over every whole chain of the
-        # same bent forest, and the identity on its own, at genuine points
-        # and at one point bent off the variety per chart
+        # _chart_failures checks each edge once and each point's identities
+        # as one image; the reference runs _chain_fault over every whole
+        # chain of the same bent forest, and each identity on its own, at
+        # genuine points and, per chart, at one point of each field bent off
+        # the variety by one coordinate
         ctx = VeroneseContext(n, d)
         monos, idx = ctx.monomials(), coordinate_index(ctx)
         genuine = list(all_rewrite_chains(ctx))
@@ -961,9 +966,10 @@ class TestChainForest:
         for i in range(n + 1):
             col = chart_indices(ctx, i)
             points = [integer_coords(image_point_on_chart(rng, field, ctx, i))
-                      for field in (QQ, PrimeField(7), QQ)]
-            z, p = points[-1]
-            z[rng.randrange(len(z))] *= 2
+                      for field in (QQ, PrimeField(7), QQ, PrimeField(7))]
+            for z, p in points[2:]:
+                k = rng.randrange(len(z))
+                z[k] = (z[k] + 1) % p if p else z[k] + 1
             expected = 0
             for chain in chains[i * len(monos):(i + 1) * len(monos)]:
                 k = idx[chain.target]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from math import prod
+from math import comb, prod
 from random import Random
 
 import pytest
@@ -32,6 +32,7 @@ from veronese import (
 from veronese import matrix as matrix_module
 from veronese.matrix import Binomial2, cached_minors
 from veronese.morphism import _index_grid, _integer_image, _minor_quads, _minor_table, _rank_one, chart_indices
+from veronese.multiindex import _monomial_values
 from veronese.projective import integer_coords
 
 
@@ -183,7 +184,8 @@ def field_normalize(P):
     """Scale P by the field inverse of its first nonzero coordinate: the
     reference for normalize and veronese_eval, which scale ints through
     projective._canonical and invert no field element."""
-    inv = next(c for c in P.coords if c) ** -1
+    lead = next(c for c in P.coords if c)
+    inv = 1 / lead if P.field is QQ else P.field.from_int(pow(lead.value, -1, P.field.p))
     return ProjectivePoint(P.field, tuple(c * inv for c in P.coords))
 
 
@@ -220,33 +222,49 @@ def field_eval(ctx, x):
     return field_normalize(ProjectivePoint(x.field, tuple(coords)))
 
 
+def multiset_values(v, d, p):
+    """The degree-d monomial values at the ints v as one product per index
+    multiset: combinations_with_replacement over the positions of v lists
+    the multisets in enumerate_monomials' order.  The reference for
+    multiindex._monomial_values."""
+    coords = list(map(prod, combinations_with_replacement(v, d)))
+    return [c % p for c in coords] if p else coords
+
+
 def multiset_image(ctx, x):
-    """The embedding on integer_coords as one product per index multiset:
-    combinations_with_replacement over the positions of v lists the
-    multisets of the degree-d monomials in enumerate_monomials' order.
-    The reference for _integer_image's table of powers."""
+    """The embedding on integer_coords by multiset_values: the reference
+    for _integer_image."""
     v, p = integer_coords(x)
-    coords = list(map(prod, combinations_with_replacement(v, ctx.d)))
-    return [c % p for c in coords] if p else coords, p
+    return multiset_values(v, ctx.d, p), p
 
 
 class TestIntegerImage:
-    @given(st.integers(0, 4), st.integers(1, 5),
+    @given(st.integers(0, 4), st.integers(1, 6),
            st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(2**61 - 1)]),
            st.data())
     def test_matches_multiset_products(self, n, d, field, data):
         ctx = VeroneseContext(n, d)
         x = data.draw(source_points(field, n + 1))
+        v, p = integer_coords(x)
+        assert _monomial_values(v, d, p) == multiset_values(v, d, p)
         assert _integer_image(ctx, x) == multiset_image(ctx, x)
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2**61 - 1)])
-    def test_zero_coordinates(self, field):
-        ctx = VeroneseContext(3, 4)
-        x = ProjectivePoint(field, (0, 5, 0, 2))
-        z, p = _integer_image(ctx, x)
-        assert (z, p) == multiset_image(ctx, x)
-        assert sum(map(bool, z)) == 5  # the monomials in x_1 and x_3 alone
-        assert all(0 <= c < p for c in z) if p else p == 0
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(1, 7)] + [(7, 7)])
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
+    def test_zero_coordinates(self, n, d, field):
+        # each leading-zero pattern, then with every other coordinate after
+        # the lead zeroed; a monomial in the s nonzero coordinates alone is
+        # nonzero, in any field
+        rng = Random(8 * n + d)
+        for lead in range(n + 1):
+            x = random_point(rng, field, n, lead_zeros=lead)
+            sparse = [c if j <= lead or (j - lead) % 2 else field.zero for j, c in enumerate(x.coords)]
+            for y in (x, ProjectivePoint(field, tuple(sparse))):
+                z, p = _integer_image(VeroneseContext(n, d), y)
+                assert (z, p) == multiset_image(VeroneseContext(n, d), y)
+                s = sum(map(bool, y.coords))
+                assert sum(map(bool, z)) == comb(s - 1 + d, d)
+                assert all(0 <= c < p for c in z) if p else p == 0
 
 
 class TestIntegerMembership:
