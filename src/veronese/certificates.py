@@ -23,9 +23,11 @@ Certificates are generated symbolically on coordinate indices: a step is
 the quad (a, b, c, e) of z_a z_b - z_c z_e, canonical when a <= b, c <= e
 and a < c (the index is the rank, which reverses lex order).  Verification
 is structural, by the unit-move test matrix.is_minor_quad, plus, for
-chains, an exact numeric check at a variety point.  Cascade steps are
-built with Binomial2(pos, neg), which checks balance, chain edges with
-tuple.__new__: d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).
+chains, an exact numeric check at a variety point.  A cascade step's
+minor is built with Binomial2(pos, neg), which checks balance, a chain
+edge with tuple.__new__: d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).
+PropagationStep and RewriteChain are errors.FrozenTuples, like Binomial2,
+so the generators make each step and chain with one tuple.__new__ too.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from math import prod
 from operator import sub
 
-from .errors import ContractError, Frozen
+from .errors import ContractError, Frozen, FrozenTuple
 from .matrix import Binomial2, _canonical_quad, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
 from .multiindex import MultiIndex, VeroneseContext, _monomial_values, coordinate_index, parse_coordinate_name
@@ -52,11 +54,14 @@ class VerifyResult(Frozen):
         return self.ok
 
 
-class PropagationStep(Frozen):
-    __slots__ = ("target", "minor", "prerequisites")
+class PropagationStep(FrozenTuple):
+    """One cascade step: minor, with target on one side, forces it to zero."""
 
-    def __init__(self, target: MultiIndex, minor: Binomial2, prerequisites: tuple[MultiIndex, ...]):
-        self._assign(target, minor, prerequisites)
+    __slots__ = ()
+    _fields = ("target", "minor", "prerequisites")
+
+    def __new__(cls, target: MultiIndex, minor: Binomial2, prerequisites: tuple[MultiIndex, ...]):
+        return tuple.__new__(cls, (target, minor, prerequisites))
 
 
 class ZeroPropagationCertificate(Frozen):
@@ -68,17 +73,18 @@ class ZeroPropagationCertificate(Frozen):
         self._assign(ctx, steps)
 
 
-class RewriteChain(Frozen):
+class RewriteChain(FrozenTuple):
     """Minor rewrites certifying one coordinate identity on chart `chart`.
 
     The claimed identity: prod_j z_{(d-1)e_i + e_j}^{target_j} equals
     z_{d e_i}^(d-1) * z_target, with i = chart.
     """
 
-    __slots__ = ("ctx", "chart", "target", "steps")
+    __slots__ = ()
+    _fields = ("ctx", "chart", "target", "steps")
 
-    def __init__(self, ctx: VeroneseContext, chart: int, target: MultiIndex, steps: tuple[Binomial2, ...]):
-        self._assign(ctx, chart, target, steps)
+    def __new__(cls, ctx: VeroneseContext, chart: int, target: MultiIndex, steps: tuple[Binomial2, ...]):
+        return tuple.__new__(cls, (ctx, chart, target, steps))
 
 
 def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertificate:
@@ -99,7 +105,7 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
     """
     monos, idx = ctx.monomials(), coordinate_index(ctx)
     known = {chart_indices(ctx, i)[i] for i in range(ctx.n + 1)}  # the pure powers
-    steps = []
+    steps, new = [], tuple.__new__
     for t in range(ctx.n):
         for target, j in enumerate(monos):
             if j[t] < 1 or j[t] == ctx.d or any(j[:t]):
@@ -108,7 +114,7 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
             first, other = _moved(idx, j, k, t), _moved(idx, j, t, k)
             a, b, c, e = _canonical_quad(first, other, target, target)
             prereqs = (monos[first],) + ((monos[other],) if other in known else ())
-            steps.append(PropagationStep(j, Binomial2((monos[a], monos[b]), (monos[c], monos[e])), prereqs))
+            steps.append(new(PropagationStep, (j, Binomial2((monos[a], monos[b]), (monos[c], monos[e])), prereqs)))
             known.add(target)
     return ZeroPropagationCertificate(ctx, tuple(steps))
 
@@ -170,17 +176,20 @@ def _edge(monos, idx: dict, col: tuple[int, ...], i: int, k: int) -> tuple[int, 
     """(parent, quad) of node k (d - k_i >= 2) in chart i's forest, col =
     chart_indices(ctx, i): the parent is k + e_i - e_j, j the least index
     but i with k_j > 0, and the quad is that of z_P z_k - z_parent z_{col_j}."""
-    m = monos[k]
-    j = next(j for j, e in enumerate(m) if e and j != i)
-    p = _moved(idx, m, j, i)
+    w = list(monos[k])
+    j = next(j for j, e in enumerate(w) if e and j != i)
+    w[j] -= 1
+    w[i] += 1
+    p = idx[tuple(w)]
     return p, _canonical_quad(col[i], k, p, col[j])
 
 
 def _forest(ctx: VeroneseContext, i: int, col: tuple[int, ...]) -> list[tuple[int, int, tuple]]:
-    """The N - n edges (k, parent, quad) of chart i's forest, parents first; its roots are col."""
+    """The N - n edges (k, parent, quad) of chart i's forest, parents first:
+    nodes by falling k_i, after the n + 1 roots col, whose k_i >= d - 1."""
     monos, idx = ctx.monomials(), coordinate_index(ctx)
-    order = sorted(range(len(monos)), key=lambda k: monos[k][i], reverse=True)
-    return [(k, *_edge(monos, idx, col, i, k)) for k in order if monos[k][i] < ctx.d - 1]
+    order = sorted(range(len(monos)), key=[m[i] for m in monos].__getitem__, reverse=True)
+    return [(k, *_edge(monos, idx, col, i, k)) for k in order[ctx.n + 1:]]
 
 
 def _names_chain(ctx: VeroneseContext, i, m) -> bool:  # i an int chart, no bool; m a coordinate
@@ -310,13 +319,13 @@ def _chart_failures(ctx: VeroneseContext, i: int, points) -> int:
 def all_rewrite_chains(ctx: VeroneseContext):
     """Yield rewrite_chain(ctx, i, m) for each chart i, then coordinate m; a
     chart's chains are built parents first, one Binomial2 per forest edge."""
-    monos = ctx.monomials()
+    monos, new = ctx.monomials(), tuple.__new__
     for i in range(ctx.n + 1):
         steps = [()] * len(monos)
         for k, parent, (a, b, c, e) in _forest(ctx, i, chart_indices(ctx, i)):
-            steps[k] = (*steps[parent], tuple.__new__(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e]))))
+            steps[k] = (*steps[parent], new(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e]))))
         for m, s in zip(monos, steps):
-            yield RewriteChain(ctx, i, m, s)
+            yield new(RewriteChain, (ctx, i, m, s))
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    if fmt == "json":  # streamed: the indented document is never one string
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)

@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the base of its value
-classes.
+"""Exception types shared across the package, and the two bases of its
+value classes: Frozen, a class with __slots__, and FrozenTuple, the tuple
+of its fields.
 
 Every error raised by library code derives from VeroneseError so callers
 (notably the CLI) can map failures to exit codes without catching builtins.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 
 class VeroneseError(Exception):
@@ -41,8 +44,9 @@ class BudgetError(VeroneseError):
 
 
 class Frozen:
-    """Base of the package's immutable value classes, which behave as
-    frozen dataclasses without importing dataclasses and inspect.
+    """Base of the package's immutable value classes built a few at a time,
+    which behave as frozen dataclasses without importing dataclasses and
+    inspect.
 
     A subclass names its fields in __slots__, in constructor order, and its
     __init__ validates and stores them.  Equality holds only against the
@@ -50,9 +54,8 @@ class Frozen:
     of the field tuple, and the repr reads "Name(field=value, ...)".
     Assigning or deleting an attribute raises FrozenInstanceError, the one
     path that imports dataclasses.  Classes built or hashed in hot loops
-    override __init__, __eq__ and __hash__ with field-by-field versions;
-    matrix.Binomial2, built by the ten thousand, is instead the tuple of its
-    fields with this behaviour and Frozen's __setattr__ and __delattr__.
+    override __init__, __eq__ and __hash__ with field-by-field versions.
+    Values built by the hundred or the ten thousand are FrozenTuples.
     """
 
     __slots__ = ()
@@ -88,3 +91,47 @@ class Frozen:
         from dataclasses import FrozenInstanceError
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FrozenTuple(tuple):
+    """Base of the value classes built in bulk: a value is the tuple of its
+    fields, made with one tuple.__new__ and hashed and freed in C.
+
+    A subclass declares __slots__ = () and names its fields in _fields, in
+    constructor order; each becomes a property reading its index.  Its
+    public __new__ validates the fields; code that builds valid values by
+    construction calls tuple.__new__(cls, fields) itself.  Otherwise a
+    value behaves as a Frozen one: equal only to the same class with equal
+    fields (never to a tuple), the hash of the field tuple, the same repr
+    and pickling, immutable, and in addition unordered.  As a tuple it
+    also has len, iteration and indexing over its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = tuple.__hash__
+    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for k, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, property(itemgetter(k)))
+
+    def __eq__(self, other):
+        # False, not NotImplemented: the reflected tuple.__eq__ would say True
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):  # unordered: tuple's order would compare the fields
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)

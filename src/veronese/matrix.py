@@ -34,9 +34,9 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 
-from .errors import BudgetError, ContractError, Frozen
+from .errors import BudgetError, ContractError, Frozen, FrozenTuple
 from .multiindex import (
     MultiIndex,
     VeroneseContext,
@@ -85,7 +85,7 @@ def _ordered_pair(a: MultiIndex, b: MultiIndex) -> Pair:
     return (a, b) if a >= b else (b, a)
 
 
-class Binomial2(tuple):
+class Binomial2(FrozenTuple):
     """Canonical balanced binomial quadric z_pos0 z_pos1 - z_neg0 z_neg1.
 
     Each pair is stored lex-descending and pos is the pair with the
@@ -93,46 +93,20 @@ class Binomial2(tuple):
     representation.  Balanced distinct pairs never share a leading vector
     (equal leaders force equal partners), making the choice well defined.
 
-    A binomial is the tuple (pos, neg), its fields named by _fields, so a
-    table build of tens of thousands hashes, makes and frees them in C: the
-    hash is hash((pos, neg)), and the tables and rewrite chains make each
-    with tuple.__new__, balanced by a check on packed codes or by
-    construction.  The public constructor runs __post_init__, the check on
-    the vectors.  Otherwise it behaves as a frozen dataclass
-    (errors.Frozen): equal only to another Binomial2, never to a tuple,
-    unordered, immutable, shown as Binomial2(pos=..., neg=...), and
-    pickled by calling the class on its fields.
+    A binomial is the FrozenTuple (pos, neg), so a table build of tens of
+    thousands hashes, makes and frees them in C: the tables and rewrite
+    chains make each with tuple.__new__, balanced by a check on packed
+    codes or by construction.  The public constructor runs __post_init__,
+    the check on the vectors.
     """
 
     __slots__ = ()
     _fields = ("pos", "neg")
-    pos = property(itemgetter(0))
-    neg = property(itemgetter(1))
-    __hash__ = tuple.__hash__
-    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
 
     def __new__(cls, pos: Pair, neg: Pair):
         self = tuple.__new__(cls, (pos, neg))
         self.__post_init__()
         return self
-
-    def __eq__(self, other):
-        # False, not NotImplemented: the reflected tuple.__eq__ would say True
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):  # unordered: tuple's order would compare the fields
-        return NotImplemented
-
-    __le__ = __gt__ = __ge__ = __lt__
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(pos={self[0]!r}, neg={self[1]!r})"
-
-    def __reduce__(self):
-        return self.__class__, tuple(self)
 
     def __post_init__(self):
         a, b = self.pos

@@ -96,16 +96,18 @@ def enumerate_monomials(n: int, d: int) -> tuple[MultiIndex, ...]:
 
     Each vector counts the variable indices of one sorted multiset of d
     indices; combinations_with_replacement lists those multisets in
-    ascending order, which is lex-descending order of the vectors.
+    ascending order, which is lex-descending order of the vectors.  The
+    counts are valid exponents by construction, so each vector is one
+    tuple.__new__, without MultiIndex's checks.
     """
     if n < 0 or d < 0:
         raise ContractError(f"enumerate_monomials requires n, d >= 0, got ({n}, {d})")
-    out = []
+    out, new = [], tuple.__new__
     for indices in combinations_with_replacement(range(n + 1), d):
         exponents = [0] * (n + 1)
         for j in indices:
             exponents[j] += 1
-        out.append(MultiIndex(exponents))
+        out.append(new(MultiIndex, exponents))
     return tuple(out)
 
 

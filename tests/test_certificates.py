@@ -185,6 +185,18 @@ class TestRewriteChainGeneration:
             if n and d >= 3:
                 assert len(steps) > len(cert.steps) > 0
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_values_are_what_the_public_constructors_make(self, n):
+        # the cascade steps and chains are made with tuple.__new__
+        for d in range(1, 6):
+            ctx = VeroneseContext(n, d)
+            for step in zero_propagation_certificate(ctx).steps:
+                assert type(step) is PropagationStep
+                assert step == PropagationStep(step.target, step.minor, step.prerequisites)
+            for chain in all_rewrite_chains(ctx):
+                assert type(chain) is RewriteChain
+                assert chain == RewriteChain(chain.ctx, chain.chart, chain.target, chain.steps)
+
 
 class TestRewriteChainVerification:
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])

@@ -91,6 +91,15 @@ class TestEnumeration:
         for a, b in zip(seq, seq[1:]):
             assert a > b
 
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("d", range(7))
+    def test_vectors_are_what_the_checked_constructor_makes(self, n, d):
+        # each vector is made with tuple.__new__, skipping MultiIndex's checks
+        for v in enumerate_monomials(n, d):
+            assert type(v) is MultiIndex
+            assert v == MultiIndex(list(v))
+            assert all(type(e) is int for e in v)
+
     def test_degenerate(self):
         assert [tuple(m) for m in enumerate_monomials(2, 0)] == [(0, 0, 0)]
         assert [tuple(m) for m in enumerate_monomials(0, 5)] == [(5,)]

@@ -1,7 +1,8 @@
 """The hand-written value classes against frozen dataclass twins.
 
-The ten value classes of the package are plain classes with __slots__
-(errors.Frozen), except Binomial2, which is the tuple (pos, neg).  Each
+Seven of the ten value classes of the package are plain classes with
+__slots__ (errors.Frozen); Binomial2, PropagationStep and RewriteChain,
+built in bulk, are the tuples of their fields (errors.FrozenTuple).  Each
 twin below is the frozen dataclass definition it replaced, validation
 included, under the same name, so reprs can be compared as text.  Field values are drawn from small domains, so that
 equal and unequal pairs both occur, and nested values are the package's
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from veronese import certificates, matrix, multiindex, oracle, projective
-from veronese.errors import ContractError, InvalidPointError
+from veronese.errors import ContractError, FrozenTuple, InvalidPointError
 from veronese.multiindex import MultiIndex
 
 
@@ -188,8 +189,8 @@ def names(twin) -> list[str]:
 
 
 def field_names(real) -> list[str]:
-    """Binomial2 is the tuple of its fields, named by _fields; a tuple
-    subclass leaves __slots__ empty.  The other classes slot their fields."""
+    """A FrozenTuple is the tuple of its fields, named by _fields, and
+    leaves __slots__ empty.  The other classes slot their fields."""
     if issubclass(real, tuple):
         assert real.__slots__ == ()
         return list(real._fields)
@@ -244,23 +245,44 @@ def frozen_messages(obj, name: str) -> tuple[str, str]:
     return str(assign.value), str(delete.value)
 
 
-def test_binomial_has_no_dict():
-    b = QUADRICS[0]
-    assert not hasattr(b, "__dict__")
-    assert not hasattr(Binomial2(b.pos, b.neg), "__dict__")
+TUPLE_TWINS = [Binomial2, PropagationStep, RewriteChain]
 
 
-@given(pairs)
-def test_binomial_is_its_field_tuple(args):
-    # hashed as the tuple (pos, neg), yet never equal to it and unordered,
-    # as the dataclass twin
-    b, tb = matrix.Binomial2(*args), Binomial2(*args)
-    assert hash(b) == hash((b.pos, b.neg)) == hash(tb)
-    assert b != (b.pos, b.neg) and (b.pos, b.neg) != b
-    assert not b == (b.pos, b.neg)
-    assert refusal(lambda: b < b)[0] is refusal(lambda: tb < tb)[0] is TypeError
-    assert refusal(lambda: b >= b) == refusal(lambda: tb >= tb)
-    assert not hasattr(b, "__dict__")
+def test_tuple_twins_are_the_tuple_classes():
+    assert [twin for twin in TWINS if issubclass(REAL[twin], tuple)] == TUPLE_TWINS
+    assert all(issubclass(REAL[twin], FrozenTuple) for twin in TUPLE_TWINS)
+
+
+@pytest.mark.parametrize("twin", TUPLE_TWINS, ids=lambda t: t.__name__)
+def test_tuple_value_has_no_dict(twin):
+    # as built by the public constructor and by the generators' tuple.__new__
+    ctx = multiindex.VeroneseContext(2, 3)
+    made = {
+        Binomial2: QUADRICS,
+        PropagationStep: certificates.zero_propagation_certificate(ctx).steps,
+        RewriteChain: list(certificates.all_rewrite_chains(ctx)),
+    }[twin]
+    assert made
+    for x in made:
+        assert type(x) is REAL[twin]
+        assert not hasattr(x, "__dict__")
+        assert not hasattr(REAL[twin](*x), "__dict__")
+
+
+@pytest.mark.parametrize("twin", TUPLE_TWINS, ids=lambda t: t.__name__)
+@given(data=st.data())
+def test_tuple_value_is_its_field_tuple(twin, data):
+    # hashed as the tuple of its fields, yet never equal to it and
+    # unordered, as the dataclass twin
+    args = tuple(data.draw(ARGUMENTS[twin]))
+    x, tx = REAL[twin](*args), twin(*args)
+    assert tuple(x) == args and len(x) == len(names(twin))
+    assert hash(x) == hash(args) == hash(tx)
+    assert x != args and args != x
+    assert not x == args
+    assert refusal(lambda: x < x)[0] is refusal(lambda: tx < tx)[0] is TypeError
+    assert refusal(lambda: x >= x) == refusal(lambda: tx >= tx)
+    assert not hasattr(x, "__dict__")
 
 
 @given(st.booleans(), st.sampled_from([None, "", "step 0: bad"]))
