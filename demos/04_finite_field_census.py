@@ -9,13 +9,17 @@ source points, (q^(n+1) - 1)/(q - 1).
 
 from veronese import (
     VeroneseContext,
+    brute_force_image,
+    brute_force_variety,
     check_set_equality,
     check_toric_equality,
     count_projective_points,
+    enumerate_projective_points,
     format_point,
     inverse_map,
     proj_eq,
-    brute_force_variety,
+    toric_quadrics,
+    vanishing_set,
     veronese_eval,
 )
 
@@ -34,9 +38,16 @@ rep = check_toric_equality(VeroneseContext(1, 4), 3)
 print(f"minors vs all balanced quadrics at n=1 d=4 q=3: {rep.variety_count} vs {rep.image_count}, equal: {rep.equal}")
 print()
 
-# every census point roundtrips through the inverse
+# the same searches as point sets: the minor variety is the image of every
+# source point, and the vanishing set of all balanced quadrics
 ctx = VeroneseContext(2, 2)
 variety = brute_force_variety(ctx, 3)
+image = {veronese_eval(ctx, x) for x in enumerate_projective_points(ctx.n, 3)}
+assert variety == image == brute_force_image(ctx, 3) == vanishing_set(ctx, 3, toric_quadrics(ctx))
+print(f"n=2 d=2 q=3: the {len(variety)} variety points are the image of the "
+      f"{count_projective_points(ctx.n, 3)} source points")
+
+# every census point roundtrips through the inverse
 assert all(proj_eq(veronese_eval(ctx, inverse_map(ctx, Q)), Q) for Q in variety)
 sample = sorted(variety, key=lambda p: tuple(c.value for c in p.coords))[:4]
 print(f"all {len(variety)} points of the n=2 d=2 q=3 census roundtrip; a few of them:")

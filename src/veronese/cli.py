@@ -27,10 +27,12 @@ verify runs its round trip and chart agreement on the ints of each image
 member and invert answer a member by the rank-one test and read the
 minor table only to name a non-member's failing minor.
 
-Each process imports only what its subcommand runs: the modules imported
-at the top serve every subcommand, verify imports certificates and oracle
-imports oracle inside their handlers, so matrix, minors, eval, invert and
-member load neither.
+Each process loads and parses only what its subcommand runs.  The
+modules imported at the top serve every subcommand; the handlers import
+the rest: eval, invert, member and verify import morphism, verify
+certificates, and oracle oracle, so matrix and minors load none of the
+three, and oracle loads no morphism.  main asks build_parser for the
+arguments of the subcommand its argv names only.
 """
 
 from __future__ import annotations
@@ -39,20 +41,11 @@ import argparse
 import json
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from random import Random
 
 from .errors import BudgetError, ContractError, InvalidPointError, VeroneseError
-from .matrix import DEFAULT_BUDGET, _product_str, build_matrix, check_minor_budget
-from .morphism import (
-    _integer_image,
-    _minor_quads,
-    _quads,
-    _verify_point,
-    failing_minor,
-    inverse_map,
-    is_on_variety,
-    veronese_eval,
-)
+from .matrix import DEFAULT_BUDGET, _minor_quads, _product_str, _quads, build_matrix, check_minor_budget
 from .multiindex import VeroneseContext
 from .projective import (
     PrimeField,
@@ -73,54 +66,64 @@ VERIFY_POINTS = 48
 CHAIN_POINTS_PER_CHART = 5
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand's help line, in the order -h lists them
+_HELP = {
+    "matrix": "print the L and M grids",
+    "minors": "list canonical 2-minors",
+    "eval": "apply the embedding to a point",
+    "invert": "invert a variety point",
+    "member": "variety membership test",
+    "verify": "roundtrips and certificates",
+    "oracle": "exhaustive finite-field reports",
+}
+
+_POINT_HELP = {
+    "eval": 'point of P^n, e.g. "[1 : 2]"',
+    "invert": 'point of P^N, e.g. "[1 : 2 : 4 : 8]"',
+    "member": "point of P^N",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The veronese parser.  Every subcommand is registered, but with a
+    command named only that subparser gets its arguments: argparse reads
+    only the chosen subparser's, and the top level's -h, usage and
+    invalid-choice messages name the subcommands alone, so parsing that
+    command's argv gives the same result as the full parser."""
     parser = argparse.ArgumentParser(
         prog="veronese",
         description="Exact construction and verification of the degree-d "
         "embedding as a determinantal variety.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in _HELP.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_arguments(p, name)
+    return parser
 
-    def common(p: argparse.ArgumentParser, needs_field=True):
-        p.add_argument("--n", type=int, required=True, help="source space dimension (>= 0)")
-        p.add_argument("--d", type=int, required=True, help="embedding degree (>= 1)")
-        if needs_field:
-            p.add_argument("--field", default="rational", help="rational or fp:<prime>")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="seed for random test points")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="cost limit on the 2-minor candidates C(n+1,2)*C(cols,2), "
-                       "or C(d,2) or C(n+1,2) if larger; oracle also bounds points x quadrics")
 
-    common(sub.add_parser("matrix", help="print the L and M grids"), needs_field=False)
-    common(sub.add_parser("minors", help="list canonical 2-minors"), needs_field=False)
-
-    p_eval = sub.add_parser("eval", help="apply the embedding to a point")
-    common(p_eval)
-    p_eval.add_argument("point", help='point of P^n, e.g. "[1 : 2]"')
-
-    p_inv = sub.add_parser("invert", help="invert a variety point")
-    common(p_inv)
-    p_inv.add_argument("point", help='point of P^N, e.g. "[1 : 2 : 4 : 8]"')
-
-    p_mem = sub.add_parser("member", help="variety membership test")
-    common(p_mem)
-    p_mem.add_argument("point", help="point of P^N")
-
-    p_ver = sub.add_parser("verify", help="roundtrips and certificates")
-    common(p_ver)
-    p_ver.add_argument("--propagation-cert", metavar="FILE", default=None,
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    p.add_argument("--n", type=int, required=True, help="source space dimension (>= 0)")
+    p.add_argument("--d", type=int, required=True, help="embedding degree (>= 1)")
+    if name not in ("matrix", "minors"):
+        p.add_argument("--field", default="rational", help="rational or fp:<prime>")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--seed", type=int, default=0, help="seed for random test points")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="cost limit on the 2-minor candidates C(n+1,2)*C(cols,2), "
+                   "or C(d,2) or C(n+1,2) if larger; oracle also bounds points x quadrics")
+    if name in _POINT_HELP:
+        p.add_argument("point", help=_POINT_HELP[name])
+    elif name == "verify":
+        p.add_argument("--propagation-cert", metavar="FILE", default=None,
                        help="verify this zero-propagation certificate file "
                        "instead of a freshly generated one")
-    p_ver.add_argument("--emit-propagation-cert", metavar="FILE", default=None,
+        p.add_argument("--emit-propagation-cert", metavar="FILE", default=None,
                        help="write the generated zero-propagation certificate")
-
-    p_orc = sub.add_parser("oracle", help="exhaustive finite-field reports")
-    common(p_orc)
-    p_orc.add_argument("--workers", type=int, default=1,
+    elif name == "oracle":
+        p.add_argument("--workers", type=int, default=1,
                        help="ignored; accepted for compatibility (>= 1)")
-
-    return parser
 
 
 def _emit(doc: dict, fmt: str, text_lines) -> None:
@@ -154,27 +157,44 @@ def cmd_matrix(args, ctx) -> int:
 
 
 def cmd_minors(args, ctx) -> int:
-    # each coordinate is named once; text prints each line as it is made
+    # each coordinate is named once, and each line is written as it is made
     names = [m.coordinate_name() for m in ctx.monomials()]
     quads = _minor_quads(ctx)
     count = len(quads) // 4
     listing = (f"{_product_str(names[a], names[b])} - {_product_str(names[c], names[e])}"
                for a, b, c, e in _quads(quads))
-    if args.format == "json":
-        listing = list(listing)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "minors",
         "n": ctx.n,
         "d": ctx.d,
         "count": count,
-        "minors": listing,
+        "minors": [],
     }
-    _emit(doc, args.format, chain(listing, [f"count: {count}"]))
+    if args.format == "json" and count:  # the listing replaces the empty list
+        _dump_listed(doc, "minors", listing)
+    else:
+        _emit(doc, args.format, chain(listing, [f"count: {count}"]))
     return EXIT_OK
 
 
+def _dump_listed(doc: dict, key: str, items) -> None:
+    """Write the bytes _emit writes for doc in JSON with the strings of
+    items, at least one, at doc[key], each as it is made, so the list is
+    never held: doc, holding no other None, is dumped with [None] there
+    and split around the null."""
+    head, tail = json.dumps({**doc, key: [None]}, indent=2, sort_keys=True).split("null")
+    separator = "," + head[head.rindex("[") + 1:]
+    items = map(encode_basestring_ascii, items)  # json.dumps of a str
+    out = sys.stdout
+    out.write(head + next(items))
+    out.writelines(map(separator.__add__, items))
+    out.write(tail + "\n")
+
+
 def cmd_eval(args, ctx) -> int:
+    from .morphism import veronese_eval
+
     field = field_from_name(args.field)
     x = parse_point(field, args.point)
     if x.dim != ctx.n:
@@ -197,6 +217,8 @@ def _membership(args, ctx, command: str):
     """Parse and test the point of a member or invert run; returns the
     point and the JSON document, whose "member" says whether every minor
     vanishes and which otherwise names the failing minor."""
+    from .morphism import failing_minor, is_on_variety
+
     field = field_from_name(args.field)
     Q = parse_point(field, args.point)
     # a member needs no minor table; only a non-member's report reads it
@@ -231,6 +253,8 @@ def cmd_member(args, ctx) -> int:
 
 
 def cmd_invert(args, ctx) -> int:
+    from .morphism import inverse_map
+
     Q, doc = _membership(args, ctx, "invert")
     if not doc["member"]:
         _emit(doc, args.format, [_failure_line("not on the variety", doc)])
@@ -243,6 +267,7 @@ def cmd_invert(args, ctx) -> int:
 def _verify_checks(ctx, field, seed: int, external_cert=None):
     """Run the composite verification; returns a list of check dicts."""
     from . import certificates as certs
+    from .morphism import _verify_point
 
     checks = []
     rng = Random(seed)
@@ -283,6 +308,8 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
 def _chart_point(rng: Random, field, ctx, i: int) -> tuple[list[int], int]:
     """Seeded image point guaranteed to lie on chart i, as the ints (z, p)
     of projective.integer_coords."""
+    from .morphism import _integer_image
+
     x = random_point(rng, field, ctx.n, lead_zeros=0)
     if not x.coords[i]:
         coords = list(x.coords)
@@ -370,7 +397,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option but -h, so a subcommand leads its argv
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     args = parser.parse_args(argv)
     if args.n < 0 or args.d < 1:
         parser.error("require --n >= 0 and --d >= 1")

@@ -13,23 +13,36 @@ canonical form so that generator sets deduplicate by plain equality.
 The tables are built on coordinate indices (ranks): a quadric is the quad
 (a, b, c, e) of z_a z_b - z_c z_e.  _grid_quads canonicalizes the 2x2
 candidates of a grid of indices inline, for minors2, and _quad_binomials
-turns quads into Binomial2 values for it and for morphism's listing, one
-pair tuple per index pair from a 2-D table.  Balance is checked on packed
-exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit of a pair sum is
-at most 2d < 2d+1, so adding codes never carries: code(A) + code(B) is
+turns quads into Binomial2 values for it, one pair tuple per index pair
+from a 2-D table.  Balance is checked on packed exponent codes, code(m)
+= sum_j m_j (2d+1)^j.  A digit of a pair sum is at most 2d < 2d+1, so
+adding codes never carries: code(A) + code(B) is
 the base-(2d+1) numeral of A + B, and code(A) + code(B) == code(C) +
 code(E) iff A + B == C + E.  _require_balanced checks a grid once, not
 per candidate: every candidate balances iff each row minus row 0 is
-constant in codes.  toric_quadrics groups pairs by code sum, so it needs
-no check, and makes its binomials from pairs of pairs in C.  A Binomial2
-is the tuple (pos, neg), so the tables hash and free them in C too.
-Quadrics flow one way, from quads to Binomial2; binomial_quad reads a
-binomial from outside back as a quad.
+constant in codes.  _pair_groups groups pairs by code sum, so
+toric_quadrics needs no check, and makes its binomials from pairs of
+pairs in C; _toric_quads takes the same pairs of pairs as quads, for the
+oracle.  A Binomial2 is the tuple (pos, neg), so the tables hash and free
+them in C too.  Quadrics flow one way, from quads to Binomial2;
+binomial_quad reads a binomial from outside back as a quad.
+
+The minor table _minor_quads holds the distinct canonical minors of the
+index grid _index_grid in listing order, as one flat array of quads with
+no per-minor object: morphism scans it for a failing minor, and the
+minors command and the oracle read it.  Each grid row ascends in index
+(ranks reverse lex order), so a candidate on rows i < j and columns
+k < l, based at beta and gamma, leads with its top-left entry A = G[i][k]
+= beta + e_i: the others are A + (e_j - e_i), A + (gamma - beta) and
+their sum, both moves are lex-negative, and lex order respects addition.
+Its canonical quad is (G[i][k], G[j][l]) with the other two entries
+sorted, so the table is built one leader at a time.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, repeat
@@ -248,6 +261,50 @@ def _quad_binomials(monos, quads):
         yield new(Binomial2, (pos, neg))
 
 
+@lru_cache(maxsize=None)
+def _index_grid(ctx: VeroneseContext) -> tuple[tuple[int, ...], ...]:
+    """G[i][k] = coordinate_index(ctx)[beta_k + e_i]: the flat coordinate
+    index of each entry of the coordinate matrix, beta_k the base of
+    column k."""
+    idx = coordinate_index(ctx)
+    return tuple(tuple(idx[m] for m in row) for row in build_matrix(ctx).entries)
+
+
+@lru_cache(maxsize=None)
+def _minor_quads(ctx: VeroneseContext) -> array:
+    """The distinct canonical minors of the index grid as one flat array
+    of quads, four indices each, in listing order: ascending quads, since
+    ranks reverse the lex order that sorted_binomials lists descending.
+    Leaders ascend, and each leader's quads are deduplicated and sorted
+    as packed ints (module docstring); no per-minor object is kept."""
+    grid = _index_grid(ctx)
+    _require_balanced(ctx.monomials(), grid)
+    S = ctx.N + 1
+    positions: list[list[tuple[int, int]]] = [[] for _ in range(S)]
+    for i, row in enumerate(grid):
+        for k, a in enumerate(row):
+            positions[a].append((i, k))
+    quads = array("I")
+    for a, cells in enumerate(positions):
+        keys = set()
+        for i, k in cells:
+            tail = grid[i][k + 1:]
+            for rj in grid[i + 1:]:
+                c = rj[k]
+                keys.update([(b * S + c) * S + e if c < e else (b * S + e) * S + c
+                             for b, e in zip(rj[k + 1:], tail)])
+        for key in sorted(keys):
+            bc, e = divmod(key, S)
+            quads.extend((a, *divmod(bc, S), e))
+    return quads
+
+
+def _quads(table: array):
+    """The quads of a flat table, four indices at a time."""
+    it = iter(table)
+    return zip(it, it, it, it)
+
+
 def minor_candidates(ctx: VeroneseContext) -> int:
     """C(n+1, 2) * C(cols, 2): the 2x2 submatrices minors2 visits, in closed
     form, so a caller can bound the cost before building anything."""
@@ -318,21 +375,36 @@ def is_minor_quad(monos: tuple[MultiIndex, ...], a: int, b: int, c: int, e: int)
 def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     """Every canonical balanced quadric z_a z_b - z_c z_e on the degree-d
     coordinates: the full catalecticant-style generating set the minors are
-    compared against.  Pairs (monos[a], monos[b]), a <= b, are grouped by
-    the sum of their packed codes, which is the code of A + B (module
-    docstring), so two pairs share a group iff they balance.  A group
-    receives its pairs in rising order of a, and no two pairs with one sum
-    share a leader, so each (p1, p2) of combinations is a canonical
-    binomial (p1 leads), and none repeats.
+    compared against.  Each pair of pairs of one _pair_groups group is a
+    canonical binomial (p1 leads), and none repeats.
     """
     monos = enumerate_monomials(ctx.n, ctx.d)
-    codes = _packed_codes(monos)
-    by_sum: defaultdict[int, list[Pair]] = defaultdict(list)
-    for a, (A, ca) in enumerate(zip(monos, codes)):
-        for B, cb in zip(monos[a:], codes[a:]):
-            by_sum[ca + cb].append((A, B))
-    groups = (map(tuple.__new__, repeat(Binomial2), combinations(pairs, 2)) for pairs in by_sum.values())
+    groups = (map(tuple.__new__, repeat(Binomial2), combinations(pairs, 2))
+              for pairs in _pair_groups(monos, monos))
     return frozenset(chain.from_iterable(groups))
+
+
+def _toric_quads(ctx: VeroneseContext) -> list[tuple[int, int, int, int]]:
+    """The quads of toric_quadrics(ctx), from the same grouping on
+    coordinate indices, so no Binomial2 is made or read back."""
+    monos = ctx.monomials()
+    return [p1 + p2 for pairs in _pair_groups(monos, range(len(monos)))
+            for p1, p2 in combinations(pairs, 2)]
+
+
+def _pair_groups(monos, tags):
+    """The pairs (tags[a], tags[b]), a <= b, of the degree-d vectors monos,
+    grouped by the sum of their packed codes, which is the code of
+    monos[a] + monos[b] (module docstring): two pairs share a group iff
+    they balance.  A group receives its pairs in rising order of a, and no
+    two pairs with one sum share a leader, so in each pair of pairs of a
+    group the first leads."""
+    codes = _packed_codes(monos)
+    by_sum: defaultdict[int, list] = defaultdict(list)
+    for a, (ta, ca) in enumerate(zip(tags, codes)):
+        for tb, cb in zip(tags[a:], codes[a:]):
+            by_sum[ca + cb].append((ta, tb))
+    return by_sum.values()
 
 
 def sorted_binomials(binomials: frozenset[Binomial2]) -> list[Binomial2]:

@@ -24,16 +24,11 @@ zero.  With k0 the first nonzero column of M[i0], each cross-product
 _proportional checks, M[i][k] M[i0][k0] = M[i0][k] M[i][k0], is the
 minor on rows i0, i and columns k0, k.
 
-failing_minor keeps field arithmetic on Q.coords over _minor_quads, the
-sorted distinct quads of the index grid's 2x2 candidates in one flat
-array, because it reports the first failing minor in listing order and
-its value in the field; it makes a Binomial2 for that minor only.  Each
-grid row ascends in index (ranks reverse lex order), so a candidate on
-rows i < j and columns k < l, based at beta and gamma, leads with its
-top-left entry A = G[i][k] = beta + e_i: the others are A + (e_j - e_i),
-A + (gamma - beta) and their sum, both moves are lex-negative, and lex
-order respects addition.  Its canonical quad is (G[i][k], G[j][l]) with
-the other two entries sorted, so the table is built one leader at a time.
+failing_minor keeps field arithmetic on Q.coords over the minor table
+matrix._minor_quads, because it reports the first failing minor in
+listing order and its value in the field; it makes a Binomial2 for that
+minor only.  The rank-one test reads the same grid, matrix._index_grid.
+
 The inverse reads off one matrix column: on the chart where z_{d e_i} is
 nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
@@ -45,11 +40,10 @@ psi_i is the identity on chart i, which the rewrite chains prove.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, _quad_binomials, _require_balanced, build_matrix
+from .matrix import Binomial2, _index_grid, _minor_quads, _quad_binomials, _quads
 from .multiindex import VeroneseContext, _monomial_values, coordinate_index
 from .projective import ProjectivePoint, Scalar, _canonical, _proportional, integer_coords, normalize
 
@@ -57,41 +51,6 @@ from .projective import ProjectivePoint, Scalar, _canonical, _proportional, inte
 def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
     if Q.dim != ctx.N:
         raise ContractError(f"expected a point of P^{ctx.N}, got dimension {Q.dim}")
-
-
-@lru_cache(maxsize=None)
-def _minor_quads(ctx: VeroneseContext) -> array:
-    """The distinct canonical minors of the index grid as one flat array
-    of quads, four indices each, in listing order: ascending quads, since
-    ranks reverse the lex order that sorted_binomials lists descending.
-    Leaders ascend, and each leader's quads are deduplicated and sorted
-    as packed ints (module docstring); no per-minor object is kept."""
-    grid = _index_grid(ctx)
-    _require_balanced(ctx.monomials(), grid)
-    S = ctx.N + 1
-    positions: list[list[tuple[int, int]]] = [[] for _ in range(S)]
-    for i, row in enumerate(grid):
-        for k, a in enumerate(row):
-            positions[a].append((i, k))
-    quads = array("I")
-    for a, cells in enumerate(positions):
-        keys = set()
-        for i, k in cells:
-            tail = grid[i][k + 1:]
-            for rj in grid[i + 1:]:
-                c = rj[k]
-                keys.update([(b * S + c) * S + e if c < e else (b * S + e) * S + c
-                             for b, e in zip(rj[k + 1:], tail)])
-        for key in sorted(keys):
-            bc, e = divmod(key, S)
-            quads.extend((a, *divmod(bc, S), e))
-    return quads
-
-
-def _quads(table: array):
-    """The quads of a flat table, four indices at a time."""
-    it = iter(table)
-    return zip(it, it, it, it)
 
 
 @lru_cache(maxsize=None)
@@ -120,15 +79,6 @@ def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int],
         raise ContractError(f"expected a point of P^{ctx.n}, got dimension {x.dim}")
     v, p = integer_coords(x)
     return _monomial_values(v, ctx.d, p), p
-
-
-@lru_cache(maxsize=None)
-def _index_grid(ctx: VeroneseContext) -> tuple[tuple[int, ...], ...]:
-    """G[i][k] = coordinate_index(ctx)[beta_k + e_i]: the flat coordinate
-    index of each entry of the coordinate matrix, beta_k the base of
-    column k."""
-    idx = coordinate_index(ctx)
-    return tuple(tuple(idx[m] for m in row) for row in build_matrix(ctx).entries)
 
 
 def is_on_variety(ctx: VeroneseContext, Q: ProjectivePoint) -> bool:

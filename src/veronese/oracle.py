@@ -10,17 +10,30 @@ The minor-vanishing derivations behind the equality use only field axioms,
 so a check over F_q exercises the identical algebra as any other field;
 the reports say so explicitly to keep the evidence honest.
 
-Both sides rest on projective._search, the package's one enumeration of
-the canonical points of P^m(F_q): the minor variety is that depth-first
-search over z_0, ..., z_N pruned by the quadrics, read as index quads by
-matrix.binomial_quad and sorted into listing order, and the image
-applies the embedding to every point of P^n(F_q) it streams.
+Each side is a set of residue codes: the canonical point v of P^m(F_q) is
+the int sum_j v_j q^(m-j), its first coordinate the most significant
+digit, so int order is the listing order of the points.  All sides rest
+on projective._search, the package's one enumeration of the canonical
+points of P^m(F_q):
 
-Every search is bounded before it starts.  brute_force_variety refuses a
-context whose 2-minor candidate count C(n+1, 2) * C(cols, 2) exceeds the
-budget before it builds the minor table, the guard every command applies;
-vanishing_set then refuses a search whose estimate, points x quadrics,
-exceeds it.
+- the minor variety is that depth-first search over z_0, ..., z_N pruned
+  by the quads of matrix._minor_quads, the minor table;
+- the toric variety is the search pruned by matrix._toric_quads, the
+  quads of toric_quadrics from the same code-sum grouping;
+- the image is multiindex._monomial_values of every canonical x the
+  search streams for P^n(F_q).  Each image is canonical as it stands: its
+  first nonzero coordinate is x_k^d = 1, for x_k = 1 the first nonzero
+  coordinate of x.
+
+census compares code sets and builds a ProjectivePoint only for a
+witness; the public vanishing_set, brute_force_variety and
+brute_force_image turn the codes of the same searches into points.
+
+Every search is bounded before it starts.  The minor variety's search
+refuses a context whose 2-minor candidate count C(n+1, 2) * C(cols, 2)
+exceeds the budget before it builds the minor table, the guard every
+command applies; each search of P^N(F_q) then refuses an estimate,
+points x quadrics, that exceeds it.
 """
 
 from __future__ import annotations
@@ -29,20 +42,14 @@ from .errors import BudgetError, ContractError, Frozen
 from .matrix import (
     DEFAULT_BUDGET,
     Binomial2,
+    _minor_quads,
+    _quads,
+    _toric_quads,
     binomial_quad,
-    cached_minors,
     check_minor_budget,
-    toric_quadrics,
 )
-from .morphism import veronese_eval
-from .multiindex import VeroneseContext
-from .projective import (
-    PrimeField,
-    ProjectivePoint,
-    _search,
-    count_projective_points,
-    enumerate_projective_points,
-)
+from .multiindex import VeroneseContext, _monomial_values
+from .projective import PrimeField, ProjectivePoint, _search, count_projective_points
 
 FIELD_NOTE = (
     "exhaustive check over a prime field; the minor-vanishing algebra it "
@@ -67,6 +74,57 @@ class EqualityReport(Frozen):
         self._assign(ctx, q, kind, variety_count, image_count, expected_count, equal, witnesses)
 
 
+def _codes(vectors, q: int) -> set[int]:
+    """The residue code of each residue vector, its first entry the most
+    significant base-q digit."""
+    out = set()
+    for v in vectors:
+        code = 0
+        for c in v:
+            code = code * q + c
+        out.add(code)
+    return out
+
+
+def _points(field: PrimeField, m: int, codes) -> list[ProjectivePoint]:
+    """The points of P^m(field) whose residue codes are given, in listing
+    order."""
+    q = field.p
+    out = []
+    for code in sorted(codes):
+        v = [0] * (m + 1)
+        for j in range(m, -1, -1):
+            code, v[j] = divmod(code, q)
+        out.append(ProjectivePoint(field, v))
+    return out
+
+
+def _vanishing_codes(ctx: VeroneseContext, q: int, quads, count: int, budget: int) -> set[int]:
+    """The codes of the canonical points of P^N(F_q), q a prime, at which
+    the count given quads vanish, refused when points x quadrics exceeds
+    the budget; the quads are read only once the estimate passes."""
+    cost = count_projective_points(ctx.N, q) * max(1, count)
+    if cost > budget:
+        raise BudgetError(cost, budget)
+    return _codes(_search(ctx.N, q, quads), q)
+
+
+def _variety_codes(ctx: VeroneseContext, q: int, budget: int) -> set[int]:
+    """V(2-minors)(F_q) as codes; the 2-minor candidate guard runs before
+    the minor table is built."""
+    check_minor_budget(ctx, budget)
+    q = PrimeField(q).p
+    table = _minor_quads(ctx)
+    return _vanishing_codes(ctx, q, _quads(table), len(table) // 4, budget)
+
+
+def _image_codes(ctx: VeroneseContext, q: int) -> set[int]:
+    """The embedding image of P^n(F_q) as codes, q a prime (module
+    docstring)."""
+    d = ctx.d
+    return _codes((_monomial_values(x, d, q) for x in _search(ctx.n, q)), q)
+
+
 def vanishing_set(
     ctx: VeroneseContext,
     q: int,
@@ -78,48 +136,31 @@ def vanishing_set(
     The budget is checked against the up-front estimate points x quadrics;
     a quadric with an entry that is no degree-d coordinate raises ContractError."""
     field = PrimeField(q)
-    npoints = count_projective_points(ctx.N, q)
-    cost = npoints * max(1, len(binomials))
-    if cost > budget:
-        raise BudgetError(cost, budget)
-    quads = []
-    for b in binomials:
-        quad = binomial_quad(ctx, b)
-        if quad is None:
+
+    def quad(b: Binomial2) -> tuple[int, int, int, int]:
+        out = binomial_quad(ctx, b)
+        if out is None:
             raise ContractError(f"quadric {b} has an entry that is no degree-{ctx.d} coordinate of {ctx}")
-        quads.append(quad)
-    quads.sort()
-    return {ProjectivePoint(field, v) for v in _search(ctx.N, q, quads)}
+        return out
+
+    codes = _vanishing_codes(ctx, field.p, map(quad, binomials), len(binomials), budget)
+    return set(_points(field, ctx.N, codes))
 
 
 def brute_force_variety(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> set[ProjectivePoint]:
     """V(2-minors)(F_q) as a set of canonical points; the 2-minor candidate
     guard runs before the minor table is built."""
-    check_minor_budget(ctx, budget)
-    return vanishing_set(ctx, q, cached_minors(ctx), budget)
+    codes = _variety_codes(ctx, q, budget)
+    return set(_points(PrimeField(q), ctx.N, codes))
 
 
 def brute_force_image(ctx: VeroneseContext, q: int) -> set[ProjectivePoint]:
     """The embedding image of P^n(F_q), canonical and deduplicated."""
-    return {veronese_eval(ctx, x) for x in enumerate_projective_points(ctx.n, q)}
+    field = PrimeField(q)
+    return set(_points(field, ctx.N, _image_codes(ctx, field.p)))
 
 
-def _sorted_witnesses(points) -> tuple[ProjectivePoint, ...]:
-    return tuple(sorted(points, key=lambda p: tuple(c.value for c in p.coords)))
-
-
-def _image_report(ctx: VeroneseContext, q: int, variety: set[ProjectivePoint]) -> EqualityReport:
-    return _report(ctx, q, "veronese-image", variety, brute_force_image(ctx, q))
-
-
-def _toric_report(ctx: VeroneseContext, q: int, variety: set[ProjectivePoint], budget: int) -> EqualityReport:
-    toric = vanishing_set(ctx, q, toric_quadrics(ctx), budget)
-    return _report(ctx, q, "toric-quadrics", variety, toric)
-
-
-def _report(
-    ctx: VeroneseContext, q: int, kind: str, variety: set[ProjectivePoint], other: set[ProjectivePoint]
-) -> EqualityReport:
+def _report(ctx: VeroneseContext, q: int, kind: str, variety: set[int], other: set[int]) -> EqualityReport:
     return EqualityReport(
         ctx=ctx,
         q=q,
@@ -128,20 +169,29 @@ def _report(
         image_count=len(other),
         expected_count=count_projective_points(ctx.n, q),
         equal=variety == other,
-        witnesses=_sorted_witnesses(variety ^ other),
+        witnesses=tuple(_points(PrimeField(q), ctx.N, variety ^ other)),
     )
+
+
+def _image_report(ctx: VeroneseContext, q: int, variety: set[int]) -> EqualityReport:
+    return _report(ctx, q, "veronese-image", variety, _image_codes(ctx, q))
+
+
+def _toric_report(ctx: VeroneseContext, q: int, variety: set[int], budget: int) -> EqualityReport:
+    quads = _toric_quads(ctx)
+    return _report(ctx, q, "toric-quadrics", variety, _vanishing_codes(ctx, q, quads, len(quads), budget))
 
 
 def check_set_equality(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> EqualityReport:
     """Compare V(2-minors)(F_q) with the embedding image; equality expected."""
-    return _image_report(ctx, q, brute_force_variety(ctx, q, budget))
+    return _image_report(ctx, q, _variety_codes(ctx, q, budget))
 
 
 def check_toric_equality(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> EqualityReport:
     """Compare V(2-minors)(F_q) with the vanishing set of all balanced
     quadrics; the latter generator set is larger, so its variety can only
     be smaller, and equality is the content."""
-    return _toric_report(ctx, q, brute_force_variety(ctx, q, budget), budget)
+    return _toric_report(ctx, q, _variety_codes(ctx, q, budget), budget)
 
 
 def census(
@@ -149,7 +199,7 @@ def census(
 ) -> tuple[EqualityReport, EqualityReport]:
     """check_set_equality and check_toric_equality, in that order, sharing
     one search for V(2-minors)(F_q)."""
-    variety = brute_force_variety(ctx, q, budget)
+    variety = _variety_codes(ctx, q, budget)
     return _image_report(ctx, q, variety), _toric_report(ctx, q, variety, budget)
 
 

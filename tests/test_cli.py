@@ -159,7 +159,7 @@ class TestPointCommands:
         def no_chart(ctx, Q):
             raise NoChartError("no chart contains the point")
 
-        monkeypatch.setattr(cli, "inverse_map", no_chart)
+        monkeypatch.setattr(morphism, "inverse_map", no_chart)
         code = main(["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", "error: no chart contains the point\n")
@@ -223,8 +223,7 @@ class TestVerifyCommand:
         def forbidden(*_):
             raise AssertionError("verify built or normalized a point")
 
-        for module in (cli, morphism):
-            monkeypatch.setattr(module, "veronese_eval", forbidden)
+        monkeypatch.setattr(morphism, "veronese_eval", forbidden)
         for module in (morphism, projective):
             monkeypatch.setattr(module, "normalize", forbidden)
             monkeypatch.setattr(module, "_canonical", forbidden)
@@ -519,8 +518,8 @@ class TestVerifyChecksReference:
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     @pytest.mark.parametrize("bend", ["off-variety", "wrong-preimage"])
     def test_same_failure_counts_with_bent_images(self, monkeypatch, field, bend):
-        # verify's round trip reads morphism._integer_image, its chain phase
-        # cli's import of it, and the reference reads it through
+        # verify's round trip and its chain phase read
+        # morphism._integer_image, and the reference reads it through
         # veronese_eval.  Doubling z_{d e_n} moves an image with x_0 and x_n
         # nonzero off the variety, and makes its chart-n column disagree
         # with its chart-0 column.  The image of x with x_n doubled stays on
@@ -536,7 +535,6 @@ class TestVerifyChecksReference:
             return z, p
 
         monkeypatch.setattr(morphism, "_integer_image", bent_image)
-        monkeypatch.setattr(cli, "_integer_image", bent_image)
         checks = cli._verify_checks(ctx, field, 5)
         assert checks == per_point_verify_checks(ctx, field, 5)
         roundtrip, agreement, _, chains = (int(re.findall(r"\d+", c["detail"])[-1]) for c in checks)

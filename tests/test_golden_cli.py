@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 import veronese
-from veronese.cli import _HANDLERS, main
+from veronese.cli import _HANDLERS, build_parser, main
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 SRC = str(Path(veronese.__file__).resolve().parent.parent)
@@ -82,6 +82,38 @@ def test_corpus_covers_every_subcommand_and_exit_code():
     for command in _HANDLERS:
         formats = {"json" if "json" in case["argv"] else "text" for case in cases if case["argv"][0] == command}
         assert formats == {"text", "json"}, command
+
+
+def parsed(parser, argv: list[str]):
+    """The namespace parser.parse_args(argv) gives, or its SystemExit code,
+    with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+# the corpus, which never makes argparse print, and lines that make it print
+# help, usage errors and invalid-choice messages
+PARSER_ARGVS = [case["argv"] for case in load()] + [
+    [], ["-h"], ["--help"], ["nope"], ["--n", "1", "minors"],
+    *([command, "-h"] for command in _HANDLERS),
+    ["minors"], ["minors", "--n", "1", "--d", "2", "--bogus"], ["eval", "--n", "x", "--d", "1", "[1]"],
+    ["matrix", "--n", "1", "--d", "2", "--field", "fp:3"], ["oracle", "--n", "1", "--d", "2", "--workers"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_one_subcommand_parser_parses_alike(argv):
+    # main builds only the subcommand its argv leads with; any other argv
+    # gets the same result from a parser built for any subcommand
+    commands = [argv[0]] if argv and argv[0] in _HANDLERS else list(_HANDLERS)
+    full = parsed(build_parser(), argv)
+    for command in commands:
+        assert parsed(build_parser(command), argv) == full
 
 
 if __name__ == "__main__":

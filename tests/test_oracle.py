@@ -1,6 +1,7 @@
 """Exhaustive finite-field comparisons."""
 
-from itertools import product
+from array import array
+from itertools import chain, product
 from random import Random
 
 import pytest
@@ -25,8 +26,16 @@ from veronese import (
     veronese_eval,
 )
 from veronese import oracle
-from veronese.matrix import binomial_quad, cached_minors, sorted_binomials, toric_quadrics
-from veronese.projective import _search, enumerate_projective_points
+from veronese.matrix import (
+    DEFAULT_BUDGET,
+    binomial_quad,
+    cached_minors,
+    check_minor_budget,
+    sorted_binomials,
+    toric_quadrics,
+)
+from veronese.oracle import EqualityReport
+from veronese.projective import ProjectivePoint, _search, enumerate_projective_points
 
 # frozen by an independent brute-force enumeration over all residue vectors
 FROZEN_VARIETY_COUNTS = {
@@ -184,18 +193,21 @@ class TestToricEquality:
 class TestCensus:
     @pytest.mark.parametrize("n,d,q", [(1, 2, 3), (2, 2, 3), (1, 4, 3), (2, 3, 3)])
     def test_both_reports_from_one_minor_search(self, n, d, q, monkeypatch):
+        # three searches: the minor variety once, the source points of the
+        # image, and the toric variety
         ctx = VeroneseContext(n, d)
         expected = (check_set_equality(ctx, q), check_toric_equality(ctx, q))
         searched = []
-        search = oracle.vanishing_set
+        search = oracle._search
 
-        def counted(*args):
-            searched.append(args[2])
-            return search(*args)
+        def counted(N, q, quads=()):
+            quads = list(quads)
+            searched.append((N, len(quads)))
+            return search(N, q, quads)
 
-        monkeypatch.setattr(oracle, "vanishing_set", counted)
+        monkeypatch.setattr(oracle, "_search", counted)
         assert census(ctx, q) == expected
-        assert searched == [cached_minors(ctx), toric_quadrics(ctx)]
+        assert searched == [(ctx.N, len(cached_minors(ctx))), (ctx.n, 0), (ctx.N, len(toric_quadrics(ctx)))]
 
     def test_toric_search_still_budgeted(self):
         ctx, q = VeroneseContext(1, 4), 3
@@ -244,3 +256,111 @@ class TestVanishingSet:
             ctx = VeroneseContext(n, d)
             for Q in brute_force_variety(ctx, q):
                 assert proj_eq(veronese_eval(ctx, inverse_map(ctx, Q)), Q)
+
+
+def reference_vanishing_set(ctx, q, binomials, budget=DEFAULT_BUDGET):
+    """vanishing_set on points: each vector of the search becomes a
+    ProjectivePoint, with the same estimate and refusal."""
+    field = PrimeField(q)
+    cost = count_projective_points(ctx.N, q) * max(1, len(binomials))
+    if cost > budget:
+        raise BudgetError(cost, budget)
+    quads = sorted(binomial_quad(ctx, b) for b in binomials)
+    return {ProjectivePoint(field, v) for v in _search(ctx.N, q, quads)}
+
+
+def reference_image(ctx, q):
+    """The embedding image of P^n(F_q), one veronese_eval per source point."""
+    return {veronese_eval(ctx, x) for x in enumerate_projective_points(ctx.n, q)}
+
+
+def reference_report(ctx, q, kind, variety, other):
+    return EqualityReport(
+        ctx=ctx, q=q, kind=kind, variety_count=len(variety), image_count=len(other),
+        expected_count=count_projective_points(ctx.n, q), equal=variety == other,
+        witnesses=tuple(sorted(variety ^ other, key=lambda p: tuple(c.value for c in p.coords))),
+    )
+
+
+def reference_census(ctx, q, budget=DEFAULT_BUDGET, minors=cached_minors, toric=toric_quadrics):
+    """census on sets of ProjectivePoints, with the guards in the same
+    order: the candidate guard, the minor search, the image, the toric
+    search."""
+    check_minor_budget(ctx, budget)
+    variety = reference_vanishing_set(ctx, q, minors(ctx), budget)
+    image = reference_report(ctx, q, "veronese-image", variety, reference_image(ctx, q))
+    toric_set = reference_vanishing_set(ctx, q, toric(ctx), budget)
+    return image, reference_report(ctx, q, "toric-quadrics", variety, toric_set)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the BudgetError it raises."""
+    try:
+        return fn(*args)
+    except BudgetError as exc:
+        return "refused", str(exc)
+
+
+def both_checks(ctx, q, budget=DEFAULT_BUDGET):
+    return check_set_equality(ctx, q, budget), check_toric_equality(ctx, q, budget)
+
+
+CENSUS_GRID = [(n, d, q) for n in range(4) for d in range(1, 5) for q in (2, 3, 5, 7)]
+
+
+class TestCensusAgainstPointReference:
+    """The residue-code census against the census on ProjectivePoints."""
+
+    @pytest.mark.parametrize("n,d,q", CENSUS_GRID)
+    def test_same_reports_or_refusal(self, n, d, q):
+        ctx = VeroneseContext(n, d)
+        expected = outcome(reference_census, ctx, q)
+        assert outcome(census, ctx, q) == expected
+        assert outcome(both_checks, ctx, q) == expected
+
+    @pytest.mark.parametrize("n,d,q", [(2, 3, 5), (3, 3, 3), (1, 4, 7), (3, 2, 7)])
+    def test_same_reports_past_the_default_budget(self, n, d, q):
+        ctx = VeroneseContext(n, d)
+        assert census(ctx, q, 10**30) == reference_census(ctx, q, 10**30)
+
+    @pytest.mark.parametrize("n,d,q", [(n, d, q) for n, d, q in CENSUS_GRID if n + d <= 5 and q <= 5])
+    def test_same_point_sets(self, n, d, q):
+        ctx = VeroneseContext(n, d)
+        assert outcome(brute_force_variety, ctx, q) == outcome(reference_vanishing_set, ctx, q, cached_minors(ctx))
+        assert outcome(vanishing_set, ctx, q, toric_quadrics(ctx)) == outcome(
+            reference_vanishing_set, ctx, q, toric_quadrics(ctx))
+        assert brute_force_image(ctx, q) == reference_image(ctx, q)
+
+    @pytest.mark.parametrize("budget", [0, 30, 300, 800, 3000, 30000])
+    def test_same_refusal_text(self, budget):
+        # small budgets refuse at the candidate guard, the minor search or,
+        # at (1,4,3) with budget 800, the toric search
+        for n, d, q in [(1, 2, 3), (1, 4, 3), (2, 2, 5), (2, 3, 2)]:
+            ctx = VeroneseContext(n, d)
+            assert outcome(census, ctx, q, budget) == outcome(reference_census, ctx, q, budget)
+
+    def test_same_reports_for_bent_quad_sets(self, monkeypatch):
+        # one minor dropped and, where one exists, one balanced non-minor
+        # quadric added; one toric quadric dropped.  Witnesses appear, and
+        # come in the same order.
+        witnesses = {"veronese-image": 0, "toric-quadrics": 0}
+        for (n, d, q), seed in product([(1, 2, 3), (1, 4, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)], range(3)):
+            ctx = VeroneseContext(n, d)
+            rng = Random(seed)
+            minors = sorted_binomials(cached_minors(ctx))
+            minors.pop(rng.randrange(len(minors)))
+            extra = sorted_binomials(toric_quadrics(ctx) - cached_minors(ctx))
+            if extra:
+                minors.append(rng.choice(extra))
+            toric = sorted_binomials(toric_quadrics(ctx))
+            toric.pop(rng.randrange(len(toric)))
+            minor_quads = sorted(binomial_quad(ctx, b) for b in minors)
+            toric_quads = [binomial_quad(ctx, b) for b in toric]
+            monkeypatch.setattr(oracle, "_minor_quads", lambda ctx: array("I", chain.from_iterable(minor_quads)))
+            monkeypatch.setattr(oracle, "_toric_quads", lambda ctx: list(toric_quads))
+            reports = census(ctx, q)
+            assert reports == reference_census(ctx, q, minors=lambda ctx: frozenset(minors),
+                                               toric=lambda ctx: frozenset(toric))
+            for r in reports:
+                witnesses[r.kind] += len(r.witnesses)
+        assert all(witnesses.values())

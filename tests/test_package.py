@@ -75,6 +75,28 @@ class TestImportBoundaries:
         assert "veronese.oracle" in modules
         assert "veronese.certificates" not in modules
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "1", "--d", "2", "--field", "fp:3"],
+        ["minors", "--n", "2", "--d", "2", "--format", "json"],
+        ["matrix", "--n", "2", "--d", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_table_commands_do_not_load_morphism(self, argv):
+        exit_code, modules = loaded_by(argv)
+        assert exit_code == 0
+        assert "veronese.matrix" in modules
+        assert "veronese.morphism" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n", "1", "--d", "3", "[1 : 2]"],
+        ["member", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+        ["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+        ["verify", "--n", "1", "--d", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_point_commands_load_morphism(self, argv):
+        exit_code, modules = loaded_by(argv)
+        assert exit_code == 0
+        assert "veronese.morphism" in modules
+
     def test_verify_does_not_load_oracle(self):
         exit_code, modules = loaded_by(["verify", "--n", "1", "--d", "2"])
         assert exit_code == 0
@@ -175,8 +197,8 @@ class TestPublicNames:
 PINNED_CACHES = {
     "multiindex.enumerate_monomials", "multiindex.coordinate_index",
     "matrix.cached_matrix", "matrix.cached_minors",
-    "morphism._minor_quads", "morphism._minor_table", "morphism._index_grid",
-    "morphism.chart_indices",
+    "matrix._minor_quads", "matrix._index_grid",
+    "morphism._minor_table", "morphism.chart_indices",
 }
 
 # the names bench/workloads.py clears, as attribute paths from the package
