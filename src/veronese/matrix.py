@@ -151,15 +151,14 @@ def _product_str(a: str, b: str) -> str:
     return f"{a}^2" if a == b else f"{a} {b}"
 
 
-_BINOMIAL_RE = re.compile(
-    r"(z_\{[\d,]+\})(?:\^2| (z_\{[\d,]+\}))\s*-\s*(z_\{[\d,]+\})(?:\^2| (z_\{[\d,]+\}))"
-)
+# compiled on the first parse, by re's own cache, not at import
+_BINOMIAL_RE = r"(z_\{[\d,]+\})(?:\^2| (z_\{[\d,]+\}))\s*-\s*(z_\{[\d,]+\})(?:\^2| (z_\{[\d,]+\}))"
 
 
 def parse_binomial(text: str) -> Binomial2:
     """Inverse of str(Binomial2); accepts the "z_{a} z_{b} - z_{c} z_{e}"
     form with ^2 for repeated factors."""
-    m = _BINOMIAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    m = re.fullmatch(_BINOMIAL_RE, text.strip()) if isinstance(text, str) else None
     if not m:
         raise ContractError(f"not a binomial quadric: {text!r}")
     a = parse_coordinate_name(m.group(1))

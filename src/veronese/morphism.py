@@ -45,7 +45,13 @@ from functools import lru_cache
 from .errors import ContractError, NoChartError
 from .matrix import Binomial2, _index_grid, _minor_quads, _quad_binomials, _quads
 from .multiindex import VeroneseContext, _monomial_values, coordinate_index
-from .projective import ProjectivePoint, Scalar, _canonical, _proportional, integer_coords, normalize
+from .projective import ProjectivePoint, _canonical, _proportional, integer_coords, normalize
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .projective import Fp
 
 
 def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
@@ -96,7 +102,7 @@ def _rank_one(ctx: VeroneseContext, z: list[int], p: int) -> bool:
     return all(_proportional(row, M[i0], p) for row in M[i0 + 1:])
 
 
-def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, Scalar] | None:
+def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, Fraction | Fp] | None:
     """First minor (in listing order) that does not vanish at Q, with its
     value, an element of Q.field; None when Q is on the variety."""
     _require_target(ctx, Q)

@@ -75,12 +75,13 @@ def pure_power(n: int, d: int, i: int) -> MultiIndex:
     return MultiIndex(d if k == i else 0 for k in range(n + 1))
 
 
-_COORD_RE = re.compile(r"z_\{(-?\d+(?:,-?\d+)*)\}")
+# compiled on the first parse, by re's own cache, not at import
+_COORD_RE = r"z_\{(-?\d+(?:,-?\d+)*)\}"
 
 
 def parse_coordinate_name(text: str) -> MultiIndex:
     """Inverse of :meth:`MultiIndex.coordinate_name`."""
-    m = _COORD_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    m = re.fullmatch(_COORD_RE, text.strip()) if isinstance(text, str) else None
     if not m:
         raise ContractError(f"not a coordinate name: {text!r}")
     try:

@@ -14,12 +14,17 @@ Each side is a set of residue codes: the canonical point v of P^m(F_q) is
 the int sum_j v_j q^(m-j), its first coordinate the most significant
 digit, so int order is the listing order of the points.  All sides rest
 on projective._search, the package's one enumeration of the canonical
-points of P^m(F_q):
+points of P^m(F_q), which census runs once over P^N(F_q) and once over
+P^n(F_q):
 
 - the minor variety is that depth-first search over z_0, ..., z_N pruned
   by the quads of matrix._minor_quads, the minor table;
-- the toric variety is the search pruned by matrix._toric_quads, the
-  quads of toric_quadrics from the same code-sum grouping;
+- the toric variety is the minor variety filtered by the quads of
+  matrix._toric_quads (those of toric_quadrics, from the same code-sum
+  grouping) that are no minors.  Every minor quad is a toric quad, so the
+  rest cut the toric variety out of the minor variety; for d <= 3 there
+  are none, and the minor variety is reused as it stands.  A minor table
+  with a quad that is no toric quad would get a search of its own;
 - the image is multiindex._monomial_values of every canonical x the
   search streams for P^n(F_q).  Each image is canonical as it stands: its
   first nonzero coordinate is x_k^d = 1, for x_k = 1 the first nonzero
@@ -33,7 +38,9 @@ Every search is bounded before it starts.  The minor variety's search
 refuses a context whose 2-minor candidate count C(n+1, 2) * C(cols, 2)
 exceeds the budget before it builds the minor table, the guard every
 command applies; each search of P^N(F_q) then refuses an estimate,
-points x quadrics, that exceeds it.
+points x quadrics, that exceeds it.  The toric side checks the estimate
+of a search by its quads even where it only filters, so it refuses
+exactly where a search would.
 """
 
 from __future__ import annotations
@@ -86,26 +93,33 @@ def _codes(vectors, q: int) -> set[int]:
     return out
 
 
+def _vector(code: int, q: int, m: int) -> list[int]:
+    """The residue vector of P^m(F_q) whose residue code is given."""
+    v = [0] * (m + 1)
+    for j in range(m, -1, -1):
+        code, v[j] = divmod(code, q)
+    return v
+
+
 def _points(field: PrimeField, m: int, codes) -> list[ProjectivePoint]:
     """The points of P^m(field) whose residue codes are given, in listing
     order."""
-    q = field.p
-    out = []
-    for code in sorted(codes):
-        v = [0] * (m + 1)
-        for j in range(m, -1, -1):
-            code, v[j] = divmod(code, q)
-        out.append(ProjectivePoint(field, v))
-    return out
+    return [ProjectivePoint(field, _vector(code, field.p, m)) for code in sorted(codes)]
+
+
+def _check_search_budget(ctx: VeroneseContext, q: int, count: int, budget: int) -> None:
+    """Refuse a search of P^N(F_q) by count quads whose estimate, points x
+    quadrics, exceeds the budget."""
+    cost = count_projective_points(ctx.N, q) * max(1, count)
+    if cost > budget:
+        raise BudgetError(cost, budget)
 
 
 def _vanishing_codes(ctx: VeroneseContext, q: int, quads, count: int, budget: int) -> set[int]:
     """The codes of the canonical points of P^N(F_q), q a prime, at which
     the count given quads vanish, refused when points x quadrics exceeds
     the budget; the quads are read only once the estimate passes."""
-    cost = count_projective_points(ctx.N, q) * max(1, count)
-    if cost > budget:
-        raise BudgetError(cost, budget)
+    _check_search_budget(ctx, q, count, budget)
     return _codes(_search(ctx.N, q, quads), q)
 
 
@@ -178,8 +192,27 @@ def _image_report(ctx: VeroneseContext, q: int, variety: set[int]) -> EqualityRe
 
 
 def _toric_report(ctx: VeroneseContext, q: int, variety: set[int], budget: int) -> EqualityReport:
+    """The toric comparison for the codes of the minor variety V(M), M the
+    minor quads and T the toric quads.  When M is a subset of T, as in
+    every table of the package, V(T) is V(M) cut by the quads of T - M:
+    the variety filtered by them, or the variety as it stands when there
+    are none, as for d <= 3.  Otherwise P^N(F_q) is searched again.  The
+    estimate of that search, points x |T|, is checked first either way."""
     quads = _toric_quads(ctx)
-    return _report(ctx, q, "toric-quadrics", variety, _vanishing_codes(ctx, q, quads, len(quads), budget))
+    _check_search_budget(ctx, q, len(quads), budget)
+    toric, minors = set(quads), set(_quads(_minor_quads(ctx)))
+    if minors <= toric:
+        extra = toric - minors
+        codes = {c for c in variety if _vanishes(_vector(c, q, ctx.N), extra, q)} if extra else variety
+    else:
+        codes = _codes(_search(ctx.N, q, quads), q)
+    return _report(ctx, q, "toric-quadrics", variety, codes)
+
+
+def _vanishes(v: list[int], quads, q: int) -> bool:
+    """Whether every quad (a, b, c, e) vanishes at the residue vector v,
+    v_a v_b = v_c v_e mod q."""
+    return not any((v[a] * v[b] - v[c] * v[e]) % q for a, b, c, e in quads)
 
 
 def check_set_equality(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> EqualityReport:
@@ -198,7 +231,7 @@ def census(
     ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[EqualityReport, EqualityReport]:
     """check_set_equality and check_toric_equality, in that order, sharing
-    one search for V(2-minors)(F_q)."""
+    one search for V(2-minors)(F_q), which the toric side filters."""
     variety = _variety_codes(ctx, q, budget)
     return _image_report(ctx, q, variety), _toric_report(ctx, q, variety, budget)
 

@@ -1,10 +1,12 @@
 """Exact scalars over Q and prime fields, and projective points.
 
 Rational arithmetic is entrusted to fractions.Fraction (always reduced,
-positive denominator).  Prime-field elements are Fp wrappers around a
-residue in [0, p) with only +, - and *, which failing_minor uses for a
-minor's value: the package computes on plain ints otherwise and inverts
-no field element.  There is deliberately no floating point anywhere.
+positive denominator), which QQ loads on its first rational use: a
+process that works over F_p only never imports fractions.  Prime-field
+elements are Fp wrappers around a residue in [0, p) with only +, - and
+*, which failing_minor uses for a minor's value: the package computes on
+plain ints otherwise and inverts no field element.  There is
+deliberately no floating point anywhere.
 
 A ProjectivePoint is an immutable coordinate tuple over one field with at
 least one nonzero entry, coerced into the field when the point is built.
@@ -21,11 +23,15 @@ is the one enumeration of the canonical points of P^m(F_q).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from random import Random
 
 from .errors import ContractError, Frozen, InvalidPointError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def is_prime(p: int) -> bool:
@@ -118,34 +124,51 @@ class Fp:
         return f"Fp({self.value}, {self.p})"
 
 
-Scalar = Fraction | Fp
-
 # CPython's default limit on int <-> str conversion (sys.int_info)
 MAX_DIGITS = 4300
 
 
 class RationalField:
-    """The field of exact rationals; a stateless singleton (QQ)."""
+    """The field of exact rationals; a stateless singleton (QQ).
+
+    Fraction is fractions.Fraction, imported on the first rational use, so
+    a process that makes no rational loads neither fractions nor the
+    decimal and numbers modules it imports.  coerce runs once per
+    coordinate of every point, so it too is made on first use, a function
+    that holds the class and reads no attribute per call.
+    """
 
     name = "rational"
 
+    @cached_property
+    def Fraction(self) -> type[Fraction]:
+        from fractions import Fraction
+
+        return Fraction
+
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return self.Fraction(0)
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return self.Fraction(1)
 
     def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
+        return self.Fraction(k)
 
-    def coerce(self, v) -> Fraction:
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, int):
-            return Fraction(v)
-        raise ContractError(f"cannot interpret {v!r} as a rational")
+    @cached_property
+    def coerce(self):
+        Fraction = self.Fraction
+
+        def coerce(v) -> Fraction:
+            if isinstance(v, Fraction):
+                return v
+            if isinstance(v, int):
+                return Fraction(v)
+            raise ContractError(f"cannot interpret {v!r} as a rational")
+
+        return coerce
 
     def parse_scalar(self, text: str) -> Fraction:
         # Fraction expands exponent notation exactly, in time that grows
@@ -158,7 +181,7 @@ class RationalField:
         if size > MAX_DIGITS:
             raise ContractError(f"bad rational {text!r}: expands to more than {MAX_DIGITS} digits")
         try:
-            return Fraction(text.strip())
+            return self.Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ContractError(f"bad rational {text!r}: {exc}") from None
 
@@ -167,6 +190,9 @@ class RationalField:
             return str(x)
         except ValueError:  # past the interpreter's int-to-str digit limit
             raise ContractError("rational too long to print") from None
+
+    def __reduce__(self):  # pickle and copy without the attributes cached above
+        return RationalField, ()
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -269,7 +295,7 @@ class ProjectivePoint(Frozen):
 
     __slots__ = ("field", "coords")
 
-    def __init__(self, field: Field, coords: tuple[Scalar, ...]):
+    def __init__(self, field: Field, coords: tuple[Fraction | Fp, ...]):
         if not isinstance(field, (RationalField, PrimeField)):
             raise ContractError(f"not a field: {field!r}")
         coords = tuple(map(field.coerce, coords))
@@ -298,7 +324,7 @@ class ProjectivePoint(Frozen):
     def __iter__(self):
         return iter(self.coords)
 
-    def __getitem__(self, k: int) -> Scalar:
+    def __getitem__(self, k: int) -> Fraction | Fp:
         return self.coords[k]
 
 
@@ -310,7 +336,7 @@ def point(field: Field, values) -> ProjectivePoint:
 def normalize(p: ProjectivePoint) -> ProjectivePoint:
     """Scalar multiple of p whose first nonzero coordinate is 1; idempotent."""
     lead = next(c for c in p.coords if c)
-    if lead == p.field.one:
+    if lead == 1:
         return p
     return _canonical(p.field, *integer_coords(p))
 
@@ -338,6 +364,7 @@ def _canonical(field: Field, z: list[int], p: int) -> ProjectivePoint:
     if p:
         inv = pow(lead, -1, p)
         return ProjectivePoint(field, tuple(Fp(c * inv, p) for c in z))
+    Fraction = field.Fraction
     return ProjectivePoint(field, tuple(Fraction(c, lead) for c in z))
 
 
@@ -456,13 +483,18 @@ def random_point(rng: Random, field: Field, dim: int, lead_zeros: int = 0) -> Pr
     if not 0 <= lead_zeros <= dim:
         raise ContractError(f"lead_zeros {lead_zeros} out of range for dim {dim}")
 
-    def draw(nonzero: bool) -> Scalar:
-        if isinstance(field, PrimeField):
-            lo = 1 if nonzero else 0
-            return Fp(rng.randint(lo, field.p - 1), field.p)
-        num = rng.randint(1, 99) * rng.choice((1, -1)) if nonzero else rng.randint(-99, 99)
-        den = rng.randint(1, 99) * rng.choice((1, -1))
-        return Fraction(num, den)
+    if isinstance(field, PrimeField):
+        p = field.p
+
+        def draw(nonzero: bool) -> Fp:
+            return Fp(rng.randint(1 if nonzero else 0, p - 1), p)
+    else:
+        Fraction = field.Fraction
+
+        def draw(nonzero: bool) -> Fraction:
+            num = rng.randint(1, 99) * rng.choice((1, -1)) if nonzero else rng.randint(-99, 99)
+            den = rng.randint(1, 99) * rng.choice((1, -1))
+            return Fraction(num, den)
 
     coords = [field.zero] * lead_zeros
     coords.append(draw(nonzero=True))

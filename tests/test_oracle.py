@@ -28,6 +28,9 @@ from veronese import (
 from veronese import oracle
 from veronese.matrix import (
     DEFAULT_BUDGET,
+    _minor_quads,
+    _quads,
+    _toric_quads,
     binomial_quad,
     cached_minors,
     check_minor_budget,
@@ -193,8 +196,8 @@ class TestToricEquality:
 class TestCensus:
     @pytest.mark.parametrize("n,d,q", [(1, 2, 3), (2, 2, 3), (1, 4, 3), (2, 3, 3)])
     def test_both_reports_from_one_minor_search(self, n, d, q, monkeypatch):
-        # three searches: the minor variety once, the source points of the
-        # image, and the toric variety
+        # two searches: the minor variety once and the source points of the
+        # image; the toric variety filters the minor variety
         ctx = VeroneseContext(n, d)
         expected = (check_set_equality(ctx, q), check_toric_equality(ctx, q))
         searched = []
@@ -207,7 +210,7 @@ class TestCensus:
 
         monkeypatch.setattr(oracle, "_search", counted)
         assert census(ctx, q) == expected
-        assert searched == [(ctx.N, len(cached_minors(ctx))), (ctx.n, 0), (ctx.N, len(toric_quadrics(ctx)))]
+        assert searched == [(ctx.N, len(cached_minors(ctx))), (ctx.n, 0)]
 
     def test_toric_search_still_budgeted(self):
         ctx, q = VeroneseContext(1, 4), 3
@@ -364,3 +367,101 @@ class TestCensusAgainstPointReference:
             for r in reports:
                 witnesses[r.kind] += len(r.witnesses)
         assert all(witnesses.values())
+
+
+# |T - M| for T the toric quads and M the minor quads, by n and then by
+# d = 1..5; M is a subset of T in every context
+EXTRA_TORIC_QUADS = {
+    0: [0, 0, 0, 0, 0],
+    1: [0, 0, 0, 1, 3],
+    2: [0, 0, 0, 21, 117],
+    3: [0, 0, 0, 231, 1890],
+    4: [0, 0, 0, 1540, 17050],
+}
+
+# past every estimate of CENSUS_GRID, whose pruned searches are all small
+UNBOUNDED = 10**40
+
+
+def bent_tables():
+    """The contexts and bent minor and toric tables of
+    test_same_reports_for_bent_quad_sets, as lists of quads."""
+    for (n, d, q), seed in product([(1, 2, 3), (1, 4, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)], range(3)):
+        ctx = VeroneseContext(n, d)
+        rng = Random(seed)
+        minors = sorted_binomials(cached_minors(ctx))
+        minors.pop(rng.randrange(len(minors)))
+        extra = sorted_binomials(toric_quadrics(ctx) - cached_minors(ctx))
+        if extra:
+            minors.append(rng.choice(extra))
+        toric = sorted_binomials(toric_quadrics(ctx))
+        toric.pop(rng.randrange(len(toric)))
+        yield (ctx, q, sorted(binomial_quad(ctx, b) for b in minors),
+               [binomial_quad(ctx, b) for b in toric])
+
+
+def census_toric_codes(ctx, q):
+    """The toric residue codes census compares the minor variety with, and
+    the number of searches it ran: the minor variety and the source points
+    of the image, and the toric variety if searched."""
+    reported, searches = {}, []
+    report, search = oracle._report, oracle._search
+
+    def recording(ctx, q, kind, variety, other):
+        reported[kind] = other
+        return report(ctx, q, kind, variety, other)
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_report", recording)
+        patch.setattr(oracle, "_search", counted)
+        census(ctx, q, UNBOUNDED)
+    return reported["toric-quadrics"], len(searches)
+
+
+class TestToricReuse:
+    """The toric side filters the minor variety by the toric quads that are
+    no minors, against a search of P^N(F_q) by all toric quads."""
+
+    @pytest.mark.parametrize("n", sorted(EXTRA_TORIC_QUADS))
+    def test_minor_quads_are_toric_quads(self, n):
+        for d, extra in enumerate(EXTRA_TORIC_QUADS[n], 1):
+            ctx = VeroneseContext(n, d)
+            toric, minors = set(_toric_quads(ctx)), set(_quads(_minor_quads(ctx)))
+            assert minors <= toric
+            assert len(toric - minors) == extra, (n, d)
+
+    @pytest.mark.parametrize("n,d,q", CENSUS_GRID)
+    def test_same_codes_as_a_toric_search(self, n, d, q):
+        ctx = VeroneseContext(n, d)
+        codes, searches = census_toric_codes(ctx, q)
+        quads = _toric_quads(ctx)
+        assert codes == oracle._vanishing_codes(ctx, q, quads, len(quads), UNBOUNDED)
+        assert searches == 2
+
+    def test_same_codes_for_bent_quad_sets(self, monkeypatch):
+        # a minor table with a quad that is no toric quad is searched again
+        searched = set()
+        for ctx, q, minor_quads, toric_quads in bent_tables():
+            monkeypatch.setattr(oracle, "_minor_quads", lambda ctx: array("I", chain.from_iterable(minor_quads)))
+            monkeypatch.setattr(oracle, "_toric_quads", lambda ctx: list(toric_quads))
+            codes, searches = census_toric_codes(ctx, q)
+            assert codes == oracle._vanishing_codes(ctx, q, toric_quads, len(toric_quads), UNBOUNDED)
+            assert searches == (2 if set(minor_quads) <= set(toric_quads) else 3)
+            searched.add(searches)
+        assert searched == {2, 3}
+
+    @pytest.mark.parametrize("n,d,q", [(1, 2, 3), (1, 4, 3), (2, 2, 3), (2, 3, 2)])
+    def test_filter_alone_for_an_empty_minor_table(self, n, d, q, monkeypatch):
+        # the minor variety is then all of P^N(F_q), and the filter by every
+        # toric quad alone cuts the toric variety out of it
+        ctx = VeroneseContext(n, d)
+        monkeypatch.setattr(oracle, "_minor_quads", lambda ctx: array("I"))
+        codes, searches = census_toric_codes(ctx, q)
+        quads = _toric_quads(ctx)
+        assert codes == oracle._vanishing_codes(ctx, q, quads, len(quads), UNBOUNDED)
+        assert len(codes) < count_projective_points(ctx.N, q)
+        assert searches == 2

@@ -39,17 +39,26 @@ SUBMODULES = ("errors", "multiindex", "matrix", "projective", "morphism", "certi
 
 LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'veronese')"
 
+# fractions and the standard library modules it imports
+RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
 
-def loaded_by(argv: list[str]) -> tuple[int, set[str]]:
-    """Exit code of cli.main(argv) and the veronese modules it loaded."""
+
+def loaded_by(argv: list[str], loaded: str = LOADED) -> tuple[int, set[str]]:
+    """Exit code of cli.main(argv) and the modules it loaded, the veronese
+    ones unless loaded is another expression listing sys.modules names."""
     exit_code, modules = fresh(
         "import contextlib, io, json, sys\n"
         "from veronese.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
-        f"print(json.dumps([code, {LOADED}]))\n"
+        f"print(json.dumps([code, {loaded}]))\n"
     )
     return exit_code, set(modules)
+
+
+def rational_modules_loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of cli.main(argv) and the RATIONAL_MODULES it loaded."""
+    return loaded_by(argv, f"sorted(set(sys.modules) & {RATIONAL_MODULES!r})")
 
 
 class TestImportBoundaries:
@@ -103,6 +112,28 @@ class TestImportBoundaries:
         assert "veronese.certificates" in modules
         assert "veronese.oracle" not in modules
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "1", "--d", "2", "--field", "fp:7"],
+        ["verify", "--n", "2", "--d", "2", "--field", "fp:7"],
+        ["eval", "--n", "1", "--d", "3", "--field", "fp:7", "[1 : 2]"],
+        ["member", "--n", "1", "--d", "3", "--field", "fp:7", "[1 : 2 : 4 : 1]"],
+        ["invert", "--n", "1", "--d", "3", "--field", "fp:7", "[1 : 2 : 4 : 1]"],
+        ["minors", "--n", "2", "--d", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_prime_field_commands_load_no_rational_arithmetic(self, argv):
+        assert rational_modules_loaded_by(argv) == (0, set())
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "2", "--d", "2"],
+        ["eval", "--n", "1", "--d", "3", "[1 : 2]"],
+        ["member", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+        ["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
+    ], ids=lambda argv: argv[0])
+    def test_rational_commands_load_fractions(self, argv):
+        exit_code, modules = rational_modules_loaded_by(argv)
+        assert exit_code == 0
+        assert "fractions" in modules
+
     def test_submodules_resolve_after_bare_import(self):
         code = (
             "import json, veronese\n"
@@ -117,8 +148,8 @@ class TestImportBoundaries:
         assert set(veronese.__all__) | set(SUBMODULES) <= set(listing)
 
 
-# the standard library modules cli imports, directly or through fractions
-CLI_STDLIB = "argparse, contextlib, fractions, io, json, random, re"
+# the standard library modules cli imports, with those the statements below use
+CLI_STDLIB = "argparse, contextlib, io, json, random, re"
 
 
 def added_to_stdlib(statement: str) -> set[str]:
