@@ -35,20 +35,21 @@ from __future__ import annotations
 from math import prod
 from operator import sub
 
-from .errors import ContractError, Frozen, FrozenTuple
+from .errors import ContractError, FrozenTuple
 from .matrix import Binomial2, _canonical_quad, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
 from .multiindex import MultiIndex, VeroneseContext, _monomial_values, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
 
 
-class VerifyResult(Frozen):
+class VerifyResult(FrozenTuple):
     """Truthy verification outcome; diagnostic locates the first failure."""
 
-    __slots__ = ("ok", "diagnostic")
+    __slots__ = ()
+    _fields = ("ok", "diagnostic")
 
-    def __init__(self, ok: bool, diagnostic: str | None = None):
-        self._assign(ok, diagnostic)
+    def __new__(cls, ok: bool, diagnostic: str | None = None):
+        return tuple.__new__(cls, (ok, diagnostic))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -64,13 +65,14 @@ class PropagationStep(FrozenTuple):
         return tuple.__new__(cls, (target, minor, prerequisites))
 
 
-class ZeroPropagationCertificate(Frozen):
+class ZeroPropagationCertificate(FrozenTuple):
     """Ordered cascade zeroing every coordinate from vanishing pure powers."""
 
-    __slots__ = ("ctx", "steps")
+    __slots__ = ()
+    _fields = ("ctx", "steps")
 
-    def __init__(self, ctx: VeroneseContext, steps: tuple[PropagationStep, ...]):
-        self._assign(ctx, steps)
+    def __new__(cls, ctx: VeroneseContext, steps: tuple[PropagationStep, ...]):
+        return tuple.__new__(cls, (ctx, steps))
 
 
 class RewriteChain(FrozenTuple):

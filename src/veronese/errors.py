@@ -1,6 +1,5 @@
-"""Exception types shared across the package, and the two bases of its
-value classes: Frozen, a class with __slots__, and FrozenTuple, the tuple
-of its fields.
+"""Exception types shared across the package, and FrozenTuple, the base
+of its value classes: each value is the tuple of its fields.
 
 Every error raised by library code derives from VeroneseError so callers
 (notably the CLI) can map failures to exit codes without catching builtins.
@@ -43,44 +42,28 @@ class BudgetError(VeroneseError):
         self.budget = budget
 
 
-class Frozen:
-    """Base of the package's immutable value classes built a few at a time,
-    which behave as frozen dataclasses without importing dataclasses and
-    inspect.
+class FrozenTuple(tuple):
+    """Base of the package's immutable value classes, which behave as frozen
+    dataclasses without importing dataclasses and inspect: a value is the
+    tuple of its fields, made with one tuple.__new__ and hashed and freed
+    in C.
 
-    A subclass names its fields in __slots__, in constructor order, and its
-    __init__ validates and stores them.  Equality holds only against the
-    same class with equal fields (never against a tuple), the hash is that
-    of the field tuple, and the repr reads "Name(field=value, ...)".
-    Assigning or deleting an attribute raises FrozenInstanceError, the one
-    path that imports dataclasses.  Classes built or hashed in hot loops
-    override __init__, __eq__ and __hash__ with field-by-field versions.
-    Values built by the hundred or the ten thousand are FrozenTuples.
+    A subclass declares __slots__ = () and names its fields in _fields, in
+    constructor order; each becomes a property reading its index.  Its
+    public __new__ validates the fields; code that builds valid values by
+    construction calls tuple.__new__(cls, fields) itself.  A value equals
+    only a value of the same class with equal fields, never a plain tuple;
+    its hash is that of the field tuple, and its repr reads
+    "Name(field=value, ...)".  It pickles and copies by calling the class
+    on its fields, and it is unordered.  Assigning or deleting an
+    attribute raises FrozenInstanceError, the one path that imports
+    dataclasses.  As a tuple it also has len, iteration and indexing over
+    its fields.
     """
 
     __slots__ = ()
-
-    def _assign(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):  # pickle and copy by calling the class on the fields
-        return self.__class__, self._fields()
+    _fields: tuple[str, ...] = ()
+    __hash__ = tuple.__hash__
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError
@@ -91,26 +74,6 @@ class Frozen:
         from dataclasses import FrozenInstanceError
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class FrozenTuple(tuple):
-    """Base of the value classes built in bulk: a value is the tuple of its
-    fields, made with one tuple.__new__ and hashed and freed in C.
-
-    A subclass declares __slots__ = () and names its fields in _fields, in
-    constructor order; each becomes a property reading its index.  Its
-    public __new__ validates the fields; code that builds valid values by
-    construction calls tuple.__new__(cls, fields) itself.  Otherwise a
-    value behaves as a Frozen one: equal only to the same class with equal
-    fields (never to a tuple), the hash of the field tuple, the same repr
-    and pickling, immutable, and in addition unordered.  As a tuple it
-    also has len, iteration and indexing over its fields.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-    __hash__ = tuple.__hash__
-    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
 
     def __init_subclass__(cls):
         super().__init_subclass__()

@@ -49,7 +49,7 @@ from itertools import chain, combinations, repeat
 from math import comb
 from operator import add, mul, sub
 
-from .errors import BudgetError, ContractError, Frozen, FrozenTuple
+from .errors import BudgetError, ContractError, FrozenTuple
 from .multiindex import (
     MultiIndex,
     VeroneseContext,
@@ -61,15 +61,16 @@ from .multiindex import (
 Pair = tuple[MultiIndex, MultiIndex]
 
 
-class SymbolicMatrix(Frozen):
+class SymbolicMatrix(FrozenTuple):
     """The (n+1) x cols grid of exponent vectors realizing both L and M."""
 
-    __slots__ = ("ctx", "entries")
+    __slots__ = ()
+    _fields = ("ctx", "entries")
 
-    def __init__(self, ctx: VeroneseContext, entries: tuple[tuple[MultiIndex, ...], ...]):
+    def __new__(cls, ctx: VeroneseContext, entries: tuple[tuple[MultiIndex, ...], ...]):
         if len(set(map(len, entries))) > 1:
             raise ContractError(f"ragged grid: row lengths {[len(row) for row in entries]}")
-        self._assign(ctx, entries)
+        return tuple.__new__(cls, (ctx, entries))
 
     @property
     def shape(self) -> tuple[int, int]:

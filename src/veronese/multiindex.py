@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import ContractError, Frozen
+from .errors import ContractError, FrozenTuple
 
 
 class MultiIndex(tuple):
@@ -131,34 +131,25 @@ def _monomial_values(v, d: int, p: int) -> list[int]:
     return [w * t for w, values in zip(reversed(powers), row) for t in values]
 
 
-class VeroneseContext(Frozen):
+class VeroneseContext(FrozenTuple):
     """The pair (n, d) of ints: source space P^n and embedding degree d.
 
     Derived quantities: N = C(n+d, n) - 1 is the target dimension, cols =
     C(n+d-1, n) is the column count of the coordinate matrix.  A context
     needs n >= 0 and d >= 1, so every context has a coordinate matrix.
-    Every cache lookup hashes a context, so hashing is specialized.
     """
 
-    __slots__ = ("n", "d")
+    __slots__ = ()
+    _fields = ("n", "d")
 
-    def __init__(self, n: int, d: int):
+    def __new__(cls, n: int, d: int):
         if not (isinstance(n, int) and isinstance(d, int)) or bool in (type(n), type(d)):
             raise ContractError(f"n and d must be ints, got n={n!r}, d={d!r}")
         if n < 0:
             raise ContractError(f"n must be >= 0, got {n}")
         if d < 1:
             raise ContractError(f"d must be >= 1, got {d}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.d == other.d
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.d))
+        return tuple.__new__(cls, (n, d))
 
     @property
     def num_coords(self) -> int:

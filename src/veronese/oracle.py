@@ -45,7 +45,7 @@ exactly where a search would.
 
 from __future__ import annotations
 
-from .errors import BudgetError, ContractError, Frozen
+from .errors import BudgetError, ContractError, FrozenTuple
 from .matrix import (
     DEFAULT_BUDGET,
     Binomial2,
@@ -65,7 +65,7 @@ FIELD_NOTE = (
 )
 
 
-class EqualityReport(Frozen):
+class EqualityReport(FrozenTuple):
     """Outcome of one exhaustive comparison over F_q.
 
     image_count is the cardinality of whichever set the variety was
@@ -73,12 +73,12 @@ class EqualityReport(Frozen):
     balanced quadrics); kind names the comparison.
     """
 
-    __slots__ = ("ctx", "q", "kind", "variety_count", "image_count", "expected_count", "equal",
-                 "witnesses")
+    __slots__ = ()
+    _fields = ("ctx", "q", "kind", "variety_count", "image_count", "expected_count", "equal", "witnesses")
 
-    def __init__(self, ctx: VeroneseContext, q: int, kind: str, variety_count: int, image_count: int,
-                 expected_count: int, equal: bool, witnesses: tuple[ProjectivePoint, ...]):
-        self._assign(ctx, q, kind, variety_count, image_count, expected_count, equal, witnesses)
+    def __new__(cls, ctx: VeroneseContext, q: int, kind: str, variety_count: int, image_count: int,
+                expected_count: int, equal: bool, witnesses: tuple[ProjectivePoint, ...]):
+        return tuple.__new__(cls, (ctx, q, kind, variety_count, image_count, expected_count, equal, witnesses))
 
 
 def _codes(vectors, q: int) -> set[int]:

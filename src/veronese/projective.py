@@ -27,7 +27,7 @@ from functools import cached_property
 from math import lcm
 from random import Random
 
-from .errors import ContractError, Frozen, InvalidPointError
+from .errors import ContractError, FrozenTuple, InvalidPointError
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -204,27 +204,19 @@ class RationalField:
         return "QQ"
 
 
-class PrimeField(Frozen):
+class PrimeField(FrozenTuple):
     """The field F_p for a prime int p; primality is checked at
-    construction.  Every point hash and comparison over F_p hashes or
-    compares its field, so both are specialized."""
+    construction."""
 
-    __slots__ = ("p",)
+    __slots__ = ()
+    _fields = ("p",)
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if not isinstance(p, int):
             raise ContractError(f"a field size must be an int, got {p!r}")
         if not is_prime(p):
             raise ContractError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p,))
+        return tuple.__new__(cls, (p,))
 
     @property
     def name(self) -> str:
@@ -281,7 +273,7 @@ def field_from_name(name: str) -> Field:
     raise ContractError(f"bad field designator {name!r}")
 
 
-class ProjectivePoint(Frozen):
+class ProjectivePoint:
     """A point of P^m: m+1 exact coordinates over one field, not all zero.
 
     Construction coerces each coordinate through field.coerce: ints become
@@ -289,11 +281,14 @@ class ProjectivePoint(Frozen):
     as a float, raises ContractError, as does a field that is neither QQ
     nor a PrimeField.  Equality compares the field and the coordinates
     exactly (useful for sets of canonical points); use proj_eq for
-    equality up to a scalar.  Searches build and hash points by the
-    thousand, so construction, equality and hashing are specialized.
+    equality up to a scalar.  A point is immutable like a FrozenTuple, with
+    the same equality, hash, repr and pickling over its fields (field,
+    coords), but it is no tuple: iterating or indexing it reads its
+    coordinates.
     """
 
     __slots__ = ("field", "coords")
+    __setattr__, __delattr__ = FrozenTuple.__setattr__, FrozenTuple.__delattr__
 
     def __init__(self, field: Field, coords: tuple[Fraction | Fp, ...]):
         if not isinstance(field, (RationalField, PrimeField)):
@@ -313,6 +308,12 @@ class ProjectivePoint(Frozen):
 
     def __hash__(self):
         return hash((self.field, self.coords))
+
+    def __repr__(self) -> str:
+        return f"ProjectivePoint(field={self.field!r}, coords={self.coords!r})"
+
+    def __reduce__(self):  # pickle and copy by calling the class on the fields
+        return ProjectivePoint, (self.field, self.coords)
 
     @property
     def dim(self) -> int:

@@ -1,0 +1,24 @@
+"""Reference builds shared by the test modules: the simple paths the
+package's fast builds replaced, kept to check those builds against."""
+
+from itertools import combinations
+from operator import add
+
+from veronese import Binomial2, enumerate_monomials
+
+
+def ref_toric_quadrics(ctx):
+    """The canonicalizing build toric_quadrics replaced: every pair of
+    pairs with one sum goes through Binomial2.canonical into a set."""
+    monos = enumerate_monomials(ctx.n, ctx.d)
+    by_sum = {}
+    for idx, a in enumerate(monos):
+        for b in monos[idx:]:
+            by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
+    out = set()
+    for pairs in by_sum.values():
+        for p1, p2 in combinations(pairs, 2):
+            b = Binomial2.canonical(p1, p2)
+            if b is not None:
+                out.add(b)
+    return frozenset(out)

@@ -42,6 +42,7 @@ from veronese import matrix as matrix_module
 from veronese import morphism
 from veronese.multiindex import coordinate_index
 
+from reference import ref_toric_quadrics
 from test_certificates import reference_rewrite_chain, reference_zero_propagation_certificate
 
 CONTEXTS = [(1, 1), (0, 3), (1, 4), (2, 5), (3, 4), (4, 4)]
@@ -90,21 +91,6 @@ def ref_minors2(matrix):
         ri, rj = matrix.entries[i], matrix.entries[j]
         for k, l in combinations(range(ncols), 2):
             b = Binomial2.canonical((ri[k], rj[l]), (ri[l], rj[k]))
-            if b is not None:
-                out.add(b)
-    return frozenset(out)
-
-
-def ref_toric_quadrics(ctx):
-    monos = enumerate_monomials(ctx.n, ctx.d)
-    by_sum = {}
-    for idx, a in enumerate(monos):
-        for b in monos[idx:]:
-            by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
-    out = set()
-    for pairs in by_sum.values():
-        for p1, p2 in combinations(pairs, 2):
-            b = Binomial2.canonical(p1, p2)
             if b is not None:
                 out.add(b)
     return frozenset(out)

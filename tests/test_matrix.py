@@ -22,6 +22,8 @@ from veronese import (
 )
 from veronese.matrix import check_minor_budget
 
+from reference import ref_toric_quadrics
+
 # golden fixture: the 3x6 grid of the degree-3 embedding of the plane
 PLANE_CUBIC_GRID = [
     [(3,0,0),(2,1,0),(2,0,1),(1,2,0),(1,1,1),(1,0,2)],
@@ -186,23 +188,6 @@ class TestToricQuadrics:
         ctx = VeroneseContext(n, d)
         check_minor_budget(ctx, DEFAULT_BUDGET)
         assert toric_quadrics(ctx) == ref_toric_quadrics(ctx)
-
-
-def ref_toric_quadrics(ctx):
-    """The canonicalizing build toric_quadrics replaced: every pair of
-    pairs with one sum goes through Binomial2.canonical into a set."""
-    monos = enumerate_monomials(ctx.n, ctx.d)
-    by_sum = {}
-    for idx, a in enumerate(monos):
-        for b in monos[idx:]:
-            by_sum.setdefault(tuple(map(add, a, b)), []).append((a, b))
-    out = set()
-    for pairs in by_sum.values():
-        for p1, p2 in combinations(pairs, 2):
-            b = Binomial2.canonical(p1, p2)
-            if b is not None:
-                out.add(b)
-    return frozenset(out)
 
 
 class TestBinomialCanonicalForm:

@@ -1,9 +1,9 @@
 """The hand-written value classes against frozen dataclass twins.
 
-Seven of the ten value classes of the package are plain classes with
-__slots__ (errors.Frozen); Binomial2, PropagationStep and RewriteChain,
-built in bulk, are the tuples of their fields (errors.FrozenTuple).  Each
-twin below is the frozen dataclass definition it replaced, validation
+Nine of the ten value classes of the package are the tuples of their
+fields (errors.FrozenTuple).  ProjectivePoint is a plain class with
+__slots__, since iterating or indexing a point reads its coordinates.
+Each twin below is the frozen dataclass definition it replaced, validation
 included, under the same name, so reprs can be compared as text.  Field values are drawn from small domains, so that
 equal and unequal pairs both occur, and nested values are the package's
 own objects in both versions.
@@ -245,7 +245,9 @@ def frozen_messages(obj, name: str) -> tuple[str, str]:
     return str(assign.value), str(delete.value)
 
 
-TUPLE_TWINS = [Binomial2, PropagationStep, RewriteChain]
+TUPLE_TWINS = [twin for twin in TWINS if twin is not ProjectivePoint]
+# the values the generators build in bulk with tuple.__new__
+BULK_TWINS = [Binomial2, PropagationStep, RewriteChain]
 
 
 def test_tuple_twins_are_the_tuple_classes():
@@ -253,7 +255,15 @@ def test_tuple_twins_are_the_tuple_classes():
     assert all(issubclass(REAL[twin], FrozenTuple) for twin in TUPLE_TWINS)
 
 
-@pytest.mark.parametrize("twin", TUPLE_TWINS, ids=lambda t: t.__name__)
+@given(points)
+def test_point_iterates_and_indexes_its_coordinates(P):
+    # not its fields (field, coords), as a FrozenTuple would
+    assert not isinstance(P, tuple)
+    assert list(P) == list(P.coords)
+    assert all(P[k] == P.coords[k] for k in range(-len(P.coords), len(P.coords)))
+
+
+@pytest.mark.parametrize("twin", BULK_TWINS, ids=lambda t: t.__name__)
 def test_tuple_value_has_no_dict(twin):
     # as built by the public constructor and by the generators' tuple.__new__
     ctx = multiindex.VeroneseContext(2, 3)
