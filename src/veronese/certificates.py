@@ -178,11 +178,8 @@ def _edge(monos, idx: dict, col: tuple[int, ...], i: int, k: int) -> tuple[int, 
     """(parent, quad) of node k (d - k_i >= 2) in chart i's forest, col =
     chart_indices(ctx, i): the parent is k + e_i - e_j, j the least index
     but i with k_j > 0, and the quad is that of z_P z_k - z_parent z_{col_j}."""
-    w = list(monos[k])
-    j = next(j for j, e in enumerate(w) if e and j != i)
-    w[j] -= 1
-    w[i] += 1
-    p = idx[tuple(w)]
+    j = next(j for j, e in enumerate(monos[k]) if e and j != i)
+    p = _moved(idx, monos[k], j, i)
     return p, _canonical_quad(col[i], k, p, col[j])
 
 

@@ -11,16 +11,14 @@ vanishing locus the rest of the package studies.  Binomials are kept in a
 canonical form so that generator sets deduplicate by plain equality.
 
 The tables are built on coordinate indices (ranks): a quadric is the quad
-(a, b, c, e) of z_a z_b - z_c z_e.  _grid_quads canonicalizes the 2x2
-candidates of a grid of indices inline, for minors2, and _quad_binomials
+(a, b, c, e) of z_a z_b - z_c z_e.  _grid_quads takes the canonical quad
+of each 2x2 candidate of the index grid, for minors2, and _quad_binomials
 turns quads into Binomial2 values for it, one pair tuple per index pair
-from a 2-D table.  Balance is checked on packed exponent codes, code(m)
-= sum_j m_j (2d+1)^j.  A digit of a pair sum is at most 2d < 2d+1, so
-adding codes never carries: code(A) + code(B) is
-the base-(2d+1) numeral of A + B, and code(A) + code(B) == code(C) +
-code(E) iff A + B == C + E.  _require_balanced checks a grid once, not
-per candidate: every candidate balances iff each row minus row 0 is
-constant in codes.  _pair_groups groups pairs by code sum, so
+from a 2-D table.  toric_quadrics groups pairs on packed exponent codes,
+code(m) = sum_j m_j (2d+1)^j.  A digit of a pair sum is at most 2d <
+2d+1, so adding codes never carries: code(A) + code(B) is the
+base-(2d+1) numeral of A + B, and code(A) + code(B) == code(C) + code(E)
+iff A + B == C + E.  _pair_groups groups pairs by code sum, so
 toric_quadrics needs no check, and makes its binomials from pairs of
 pairs in C; _toric_quads takes the same pairs of pairs as quads, for the
 oracle.  A Binomial2 is the tuple (pos, neg), so the tables hash and free
@@ -35,8 +33,11 @@ minors command and the oracle read it.  Each grid row ascends in index
 k < l, based at beta and gamma, leads with its top-left entry A = G[i][k]
 = beta + e_i: the others are A + (e_j - e_i), A + (gamma - beta) and
 their sum, both moves are lex-negative, and lex order respects addition.
-Its canonical quad is (G[i][k], G[j][l]) with the other two entries
-sorted, so the table is built one leader at a time.
+So no candidate is identically zero, and its canonical quad is (G[i][k],
+G[j][l]) with the other two entries sorted, one comparison: _grid_quads
+takes it so, and the table is built one leader at a time.  Every
+candidate of the grid balances by construction, and only this grid has
+minors: minors2 refuses any other.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ Pair = tuple[MultiIndex, MultiIndex]
 
 
 class SymbolicMatrix(FrozenTuple):
-    """The (n+1) x cols grid of exponent vectors realizing both L and M."""
+    """The (n+1) x cols grid of exponent vectors realizing both L and M.
+    Only build_matrix's grid has minors: minors2 refuses any other."""
 
     __slots__ = ()
     _fields = ("ctx", "entries")
@@ -173,37 +175,24 @@ def parse_binomial(text: str) -> Binomial2:
 
 
 def minors2(matrix: SymbolicMatrix) -> frozenset[Binomial2]:
-    """All distinct canonical 2-minors of the grid, canonicalized on the
-    coordinate indices of matrix.ctx (ContractError for an entry that is no
-    degree-d coordinate, or for an unbalanced candidate); identically-zero
-    minors are dropped."""
+    """All distinct canonical 2-minors of build_matrix(matrix.ctx), the one
+    grid with minors; ContractError for any other grid."""
     ctx = matrix.ctx
+    if matrix != build_matrix(ctx):
+        raise ContractError(f"not the coordinate matrix of {ctx}")
     idx = coordinate_index(ctx)
-    try:
-        grid = [[idx[m] for m in row] for row in matrix.entries]
-    except KeyError as exc:
-        raise ContractError(f"grid entry {exc.args[0]} is not a degree-{ctx.d} coordinate of {ctx}") from None
-    monos = ctx.monomials()
-    _require_balanced(monos, grid)
-    return frozenset(_quad_binomials(monos, _grid_quads(grid)))
+    grid = [[idx[m] for m in row] for row in matrix.entries]
+    return frozenset(_quad_binomials(ctx.monomials(), _grid_quads(grid)))
 
 
 def _grid_quads(grid):
-    """The canonical quad of every 2x2 candidate of a grid of coordinate
-    indices, repeats kept, identically-zero candidates skipped: the
-    candidate on rows ri, rj and columns k < l is z_a z_b - z_c z_e with
-    (a, e) = (ri[k], rj[k]) and (c, b) = (ri[l], rj[l]), canonicalized
-    inline as _canonical_quad does."""
+    """The canonical quad of every 2x2 candidate of the index grid, repeats
+    kept: the candidate on rows ri, rj and columns k < l is z_a z_b - z_x z_y
+    with (a, x) = (ri[k], rj[k]) and (y, b) = (ri[l], rj[l]), and a is its
+    least entry (module docstring)."""
     for ri, rj in combinations(grid, 2):
-        for (a, e), (c, b) in combinations(tuple(zip(ri, rj)), 2):
-            if a > b:
-                a, b = b, a
-            if c > e:
-                c, e = e, c
-            if a < c:
-                yield a, b, c, e
-            elif a != c or b != e:
-                yield c, e, a, b
+        for (a, x), (y, b) in combinations(tuple(zip(ri, rj)), 2):
+            yield (a, b, x, y) if x < y else (a, b, y, x)
 
 
 def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int] | None:
@@ -226,29 +215,11 @@ def _packed_codes(monos) -> list[int]:
     return [sum(map(mul, m, weights)) for m in monos]
 
 
-def _require_balanced(monos, grid) -> None:
-    """ContractError naming the first unbalanced 2x2 candidate of a grid of
-    indices into monos, a table of same-degree vectors, in _grid_quads
-    order.  The candidate on rows ri, rj and columns k, l balances iff
-    code(rj[k]) - code(ri[k]) == code(rj[l]) - code(ri[l]), so every
-    candidate balances iff each row minus row 0 is constant in packed
-    codes: O(rows * cols), and candidates are scanned only when it fails."""
-    if len(grid) < 2:
-        return
-    codes = _packed_codes(monos)
-    first = [codes[a] for a in grid[0]]
-    if all(len(set(map(sub, map(codes.__getitem__, row), first))) <= 1 for row in grid[1:]):
-        return
-    for a, b, c, e in _grid_quads(grid):
-        if codes[a] + codes[b] != codes[c] + codes[e]:
-            raise ContractError(f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}")
-
-
 def _quad_binomials(monos, quads):
-    """Yield the Binomial2 of each canonical quad of indices into monos,
-    whose balance the caller has checked with _require_balanced.  Each
-    index pair gets one (monos[a], monos[b]) tuple, shared through an S-row
-    2-D list, and each binomial is one tuple.__new__."""
+    """Yield the Binomial2 of each canonical quad of indices into monos, a
+    minor or toric quad, balanced by construction.  Each index pair gets
+    one (monos[a], monos[b]) tuple, shared through an S-row 2-D list, and
+    each binomial is one tuple.__new__."""
     pairs = [[None] * len(monos) for _ in monos]
     new = tuple.__new__
     for a, b, c, e in quads:
@@ -278,7 +249,6 @@ def _minor_quads(ctx: VeroneseContext) -> array:
     Leaders ascend, and each leader's quads are deduplicated and sorted
     as packed ints (module docstring); no per-minor object is kept."""
     grid = _index_grid(ctx)
-    _require_balanced(ctx.monomials(), grid)
     S = ctx.N + 1
     positions: list[list[tuple[int, int]]] = [[] for _ in range(S)]
     for i, row in enumerate(grid):

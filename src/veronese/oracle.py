@@ -23,8 +23,7 @@ P^n(F_q):
   matrix._toric_quads (those of toric_quadrics, from the same code-sum
   grouping) that are no minors.  Every minor quad is a toric quad, so the
   rest cut the toric variety out of the minor variety; for d <= 3 there
-  are none, and the minor variety is reused as it stands.  A minor table
-  with a quad that is no toric quad would get a search of its own;
+  are none, and the minor variety is reused as it stands;
 - the image is multiindex._monomial_values of every canonical x the
   search streams for P^n(F_q).  Each image is canonical as it stands: its
   first nonzero coordinate is x_k^d = 1, for x_k = 1 the first nonzero
@@ -38,9 +37,9 @@ Every search is bounded before it starts.  The minor variety's search
 refuses a context whose 2-minor candidate count C(n+1, 2) * C(cols, 2)
 exceeds the budget before it builds the minor table, the guard every
 command applies; each search of P^N(F_q) then refuses an estimate,
-points x quadrics, that exceeds it.  The toric side checks the estimate
-of a search by its quads even where it only filters, so it refuses
-exactly where a search would.
+points x quadrics, that exceeds it.  The toric side only filters, but
+checks the estimate of a search by its quads, so it refuses exactly where
+such a search would.
 """
 
 from __future__ import annotations
@@ -193,19 +192,15 @@ def _image_report(ctx: VeroneseContext, q: int, variety: set[int]) -> EqualityRe
 
 def _toric_report(ctx: VeroneseContext, q: int, variety: set[int], budget: int) -> EqualityReport:
     """The toric comparison for the codes of the minor variety V(M), M the
-    minor quads and T the toric quads.  When M is a subset of T, as in
-    every table of the package, V(T) is V(M) cut by the quads of T - M:
-    the variety filtered by them, or the variety as it stands when there
-    are none, as for d <= 3.  Otherwise P^N(F_q) is searched again.  The
-    estimate of that search, points x |T|, is checked first either way."""
+    minor quads and T the toric quads.  M is a subset of T, so V(T) is V(M)
+    cut by the quads of T - M: the variety filtered by them, or the variety
+    as it stands when there are none, as for d <= 3.  The estimate of a
+    search by T, points x |T|, is checked first."""
     quads = _toric_quads(ctx)
     _check_search_budget(ctx, q, len(quads), budget)
-    toric, minors = set(quads), set(_quads(_minor_quads(ctx)))
-    if minors <= toric:
-        extra = toric - minors
-        codes = {c for c in variety if _vanishes(_vector(c, q, ctx.N), extra, q)} if extra else variety
-    else:
-        codes = _codes(_search(ctx.N, q, quads), q)
+    minors = set(_quads(_minor_quads(ctx)))
+    extra = [t for t in quads if t not in minors]
+    codes = {c for c in variety if _vanishes(_vector(c, q, ctx.N), extra, q)} if extra else variety
     return _report(ctx, q, "toric-quadrics", variety, codes)
 
 

@@ -154,9 +154,6 @@ class RationalField:
     def one(self) -> Fraction:
         return self.Fraction(1)
 
-    def from_int(self, k: int) -> Fraction:
-        return self.Fraction(k)
-
     @cached_property
     def coerce(self):
         Fraction = self.Fraction

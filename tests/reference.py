@@ -5,6 +5,7 @@ from itertools import combinations
 from operator import add
 
 from veronese import Binomial2, enumerate_monomials
+from veronese.matrix import _canonical_quad
 
 
 def ref_toric_quadrics(ctx):
@@ -22,3 +23,11 @@ def ref_toric_quadrics(ctx):
             if b is not None:
                 out.add(b)
     return frozenset(out)
+
+
+def candidate_quads(grid):
+    """_canonical_quad of every 2x2 candidate of a grid of coordinate
+    indices, row pairs then column pairs in order, None for the
+    identically zero ones: the per-candidate build _grid_quads replaced."""
+    return [_canonical_quad(ri[k], rj[l], ri[l], rj[k])
+            for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2)]

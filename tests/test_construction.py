@@ -42,7 +42,7 @@ from veronese import matrix as matrix_module
 from veronese import morphism
 from veronese.multiindex import coordinate_index
 
-from reference import ref_toric_quadrics
+from reference import candidate_quads, ref_toric_quadrics
 from test_certificates import reference_rewrite_chain, reference_zero_propagation_certificate
 
 CONTEXTS = [(1, 1), (0, 3), (1, 4), (2, 5), (3, 4), (4, 4)]
@@ -165,11 +165,40 @@ def listing(binomials):
     return [str(b) for b in sorted_binomials(binomials)]
 
 
+def foreign_grids():
+    """Grids that are not build_matrix's grid of the context they carry."""
+    ctx, small = VeroneseContext(2, 3), VeroneseContext(2, 2)
+    rows, monos = build_matrix(ctx).entries, small.monomials()
+
+    def edited(*cells):
+        grid = [list(row) for row in rows]
+        for i, k, entry in cells:
+            grid[i][k] = entry
+        return SymbolicMatrix(ctx, tuple(map(tuple, grid)))
+
+    return {
+        # the one candidate z_0 z_0 - z_1 z_2 is unbalanced
+        "unbalanced-2x2": SymbolicMatrix(small, ((monos[0], monos[1]), (monos[2], monos[0]))),
+        "degree-4-entry": edited((1, 2, MultiIndex((4, 0, 0)))),
+        "long-entry": edited((1, 2, MultiIndex((1, 1, 0, 1)))),
+        "degree-2-entry": edited((1, 2, MultiIndex((0, 2, 0)))),
+        # two coordinates swapped in a row unbalance some candidate
+        "swapped-entries": edited((0, 0, rows[0][1]), (0, 1, rows[0][0])),
+        # every candidate z_x z_y - z_y z_x is identically zero
+        "twin-rows": SymbolicMatrix(ctx, (rows[0], rows[0])),
+        "other-context": SymbolicMatrix(small, rows),
+        "first-rows": SymbolicMatrix(ctx, rows[:2]),
+    }
+
+
+FOREIGN_GRIDS = foreign_grids()
+
+
 class TestTablesOnTheIndexGrid:
     """minors2 and toric_quadrics build on coordinate-index quads.  Balance
-    holds on packed exponent codes: toric_quadrics groups pairs by code
-    sum, and matrix._require_balanced checks a grid once before
-    matrix._quad_binomials turns its quads into binomials."""
+    holds on packed exponent codes, so toric_quadrics groups pairs by code
+    sum; minors2 takes the quads of the coordinate matrix alone, balanced
+    by construction, and refuses any other grid."""
 
     @pytest.mark.parametrize("n,d", TABLE_CONTEXTS)
     def test_tables_equal_reference(self, n, d, reference_primitives, monkeypatch):
@@ -188,9 +217,7 @@ class TestTablesOnTheIndexGrid:
         # every quad a <= b, c <= e, a <= c: the packed code sums agree
         # exactly on the balanced ones, including the pure-power squares
         # whose pair sum 2d e_j has the digit 2d, the largest a pair sum can
-        # hold.  The 2x2 grid ((a, c), (e, b)) has the one candidate
-        # z_a z_b - z_c z_e, so the grid check and minors2 accept exactly
-        # the balanced quads and name the others.
+        # hold, so _pair_groups groups exactly the balanced pairs of pairs
         ctx = VeroneseContext(n, d)
         monos = ctx.monomials()
         codes = matrix_module._packed_codes(monos)
@@ -200,18 +227,6 @@ class TestTablesOnTheIndexGrid:
             A, B, C, E = monos[a], monos[b], monos[c], monos[e]
             balanced = tuple(map(add, A, B)) == tuple(map(add, C, E))
             assert (codes[a] + codes[b] == codes[c] + codes[e]) is balanced
-            grid = SymbolicMatrix(ctx, ((A, C), (E, B)))
-            if balanced:
-                matrix_module._require_balanced(monos, [[a, c], [e, b]])
-                assert minors2(grid) == {Binomial2((A, B), (C, E))}
-            else:
-                # a == c leaves the canonical form with the pairs swapped
-                named = f"{A}*{B} vs {C}*{E}" if a < c else f"{C}*{E} vs {A}*{B}"
-                message = f"^unbalanced binomial: {re.escape(named)}$"
-                with pytest.raises(ContractError, match=message):
-                    matrix_module._require_balanced(monos, [[a, c], [e, b]])
-                with pytest.raises(ContractError, match=message):
-                    minors2(grid)
             digits[max(map(add, A, B))] += 1
         assert digits[2 * d] > 0
 
@@ -231,19 +246,17 @@ class TestTablesOnTheIndexGrid:
             assert len({r for r, _ in sums}) == len({c for _, c in sums}) == len(sums), d
             assert len(sums) == comb(n + 2 * d, n)  # every degree-2d vector
 
-    def test_unbalanced_quad_rejected(self):
-        # the grid ((0, 1), (2, 0)) has the one candidate z_0 z_0 - z_1 z_2
-        ctx = VeroneseContext(2, 2)
-        monos = ctx.monomials()
-        message = r"^unbalanced binomial: \(2,0,0\)\*\(2,0,0\) vs \(1,1,0\)\*\(1,0,1\)$"
-        with pytest.raises(ContractError, match=message):
-            matrix_module._require_balanced(monos, [[0, 1], [2, 0]])
-        with pytest.raises(ContractError, match=message):
-            minors2(SymbolicMatrix(ctx, ((monos[0], monos[1]), (monos[2], monos[0]))))
+    @pytest.mark.parametrize("name", sorted(FOREIGN_GRIDS))
+    def test_foreign_grid_refused(self, name):
+        # only the coordinate matrix has minors, whatever another grid holds
+        grid = FOREIGN_GRIDS[name]
+        assert grid != build_matrix(grid.ctx)
+        with pytest.raises(ContractError, match=f"^not the coordinate matrix of {re.escape(str(grid.ctx))}$"):
+            minors2(grid)
 
     @pytest.mark.parametrize("row", [0, 1])
     def test_ragged_grid_rejected(self, row):
-        # the zip of two rows in _grid_quads would drop a longer row's tail
+        # refused when made, so no grid of any shape reaches minors2 ragged
         ctx = VeroneseContext(2, 3)
         rows = [list(r) for r in build_matrix(ctx).entries]
         rows[row] = rows[row][:3]
@@ -259,22 +272,12 @@ class TestTablesOnTheIndexGrid:
             for pair in (b.pos, b.neg):
                 assert by_pair.setdefault(pair, pair) is pair
 
-    @pytest.mark.parametrize("entry", [(4, 0, 0), (1, 1, 0, 1), (0, 2, 0)])
-    def test_foreign_grid_entry_rejected(self, entry):
-        ctx = VeroneseContext(2, 3)
-        rows = [list(row) for row in build_matrix(ctx).entries]
-        rows[1][2] = MultiIndex(entry)
-        foreign = SymbolicMatrix(ctx, tuple(map(tuple, rows)))
-        with pytest.raises(ContractError, match=r"^grid entry .* is not a degree-3 coordinate of "
-                                                r"VeroneseContext\(n=2, d=3\)$"):
-            minors2(foreign)
-
     def test_identically_zero_candidates_dropped(self):
-        # two equal rows: every candidate z_x z_y - z_y z_x is identically zero
+        # two equal rows: every candidate z_x z_y - z_y z_x is identically
+        # zero, so the reference drops each; the coordinate matrix has none
         ctx = VeroneseContext(2, 3)
         row = build_matrix(ctx).entries[0]
-        twin_rows = SymbolicMatrix(ctx, (row, row))
-        assert minors2(twin_rows) == frozenset() == ref_minors2(twin_rows)
+        assert ref_minors2(SymbolicMatrix(ctx, (row, row))) == frozenset()
         assert matrix_module._canonical_quad(4, 2, 2, 4) is None
 
     @pytest.mark.parametrize("n", range(5))
@@ -314,14 +317,6 @@ class TestTablesOnTheIndexGrid:
             toric_quads = [matrix_module.binomial_quad(ctx, b) for b in toric]
             assert toric_quads == sorted(toric_quads)
 
-    def test_misplaced_grid_entry_is_unbalanced(self):
-        # a degree-d coordinate in the wrong cell makes some candidate unbalanced
-        ctx = VeroneseContext(2, 3)
-        rows = [list(row) for row in build_matrix(ctx).entries]
-        rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
-        with pytest.raises(ContractError, match="^unbalanced binomial"):
-            minors2(SymbolicMatrix(ctx, tuple(map(tuple, rows))))
-
     def test_builds_make_no_multiindex_once_monomials_are_cached(self, monkeypatch):
         # the tables make their binomials with tuple.__new__, in C for the
         # toric quadrics, so no public construction of either class runs
@@ -351,32 +346,7 @@ class TestTablesOnTheIndexGrid:
 
 
 # ---------------------------------------------------------------------------
-# the grid rule against the per-candidate check it replaced
-
-
-def candidate_quads(grid):
-    """_canonical_quad of every 2x2 candidate, in _grid_quads order, None
-    for the identically zero ones."""
-    return [matrix_module._canonical_quad(ri[k], rj[l], ri[l], rj[k])
-            for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2)]
-
-
-def reference_balance(monos, grid):
-    """The message of the first unbalanced candidate, checked one by one on
-    the vectors; None when every candidate balances."""
-    for q in filter(None, candidate_quads(grid)):
-        A, B, C, E = (monos[x] for x in q)
-        if tuple(map(add, A, B)) != tuple(map(add, C, E)):
-            return f"unbalanced binomial: {A}*{B} vs {C}*{E}"
-    return None
-
-
-def balance_message(check, *args):
-    try:
-        check(*args)
-    except ContractError as exc:
-        return str(exc)
-    return None
+# the leader rule against the per-candidate canonical form
 
 
 @st.composite
@@ -400,14 +370,26 @@ def perturbed_grids(draw):
 class TestGridRule:
     @settings(deadline=None)
     @given(perturbed_grids())
-    def test_grid_check_agrees_with_the_candidates(self, case):
+    def test_only_the_coordinate_grid_has_minors(self, case):
+        # refused exactly when a perturbation changed the grid
         ctx, grid = case
         monos = ctx.monomials()
-        expected = reference_balance(monos, grid)
-        assert balance_message(matrix_module._require_balanced, monos, grid) == expected
-        entries = tuple(tuple(monos[x] for x in row) for row in grid)
-        assert balance_message(minors2, SymbolicMatrix(ctx, entries)) == expected
-        assert list(matrix_module._grid_quads(grid)) == list(filter(None, candidate_quads(grid)))
+        matrix = SymbolicMatrix(ctx, tuple(tuple(monos[x] for x in row) for row in grid))
+        if grid == list(map(list, morphism._index_grid(ctx))):
+            assert minors2(matrix) == matrix_module.cached_minors(ctx)
+        else:
+            with pytest.raises(ContractError, match=f"^not the coordinate matrix of {re.escape(str(ctx))}$"):
+                minors2(matrix)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_grid_quads_are_the_canonical_candidates(self, n):
+        # the leader rule's one comparison per candidate gives the quad
+        # _canonical_quad gives, in the same order, and never None
+        for d in range(1, 7):
+            grid = morphism._index_grid(VeroneseContext(n, d))
+            candidates = candidate_quads(grid)
+            assert None not in candidates
+            assert list(matrix_module._grid_quads(grid)) == candidates, (n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from veronese.morphism import _index_grid, _integer_image, _minor_quads, _minor_
 from veronese.multiindex import _monomial_values
 from veronese.projective import integer_coords
 
+from reference import candidate_quads
+
 
 class TestEval:
     def test_plane_cubic_coordinate_list(self):
@@ -105,10 +107,10 @@ class TestMembership:
 @cache
 def reference_minor_table(ctx):
     """Every distinct minor as a (Binomial2, quad) pair in listing order:
-    the sorted set of the index grid's canonical quads, each with its
-    binomial.  The table failing_minor scanned before the flat quads of
-    morphism._minor_quads."""
-    quads = sorted(set(matrix_module._grid_quads(_index_grid(ctx))))
+    the sorted set of the index grid's canonical quads, each taken by
+    _canonical_quad, with its binomial.  The table failing_minor scanned
+    before the flat quads of morphism._minor_quads."""
+    quads = sorted(set(filter(None, candidate_quads(_index_grid(ctx)))))
     return tuple(zip(matrix_module._quad_binomials(ctx.monomials(), quads), quads))
 
 

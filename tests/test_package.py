@@ -279,9 +279,14 @@ TRACER_BINDS = {
 def names_used(files) -> set[str]:
     """The names the files use in code: Name, Attribute and import alias
     nodes, so a docstring or comment that mentions a name does not count."""
+    return names_in(ast.parse(f.read_text(encoding="utf-8")) for f in files)
+
+
+def names_in(trees) -> set[str]:
+    """The names the syntax trees use in code, as names_used reads them."""
     used = set()
-    for f in files:
-        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -299,6 +304,23 @@ class TestTooling:
         files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
         files += [*(root / "bench").glob("*.py"), *(root / "demos").glob("*.py")]
         assert sorted(set(veronese.__all__) - names_used(files)) == []
+
+    def test_every_private_name_is_used_outside_the_tests(self):
+        # a module-level private function or class must be named in src/
+        # outside its own definition, or in bench/: one that only tests
+        # call is surface to delete
+        package = Path(veronese.__file__).resolve().parent
+        statements = [node for f in sorted(package.glob("*.py"))
+                      for node in ast.parse(f.read_text(encoding="utf-8")).body]
+        uses = [names_in([node]) for node in statements]
+        bench = names_used((Path(SRC).parent / "bench").glob("*.py"))
+        private = [(k, node.name) for k, node in enumerate(statements)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name.startswith("_") and not node.name.startswith("__")]
+        assert len(private) >= 40
+        unused = [name for k, name in private
+                  if name not in bench and not any(name in used for j, used in enumerate(uses) if j != k)]
+        assert unused == []
 
     @pytest.mark.parametrize("path,names", TRACER_BINDS.items(), ids=list(TRACER_BINDS))
     def test_tracer_bound_parameters_exist(self, path, names):
