@@ -16,8 +16,10 @@ row i and the column of z_{d e_i}.  The chains of a chart form a forest:
 its n + 1 roots are the chart-column coordinates, with empty chains, and
 every other chain is its parent's plus one edge, N - n edges per chart.
 With psi_i(z) the chart-i column of z, chart i's identities read
-nu_d(psi_i(z)) = z_P^(d-1) z, P = d e_i: _chart_failures checks a point's
-as one image of the column, verify_rewrite_chain one identity as one product.
+nu_d(psi_i(z)) = z_P^(d-1) z, P = d e_i.  verify_rewrite_chain checks one
+identity as one product; _chart_failures checks a point's along the
+forest, each node below a parent whose identity holds by its edge minor,
+and by its own product only below a parent whose identity fails.
 
 Certificates are generated symbolically on coordinate indices: a step is
 the quad (a, b, c, e) of z_a z_b - z_c z_e, canonical when a <= b, c <= e
@@ -38,7 +40,7 @@ from operator import sub
 from .errors import ContractError, FrozenTuple
 from .matrix import Binomial2, _canonical_quad, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
-from .multiindex import MultiIndex, VeroneseContext, _monomial_values, coordinate_index, parse_coordinate_name
+from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
 
 
@@ -297,21 +299,40 @@ def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, qua
 
 def _chart_failures(ctx: VeroneseContext, i: int, points) -> int:
     """Failed (chain, point) pairs of verify_rewrite_chain over every chain
-    of chart i and the points' integer_coords (z, p), on chart i's forest:
-    each edge is checked once, and a point's identities as one image."""
-    col = chart_indices(ctx, i)
+    of chart i and the points' integer_coords (z, p), on chart i's forest,
+    each edge checked once by _chain_fault.
+
+    A sound edge's one step turns the running product into z_P^(d-1) z_k,
+    so its quad is z_P z_k - z_x z_y and the step starts from z_P^(d-2)
+    z_x z_y (a quad z_P^2 - z_P^2 is no minor).  When the parent's
+    identity holds at z, that start is k's chart product at z, so, z_P
+    being nonzero, k's identity holds iff the edge minor vanishes there.
+    Below a parent whose identity fails, k's own product decides: k can
+    still hold there, say when z_{col_j} = 0 for some j with k_j > 0 and
+    z_k = 0.  Roots hold.
+    """
+    col, monos = chart_indices(ctx, i), ctx.monomials()
+    P = col[i]
     sound = [True] * ctx.num_coords  # a root's empty chain telescopes
+    edges = []  # (k, parent, quad) of the sound non-roots, parents first
     for k, parent, q in _forest(ctx, i, col):
         sound[k] = sound[parent] and _chain_fault(ctx, col, i, k, (q,), parent) is None
-    nodes = [k for k, ok in enumerate(sound) if ok]
-    failures = (len(sound) - len(nodes)) * len(points)
+        if sound[k]:
+            edges.append((k, parent, q))
+    nodes = ctx.n + 1 + len(edges)
+    failures = (len(sound) - nodes) * len(points)
     for z, p in points:
-        if not z[col[i]]:  # the precondition fails every sound chain
-            failures += len(nodes)
+        if not z[P]:  # the precondition fails every sound chain
+            failures += nodes
             continue
-        lhs, s = _monomial_values([z[c] for c in col], ctx.d, p), z[col[i]] ** (ctx.d - 1)
-        diffs = (lhs[k] - s * z[k] for k in nodes)
-        failures += sum(1 for diff in diffs if (diff % p if p else diff))
+        holds = [True] * len(sound)
+        for k, parent, (a, b, c, e) in edges:
+            if holds[parent]:
+                diff = z[a] * z[b] - z[c] * z[e]
+            else:
+                diff = prod(map(pow, (z[f] for f in col), monos[k])) - z[P] ** (ctx.d - 1) * z[k]
+            holds[k] = not (diff % p if p else diff)
+        failures += holds.count(False)
     return failures
 
 

@@ -28,11 +28,13 @@ member and invert answer a member by the rank-one test and read the
 minor table only to name a non-member's failing minor.
 
 Each process loads and parses only what its subcommand runs.  The
-modules imported at the top serve every subcommand; the handlers import
-the rest: eval, invert, member and verify import morphism, verify
-certificates, and oracle oracle, so matrix and minors load none of the
-three, and oracle loads no morphism.  main asks build_parser for the
-arguments of the subcommand its argv names only.
+modules imported at the top (errors, multiindex, matrix) serve every
+subcommand; the handlers import the rest.  Every command but matrix and
+minors imports projective, for its field and points; eval, invert,
+member and verify import morphism, verify certificates, and oracle
+oracle.  So matrix and minors load none of the four, and oracle loads no
+morphism.  main asks build_parser for the arguments of the subcommand
+its argv names only.
 """
 
 from __future__ import annotations
@@ -47,13 +49,6 @@ from random import Random
 from .errors import BudgetError, ContractError, InvalidPointError, VeroneseError
 from .matrix import DEFAULT_BUDGET, _minor_quads, _product_str, _quads, build_matrix, check_minor_budget
 from .multiindex import VeroneseContext
-from .projective import (
-    PrimeField,
-    field_from_name,
-    format_point,
-    parse_point,
-    random_point,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -194,6 +189,7 @@ def _dump_listed(doc: dict, key: str, items) -> None:
 
 def cmd_eval(args, ctx) -> int:
     from .morphism import veronese_eval
+    from .projective import field_from_name, format_point, parse_point
 
     field = field_from_name(args.field)
     x = parse_point(field, args.point)
@@ -218,6 +214,7 @@ def _membership(args, ctx, command: str):
     point and the JSON document, whose "member" says whether every minor
     vanishes and which otherwise names the failing minor."""
     from .morphism import failing_minor, is_on_variety
+    from .projective import field_from_name, format_point, parse_point
 
     field = field_from_name(args.field)
     Q = parse_point(field, args.point)
@@ -254,6 +251,7 @@ def cmd_member(args, ctx) -> int:
 
 def cmd_invert(args, ctx) -> int:
     from .morphism import inverse_map
+    from .projective import format_point
 
     Q, doc = _membership(args, ctx, "invert")
     if not doc["member"]:
@@ -268,6 +266,7 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     """Run the composite verification; returns a list of check dicts."""
     from . import certificates as certs
     from .morphism import _verify_point
+    from .projective import random_point
 
     checks = []
     rng = Random(seed)
@@ -309,6 +308,7 @@ def _chart_point(rng: Random, field, ctx, i: int) -> tuple[list[int], int]:
     """Seeded image point guaranteed to lie on chart i, as the ints (z, p)
     of projective.integer_coords."""
     from .morphism import _integer_image
+    from .projective import random_point
 
     x = random_point(rng, field, ctx.n, lead_zeros=0)
     if not x.coords[i]:
@@ -320,6 +320,7 @@ def _chart_point(rng: Random, field, ctx, i: int) -> tuple[list[int], int]:
 
 def cmd_verify(args, ctx) -> int:
     from . import certificates as certs
+    from .projective import field_from_name
 
     field = field_from_name(args.field)
     external = None
@@ -359,6 +360,7 @@ def cmd_verify(args, ctx) -> int:
 
 def cmd_oracle(args, ctx) -> int:
     from . import oracle as orc
+    from .projective import PrimeField, field_from_name
 
     field = field_from_name(args.field)
     if not isinstance(field, PrimeField):

@@ -26,8 +26,10 @@ minor on rows i0, i and columns k0, k.
 
 failing_minor keeps field arithmetic on Q.coords over the minor table
 matrix._minor_quads, because it reports the first failing minor in
-listing order and its value in the field; it makes a Binomial2 for that
-minor only.  The rank-one test reads the same grid, matrix._index_grid.
+listing order and its value in the field.  It decides each minor by
+comparing its two products and subtracts them only for the minor it
+returns, the one minor it makes a Binomial2 for.  The rank-one test reads
+the same grid, matrix._index_grid.
 
 The inverse reads off one matrix column: on the chart where z_{d e_i} is
 nonzero, the column whose base is x_i^(d-1) lists
@@ -108,10 +110,10 @@ def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, 
     _require_target(ctx, Q)
     c = Q.coords
     for ia, ib, ic, ie in _quads(_minor_quads(ctx)):
-        v = c[ia] * c[ib] - c[ic] * c[ie]
-        if v:
+        if c[ia] * c[ib] != c[ic] * c[ie]:
             monos = ctx.monomials()
-            return Binomial2((monos[ia], monos[ib]), (monos[ic], monos[ie])), v
+            minor = Binomial2((monos[ia], monos[ib]), (monos[ic], monos[ie]))
+            return minor, c[ia] * c[ib] - c[ic] * c[ie]
     return None
 
 

@@ -10,7 +10,7 @@ from operator import add
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from veronese import (
     Binomial2,
@@ -995,6 +995,38 @@ class TestChainForest:
             failures += expected
             total += len(monos) * len(points)
         assert 0 < failures < total
+
+    # the first draw of a context builds its forests
+    @settings(deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 5), st.sampled_from([QQ, PrimeField(2), PrimeField(101)]),
+           st.integers(0, 2**32), st.data())
+    def test_chart_failures_match_verify_rewrite_chain(self, n, d, field, seed, data):
+        # _chart_failures decides a node below a holding parent by its edge
+        # minor, and by its own product below a failing one; verify_rewrite_chain
+        # checks each identity as one product.  Points: a chart image, the
+        # image with one coordinate bumped, and, where a node k has a non-root
+        # parent, the image with the parent bumped, so that its identity
+        # fails, and z_k and a chart-column entry z_{col_j}, k_j > 0, zeroed,
+        # so that k's holds
+        ctx, rng = VeroneseContext(n, d), Random(seed)
+        i = data.draw(st.integers(0, n))
+        monos, col = ctx.monomials(), chart_indices(ctx, i)
+        image = list(image_point_on_chart(rng, field, ctx, i).coords)
+        bumped = image[:]
+        bumped[rng.randrange(len(bumped))] += field.one
+        candidates = [image, bumped]
+        below = [(k, parent) for k, parent, _ in certs._forest(ctx, i, col) if monos[parent][i] < d - 1]
+        if below:
+            k, parent = rng.choice(below)
+            j = rng.choice([s for s, e in enumerate(monos[k]) if e and s != i])
+            zeroed = image[:]
+            zeroed[parent] += field.one
+            zeroed[k] = zeroed[col[j]] = field.zero
+            candidates.append(zeroed)
+        points = [point(field, c) for c in candidates if any(c)]
+        chains = [rewrite_chain(ctx, i, m) for m in monos]
+        expected = sum(not verify_rewrite_chain(ctx, chain, Q) for chain in chains for Q in points)
+        assert certs._chart_failures(ctx, i, [integer_coords(Q) for Q in points]) == expected
 
 
 MALFORMED = "chain chart, target or steps malformed for this context"

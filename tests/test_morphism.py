@@ -342,6 +342,29 @@ class TestIntegerMembership:
         assert _minor_quads.cache_info().currsize == 1
         assert _minor_table.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+    def test_failing_minor_forms_one_difference(self, monkeypatch, field):
+        # each minor is decided by comparing its two products; only the
+        # minor returned is subtracted, for its value
+        ctx = VeroneseContext(3, 3)
+        Q = veronese_eval(ctx, random_point(Random(6), field, ctx.n))
+        coords = list(Q.coords)
+        coords[-1] += field.one
+        bent = ProjectivePoint(field, tuple(coords))
+        _minor_quads(ctx)
+        subtractions = []
+        for cls in (Fp, Fraction):
+            def counted(self, other, sub=cls.__sub__):
+                subtractions.append(self)
+                return sub(self, other)
+            monkeypatch.setattr(cls, "__sub__", counted)
+        assert failing_minor(ctx, Q) is None
+        assert subtractions == []
+        minor, value = failing_minor(ctx, bent)
+        assert len(subtractions) == 1
+        monkeypatch.undo()
+        assert (minor, value) == reference_failing_minor(ctx, bent)
+
     @given(st.sampled_from(CONTEXTS), FIELDS | WIDE_FIELDS, st.data())
     def test_embedding_matches_field_arithmetic(self, nd, field, data):
         ctx = VeroneseContext(*nd)

@@ -96,6 +96,18 @@ class TestImportBoundaries:
         assert "veronese.morphism" not in modules
 
     @pytest.mark.parametrize("argv", [
+        ["minors", "--n", "2", "--d", "2"],
+        ["minors", "--n", "2", "--d", "2", "--format", "json"],
+        ["matrix", "--n", "2", "--d", "2"],
+        ["matrix", "--n", "2", "--d", "2", "--format", "json"],
+    ], ids=["minors", "minors-json", "matrix", "matrix-json"])
+    def test_grid_commands_do_not_load_projective(self, argv):
+        # they read no field and no point
+        exit_code, modules = loaded_by(argv)
+        assert exit_code == 0
+        assert "veronese.projective" not in modules
+
+    @pytest.mark.parametrize("argv", [
         ["eval", "--n", "1", "--d", "3", "[1 : 2]"],
         ["member", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
         ["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
