@@ -7,6 +7,7 @@ approximately.
 """
 
 from fractions import Fraction
+from random import Random
 
 from veronese import (
     PrimeField,
@@ -21,6 +22,7 @@ from veronese import (
     is_on_variety,
     point,
     proj_eq,
+    random_point,
     veronese_eval,
 )
 
@@ -33,6 +35,15 @@ print("embedded:", format_point(Q))
 print("on the variety:", is_on_variety(ctx, Q))
 print("preimage:", format_point(inverse_map(ctx, Q)))
 assert proj_eq(inverse_map(ctx, Q), x)
+print()
+
+# seeded points with each leading-zero pattern, as `veronese verify` draws
+# them: the inverse undoes the embedding at every one
+rng = Random(2023)
+for lead in range(ctx.n + 1):
+    z = random_point(rng, QQ, ctx.n, lead_zeros=lead)
+    assert proj_eq(inverse_map(ctx, veronese_eval(ctx, z)), z)
+    print(f"seeded {format_point(z)} round-trips")
 print()
 
 # a point that is NOT on the variety, and the minor that witnesses it

@@ -22,10 +22,12 @@ sort their keys.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget
 refusal.
 
-verify runs its round trip and chart agreement on the ints of each image
-(morphism._verify_point), so it builds and normalizes no image point;
-member and invert answer a member by the rank-one test and read the
-minor table only to name a non-member's failing minor.
+verify draws each seeded point as ints (projective._random_ints) and
+runs its round trip and chart agreement on the ints of its image
+(morphism._verify_point), so it makes no point or field element, and
+over Q loads no fractions; member and invert answer a member by the
+rank-one test and read the minor table only to name a non-member's
+failing minor.
 
 Each process loads and parses only what its subcommand runs.  The
 modules imported at the top (errors, multiindex, matrix) serve every
@@ -266,7 +268,7 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     """Run the composite verification; returns a list of check dicts."""
     from . import certificates as certs
     from .morphism import _verify_point
-    from .projective import random_point
+    from .projective import _random_ints
 
     checks = []
     rng = Random(seed)
@@ -278,8 +280,8 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     # chartwise inverses agree wherever several charts are available
     bad = multi = disagreements = 0
     for k in range(VERIFY_POINTS):
-        x = random_point(rng, field, ctx.n, lead_zeros=k % (ctx.n + 1))
-        ok, charts, agree = _verify_point(ctx, x)
+        v, p = _random_ints(rng, field, ctx.n, k % (ctx.n + 1))
+        ok, charts, agree = _verify_point(ctx, v, p)
         bad += not ok
         multi += charts > 1
         disagreements += not agree
@@ -306,16 +308,12 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
 
 def _chart_point(rng: Random, field, ctx, i: int) -> tuple[list[int], int]:
     """Seeded image point guaranteed to lie on chart i, as the ints (z, p)
-    of projective.integer_coords."""
+    of projective.integer_coords: the image of a drawn point of P^n whose
+    x_i is set to 1 if it is drawn 0."""
     from .morphism import _integer_image
-    from .projective import random_point
+    from .projective import _random_ints
 
-    x = random_point(rng, field, ctx.n, lead_zeros=0)
-    if not x.coords[i]:
-        coords = list(x.coords)
-        coords[i] = field.one
-        x = type(x)(field, tuple(coords))
-    return _integer_image(ctx, x)
+    return _integer_image(ctx, *_random_ints(rng, field, ctx.n, chart=i))
 
 
 def cmd_verify(args, ctx) -> int:

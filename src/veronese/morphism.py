@@ -11,8 +11,10 @@ plain ints over Q and its residues over F_p.  Both are homogeneous, so
 the scaling changes neither the normalized image nor whether a minor
 vanishes.  _integer_image is the embedding on those ints, the one
 monomial kernel multiindex._monomial_values, and veronese_eval makes it
-a point with projective._canonical; _verify_point, the verify command's
-per-point checks, keeps the ints and builds no point.
+a point with projective._canonical.  _verify_point, the verify command's
+per-point checks, takes a source point's ints as projective._random_ints
+draws them, so it reads no point and builds none, nor any field
+element.
 
 The minors of the coordinate matrix M vanish at a point exactly when M
 has rank at most one there, that is, when every row of M is a multiple
@@ -75,17 +77,17 @@ def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:
     Coordinate coordinate_index(ctx)[m] of the result is the monomial
     value x^m.
     """
-    # x_j^d is nonzero for a nonzero x_j, so the image has a nonzero entry;
-    # over F_p a product of residues is 0 mod p only when a factor is 0
-    return _canonical(x.field, *_integer_image(ctx, x))
-
-
-def _integer_image(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[list[int], int]:
-    """The image of x as projective.integer_coords gives a point of P^N:
-    the values v^m at (v, p) = integer_coords(x), reduced mod p if p."""
     if x.dim != ctx.n:
         raise ContractError(f"expected a point of P^{ctx.n}, got dimension {x.dim}")
-    v, p = integer_coords(x)
+    # x_j^d is nonzero for a nonzero x_j, so the image has a nonzero entry;
+    # over F_p a product of residues is 0 mod p only when a factor is 0
+    return _canonical(x.field, *_integer_image(ctx, *integer_coords(x)))
+
+
+def _integer_image(ctx: VeroneseContext, v: list[int], p: int) -> tuple[list[int], int]:
+    """The image of the point of P^n with ints (v, p), as
+    projective.integer_coords gives a point, in the same form for P^N:
+    the values v^m, reduced mod p if p."""
     return _monomial_values(v, ctx.d, p), p
 
 
@@ -183,15 +185,16 @@ def _charts(ctx: VeroneseContext, z) -> tuple[int, ...]:
     return tuple(i for i in range(ctx.n + 1) if z[chart_indices(ctx, i)[i]])
 
 
-def _verify_point(ctx: VeroneseContext, x: ProjectivePoint) -> tuple[bool, int, bool]:
-    """The verify command's checks at the image of x, on the ints of
-    _integer_image: whether the round trip holds (the image has rank one
-    and the column of its first chart is x again), how many charts are
-    available, and whether their columns are one point.  Like
-    chart_select, a rank-one image with no chart raises NoChartError."""
-    z, p = _integer_image(ctx, x)
+def _verify_point(ctx: VeroneseContext, v: list[int], p: int) -> tuple[bool, int, bool]:
+    """The verify command's checks at the image of the point of P^n with
+    ints (v, p), as projective.integer_coords or projective._random_ints
+    give them, on the ints of _integer_image: whether the round trip holds
+    (the image has rank one and the column of its first chart is v again),
+    how many charts are available, and whether their columns are one
+    point.  Like chart_select, a rank-one image with no chart raises
+    NoChartError."""
+    z, p = _integer_image(ctx, v, p)
     charts = _charts(ctx, z)
-    ok = _rank_one(ctx, z, p) and _proportional(
-        _column(ctx, z, _first_chart(charts)), integer_coords(x)[0], p)
+    ok = _rank_one(ctx, z, p) and _proportional(_column(ctx, z, _first_chart(charts)), v, p)
     columns = [_column(ctx, z, i) for i in charts]
     return ok, len(charts), all(_proportional(c, columns[0], p) for c in columns[1:])

@@ -2,11 +2,11 @@
 
 Rational arithmetic is entrusted to fractions.Fraction (always reduced,
 positive denominator), which QQ loads on its first rational use: a
-process that works over F_p only never imports fractions.  Prime-field
-elements are Fp wrappers around a residue in [0, p) with only +, - and
-*, which failing_minor uses for a minor's value: the package computes on
-plain ints otherwise and inverts no field element.  There is
-deliberately no floating point anywhere.
+process that works over F_p only, or on ints only as verify does, never
+imports fractions.  Prime-field elements are Fp wrappers around a residue
+in [0, p) with only +, - and *, which failing_minor uses for a minor's
+value: the package computes on plain ints otherwise and inverts no field
+element.  There is deliberately no floating point anywhere.
 
 A ProjectivePoint is an immutable coordinate tuple over one field with at
 least one nonzero entry, coerced into the field when the point is built.
@@ -17,21 +17,23 @@ plain ints, the form the membership test, the embedding and the chain
 identities compute on, and this module holds all projective arithmetic
 on such int vectors: _canonical makes the canonical point they name, and
 _proportional decides whether two of them name one point, which is also
-the rank-one test's row check.  Neither inverts a field element.  _search
-is the one enumeration of the canonical points of P^m(F_q).
+the rank-one test's row check.  Neither inverts a field element.
+_random_ints is the one seeded draw of a point, made on such ints, with
+no Fraction or Fp; random_point is the point they name.  _search is the
+one enumeration of the canonical points of P^m(F_q).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
-from random import Random
+from math import gcd, lcm
 
 from .errors import ContractError, FrozenTuple, InvalidPointError
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
+    from random import Random
 
 
 def is_prime(p: int) -> bool:
@@ -472,29 +474,43 @@ def parse_point(field: Field, text: str) -> ProjectivePoint:
 
 
 def random_point(rng: Random, field: Field, dim: int, lead_zeros: int = 0) -> ProjectivePoint:
-    """Seeded random point of P^dim with a prescribed leading-zero pattern.
+    """Seeded random point of P^dim with a prescribed leading-zero pattern:
+    the point of field named by _random_ints, whose ints are its
+    coordinates (so integer_coords gives them back)."""
+    return ProjectivePoint(field, tuple(_random_ints(rng, field, dim, lead_zeros)[0]))
+
+
+def _random_ints(rng: Random, field: Field, dim: int, lead_zeros: int = 0,
+                 chart: int | None = None) -> tuple[list[int], int]:
+    """A seeded random point of P^dim as integer_coords gives a point: the
+    ints (v, p), read mod p if p.
 
     The first lead_zeros coordinates are 0, the next is forced nonzero, and
-    the rest are free (zeros allowed).  Rational entries use numerators and
-    denominators in [-99, 99] with zero denominators excluded.
+    the rest are free (zeros allowed).  Over F_p they are residues.  Over Q
+    each is a rational num/den with num and den in [-99, 99], den nonzero,
+    and v is those rationals, in lowest terms, scaled by the lcm of their
+    denominators; no Fraction is made.  If chart is given and that
+    coordinate is drawn 0, it is set to 1 before the scaling, so the point
+    lies on the chart x_chart != 0; the draw itself is unchanged.
     """
     if not 0 <= lead_zeros <= dim:
         raise ContractError(f"lead_zeros {lead_zeros} out of range for dim {dim}")
-
+    randint, choice = rng.randint, rng.choice
     if isinstance(field, PrimeField):
         p = field.p
-
-        def draw(nonzero: bool) -> Fp:
-            return Fp(rng.randint(1 if nonzero else 0, p - 1), p)
-    else:
-        Fraction = field.Fraction
-
-        def draw(nonzero: bool) -> Fraction:
-            num = rng.randint(1, 99) * rng.choice((1, -1)) if nonzero else rng.randint(-99, 99)
-            den = rng.randint(1, 99) * rng.choice((1, -1))
-            return Fraction(num, den)
-
-    coords = [field.zero] * lead_zeros
-    coords.append(draw(nonzero=True))
-    coords.extend(draw(nonzero=False) for _ in range(dim - lead_zeros))
-    return ProjectivePoint(field, tuple(coords))
+        v = [0] * lead_zeros + [randint(1, p - 1)]
+        v += [randint(0, p - 1) for _ in range(dim - lead_zeros)]
+        if chart is not None and not v[chart]:
+            v[chart] = 1
+        return v, p
+    nums, dens = [0] * lead_zeros, [1] * lead_zeros
+    for k in range(dim - lead_zeros + 1):
+        num = randint(1, 99) * choice((1, -1)) if k == 0 else randint(-99, 99)
+        den = randint(1, 99) * choice((1, -1))
+        g = gcd(num, den) if den > 0 else -gcd(num, den)  # lowest terms, den > 0
+        nums.append(num // g)
+        dens.append(den // g)
+    if chart is not None and not nums[chart]:
+        nums[chart] = 1  # a zero's den is already 1
+    L = lcm(*dens)
+    return [a * (L // b) for a, b in zip(nums, dens)], 0

@@ -1,10 +1,11 @@
 """Reference builds shared by the test modules: the simple paths the
 package's fast builds replaced, kept to check those builds against."""
 
+from fractions import Fraction
 from itertools import combinations
 from operator import add
 
-from veronese import Binomial2, enumerate_monomials
+from veronese import Binomial2, PrimeField, ProjectivePoint, enumerate_monomials
 from veronese.matrix import _canonical_quad
 
 
@@ -31,3 +32,23 @@ def candidate_quads(grid):
     identically zero ones: the per-candidate build _grid_quads replaced."""
     return [_canonical_quad(ri[k], rj[l], ri[l], rj[k])
             for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2)]
+
+
+def reference_random_point(rng, field, dim, lead_zeros=0):
+    """The seeded point drawn one field element at a time, a residue or a
+    Fraction per coordinate: the reference for projective._random_ints."""
+    if isinstance(field, PrimeField):
+        p = field.p
+
+        def draw(nonzero):
+            return rng.randint(1 if nonzero else 0, p - 1)
+    else:
+        def draw(nonzero):
+            num = rng.randint(1, 99) * rng.choice((1, -1)) if nonzero else rng.randint(-99, 99)
+            den = rng.randint(1, 99) * rng.choice((1, -1))
+            return Fraction(num, den)
+
+    coords = [field.zero] * lead_zeros
+    coords.append(draw(nonzero=True))
+    coords.extend(draw(nonzero=False) for _ in range(dim - lead_zeros))
+    return ProjectivePoint(field, tuple(coords))

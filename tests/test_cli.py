@@ -4,10 +4,12 @@ import json
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from veronese import (
     QQ,
@@ -39,8 +41,9 @@ from veronese.morphism import (
     is_on_variety,
     veronese_eval,
 )
-from veronese.projective import proj_eq, random_point
+from veronese.projective import _canonical, proj_eq
 
+from reference import reference_random_point
 from test_certificates import (
     reference_rewrite_chain,
     reference_verify_rewrite_chain,
@@ -230,6 +233,18 @@ class TestVerifyCommand:
         checks = cli._verify_checks(VeroneseContext(3, 3), field, 1)
         assert [c["ok"] for c in checks] == [True] * 4
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_makes_no_point_or_field_element(self, monkeypatch, field):
+        # every seeded point is drawn as ints and checked on ints
+        def forbidden(*_):
+            raise AssertionError("verify made a point, an Fp or a Fraction")
+
+        monkeypatch.setattr(ProjectivePoint, "__init__", forbidden)
+        monkeypatch.setattr(projective.Fp, "__init__", forbidden)
+        monkeypatch.setattr(Fraction, "__new__", forbidden)
+        checks = cli._verify_checks(VeroneseContext(3, 4), field, 2)
+        assert [c["ok"] for c in checks] == [True] * 4
+
     @pytest.mark.parametrize("field", ["rational", "fp:101"])
     def test_chain_phase_builds_no_binomial_or_multiindex(self, capsys, monkeypatch, field):
         # the rewrite-chain phase follows the zero-propagation check: count
@@ -385,8 +400,9 @@ class TestVerifyCommand:
 
 def reference_chart_point(rng, field, ctx, i):
     """The chart point of the verify command, built as a normalized image
-    point: random_point with x_i set to one if it is zero."""
-    x = random_point(rng, field, ctx.n, lead_zeros=0)
+    point: the per-element draw with the field element x_i set to one if
+    it is zero."""
+    x = reference_random_point(rng, field, ctx.n, lead_zeros=0)
     if not x.coords[i]:
         coords = list(x.coords)
         coords[i] = field.one
@@ -408,7 +424,7 @@ def per_point_verify_checks(ctx, field, seed: int, make_chain=reference_rewrite_
     bad = 0
     images = []
     for k in range(cli.VERIFY_POINTS):
-        x = random_point(rng, field, ctx.n, lead_zeros=k % (ctx.n + 1))
+        x = reference_random_point(rng, field, ctx.n, lead_zeros=k % (ctx.n + 1))
         Qx = veronese_eval(ctx, x)
         images.append(Qx)
         if not (is_on_variety(ctx, Qx) and proj_eq(inverse_map(ctx, Qx), x)):
@@ -472,6 +488,33 @@ class TestVerifyChecksReference:
         ctx = VeroneseContext(n, d)
         assert cli._verify_checks(ctx, field, seed) == per_point_verify_checks(ctx, field, seed)
 
+    @given(st.sampled_from([QQ, PrimeField(2), PrimeField(101)]), st.integers(0, 4),
+           st.integers(1, 4), st.integers(0, 2**32), st.data())
+    def test_chart_point_matches_reference(self, field, n, d, seed, data):
+        # the int chart point names the reference's image point, on chart
+        # i, and leaves the generator where the reference leaves it
+        ctx = VeroneseContext(n, d)
+        i = data.draw(st.integers(0, n))
+        ints_rng, point_rng = Random(seed), Random(seed)
+        z, p = cli._chart_point(ints_rng, field, ctx, i)
+        assert _canonical(field, z, p) == reference_chart_point(point_rng, field, ctx, i)
+        assert z[morphism.chart_indices(ctx, i)[i]]
+        assert ints_rng.getstate() == point_rng.getstate()
+
+    @pytest.mark.parametrize("seed,i", [(131, 2), (291, 1)])
+    def test_chart_point_sets_the_drawn_zero_before_scaling(self, seed, i):
+        # these seeds draw x_i = 0 over Q beside entries with denominators
+        # above 1, so x_i = 1 in the field and x_i = 1 in the scaled ints
+        # are different points; the chart point is the first
+        ctx = VeroneseContext(2, 2)
+        x = reference_random_point(Random(seed), QQ, ctx.n)
+        assert x.coords[i] == 0 and any(c.denominator > 1 for c in x.coords)
+        z, p = cli._chart_point(Random(seed), QQ, ctx, i)
+        assert _canonical(QQ, z, p) == reference_chart_point(Random(seed), QQ, ctx, i)
+        v, _ = projective._random_ints(Random(seed), QQ, ctx.n)
+        v[i] = 1
+        assert not projective._proportional(z, morphism._integer_image(ctx, v, 0)[0], 0)
+
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     def test_same_failure_counts_with_corrupted_chains_and_points(self, monkeypatch, field):
         # the verify command checks each chart's forest of index quads at int
@@ -519,19 +562,23 @@ class TestVerifyChecksReference:
     @pytest.mark.parametrize("bend", ["off-variety", "wrong-preimage"])
     def test_same_failure_counts_with_bent_images(self, monkeypatch, field, bend):
         # verify's round trip and its chain phase read
-        # morphism._integer_image, and the reference reads it through
-        # veronese_eval.  Doubling z_{d e_n} moves an image with x_0 and x_n
-        # nonzero off the variety, and makes its chart-n column disagree
-        # with its chart-0 column.  The image of x with x_n doubled stays on
-        # the variety, but inverts to another point.
+        # morphism._integer_image on the ints of each drawn point, and the
+        # reference reads it through veronese_eval.  Doubling z_{d e_n}
+        # moves an image with x_0 and x_n nonzero off the variety, and makes
+        # its chart-n column disagree with its chart-0 column.  The image of
+        # x with x_n doubled stays on the variety, but inverts to another
+        # point.
         ctx = VeroneseContext(2, 3)
         image = morphism._integer_image
 
-        def bent_image(ctx, x):
+        def double(c, p):
+            return 2 * c % p if p else 2 * c
+
+        def bent_image(ctx, v, p):
             if bend == "wrong-preimage":
-                return image(ctx, ProjectivePoint(x.field, x.coords[:-1] + (2 * x.coords[-1],)))
-            z, p = image(ctx, x)
-            z[-1] = 2 * z[-1] % p if p else 2 * z[-1]
+                return image(ctx, [*v[:-1], double(v[-1], p)], p)
+            z, p = image(ctx, v, p)
+            z[-1] = double(z[-1], p)
             return z, p
 
         monkeypatch.setattr(morphism, "_integer_image", bent_image)

@@ -249,7 +249,7 @@ class TestIntegerImage:
         x = data.draw(source_points(field, n + 1))
         v, p = integer_coords(x)
         assert _monomial_values(v, d, p) == multiset_values(v, d, p)
-        assert _integer_image(ctx, x) == multiset_image(ctx, x)
+        assert _integer_image(ctx, v, p) == multiset_image(ctx, x)
 
     @pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(1, 7)] + [(7, 7)])
     @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
@@ -262,7 +262,7 @@ class TestIntegerImage:
             x = random_point(rng, field, n, lead_zeros=lead)
             sparse = [c if j <= lead or (j - lead) % 2 else field.zero for j, c in enumerate(x.coords)]
             for y in (x, ProjectivePoint(field, tuple(sparse))):
-                z, p = _integer_image(VeroneseContext(n, d), y)
+                z, p = _integer_image(VeroneseContext(n, d), *integer_coords(y))
                 assert (z, p) == multiset_image(VeroneseContext(n, d), y)
                 s = sum(map(bool, y.coords))
                 assert sum(map(bool, z)) == comb(s - 1 + d, d)

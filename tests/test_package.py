@@ -127,16 +127,18 @@ class TestImportBoundaries:
     @pytest.mark.parametrize("argv", [
         ["oracle", "--n", "1", "--d", "2", "--field", "fp:7"],
         ["verify", "--n", "2", "--d", "2", "--field", "fp:7"],
+        ["verify", "--n", "2", "--d", "2"],
         ["eval", "--n", "1", "--d", "3", "--field", "fp:7", "[1 : 2]"],
         ["member", "--n", "1", "--d", "3", "--field", "fp:7", "[1 : 2 : 4 : 1]"],
         ["invert", "--n", "1", "--d", "3", "--field", "fp:7", "[1 : 2 : 4 : 1]"],
         ["minors", "--n", "2", "--d", "2"],
-    ], ids=lambda argv: argv[0])
-    def test_prime_field_commands_load_no_rational_arithmetic(self, argv):
+    ], ids=["oracle", "verify", "verify-rational", "eval", "member", "invert", "minors"])
+    def test_commands_load_no_rational_arithmetic(self, argv):
+        # every command over F_p, and verify on either field: it draws and
+        # checks its points as ints
         assert rational_modules_loaded_by(argv) == (0, set())
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--n", "2", "--d", "2"],
         ["eval", "--n", "1", "--d", "3", "[1 : 2]"],
         ["member", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],
         ["invert", "--n", "1", "--d", "3", "[1 : 2 : 4 : 8]"],

@@ -26,7 +26,9 @@ from veronese import (
     proj_eq,
     random_point,
 )
-from veronese.projective import _proportional, integer_coords
+from veronese.projective import _proportional, _random_ints, integer_coords
+
+from reference import reference_random_point
 
 
 class TestFields:
@@ -289,3 +291,18 @@ class TestRandomPoints:
     def test_bad_pattern_rejected(self):
         with pytest.raises(ContractError):
             random_point(Random(0), QQ, 2, lead_zeros=3)
+
+    @given(st.sampled_from([QQ, PrimeField(2), PrimeField(101)]), st.integers(0, 4),
+           st.integers(0, 2**32), st.data())
+    def test_int_draw_matches_point_draw(self, field, dim, seed, data):
+        # the draw core makes the RNG calls of the Fraction and Fp draw it
+        # replaced, in the same order, and gives its point's integer_coords
+        lead_zeros = data.draw(st.integers(0, dim))
+        ints_rng, point_rng, public_rng = Random(seed), Random(seed), Random(seed)
+        v, p = _random_ints(ints_rng, field, dim, lead_zeros)
+        x = reference_random_point(point_rng, field, dim, lead_zeros)
+        assert (v, p) == integer_coords(x)
+        assert ints_rng.getstate() == point_rng.getstate()
+        y = random_point(public_rng, field, dim, lead_zeros)
+        assert integer_coords(y) == (v, p) and proj_eq(y, x)
+        assert public_rng.getstate() == point_rng.getstate()
