@@ -9,8 +9,8 @@ source points, (q^(n+1) - 1)/(q - 1).
 
 from veronese import (
     VeroneseContext,
-    brute_force_image,
     brute_force_variety,
+    census,
     check_set_equality,
     check_toric_equality,
     count_projective_points,
@@ -18,8 +18,6 @@ from veronese import (
     format_point,
     inverse_map,
     proj_eq,
-    toric_quadrics,
-    vanishing_set,
     veronese_eval,
 )
 
@@ -38,12 +36,15 @@ rep = check_toric_equality(VeroneseContext(1, 4), 3)
 print(f"minors vs all balanced quadrics at n=1 d=4 q=3: {rep.variety_count} vs {rep.image_count}, equal: {rep.equal}")
 print()
 
-# the same searches as point sets: the minor variety is the image of every
-# source point, and the vanishing set of all balanced quadrics
+# the minor variety as a point set is the image of every source point, and
+# census finds it equal to the image and to the vanishing set of all
+# balanced quadrics
 ctx = VeroneseContext(2, 2)
 variety = brute_force_variety(ctx, 3)
 image = {veronese_eval(ctx, x) for x in enumerate_projective_points(ctx.n, 3)}
-assert variety == image == brute_force_image(ctx, 3) == vanishing_set(ctx, 3, toric_quadrics(ctx))
+assert variety == image
+for rep in census(ctx, 3):
+    assert rep.equal and rep.variety_count == rep.image_count == len(image), rep.kind
 print(f"n=2 d=2 q=3: the {len(variety)} variety points are the image of the "
       f"{count_projective_points(ctx.n, 3)} source points")
 

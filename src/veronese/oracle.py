@@ -30,8 +30,8 @@ P^n(F_q):
   coordinate of x.
 
 census compares code sets and builds a ProjectivePoint only for a
-witness; the public vanishing_set, brute_force_variety and
-brute_force_image turn the codes of the same searches into points.
+witness; brute_force_variety turns the codes of the minor variety into
+points.  _vanishing_codes is the one search that takes arbitrary quads.
 
 Every search is bounded before it starts.  The minor variety's search
 refuses a context whose 2-minor candidate count C(n+1, 2) * C(cols, 2)
@@ -44,16 +44,8 @@ such a search would.
 
 from __future__ import annotations
 
-from .errors import BudgetError, ContractError, FrozenTuple
-from .matrix import (
-    DEFAULT_BUDGET,
-    Binomial2,
-    _minor_quads,
-    _quads,
-    _toric_quads,
-    binomial_quad,
-    check_minor_budget,
-)
+from .errors import BudgetError, FrozenTuple
+from .matrix import DEFAULT_BUDGET, _minor_quads, _quads, _toric_quads, check_minor_budget
 from .multiindex import VeroneseContext, _monomial_values
 from .projective import PrimeField, ProjectivePoint, _search, count_projective_points
 
@@ -138,39 +130,11 @@ def _image_codes(ctx: VeroneseContext, q: int) -> set[int]:
     return _codes((_monomial_values(x, d, q) for x in _search(ctx.n, q)), q)
 
 
-def vanishing_set(
-    ctx: VeroneseContext,
-    q: int,
-    binomials: frozenset[Binomial2],
-    budget: int = DEFAULT_BUDGET,
-) -> set[ProjectivePoint]:
-    """All canonical points of P^N(F_q) where every given quadric vanishes.
-
-    The budget is checked against the up-front estimate points x quadrics;
-    a quadric with an entry that is no degree-d coordinate raises ContractError."""
-    field = PrimeField(q)
-
-    def quad(b: Binomial2) -> tuple[int, int, int, int]:
-        out = binomial_quad(ctx, b)
-        if out is None:
-            raise ContractError(f"quadric {b} has an entry that is no degree-{ctx.d} coordinate of {ctx}")
-        return out
-
-    codes = _vanishing_codes(ctx, field.p, map(quad, binomials), len(binomials), budget)
-    return set(_points(field, ctx.N, codes))
-
-
 def brute_force_variety(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> set[ProjectivePoint]:
     """V(2-minors)(F_q) as a set of canonical points; the 2-minor candidate
     guard runs before the minor table is built."""
     codes = _variety_codes(ctx, q, budget)
     return set(_points(PrimeField(q), ctx.N, codes))
-
-
-def brute_force_image(ctx: VeroneseContext, q: int) -> set[ProjectivePoint]:
-    """The embedding image of P^n(F_q), canonical and deduplicated."""
-    field = PrimeField(q)
-    return set(_points(field, ctx.N, _image_codes(ctx, field.p)))
 
 
 def _report(ctx: VeroneseContext, q: int, kind: str, variety: set[int], other: set[int]) -> EqualityReport:

@@ -376,13 +376,16 @@ def _proportional(u: list[int], v: list[int], p: int) -> bool:
     gives them.
 
     With k the first index of a nonzero v_k, it checks u_j v_k = v_j u_k
-    for every j.  If u = c v these hold.  Conversely, they give
+    for every j, over Q with u_k and v_k first divided by their gcd, which
+    keeps the products short.  If u = c v these hold.  Conversely, they give
     u = (u_k / v_k) v.  Nothing is inverted or normalized.
     """
     k = next(k for k, c in enumerate(v) if c)
     a, b = u[k], v[k]
     if p:
         return not any((s * b - t * a) % p for s, t in zip(u, v))
+    g = gcd(a, b)
+    a, b = a // g, b // g
     return all(s * b == t * a for s, t in zip(u, v))
 
 

@@ -34,6 +34,17 @@ def candidate_quads(grid):
             for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2)]
 
 
+def reference_proportional(u, v, p):
+    """The cross-multiplying check projective._proportional replaced over
+    Q: u_j v_k = v_j u_k for every j, k the first index of a nonzero v_k,
+    with u_k and v_k as they stand; over F_p the same products mod p."""
+    k = next(k for k, c in enumerate(v) if c)
+    a, b = u[k], v[k]
+    if p:
+        return not any((s * b - t * a) % p for s, t in zip(u, v))
+    return all(s * b == t * a for s, t in zip(u, v))
+
+
 def reference_random_point(rng, field, dim, lead_zeros=0):
     """The seeded point drawn one field element at a time, a residue or a
     Fraction per coordinate: the reference for projective._random_ints."""

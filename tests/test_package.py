@@ -283,7 +283,6 @@ class TestCaches:
 # the parameters bench/tracer.py's hooks read, by name, from the bound
 # arguments of each call they wrap
 TRACER_BINDS = {
-    "oracle.vanishing_set": ("ctx", "q", "binomials", "budget"),
     "morphism.failing_minor": ("ctx", "Q"),
     "morphism.is_on_variety": ("ctx", "Q"),
     "matrix.minors2": ("matrix",),

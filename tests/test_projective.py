@@ -28,7 +28,7 @@ from veronese import (
 )
 from veronese.projective import _proportional, _random_ints, integer_coords
 
-from reference import reference_random_point
+from reference import reference_proportional, reference_random_point
 
 
 class TestFields:
@@ -159,6 +159,29 @@ class TestProjEq:
             y = draw_point()
         (u, p), (v, _) = integer_coords(x), integer_coords(y)
         assert _proportional(u, v, p) == _proportional(v, u, p) == proj_eq(x, y)
+
+    @given(st.sampled_from([0, 2, 3, 101]), st.data())
+    def test_proportional_matches_the_cross_multiplying_reference(self, p, data):
+        # u = r g w and v = s g w share the factor g, which over Q can be
+        # large; w may lead with zeros, and over Q r, s and w may be negative
+        size = data.draw(st.integers(1, 5))
+        entries = st.integers(0, p - 1) if p else st.integers(-30, 30)
+        nonzero = st.integers(1, p - 1) if p else st.integers(-10**6, 10**6).filter(bool)
+        w = data.draw(st.lists(entries, min_size=size, max_size=size).filter(any))
+        r, s, g = (data.draw(nonzero) for _ in range(3))
+        u, v = [r * g * c for c in w], [s * g * c for c in w]
+        case = data.draw(st.sampled_from(["multiple", "zero", "bent", "free"]))
+        if case == "zero":
+            u = [0] * size
+        elif case == "bent":
+            u[data.draw(st.integers(0, size - 1))] += data.draw(nonzero)
+        elif case == "free":
+            u = data.draw(st.lists(entries, min_size=size, max_size=size))
+        if p:
+            u, v = [c % p for c in u], [c % p for c in v]
+        assert _proportional(u, v, p) == reference_proportional(u, v, p)
+        if case in ("multiple", "zero"):
+            assert _proportional(u, v, p)
 
 
 def _is_element(field, c) -> bool:
