@@ -20,7 +20,7 @@ from veronese import (
     sorted_binomials,
     toric_quadrics,
 )
-from veronese.matrix import check_minor_budget
+from veronese.matrix import binomial_quad, check_minor_budget
 
 from reference import ref_toric_quadrics
 
@@ -203,6 +203,13 @@ class TestBinomialCanonicalForm:
     def test_unbalanced_rejected(self):
         with pytest.raises(ContractError):
             Binomial2((MultiIndex((2, 0)), MultiIndex((2, 0))), (MultiIndex((1, 1)), MultiIndex((0, 2))))
+
+    @pytest.mark.parametrize("text", [
+        "z_{3,0,0} z_{1,1,0} - z_{2,1,0} z_{2,0,0}",  # degree 3 in a degree-2 context
+        "z_{2,0} z_{0,2} - z_{1,1}^2",  # two variables in a three-variable context
+    ])
+    def test_foreign_quadric_has_no_quad(self, text):
+        assert binomial_quad(VeroneseContext(2, 2), parse_binomial(text)) is None
 
     def test_string_roundtrip(self):
         for ctx in (VeroneseContext(1, 3), VeroneseContext(2, 2)):

@@ -160,7 +160,8 @@ class TestProjEq:
         (u, p), (v, _) = integer_coords(x), integer_coords(y)
         assert _proportional(u, v, p) == _proportional(v, u, p) == proj_eq(x, y)
 
-    @given(st.sampled_from([0, 2, 3, 101]), st.data())
+    @pytest.mark.parametrize("p", [0, 2, 3, 101])
+    @given(st.data())
     def test_proportional_matches_the_cross_multiplying_reference(self, p, data):
         # u = r g w and v = s g w share the factor g, which over Q can be
         # large; w may lead with zeros, and over Q r, s and w may be negative
