@@ -30,6 +30,15 @@ minor is built with Binomial2(pos, neg), which checks balance, a chain
 edge with tuple.__new__: d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).
 PropagationStep and RewriteChain are errors.FrozenTuples, like Binomial2,
 so the generators make each step and chain with one tuple.__new__ too.
+
+The symbolic checks decide on packed exponent codes, code(m) = sum_j m_j
+w_j with w_j = (2d+1)^j, through one matrix._CodeIndex `at` made per
+public call (no cache, so a cold build stays cold): full for a cascade
+or a forest, filled on use for one chain.  A coordinate one unit move
+from k is at[code(k) + w_i - w_j]: a forest parent, a cascade factor.  is_minor_quad tests a quad with two sums and two lookups in the
+n(n+1) unit-move codes, and _chain_fault passes a forest edge whose
+parent is a unit move e_i - e_j from its node, found the same way,
+without running the product.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from math import prod
 from operator import sub
 
 from .errors import ContractError, FrozenTuple
-from .matrix import Binomial2, _canonical_quad, binomial_quad, is_minor_quad, parse_binomial
+from .matrix import Binomial2, _canonical_quad, _CodeIndex, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
 from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
@@ -103,23 +112,36 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
         z_{j + e_t - e_k} z_{j - e_t + e_k} - z_j^2
 
     Its first factor precedes j on row t, so it is already zero when the
-    step runs.  Entries before the pure power on later rows repeat earlier
+    step runs, and its second follows j: the quad is canonical as it
+    stands.  Entries before the pure power on later rows repeat earlier
     rows and need no step of their own; for d = 1 every coordinate is a
     pure power and the cascade is empty.
+
+    In lex-descending order the vectors whose first positive exponent is
+    at t come in one block, t rising, so the rows' targets are the
+    coordinates that are no pure power, in index order, each on the row
+    of its first positive exponent; its factors are at[code(j) +- (w_t -
+    w_k)].
     """
-    monos, idx = ctx.monomials(), coordinate_index(ctx)
-    known = {chart_indices(ctx, i)[i] for i in range(ctx.n + 1)}  # the pure powers
+    monos = ctx.monomials()
+    at = _CodeIndex(ctx)
+    codes, w, d = at.codes, at.w, ctx.d
+    known = {at[d * u] for u in w}  # the pure powers d e_i
     steps, new = [], tuple.__new__
-    for t in range(ctx.n):
-        for target, j in enumerate(monos):
-            if j[t] < 1 or j[t] == ctx.d or any(j[:t]):
-                continue
-            k = max(s for s in range(ctx.n + 1) if j[s] > 0)
-            first, other = _moved(idx, j, k, t), _moved(idx, j, t, k)
-            a, b, c, e = _canonical_quad(first, other, target, target)
-            prereqs = (monos[first],) + ((monos[other],) if other in known else ())
-            steps.append(new(PropagationStep, (j, Binomial2((monos[a], monos[b]), (monos[c], monos[e])), prereqs)))
-            known.add(target)
+    t = 0
+    for target, j in enumerate(monos):
+        while not j[t]:
+            t += 1
+        if j[t] == d:
+            continue
+        k = ctx.n
+        while not j[k]:
+            k -= 1
+        move = w[t] - w[k]
+        first, other = at[codes[target] + move], at[codes[target] - move]
+        prereqs = (monos[first],) + ((monos[other],) if other in known else ())
+        steps.append(new(PropagationStep, (j, Binomial2((monos[first], monos[other]), (j, j)), prereqs)))
+        known.add(target)
     return ZeroPropagationCertificate(ctx, tuple(steps))
 
 
@@ -130,9 +152,10 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
     if cert.ctx != ctx:
         return VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
     monos, idx = ctx.monomials(), coordinate_index(ctx)
-    known = {chart_indices(ctx, i)[i] for i in range(ctx.n + 1)}  # the pure powers
+    at = _CodeIndex(ctx)
+    known = {at[ctx.d * u] for u in at.w}  # the pure powers d e_i
     for pos, step in enumerate(cert.steps):
-        why = _step_fault(ctx, monos, idx, known, step)
+        why = _step_fault(ctx, monos, at, idx, known, step)
         if why is not None:  # the step is named only when it fails
             return VerifyResult(False, f"step {pos} (target {step.target.coordinate_name()}): {why}")
         known.add(idx[step.target])
@@ -143,10 +166,11 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
     return VerifyResult(True)
 
 
-def _step_fault(ctx: VeroneseContext, monos, idx: dict, known: set, step: PropagationStep) -> str | None:
+def _step_fault(ctx: VeroneseContext, monos, at: _CodeIndex, idx: dict, known: set,
+                step: PropagationStep) -> str | None:
     """Why step does not force its target to zero given the known zeros; None if it does."""
     q = binomial_quad(ctx, step.minor)
-    if q is None or not is_minor_quad(monos, *q):
+    if q is None or not is_minor_quad(at, *q):
         return f"{step.minor} is not a 2-minor of the matrix"
     t = idx.get(step.target)
     in_pos, in_neg = t in q[:2], t in q[2:]
@@ -168,29 +192,25 @@ def _step_fault(ctx: VeroneseContext, monos, idx: dict, known: set, step: Propag
     return None
 
 
-def _moved(idx: dict, exps, i: int, j: int) -> int:
-    """Index of the coordinate exps - e_i + e_j."""
-    w = list(exps)
-    w[i] -= 1
-    w[j] += 1
-    return idx[tuple(w)]
-
-
-def _edge(monos, idx: dict, col: tuple[int, ...], i: int, k: int) -> tuple[int, tuple[int, int, int, int]]:
-    """(parent, quad) of node k (d - k_i >= 2) in chart i's forest, col =
-    chart_indices(ctx, i): the parent is k + e_i - e_j, j the least index
-    but i with k_j > 0, and the quad is that of z_P z_k - z_parent z_{col_j}."""
-    j = next(j for j, e in enumerate(monos[k]) if e and j != i)
-    p = _moved(idx, monos[k], j, i)
+def _edge(monos, at: _CodeIndex, col: tuple[int, ...], i: int, k: int) -> tuple[int, tuple[int, int, int, int]]:
+    """(parent, quad) of node k (d - k_i >= 2) in chart i's forest, at =
+    _CodeIndex(ctx) and col = chart_indices(ctx, i): the parent is
+    k + e_i - e_j, at[code(k) + w_i - w_j], j the least index but i with
+    k_j > 0, and the quad is that of z_P z_k - z_parent z_{col_j}."""
+    for j, e in enumerate(monos[k]):
+        if e and j != i:
+            break
+    w = at.w
+    p = at[at.codes[k] + w[i] - w[j]]
     return p, _canonical_quad(col[i], k, p, col[j])
 
 
-def _forest(ctx: VeroneseContext, i: int, col: tuple[int, ...]) -> list[tuple[int, int, tuple]]:
+def _forest(ctx: VeroneseContext, at: _CodeIndex, i: int, col: tuple[int, ...]) -> list[tuple[int, int, tuple]]:
     """The N - n edges (k, parent, quad) of chart i's forest, parents first:
     nodes by falling k_i, after the n + 1 roots col, whose k_i >= d - 1."""
-    monos, idx = ctx.monomials(), coordinate_index(ctx)
+    monos = ctx.monomials()
     order = sorted(range(len(monos)), key=[m[i] for m in monos].__getitem__, reverse=True)
-    return [(k, *_edge(monos, idx, col, i, k)) for k in order[ctx.n + 1:]]
+    return [(k, *_edge(monos, at, col, i, k)) for k in order[ctx.n + 1:]]
 
 
 def _names_chain(ctx: VeroneseContext, i, m) -> bool:  # i an int chart, no bool; m a coordinate
@@ -206,10 +226,11 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
     sum(m_j, j != i) - 1 steps and is empty whenever m_i >= d - 1."""
     if not _names_chain(ctx, i, m):
         raise ContractError(f"chart {i!r} and target {m!r} name no rewrite chain of {ctx}")
-    monos, idx = ctx.monomials(), coordinate_index(ctx)
-    col, k, quads = chart_indices(ctx, i), idx[m], []
+    monos = ctx.monomials()
+    at = _CodeIndex(ctx, full=False)
+    col, k, quads = chart_indices(ctx, i), coordinate_index(ctx)[m], []
     while monos[k][i] < ctx.d - 1:
-        k, q = _edge(monos, idx, col, i, k)
+        k, q = _edge(monos, at, col, i, k)
         quads.append(q)
     return RewriteChain(ctx, i, m, tuple(tuple.__new__(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e])))
                                          for a, b, c, e in reversed(quads)))
@@ -227,7 +248,7 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
         return VerifyResult(False, "chain chart, target or steps malformed for this context")
     idx, col = coordinate_index(ctx), chart_indices(ctx, i)
     quads = [binomial_quad(ctx, b) if isinstance(b, Binomial2) else None for b in chain.steps]
-    fault = _chain_fault(ctx, col, i, idx[m], quads)
+    fault = _chain_fault(ctx, _CodeIndex(ctx, full=False), col, i, idx[m], quads)
     if fault is not None:
         pos, why = fault
         if pos < len(chain.steps):
@@ -245,7 +266,7 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     return VerifyResult(True)
 
 
-def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, quads,
+def _chain_fault(ctx: VeroneseContext, at: _CodeIndex, col: tuple[int, ...], i: int, k: int, quads,
                  parent: int | None = None) -> tuple[int, str] | None:
     """The first failing check, as (step, diagnostic template), of the
     quads (None: no minor) of the chart-i chain of coordinate index k, col
@@ -264,9 +285,21 @@ def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, qua
     that chain, if sound, leaves k's: z_P^(d-1) z_parent z_col^(k-parent),
     k's chart product on chart i (z_P != 0, and a root parent's product is
     its goal) unless a count is negative, which no step clears: a fault.
+
+    One quad that is the forest edge of k below a parent one unit move
+    away, k = parent - e_i + e_j (code(k) - code(parent) = w_j - w_i),
+    passes without the run: it is the canonical quad of z_P z_k - z_parent
+    z_{col_j}, a minor through P unless parent = P (and then k = col_j and
+    the quad is None).  The product starts as z_P^(d-2) z_parent z_{col_j},
+    which lacks z_k, so the step consumes z_parent z_{col_j} and ends at
+    the goal z_P^(d-1) z_k.
     """
-    monos = ctx.monomials()
     P = col[i]
+    if parent is not None and len(quads) == 1 and quads[0] is not None:
+        move = at.moves.get(at.codes[k] - at.codes[parent])
+        if move is not None and move[1] == i and quads[0] == _canonical_quad(P, k, parent, col[move[0]]):
+            return None
+    monos = ctx.monomials()
     if parent is None:
         state = dict(zip(col, monos[k]))
     else:
@@ -275,7 +308,7 @@ def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, qua
         state[parent] = state.get(parent, 0) + 1
     state = {f: e for f, e in state.items() if e}
     for pos, q in enumerate(quads):
-        if q is None or not is_minor_quad(monos, *q):
+        if q is None or not is_minor_quad(at, *q):
             return pos, "{minor} is not a 2-minor of the matrix"
         if P not in q:
             return pos, "{minor} has no realization on row {i} and the column of {P}"
@@ -297,7 +330,7 @@ def _chain_fault(ctx: VeroneseContext, col: tuple[int, ...], i: int, k: int, qua
     return None if state == goal else (len(quads), "telescoping ended away from the claimed product")
 
 
-def _chart_failures(ctx: VeroneseContext, i: int, points) -> int:
+def _chart_failures(ctx: VeroneseContext, at: _CodeIndex, i: int, points) -> int:
     """Failed (chain, point) pairs of verify_rewrite_chain over every chain
     of chart i and the points' integer_coords (z, p), on chart i's forest,
     each edge checked once by _chain_fault.
@@ -315,8 +348,8 @@ def _chart_failures(ctx: VeroneseContext, i: int, points) -> int:
     P = col[i]
     sound = [True] * ctx.num_coords  # a root's empty chain telescopes
     edges = []  # (k, parent, quad) of the sound non-roots, parents first
-    for k, parent, q in _forest(ctx, i, col):
-        sound[k] = sound[parent] and _chain_fault(ctx, col, i, k, (q,), parent) is None
+    for k, parent, q in _forest(ctx, at, i, col):
+        sound[k] = sound[parent] and _chain_fault(ctx, at, col, i, k, (q,), parent) is None
         if sound[k]:
             edges.append((k, parent, q))
     nodes = ctx.n + 1 + len(edges)
@@ -340,9 +373,10 @@ def all_rewrite_chains(ctx: VeroneseContext):
     """Yield rewrite_chain(ctx, i, m) for each chart i, then coordinate m; a
     chart's chains are built parents first, one Binomial2 per forest edge."""
     monos, new = ctx.monomials(), tuple.__new__
+    at = _CodeIndex(ctx)
     for i in range(ctx.n + 1):
         steps = [()] * len(monos)
-        for k, parent, (a, b, c, e) in _forest(ctx, i, chart_indices(ctx, i)):
+        for k, parent, (a, b, c, e) in _forest(ctx, at, i, chart_indices(ctx, i)):
             steps[k] = (*steps[parent], new(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e]))))
         for m, s in zip(monos, steps):
             yield new(RewriteChain, (ctx, i, m, s))

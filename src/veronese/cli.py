@@ -267,6 +267,7 @@ def cmd_invert(args, ctx) -> int:
 def _verify_checks(ctx, field, seed: int, external_cert=None):
     """Run the composite verification; returns a list of check dicts."""
     from . import certificates as certs
+    from .matrix import _CodeIndex
     from .morphism import _verify_point
     from .projective import _random_ints
 
@@ -294,12 +295,13 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     res = certs.verify_zero_propagation(ctx, cert)
     record("zero-propagation-certificate", res.ok,
            res.diagnostic or f"{len(cert.steps)} steps, full coverage")
+    del cert  # the chain phase reads no certificate: a generated one goes before the forests
 
     # verify_rewrite_chain for every chain and point, on each chart's forest
-    chain_failures = 0
+    chain_failures, at = 0, _CodeIndex(ctx)
     for i in range(ctx.n + 1):
         points = [_chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART)]
-        chain_failures += certs._chart_failures(ctx, i, points)
+        chain_failures += certs._chart_failures(ctx, at, i, points)
     total = (ctx.n + 1) * CHAIN_POINTS_PER_CHART * ctx.num_coords
     record("rewrite-chains", chain_failures == 0,
            f"{total} chain verifications, {chain_failures} failures")

@@ -25,6 +25,16 @@ oracle.  A Binomial2 is the tuple (pos, neg), so the tables hash and free
 them in C too.  Quadrics flow one way, from quads to Binomial2;
 binomial_quad reads a binomial from outside back as a quad.
 
+Codes also decide unit moves.  A digit of a difference A - C of degree-d
+vectors lies in [-d, d], and base 2d+1 with digits in [-d, d] writes each
+integer one way only: if two such numerals differ, their lowest differing
+digit differs by 1 to 2d, not a multiple of 2d+1.  So code(A) - code(C)
+== w_i - w_j, w_j = (2d+1)^j, iff A - C == e_i - e_j.  _CodeIndex holds a
+context's codes, its n(n+1) unit-move codes w_i - w_j (i != j), and the
+dict code -> index, made once per call that needs them, never cached:
+is_minor_quad tests a quad with two sums and two lookups, and the
+certificates find the coordinate k - e_i + e_j as at[code(k) - w_i + w_j].
+
 The minor table _minor_quads holds the distinct canonical minors of the
 index grid _index_grid in listing order, as one flat array of quads with
 no per-minor object: morphism scans it for a failing minor, and the
@@ -46,9 +56,9 @@ import re
 from array import array
 from collections import defaultdict
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import BudgetError, ContractError, FrozenTuple
 from .multiindex import (
@@ -208,11 +218,70 @@ def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int]
     return None if a == c and b == e else (c, e, a, b)
 
 
-def _packed_codes(monos) -> list[int]:
-    """code(m) = sum_j m_j (2d+1)^j of each degree-d vector in monos."""
-    base = 2 * sum(monos[0]) + 1
-    weights = [base ** j for j in range(len(monos[0]))]
-    return [sum(map(mul, m, weights)) for m in monos]
+def _packed_codes(n: int, d: int) -> list[int]:
+    """code(m) = sum_j m_j w_j, w_j = (2d+1)^j, of each m of
+    enumerate_monomials(n, d), in order: m counts the indices of one
+    multiset of combinations_with_replacement(range(n + 1), d), so code(m)
+    is the sum of w_j over that multiset."""
+    return list(map(sum, combinations_with_replacement(_code_weights(n, d), d)))
+
+
+def _code_weights(n: int, d: int) -> list[int]:
+    """w_j = (2d+1)^j, j = 0..n."""
+    return [(2 * d + 1) ** j for j in range(n + 1)]
+
+
+class _CodeIndex(dict):
+    """The dict code -> index of ctx's coordinates, with codes[k] the code
+    of coordinate k, the weights w[j] = (2d+1)^j, size = N + 1, and moves,
+    which maps each of the n(n+1) unit-move codes w_i - w_j, i != j, to
+    (i, j) (module docstring).  A call that visits every coordinate makes
+    it full, codes a list.  One that visits a few, such as one chain, makes
+    it with full=False: codes is then a dict, and both dicts fill on first
+    use, a code read back by its base-(2d+1) digits, which are the
+    exponents, through coordinate_index, so the call costs its own
+    coordinates, not N + 1."""
+
+    __slots__ = ("codes", "w", "moves", "size", "_ctx")
+
+    def __init__(self, ctx: VeroneseContext, full: bool = True):
+        self.w = w = _code_weights(ctx.n, ctx.d)
+        self.moves = {u - v: (i, j) for i, u in enumerate(w) for j, v in enumerate(w) if i != j}
+        self.size, self._ctx = ctx.num_coords, ctx
+        if full:
+            self.codes = _packed_codes(ctx.n, ctx.d)
+            super().__init__(zip(self.codes, range(self.size)))
+        else:
+            self.codes = _Codes(ctx.monomials(), w)
+
+    def __missing__(self, code: int) -> int:
+        rest, exponents = code, []
+        for _ in self.w:
+            rest, e = divmod(rest, 2 * self._ctx.d + 1)
+            exponents.append(e)
+        k = None if rest else coordinate_index(self._ctx).get(tuple(exponents))
+        if k is None:
+            raise KeyError(code)
+        self[code] = k
+        self.codes[k] = code
+        return k
+
+
+class _Codes(dict):
+    """The dict index -> code of the degree-d vectors monos, w the
+    weights, each code made on first use."""
+
+    __slots__ = ("monos", "w")
+
+    def __init__(self, monos, w: list[int]):
+        super().__init__()
+        self.monos, self.w = monos, w
+
+    def __missing__(self, k: int) -> int:
+        if not 0 <= k < len(self.monos):
+            raise KeyError(k)
+        code = self[k] = sum(map(mul, self.monos[k], self.w))
+        return code
 
 
 def _quad_binomials(monos, quads):
@@ -309,9 +378,10 @@ def binomial_quad(ctx: VeroneseContext, binomial: Binomial2) -> tuple[int, int, 
         return None
 
 
-def is_minor_quad(monos: tuple[MultiIndex, ...], a: int, b: int, c: int, e: int) -> bool:
+def is_minor_quad(at: _CodeIndex, a: int, b: int, c: int, e: int) -> bool:
     """Whether z_a z_b - z_c z_e, given by indices into monos =
-    ctx.monomials(), is a canonical 2-minor of the matrix.
+    ctx.monomials() and at = _CodeIndex(ctx), is a canonical 2-minor of
+    the matrix.
 
     Column beta (a degree-(d-1) vector) holds z_{beta+e_i} on row i, so the
     minor on rows i, j and columns beta, gamma is
@@ -331,15 +401,16 @@ def is_minor_quad(monos: tuple[MultiIndex, ...], a: int, b: int, c: int, e: int)
     The minor set holds canonical forms only: A >= B, C >= E, A > C in lex
     order, so a <= b, c <= e, a < c for indices (ranks reverse lex order),
     and the minor is not identically zero.  Balance gives A - C = E - B and
-    A - E = C - B, so testing A against C and E covers all four pairings;
-    entries of equal degree differ by a unit move iff their L1 distance is 2.
+    A - E = C - B, so testing A against C and E covers all four pairings.
+    On codes, balance is code(A) + code(B) == code(C) + code(E) (no carry)
+    and a unit move is a difference in at.moves (balanced digits), so the
+    test is exact (module docstring).
     """
-    if not (0 <= a <= b < len(monos) and a < c <= e < len(monos)):
+    if not (0 <= a <= b < at.size and a < c <= e < at.size):
         return False
-    A, B, C, E = monos[a], monos[b], monos[c], monos[e]
-    return list(map(add, A, B)) == list(map(add, C, E)) and (
-        sum(map(abs, map(sub, A, C))) == 2 or sum(map(abs, map(sub, A, E))) == 2
-    )
+    codes = at.codes
+    A, C, E = codes[a], codes[c], codes[e]
+    return A + codes[b] == C + E and (A - C in at.moves or A - E in at.moves)
 
 
 def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
@@ -350,7 +421,7 @@ def toric_quadrics(ctx: VeroneseContext) -> frozenset[Binomial2]:
     """
     monos = enumerate_monomials(ctx.n, ctx.d)
     groups = (map(tuple.__new__, repeat(Binomial2), combinations(pairs, 2))
-              for pairs in _pair_groups(monos, monos))
+              for pairs in _pair_groups(ctx, monos))
     return frozenset(chain.from_iterable(groups))
 
 
@@ -358,18 +429,18 @@ def _toric_quads(ctx: VeroneseContext) -> list[tuple[int, int, int, int]]:
     """The quads of toric_quadrics(ctx), from the same grouping on
     coordinate indices, so no Binomial2 is made or read back."""
     monos = ctx.monomials()
-    return [p1 + p2 for pairs in _pair_groups(monos, range(len(monos)))
+    return [p1 + p2 for pairs in _pair_groups(ctx, range(len(monos)))
             for p1, p2 in combinations(pairs, 2)]
 
 
-def _pair_groups(monos, tags):
-    """The pairs (tags[a], tags[b]), a <= b, of the degree-d vectors monos,
-    grouped by the sum of their packed codes, which is the code of
+def _pair_groups(ctx: VeroneseContext, tags):
+    """The pairs (tags[a], tags[b]), a <= b, of the coordinates a, b of
+    ctx, grouped by the sum of their packed codes, which is the code of
     monos[a] + monos[b] (module docstring): two pairs share a group iff
     they balance.  A group receives its pairs in rising order of a, and no
     two pairs with one sum share a leader, so in each pair of pairs of a
     group the first leads."""
-    codes = _packed_codes(monos)
+    codes = _packed_codes(ctx.n, ctx.d)
     by_sum: defaultdict[int, list] = defaultdict(list)
     for a, (ta, ca) in enumerate(zip(tags, codes)):
         for tb, cb in zip(tags[a:], codes[a:]):

@@ -3,10 +3,11 @@ package's fast builds replaced, kept to check those builds against."""
 
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, sub
 
 from veronese import Binomial2, PrimeField, ProjectivePoint, enumerate_monomials
 from veronese.matrix import _canonical_quad
+from veronese.multiindex import coordinate_index
 
 
 def ref_toric_quadrics(ctx):
@@ -32,6 +33,43 @@ def candidate_quads(grid):
     identically zero ones: the per-candidate build _grid_quads replaced."""
     return [_canonical_quad(ri[k], rj[l], ri[l], rj[k])
             for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2)]
+
+
+def reference_is_minor_quad(monos, a, b, c, e):
+    """The test on exponent vectors matrix.is_minor_quad replaced: whether
+    z_a z_b - z_c z_e, given by indices into monos = ctx.monomials(), is a
+    canonical 2-minor.  Balanced, with an entry on one side a unit move
+    from one on the other (matrix.is_minor_quad has the argument); entries
+    of equal degree differ by a unit move iff their L1 distance is 2."""
+    if not (0 <= a <= b < len(monos) and a < c <= e < len(monos)):
+        return False
+    A, B, C, E = monos[a], monos[b], monos[c], monos[e]
+    return list(map(add, A, B)) == list(map(add, C, E)) and (
+        sum(map(abs, map(sub, A, C))) == 2 or sum(map(abs, map(sub, A, E))) == 2
+    )
+
+
+def reference_forest(ctx, i, col):
+    """The N - n edges (k, parent, quad) of chart i's forest as
+    certificates._forest built them on exponent vectors, col =
+    chart_indices(ctx, i): nodes by falling k_i after the n + 1 roots, the
+    parent k + e_i - e_j (j the least index but i with k_j > 0) looked up
+    as a vector, and the quad that of z_P z_k - z_parent z_{col_j}."""
+    monos, idx = ctx.monomials(), coordinate_index(ctx)
+
+    def moved(exps, i, j):  # index of exps - e_i + e_j
+        w = list(exps)
+        w[i] -= 1
+        w[j] += 1
+        return idx[tuple(w)]
+
+    def edge(k):
+        j = next(j for j, e in enumerate(monos[k]) if e and j != i)
+        p = moved(monos[k], j, i)
+        return p, _canonical_quad(col[i], k, p, col[j])
+
+    order = sorted(range(len(monos)), key=[m[i] for m in monos].__getitem__, reverse=True)
+    return [(k, *edge(k)) for k in order[ctx.n + 1:]]
 
 
 def reference_proportional(u, v, p):

@@ -4,9 +4,10 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import product, starmap
 from math import prod
-from operator import add
+from operator import add, le, mul, ne, sub
 from random import Random
 
 import pytest
@@ -39,10 +40,11 @@ from veronese import (
 )
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
-from veronese.matrix import _canonical_quad, binomial_quad, is_minor_quad
+from veronese.matrix import _canonical_quad, _CodeIndex, binomial_quad, is_minor_quad
 from veronese.morphism import _minor_quads, _minor_table, chart_indices, coordinate_index
 from veronese.projective import integer_coords
 
+from reference import reference_forest, reference_is_minor_quad
 from test_matrix import bump
 
 
@@ -181,7 +183,7 @@ class TestRewriteChainGeneration:
             for step in steps:
                 assert type(step) is Binomial2
                 assert step == Binomial2(step.pos, step.neg)
-                assert is_minor_quad(ctx.monomials(), *binomial_quad(ctx, step)), step
+                assert is_minor_quad(_CodeIndex(ctx), *binomial_quad(ctx, step)), step
             if n and d >= 3:
                 assert len(steps) > len(cert.steps) > 0
 
@@ -283,7 +285,7 @@ def is_matrix_minor(ctx, binomial):
     """Whether binomial is a 2-minor of ctx's matrix, as a caller holding a
     Binomial2 asks it: is_minor_quad on its binomial_quad."""
     q = binomial_quad(ctx, binomial)
-    return q is not None and is_minor_quad(ctx.monomials(), *q)
+    return q is not None and is_minor_quad(_CodeIndex(ctx), *q)
 
 
 class TestClosedFormMinorTest:
@@ -761,12 +763,13 @@ class TestIndexCoreMatchesReference:
         # out-of-range indices included
         ctx = VeroneseContext(n, d)
         monos = ctx.monomials()
+        at = _CodeIndex(ctx)
         minors = cached_minors(ctx)
         span = range(-1, len(monos) + 1)
         inside = range(len(monos))
         for q in product(span, repeat=4):
             expected = all(x in inside for x in q) and _as_minor(monos, q) in minors
-            assert is_minor_quad(monos, *q) == expected, q
+            assert is_minor_quad(at, *q) == expected, q
 
     @pytest.mark.parametrize("n,d", [(1, 3), (2, 4), (3, 3)])
     def test_quad_chains_on_ints(self, n, d):
@@ -775,19 +778,20 @@ class TestIndexCoreMatchesReference:
         # quad and any unbalanced one
         ctx = VeroneseContext(n, d)
         monos = ctx.monomials()
+        at = _CodeIndex(ctx)
         for i in range(n + 1):
             col = chart_indices(ctx, i)
             for k, m in enumerate(monos):
                 quads = reference_chain_quads(ctx, col, i, m)
                 assert [_as_minor(monos, q) for q in quads] == list(rewrite_chain(ctx, i, m).steps)
-                assert certs._chain_fault(ctx, col, i, k, quads) is None
+                assert certs._chain_fault(ctx, at, col, i, k, quads) is None
                 for pos, (a, b, c, e) in enumerate(quads):
                     for bad in ((a, b, c, len(monos)), (-1, b, c, e), (c, e, a, b), (b, a, c, e)
                                 if a != b else (a, b, e, c), (a, b, c, c if c != e else a)):
                         if bad == (a, b, c, e):
                             continue
                         tampered = quads[:pos] + [bad] + quads[pos + 1:]
-                        fault = certs._chain_fault(ctx, col, i, k, tampered)
+                        fault = certs._chain_fault(ctx, at, col, i, k, tampered)
                         assert fault is not None and fault[0] == pos, bad
 
 
@@ -922,7 +926,7 @@ def bent_edge(bend):
         others = [s for s in range(len(col)) if s not in (i, j)]
         if not others:
             return parent, (a, b, c, e)
-        k2 = idx[moved(monos[parent], i, others[0])]
+        k2 = monos.index(moved(monos[parent], i, others[0]))
         return parent, _canonical_quad(col[i], k2, parent, col[others[0]])
 
     return bent
@@ -935,7 +939,7 @@ class TestChainForest:
         chains = {(c.chart, c.target): c for c in all_rewrite_chains(ctx)}
         assert len(chains) == (n + 1) * ctx.num_coords
         for i in range(n + 1):
-            assert len(certs._forest(ctx, i, chart_indices(ctx, i))) == ctx.N - n
+            assert len(certs._forest(ctx, _CodeIndex(ctx), i, chart_indices(ctx, i))) == ctx.N - n
         assert len({(i, step) for (i, _), c in chains.items() for step in c.steps}) == (n + 1) * (ctx.N - n)
         for (i, m), chain in chains.items():
             parent = forest_parent(ctx, i, m)
@@ -968,6 +972,7 @@ class TestChainForest:
         # the variety by one coordinate
         ctx = VeroneseContext(n, d)
         monos, idx = ctx.monomials(), coordinate_index(ctx)
+        at = _CodeIndex(ctx)
         genuine = list(all_rewrite_chains(ctx))
         monkeypatch.setattr(certs, "_edge", bent_edge(bend))
         chains = list(all_rewrite_chains(ctx))
@@ -985,13 +990,13 @@ class TestChainForest:
             expected = 0
             for chain in chains[i * len(monos):(i + 1) * len(monos)]:
                 k = idx[chain.target]
-                if certs._chain_fault(ctx, col, i, k, [binomial_quad(ctx, b) for b in chain.steps]):
+                if certs._chain_fault(ctx, at, col, i, k, [binomial_quad(ctx, b) for b in chain.steps]):
                     expected += len(points)
                     continue
                 for z, p in points:
                     diff = prod(z[c] ** e for c, e in zip(col, chain.target)) - z[col[i]] ** (d - 1) * z[k]
                     expected += not z[col[i]] or bool(diff % p if p else diff)
-            assert certs._chart_failures(ctx, i, points) == expected
+            assert certs._chart_failures(ctx, at, i, points) == expected
             failures += expected
             total += len(monos) * len(points)
         assert 0 < failures < total
@@ -1011,11 +1016,12 @@ class TestChainForest:
         ctx, rng = VeroneseContext(n, d), Random(seed)
         i = data.draw(st.integers(0, n))
         monos, col = ctx.monomials(), chart_indices(ctx, i)
+        at = _CodeIndex(ctx)
         image = list(image_point_on_chart(rng, field, ctx, i).coords)
         bumped = image[:]
         bumped[rng.randrange(len(bumped))] += field.one
         candidates = [image, bumped]
-        below = [(k, parent) for k, parent, _ in certs._forest(ctx, i, col) if monos[parent][i] < d - 1]
+        below = [(k, parent) for k, parent, _ in certs._forest(ctx, at, i, col) if monos[parent][i] < d - 1]
         if below:
             k, parent = rng.choice(below)
             j = rng.choice([s for s, e in enumerate(monos[k]) if e and s != i])
@@ -1026,10 +1032,152 @@ class TestChainForest:
         points = [point(field, c) for c in candidates if any(c)]
         chains = [rewrite_chain(ctx, i, m) for m in monos]
         expected = sum(not verify_rewrite_chain(ctx, chain, Q) for chain in chains for Q in points)
-        assert certs._chart_failures(ctx, i, [integer_coords(Q) for Q in points]) == expected
+        assert certs._chart_failures(ctx, at, i, [integer_coords(Q) for Q in points]) == expected
 
 
 MALFORMED = "chain chart, target or steps malformed for this context"
+
+
+# ---------------------------------------------------------------------------
+# The symbolic checks decide on packed codes: against the exponent-vector
+# paths they replaced, and the balanced-digit fact that makes them exact.
+
+def balanced_digits(x, base, width):
+    """The width digits of x in base `base` with digits in [-(base // 2),
+    base // 2], lowest first; base odd."""
+    digits = []
+    for _ in range(width):
+        r = x % base
+        if r > base // 2:
+            r -= base
+        digits.append(r)
+        x = (x - r) // base
+    assert x == 0
+    return tuple(digits)
+
+
+SMALL = [(n, d) for n in range(4) for d in range(1, 5)]
+
+
+class TestPackedCodeDecisions:
+    @pytest.mark.parametrize("n,d", SMALL)
+    def test_code_differences_are_the_vector_differences(self, n, d):
+        # code(A) - code(C) written in base 2d+1 with digits in [-d, d] is
+        # A - C, so it is w_i - w_j iff A - C = e_i - e_j
+        ctx = VeroneseContext(n, d)
+        monos, at = ctx.monomials(), _CodeIndex(ctx)
+        assert at.codes == [sum(map(mul, m, at.w)) for m in monos]
+        assert at == {c: k for k, c in enumerate(at.codes)}
+        assert len(at.moves) == n * (n + 1)
+        for A, ca in zip(monos, at.codes):
+            for C, cc in zip(monos, at.codes):
+                diff = tuple(map(sub, A, C))
+                assert balanced_digits(ca - cc, 2 * d + 1, n + 1) == diff
+                unit = at.moves.get(ca - cc)
+                if unit is None:
+                    assert sorted(diff) != [-1] + [0] * (n - 1) + [1]
+                else:
+                    i, j = unit
+                    assert diff == tuple((s == i) - (s == j) for s in range(n + 1))
+
+    @pytest.mark.parametrize("n,d", SMALL)
+    def test_unit_move_test_on_every_quad(self, n, d):
+        # every quad of indices in -1..S, out-of-range ones included: the
+        # code test and the vector test agree, and pass the minors only
+        ctx = VeroneseContext(n, d)
+        monos = ctx.monomials()
+        code_test = partial(is_minor_quad, _CodeIndex(ctx))
+        vector_test = partial(reference_is_minor_quad, monos)
+        span = range(-1, len(monos) + 1)
+        disagree = map(ne, starmap(code_test, product(span, repeat=4)),
+                       starmap(vector_test, product(span, repeat=4)))
+        assert not any(disagree), next(q for q in product(span, repeat=4) if code_test(*q) != vector_test(*q))
+        assert sum(starmap(code_test, product(span, repeat=4))) == len(cached_minors(ctx))
+
+    @pytest.mark.parametrize("n,d", SMALL + [(6, 7)])
+    def test_index_filled_on_use_matches_the_full_one(self, n, d):
+        # the code index of one chain's calls reads a code back by its
+        # digits; any other int is no code
+        ctx = VeroneseContext(n, d)
+        full, lazy = _CodeIndex(ctx), _CodeIndex(ctx, full=False)
+        assert (lazy.w, lazy.moves, lazy.size) == (full.w, full.moves, full.size)
+        assert [lazy.codes[k] for k in range(full.size)] == full.codes
+        assert [lazy[c] for c in reversed(full.codes)] == list(reversed(range(full.size)))
+        assert lazy == full and list(lazy.codes.values()) == full.codes
+        others = {-1, 0, max(full) + 1, full.codes[0] + (2 * d + 1) ** (n + 1),
+                  (d + 1) * full.w[0] + (d - 1) * full.w[-1] if n else d + 1}
+        for at in (full, _CodeIndex(ctx, full=False)):
+            for code in others - set(full):
+                with pytest.raises(KeyError):
+                    at[code]
+        for k in (-1, full.size):
+            with pytest.raises(KeyError):
+                _CodeIndex(ctx, full=False).codes[k]
+
+    @given(st.data())
+    def test_unit_move_test_on_sampled_quads(self, data):
+        # a balanced quad from two drawn entries and a drawn split of their
+        # sum, as drawn and canonical, and a quad of free indices
+        n = data.draw(st.integers(0, 6), label="n")
+        d = data.draw(st.integers(1, 7), label="d")
+        ctx = VeroneseContext(n, d)
+        monos, idx = ctx.monomials(), coordinate_index(ctx)
+        index = st.integers(0, len(monos) - 1)
+        a, b = data.draw(index, label="a"), data.draw(index, label="b")
+        total = list(map(add, monos[a], monos[b]))
+        c = data.draw(st.sampled_from([k for k, m in enumerate(monos) if all(map(le, m, total))]), label="c")
+        e = idx[tuple(map(sub, total, monos[c]))]
+        free = tuple(data.draw(st.integers(-1, len(monos)), label="free") for _ in range(4))
+        for at in (_CodeIndex(ctx), _CodeIndex(ctx, full=False)):
+            for q in ((a, b, c, e), _canonical_quad(a, b, c, e) or (a, b, c, e), free):
+                assert is_minor_quad(at, *q) == reference_is_minor_quad(monos, *q), q
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_forests_match_the_vector_forests(self, n):
+        for d in range(1, 7):
+            ctx = VeroneseContext(n, d)
+            at = _CodeIndex(ctx)
+            for i in range(n + 1):
+                col = chart_indices(ctx, i)
+                assert certs._forest(ctx, at, i, col) == reference_forest(ctx, i, col)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_cascades_match_the_vector_cascades(self, n):
+        # the same steps, and the same bytes as verify --emit-propagation-cert
+        for d in range(1, 7):
+            ctx = VeroneseContext(n, d)
+            cert, ref = zero_propagation_certificate(ctx), reference_zero_propagation_certificate(ctx)
+            assert cert == ref
+            assert (json.dumps(propagation_to_doc(cert), indent=2, sort_keys=True)
+                    == json.dumps(propagation_to_doc(ref), indent=2, sort_keys=True))
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 3), (3, 4)])
+    def test_unit_move_edges_telescope(self, n, d):
+        # _chain_fault passes one quad z_P z_k - z_parent z_{col_j} below a
+        # parent k + e_i - e_j without running the product: every such edge,
+        # on the forest or off it, telescopes when run as the last step of
+        # the parent's whole chain, which takes no shortcut.  The same quad
+        # below k + e_s - e_j, s != i, is unbalanced: no minor
+        ctx = VeroneseContext(n, d)
+        monos, idx, at = ctx.monomials(), coordinate_index(ctx), _CodeIndex(ctx)
+        edges = 0
+        for i in range(n + 1):
+            col = chart_indices(ctx, i)
+            for k, m in enumerate(monos):
+                for s, j in product(range(n + 1), repeat=2):
+                    if j == s or not m[j]:
+                        continue
+                    parent = idx[moved(m, j, s)]
+                    q = _canonical_quad(col[i], k, parent, col[j])
+                    shortcut = certs._chain_fault(ctx, at, col, i, k, (q,), parent)
+                    if s != i or q is None:  # q is None iff parent = P and k = col_j
+                        assert shortcut == (0, "{minor} is not a 2-minor of the matrix")
+                        continue
+                    assert shortcut is None
+                    chain = reference_chain_quads(ctx, col, i, monos[parent]) + [q]
+                    assert certs._chain_fault(ctx, at, col, i, k, chain) is None
+                    edges += 1
+        assert edges >= (n + 1) * (ctx.N - n)  # the forest edges among them
 
 
 class TestMalformedChains:

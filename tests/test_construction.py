@@ -220,7 +220,7 @@ class TestTablesOnTheIndexGrid:
         # hold, so _pair_groups groups exactly the balanced pairs of pairs
         ctx = VeroneseContext(n, d)
         monos = ctx.monomials()
-        codes = matrix_module._packed_codes(monos)
+        codes = matrix_module._packed_codes(n, d)
         pairs = [(a, b) for a in range(len(monos)) for b in range(a, len(monos))]
         digits = Counter()
         for (a, b), (c, e) in combinations(pairs, 2):
@@ -239,7 +239,7 @@ class TestTablesOnTheIndexGrid:
         # pair sum reaches, so it is both by construction.
         for d in range(1, 8):
             monos = enumerate_monomials(n, d)
-            codes = matrix_module._packed_codes(monos)
+            codes = matrix_module._packed_codes(n, d)
             ref = [sum(e * 100 ** j for j, e in enumerate(m)) for m in monos]
             sums = {(ra + rb, ca + cb) for a, (ra, ca) in enumerate(zip(ref, codes))
                     for rb, cb in zip(ref[a:], codes[a:])}
@@ -411,7 +411,7 @@ class SlotBinomial2:
 
 def slot_quad_binomials(monos, quads):
     S = len(monos)
-    codes = matrix_module._packed_codes(monos) if S else []
+    codes = matrix_module._packed_codes(len(monos[0]) - 1, sum(monos[0])) if S else []
     pairs = [None] * (S * S)
     new, set_pos, set_neg = object.__new__, SlotBinomial2.pos.__set__, SlotBinomial2.neg.__set__
     for a, b, c, e in quads:
@@ -437,7 +437,7 @@ def slot_minors2(matrix):
 
 def slot_toric_quadrics(ctx):
     monos = enumerate_monomials(ctx.n, ctx.d)
-    codes = matrix_module._packed_codes(monos)
+    codes = matrix_module._packed_codes(ctx.n, ctx.d)
     by_sum = {}
     for a, ca in enumerate(codes):
         for b, cb in enumerate(codes[a:], a):
