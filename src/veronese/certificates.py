@@ -32,13 +32,11 @@ PropagationStep and RewriteChain are errors.FrozenTuples, like Binomial2,
 so the generators make each step and chain with one tuple.__new__ too.
 
 The symbolic checks decide on packed exponent codes, code(m) = sum_j m_j
-w_j with w_j = (2d+1)^j, through one matrix._CodeIndex `at` made per
-public call (no cache, so a cold build stays cold): full for a cascade
-or a forest, filled on use for one chain.  A coordinate one unit move
-from k is at[code(k) + w_i - w_j]: a forest parent, a cascade factor.  is_minor_quad tests a quad with two sums and two lookups in the
-n(n+1) unit-move codes, and _chain_fault passes a forest edge whose
-parent is a unit move e_i - e_j from its node, found the same way,
-without running the product.
+w_j with w_j = (2d+1)^j, through one matrix.CodeIndex `at` made per
+public call (no cache, so a cold build stays cold).  A coordinate one
+unit move from k is at[code(k) + w_i - w_j]: a forest parent, a cascade
+factor.  is_minor_quad tests a quad with two sums and two lookups in the
+n(n+1) unit-move codes.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from math import prod
 from operator import sub
 
 from .errors import ContractError, FrozenTuple
-from .matrix import Binomial2, _canonical_quad, _CodeIndex, binomial_quad, is_minor_quad, parse_binomial
+from .matrix import Binomial2, _canonical_quad, CodeIndex, binomial_quad, is_minor_quad, parse_binomial
 from .morphism import chart_indices
 from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
@@ -124,7 +122,7 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
     w_k)].
     """
     monos = ctx.monomials()
-    at = _CodeIndex(ctx)
+    at = CodeIndex(ctx)
     codes, w, d = at.codes, at.w, ctx.d
     known = {at[d * u] for u in w}  # the pure powers d e_i
     steps, new = [], tuple.__new__
@@ -152,7 +150,7 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
     if cert.ctx != ctx:
         return VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
     monos, idx = ctx.monomials(), coordinate_index(ctx)
-    at = _CodeIndex(ctx)
+    at = CodeIndex(ctx)
     known = {at[ctx.d * u] for u in at.w}  # the pure powers d e_i
     for pos, step in enumerate(cert.steps):
         why = _step_fault(ctx, monos, at, idx, known, step)
@@ -166,7 +164,7 @@ def verify_zero_propagation(ctx: VeroneseContext, cert: ZeroPropagationCertifica
     return VerifyResult(True)
 
 
-def _step_fault(ctx: VeroneseContext, monos, at: _CodeIndex, idx: dict, known: set,
+def _step_fault(ctx: VeroneseContext, monos, at: CodeIndex, idx: dict, known: set,
                 step: PropagationStep) -> str | None:
     """Why step does not force its target to zero given the known zeros; None if it does."""
     q = binomial_quad(ctx, step.minor)
@@ -192,9 +190,9 @@ def _step_fault(ctx: VeroneseContext, monos, at: _CodeIndex, idx: dict, known: s
     return None
 
 
-def _edge(monos, at: _CodeIndex, col: tuple[int, ...], i: int, k: int) -> tuple[int, tuple[int, int, int, int]]:
+def _edge(monos, at: CodeIndex, col: tuple[int, ...], i: int, k: int) -> tuple[int, tuple[int, int, int, int]]:
     """(parent, quad) of node k (d - k_i >= 2) in chart i's forest, at =
-    _CodeIndex(ctx) and col = chart_indices(ctx, i): the parent is
+    CodeIndex(ctx) and col = chart_indices(ctx, i): the parent is
     k + e_i - e_j, at[code(k) + w_i - w_j], j the least index but i with
     k_j > 0, and the quad is that of z_P z_k - z_parent z_{col_j}."""
     for j, e in enumerate(monos[k]):
@@ -205,9 +203,10 @@ def _edge(monos, at: _CodeIndex, col: tuple[int, ...], i: int, k: int) -> tuple[
     return p, _canonical_quad(col[i], k, p, col[j])
 
 
-def _forest(ctx: VeroneseContext, at: _CodeIndex, i: int, col: tuple[int, ...]) -> list[tuple[int, int, tuple]]:
+def _forest(ctx: VeroneseContext, at: CodeIndex, i: int, col: tuple[int, ...]) -> list[tuple[int, int, tuple]]:
     """The N - n edges (k, parent, quad) of chart i's forest, parents first:
-    nodes by falling k_i, after the n + 1 roots col, whose k_i >= d - 1."""
+    nodes by falling k_i, after the n + 1 roots col, whose k_i >= d - 1,
+    each edge from _edge on the code index at = CodeIndex(ctx)."""
     monos = ctx.monomials()
     order = sorted(range(len(monos)), key=[m[i] for m in monos].__getitem__, reverse=True)
     return [(k, *_edge(monos, at, col, i, k)) for k in order[ctx.n + 1:]]
@@ -227,7 +226,7 @@ def rewrite_chain(ctx: VeroneseContext, i: int, m: MultiIndex) -> RewriteChain:
     if not _names_chain(ctx, i, m):
         raise ContractError(f"chart {i!r} and target {m!r} name no rewrite chain of {ctx}")
     monos = ctx.monomials()
-    at = _CodeIndex(ctx, full=False)
+    at = CodeIndex(ctx)
     col, k, quads = chart_indices(ctx, i), coordinate_index(ctx)[m], []
     while monos[k][i] < ctx.d - 1:
         k, q = _edge(monos, at, col, i, k)
@@ -248,7 +247,7 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
         return VerifyResult(False, "chain chart, target or steps malformed for this context")
     idx, col = coordinate_index(ctx), chart_indices(ctx, i)
     quads = [binomial_quad(ctx, b) if isinstance(b, Binomial2) else None for b in chain.steps]
-    fault = _chain_fault(ctx, _CodeIndex(ctx, full=False), col, i, idx[m], quads)
+    fault = _chain_fault(ctx, CodeIndex(ctx), col, i, idx[m], quads)
     if fault is not None:
         pos, why = fault
         if pos < len(chain.steps):
@@ -266,7 +265,7 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     return VerifyResult(True)
 
 
-def _chain_fault(ctx: VeroneseContext, at: _CodeIndex, col: tuple[int, ...], i: int, k: int, quads,
+def _chain_fault(ctx: VeroneseContext, at: CodeIndex, col: tuple[int, ...], i: int, k: int, quads,
                  parent: int | None = None) -> tuple[int, str] | None:
     """The first failing check, as (step, diagnostic template), of the
     quads (None: no minor) of the chart-i chain of coordinate index k, col
@@ -285,21 +284,9 @@ def _chain_fault(ctx: VeroneseContext, at: _CodeIndex, col: tuple[int, ...], i: 
     that chain, if sound, leaves k's: z_P^(d-1) z_parent z_col^(k-parent),
     k's chart product on chart i (z_P != 0, and a root parent's product is
     its goal) unless a count is negative, which no step clears: a fault.
-
-    One quad that is the forest edge of k below a parent one unit move
-    away, k = parent - e_i + e_j (code(k) - code(parent) = w_j - w_i),
-    passes without the run: it is the canonical quad of z_P z_k - z_parent
-    z_{col_j}, a minor through P unless parent = P (and then k = col_j and
-    the quad is None).  The product starts as z_P^(d-2) z_parent z_{col_j},
-    which lacks z_k, so the step consumes z_parent z_{col_j} and ends at
-    the goal z_P^(d-1) z_k.
     """
-    P = col[i]
-    if parent is not None and len(quads) == 1 and quads[0] is not None:
-        move = at.moves.get(at.codes[k] - at.codes[parent])
-        if move is not None and move[1] == i and quads[0] == _canonical_quad(P, k, parent, col[move[0]]):
-            return None
     monos = ctx.monomials()
+    P = col[i]
     if parent is None:
         state = dict(zip(col, monos[k]))
     else:
@@ -330,7 +317,7 @@ def _chain_fault(ctx: VeroneseContext, at: _CodeIndex, col: tuple[int, ...], i: 
     return None if state == goal else (len(quads), "telescoping ended away from the claimed product")
 
 
-def _chart_failures(ctx: VeroneseContext, at: _CodeIndex, i: int, points) -> int:
+def _chart_failures(ctx: VeroneseContext, at: CodeIndex, i: int, points) -> int:
     """Failed (chain, point) pairs of verify_rewrite_chain over every chain
     of chart i and the points' integer_coords (z, p), on chart i's forest,
     each edge checked once by _chain_fault.
@@ -373,7 +360,7 @@ def all_rewrite_chains(ctx: VeroneseContext):
     """Yield rewrite_chain(ctx, i, m) for each chart i, then coordinate m; a
     chart's chains are built parents first, one Binomial2 per forest edge."""
     monos, new = ctx.monomials(), tuple.__new__
-    at = _CodeIndex(ctx)
+    at = CodeIndex(ctx)
     for i in range(ctx.n + 1):
         steps = [()] * len(monos)
         for k, parent, (a, b, c, e) in _forest(ctx, at, i, chart_indices(ctx, i)):

@@ -267,7 +267,7 @@ def cmd_invert(args, ctx) -> int:
 def _verify_checks(ctx, field, seed: int, external_cert=None):
     """Run the composite verification; returns a list of check dicts."""
     from . import certificates as certs
-    from .matrix import _CodeIndex
+    from .matrix import CodeIndex
     from .morphism import _verify_point
     from .projective import _random_ints
 
@@ -298,7 +298,7 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
     del cert  # the chain phase reads no certificate: a generated one goes before the forests
 
     # verify_rewrite_chain for every chain and point, on each chart's forest
-    chain_failures, at = 0, _CodeIndex(ctx)
+    chain_failures, at = 0, CodeIndex(ctx)
     for i in range(ctx.n + 1):
         points = [_chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART)]
         chain_failures += certs._chart_failures(ctx, at, i, points)

@@ -29,7 +29,7 @@ Codes also decide unit moves.  A digit of a difference A - C of degree-d
 vectors lies in [-d, d], and base 2d+1 with digits in [-d, d] writes each
 integer one way only: if two such numerals differ, their lowest differing
 digit differs by 1 to 2d, not a multiple of 2d+1.  So code(A) - code(C)
-== w_i - w_j, w_j = (2d+1)^j, iff A - C == e_i - e_j.  _CodeIndex holds a
+== w_i - w_j, w_j = (2d+1)^j, iff A - C == e_i - e_j.  CodeIndex holds a
 context's codes, its n(n+1) unit-move codes w_i - w_j (i != j), and the
 dict code -> index, made once per call that needs them, never cached:
 is_minor_quad tests a quad with two sums and two lookups, and the
@@ -58,7 +58,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb
-from operator import add, mul
+from operator import add
 
 from .errors import BudgetError, ContractError, FrozenTuple
 from .multiindex import (
@@ -231,57 +231,20 @@ def _code_weights(n: int, d: int) -> list[int]:
     return [(2 * d + 1) ** j for j in range(n + 1)]
 
 
-class _CodeIndex(dict):
+class CodeIndex(dict):
     """The dict code -> index of ctx's coordinates, with codes[k] the code
-    of coordinate k, the weights w[j] = (2d+1)^j, size = N + 1, and moves,
-    which maps each of the n(n+1) unit-move codes w_i - w_j, i != j, to
-    (i, j) (module docstring).  A call that visits every coordinate makes
-    it full, codes a list.  One that visits a few, such as one chain, makes
-    it with full=False: codes is then a dict, and both dicts fill on first
-    use, a code read back by its base-(2d+1) digits, which are the
-    exponents, through coordinate_index, so the call costs its own
-    coordinates, not N + 1."""
+    of coordinate k, the weights w[j] = (2d+1)^j, and moves, the set of
+    the n(n+1) unit-move codes w_i - w_j, i != j (module docstring).  Made
+    once per call that needs it and never cached, it costs O(N) to make,
+    so a call that builds one chain pays for every coordinate."""
 
-    __slots__ = ("codes", "w", "moves", "size", "_ctx")
+    __slots__ = ("codes", "w", "moves")
 
-    def __init__(self, ctx: VeroneseContext, full: bool = True):
+    def __init__(self, ctx: VeroneseContext):
         self.w = w = _code_weights(ctx.n, ctx.d)
-        self.moves = {u - v: (i, j) for i, u in enumerate(w) for j, v in enumerate(w) if i != j}
-        self.size, self._ctx = ctx.num_coords, ctx
-        if full:
-            self.codes = _packed_codes(ctx.n, ctx.d)
-            super().__init__(zip(self.codes, range(self.size)))
-        else:
-            self.codes = _Codes(ctx.monomials(), w)
-
-    def __missing__(self, code: int) -> int:
-        rest, exponents = code, []
-        for _ in self.w:
-            rest, e = divmod(rest, 2 * self._ctx.d + 1)
-            exponents.append(e)
-        k = None if rest else coordinate_index(self._ctx).get(tuple(exponents))
-        if k is None:
-            raise KeyError(code)
-        self[code] = k
-        self.codes[k] = code
-        return k
-
-
-class _Codes(dict):
-    """The dict index -> code of the degree-d vectors monos, w the
-    weights, each code made on first use."""
-
-    __slots__ = ("monos", "w")
-
-    def __init__(self, monos, w: list[int]):
-        super().__init__()
-        self.monos, self.w = monos, w
-
-    def __missing__(self, k: int) -> int:
-        if not 0 <= k < len(self.monos):
-            raise KeyError(k)
-        code = self[k] = sum(map(mul, self.monos[k], self.w))
-        return code
+        self.moves = {u - v for u in w for v in w if u != v}
+        self.codes = _packed_codes(ctx.n, ctx.d)
+        super().__init__(zip(self.codes, range(len(self.codes))))
 
 
 def _quad_binomials(monos, quads):
@@ -378,9 +341,9 @@ def binomial_quad(ctx: VeroneseContext, binomial: Binomial2) -> tuple[int, int, 
         return None
 
 
-def is_minor_quad(at: _CodeIndex, a: int, b: int, c: int, e: int) -> bool:
+def is_minor_quad(at: CodeIndex, a: int, b: int, c: int, e: int) -> bool:
     """Whether z_a z_b - z_c z_e, given by indices into monos =
-    ctx.monomials() and at = _CodeIndex(ctx), is a canonical 2-minor of
+    ctx.monomials() and at = CodeIndex(ctx), is a canonical 2-minor of
     the matrix.
 
     Column beta (a degree-(d-1) vector) holds z_{beta+e_i} on row i, so the
@@ -406,7 +369,7 @@ def is_minor_quad(at: _CodeIndex, a: int, b: int, c: int, e: int) -> bool:
     and a unit move is a difference in at.moves (balanced digits), so the
     test is exact (module docstring).
     """
-    if not (0 <= a <= b < at.size and a < c <= e < at.size):
+    if not (0 <= a <= b < len(at) and a < c <= e < len(at)):
         return False
     codes = at.codes
     A, C, E = codes[a], codes[c], codes[e]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
 
-from veronese import Binomial2, PrimeField, ProjectivePoint, enumerate_monomials
+from veronese import Binomial2, MultiIndex, PrimeField, ProjectivePoint, enumerate_monomials
 from veronese.matrix import _canonical_quad
 from veronese.multiindex import coordinate_index
 
@@ -49,27 +49,33 @@ def reference_is_minor_quad(monos, a, b, c, e):
     )
 
 
+def moved(m, i, j):
+    """m - e_i + e_j: one unit of weight moved from position i to j."""
+    return MultiIndex(e - (k == i) + (k == j) for k, e in enumerate(m))
+
+
+def forest_parent(ctx, i, m):
+    """m + e_i - e_j, j the least index other than i with m_j > 0: the
+    parent of m in chart i's forest; None for a root, d - m_i <= 1."""
+    if ctx.d - m[i] <= 1:
+        return None
+    return moved(m, min(s for s in range(ctx.n + 1) if s != i and m[s] > 0), i)
+
+
 def reference_forest(ctx, i, col):
     """The N - n edges (k, parent, quad) of chart i's forest as
     certificates._forest built them on exponent vectors, col =
     chart_indices(ctx, i): nodes by falling k_i after the n + 1 roots, the
-    parent k + e_i - e_j (j the least index but i with k_j > 0) looked up
-    as a vector, and the quad that of z_P z_k - z_parent z_{col_j}."""
+    parent forest_parent(ctx, i, m) looked up as a vector, and the quad
+    that of z_P z_k - z_parent z_{col_j}, j the position m gives up."""
     monos, idx = ctx.monomials(), coordinate_index(ctx)
-
-    def moved(exps, i, j):  # index of exps - e_i + e_j
-        w = list(exps)
-        w[i] -= 1
-        w[j] += 1
-        return idx[tuple(w)]
-
-    def edge(k):
-        j = next(j for j, e in enumerate(monos[k]) if e and j != i)
-        p = moved(monos[k], j, i)
-        return p, _canonical_quad(col[i], k, p, col[j])
-
     order = sorted(range(len(monos)), key=[m[i] for m in monos].__getitem__, reverse=True)
-    return [(k, *edge(k)) for k in order[ctx.n + 1:]]
+    edges = []
+    for k in order[ctx.n + 1:]:
+        parent = forest_parent(ctx, i, monos[k])
+        j = next(s for s, (a, b) in enumerate(zip(monos[k], parent)) if a > b)
+        edges.append((k, idx[parent], _canonical_quad(col[i], k, idx[parent], col[j])))
+    return edges
 
 
 def reference_proportional(u, v, p):

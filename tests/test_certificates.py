@@ -4,10 +4,9 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import partial
-from itertools import product, starmap
+from itertools import product
 from math import prod
-from operator import add, le, mul, ne, sub
+from operator import add, le, mul, sub
 from random import Random
 
 import pytest
@@ -40,11 +39,11 @@ from veronese import (
 )
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
-from veronese.matrix import _canonical_quad, _CodeIndex, binomial_quad, is_minor_quad
+from veronese.matrix import _canonical_quad, CodeIndex, binomial_quad, is_minor_quad
 from veronese.morphism import _minor_quads, _minor_table, chart_indices, coordinate_index
 from veronese.projective import integer_coords
 
-from reference import reference_forest, reference_is_minor_quad
+from reference import forest_parent, moved, reference_forest, reference_is_minor_quad
 from test_matrix import bump
 
 
@@ -183,7 +182,7 @@ class TestRewriteChainGeneration:
             for step in steps:
                 assert type(step) is Binomial2
                 assert step == Binomial2(step.pos, step.neg)
-                assert is_minor_quad(_CodeIndex(ctx), *binomial_quad(ctx, step)), step
+                assert is_minor_quad(CodeIndex(ctx), *binomial_quad(ctx, step)), step
             if n and d >= 3:
                 assert len(steps) > len(cert.steps) > 0
 
@@ -285,7 +284,7 @@ def is_matrix_minor(ctx, binomial):
     """Whether binomial is a 2-minor of ctx's matrix, as a caller holding a
     Binomial2 asks it: is_minor_quad on its binomial_quad."""
     q = binomial_quad(ctx, binomial)
-    return q is not None and is_minor_quad(_CodeIndex(ctx), *q)
+    return q is not None and is_minor_quad(CodeIndex(ctx), *q)
 
 
 class TestClosedFormMinorTest:
@@ -366,11 +365,6 @@ class TestClosedFormMinorTest:
 # coordinate-index quads, with membership tested in the built minor set, as
 # the verifiers did before the closed-form test.  They share no code with the
 # index core beyond the value classes.
-
-def moved(m, i, j):
-    """m - e_i + e_j: one unit of weight moved from position i to j."""
-    return MultiIndex(e - (k == i) + (k == j) for k, e in enumerate(m))
-
 
 def reference_zero_propagation_certificate(ctx):
     if ctx.d < 2:
@@ -701,6 +695,10 @@ TAMPERINGS = ["genuine", "off-degree", "wrong-length", "reversed-pair", "swapped
               "truncated", "foreign-minor", "other-chain-step", "foreign-chain"]
 
 
+# every (n, d) with n <= 3 and d <= 4
+SMALL = [(n, d) for n in range(4) for d in range(1, 5)]
+
+
 class TestIndexCoreMatchesReference:
     """The index core behind rewrite_chain, verify_rewrite_chain and the
     zero-propagation pair against the object-based reference paths above."""
@@ -757,19 +755,20 @@ class TestIndexCoreMatchesReference:
         if kind == "genuine":
             assert verify_rewrite_chain(ctx, bad, Q).ok
 
-    @pytest.mark.parametrize("n,d", [(0, 2), (1, 3), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("n,d", SMALL)
     def test_quad_test_on_every_quad(self, n, d):
-        # is_minor_quad against the built minor set on every quad of indices,
-        # out-of-range indices included
+        # is_minor_quad against the built minor set, and against the vector
+        # test it replaced, on every quad of indices, out-of-range indices
+        # included
         ctx = VeroneseContext(n, d)
         monos = ctx.monomials()
-        at = _CodeIndex(ctx)
+        at = CodeIndex(ctx)
         minors = cached_minors(ctx)
         span = range(-1, len(monos) + 1)
         inside = range(len(monos))
         for q in product(span, repeat=4):
             expected = all(x in inside for x in q) and _as_minor(monos, q) in minors
-            assert is_minor_quad(at, *q) == expected, q
+            assert is_minor_quad(at, *q) == reference_is_minor_quad(monos, *q) == expected, q
 
     @pytest.mark.parametrize("n,d", [(1, 3), (2, 4), (3, 3)])
     def test_quad_chains_on_ints(self, n, d):
@@ -778,7 +777,7 @@ class TestIndexCoreMatchesReference:
         # quad and any unbalanced one
         ctx = VeroneseContext(n, d)
         monos = ctx.monomials()
-        at = _CodeIndex(ctx)
+        at = CodeIndex(ctx)
         for i in range(n + 1):
             col = chart_indices(ctx, i)
             for k, m in enumerate(monos):
@@ -893,14 +892,6 @@ class TestVerifiersBuildNoMinorSet:
 # The chains of a chart as one forest: each chain is its parent's plus one
 # edge, so generation makes each edge once and verify checks it once.
 
-def forest_parent(ctx, i, m):
-    """m + e_i - e_j, j the least index other than i with m_j > 0: the
-    parent of m in chart i's forest; None for a root, d - m_i <= 1."""
-    if ctx.d - m[i] <= 1:
-        return None
-    return moved(m, min(s for s in range(ctx.n + 1) if s != i and m[s] > 0), i)
-
-
 BENDS = ["skipped-step", "wrong-partner", "swapped-sides"]
 
 
@@ -939,7 +930,7 @@ class TestChainForest:
         chains = {(c.chart, c.target): c for c in all_rewrite_chains(ctx)}
         assert len(chains) == (n + 1) * ctx.num_coords
         for i in range(n + 1):
-            assert len(certs._forest(ctx, _CodeIndex(ctx), i, chart_indices(ctx, i))) == ctx.N - n
+            assert len(certs._forest(ctx, CodeIndex(ctx), i, chart_indices(ctx, i))) == ctx.N - n
         assert len({(i, step) for (i, _), c in chains.items() for step in c.steps}) == (n + 1) * (ctx.N - n)
         for (i, m), chain in chains.items():
             parent = forest_parent(ctx, i, m)
@@ -972,7 +963,7 @@ class TestChainForest:
         # the variety by one coordinate
         ctx = VeroneseContext(n, d)
         monos, idx = ctx.monomials(), coordinate_index(ctx)
-        at = _CodeIndex(ctx)
+        at = CodeIndex(ctx)
         genuine = list(all_rewrite_chains(ctx))
         monkeypatch.setattr(certs, "_edge", bent_edge(bend))
         chains = list(all_rewrite_chains(ctx))
@@ -1016,7 +1007,7 @@ class TestChainForest:
         ctx, rng = VeroneseContext(n, d), Random(seed)
         i = data.draw(st.integers(0, n))
         monos, col = ctx.monomials(), chart_indices(ctx, i)
-        at = _CodeIndex(ctx)
+        at = CodeIndex(ctx)
         image = list(image_point_on_chart(rng, field, ctx, i).coords)
         bumped = image[:]
         bumped[rng.randrange(len(bumped))] += field.one
@@ -1056,16 +1047,13 @@ def balanced_digits(x, base, width):
     return tuple(digits)
 
 
-SMALL = [(n, d) for n in range(4) for d in range(1, 5)]
-
-
 class TestPackedCodeDecisions:
     @pytest.mark.parametrize("n,d", SMALL)
     def test_code_differences_are_the_vector_differences(self, n, d):
         # code(A) - code(C) written in base 2d+1 with digits in [-d, d] is
         # A - C, so it is w_i - w_j iff A - C = e_i - e_j
         ctx = VeroneseContext(n, d)
-        monos, at = ctx.monomials(), _CodeIndex(ctx)
+        monos, at = ctx.monomials(), CodeIndex(ctx)
         assert at.codes == [sum(map(mul, m, at.w)) for m in monos]
         assert at == {c: k for k, c in enumerate(at.codes)}
         assert len(at.moves) == n * (n + 1)
@@ -1073,46 +1061,7 @@ class TestPackedCodeDecisions:
             for C, cc in zip(monos, at.codes):
                 diff = tuple(map(sub, A, C))
                 assert balanced_digits(ca - cc, 2 * d + 1, n + 1) == diff
-                unit = at.moves.get(ca - cc)
-                if unit is None:
-                    assert sorted(diff) != [-1] + [0] * (n - 1) + [1]
-                else:
-                    i, j = unit
-                    assert diff == tuple((s == i) - (s == j) for s in range(n + 1))
-
-    @pytest.mark.parametrize("n,d", SMALL)
-    def test_unit_move_test_on_every_quad(self, n, d):
-        # every quad of indices in -1..S, out-of-range ones included: the
-        # code test and the vector test agree, and pass the minors only
-        ctx = VeroneseContext(n, d)
-        monos = ctx.monomials()
-        code_test = partial(is_minor_quad, _CodeIndex(ctx))
-        vector_test = partial(reference_is_minor_quad, monos)
-        span = range(-1, len(monos) + 1)
-        disagree = map(ne, starmap(code_test, product(span, repeat=4)),
-                       starmap(vector_test, product(span, repeat=4)))
-        assert not any(disagree), next(q for q in product(span, repeat=4) if code_test(*q) != vector_test(*q))
-        assert sum(starmap(code_test, product(span, repeat=4))) == len(cached_minors(ctx))
-
-    @pytest.mark.parametrize("n,d", SMALL + [(6, 7)])
-    def test_index_filled_on_use_matches_the_full_one(self, n, d):
-        # the code index of one chain's calls reads a code back by its
-        # digits; any other int is no code
-        ctx = VeroneseContext(n, d)
-        full, lazy = _CodeIndex(ctx), _CodeIndex(ctx, full=False)
-        assert (lazy.w, lazy.moves, lazy.size) == (full.w, full.moves, full.size)
-        assert [lazy.codes[k] for k in range(full.size)] == full.codes
-        assert [lazy[c] for c in reversed(full.codes)] == list(reversed(range(full.size)))
-        assert lazy == full and list(lazy.codes.values()) == full.codes
-        others = {-1, 0, max(full) + 1, full.codes[0] + (2 * d + 1) ** (n + 1),
-                  (d + 1) * full.w[0] + (d - 1) * full.w[-1] if n else d + 1}
-        for at in (full, _CodeIndex(ctx, full=False)):
-            for code in others - set(full):
-                with pytest.raises(KeyError):
-                    at[code]
-        for k in (-1, full.size):
-            with pytest.raises(KeyError):
-                _CodeIndex(ctx, full=False).codes[k]
+                assert (ca - cc in at.moves) == (sorted(diff) == [-1] + [0] * (n - 1) + [1])
 
     @given(st.data())
     def test_unit_move_test_on_sampled_quads(self, data):
@@ -1128,15 +1077,15 @@ class TestPackedCodeDecisions:
         c = data.draw(st.sampled_from([k for k, m in enumerate(monos) if all(map(le, m, total))]), label="c")
         e = idx[tuple(map(sub, total, monos[c]))]
         free = tuple(data.draw(st.integers(-1, len(monos)), label="free") for _ in range(4))
-        for at in (_CodeIndex(ctx), _CodeIndex(ctx, full=False)):
-            for q in ((a, b, c, e), _canonical_quad(a, b, c, e) or (a, b, c, e), free):
-                assert is_minor_quad(at, *q) == reference_is_minor_quad(monos, *q), q
+        at = CodeIndex(ctx)
+        for q in ((a, b, c, e), _canonical_quad(a, b, c, e) or (a, b, c, e), free):
+            assert is_minor_quad(at, *q) == reference_is_minor_quad(monos, *q), q
 
     @pytest.mark.parametrize("n", range(6))
     def test_forests_match_the_vector_forests(self, n):
         for d in range(1, 7):
             ctx = VeroneseContext(n, d)
-            at = _CodeIndex(ctx)
+            at = CodeIndex(ctx)
             for i in range(n + 1):
                 col = chart_indices(ctx, i)
                 assert certs._forest(ctx, at, i, col) == reference_forest(ctx, i, col)
@@ -1153,13 +1102,13 @@ class TestPackedCodeDecisions:
 
     @pytest.mark.parametrize("n,d", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 3), (3, 4)])
     def test_unit_move_edges_telescope(self, n, d):
-        # _chain_fault passes one quad z_P z_k - z_parent z_{col_j} below a
-        # parent k + e_i - e_j without running the product: every such edge,
-        # on the forest or off it, telescopes when run as the last step of
-        # the parent's whole chain, which takes no shortcut.  The same quad
-        # below k + e_s - e_j, s != i, is unbalanced: no minor
+        # one quad z_P z_k - z_parent z_{col_j} below a parent k + e_i - e_j,
+        # on the forest or off it, passes _chain_fault from the parent's
+        # product, as it does run as the last step of the parent's whole
+        # chain.  The same quad below k + e_s - e_j, s != i, is unbalanced:
+        # no minor
         ctx = VeroneseContext(n, d)
-        monos, idx, at = ctx.monomials(), coordinate_index(ctx), _CodeIndex(ctx)
+        monos, idx, at = ctx.monomials(), coordinate_index(ctx), CodeIndex(ctx)
         edges = 0
         for i in range(n + 1):
             col = chart_indices(ctx, i)
@@ -1169,11 +1118,11 @@ class TestPackedCodeDecisions:
                         continue
                     parent = idx[moved(m, j, s)]
                     q = _canonical_quad(col[i], k, parent, col[j])
-                    shortcut = certs._chain_fault(ctx, at, col, i, k, (q,), parent)
+                    fault = certs._chain_fault(ctx, at, col, i, k, (q,), parent)
                     if s != i or q is None:  # q is None iff parent = P and k = col_j
-                        assert shortcut == (0, "{minor} is not a 2-minor of the matrix")
+                        assert fault == (0, "{minor} is not a 2-minor of the matrix")
                         continue
-                    assert shortcut is None
+                    assert fault is None
                     chain = reference_chain_quads(ctx, col, i, monos[parent]) + [q]
                     assert certs._chain_fault(ctx, at, col, i, k, chain) is None
                     edges += 1
