@@ -25,11 +25,12 @@ Certificates are generated symbolically on coordinate indices: a step is
 the quad (a, b, c, e) of z_a z_b - z_c z_e, canonical when a <= b, c <= e
 and a < c (the index is the rank, which reverses lex order).  Verification
 is structural, by the unit-move test matrix.is_minor_quad, plus, for
-chains, an exact numeric check at a variety point.  A cascade step's
-minor is built with Binomial2(pos, neg), which checks balance, a chain
-edge with tuple.__new__: d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).
-PropagationStep and RewriteChain are errors.FrozenTuples, like Binomial2,
-so the generators make each step and chain with one tuple.__new__ too.
+chains, an exact numeric check at a variety point.  Each minor is built
+with tuple.__new__, balanced by construction: a cascade step's, since
+(j + e_t - e_k) + (j - e_t + e_k) = 2j, and a chain edge's, since
+d e_i + (w - e_i + e_j) = w + ((d-1)e_i + e_j).  PropagationStep and
+RewriteChain are errors.FrozenTuples, like Binomial2, so the generators
+make each step and chain with one tuple.__new__ too.
 
 The symbolic checks decide on packed exponent codes, code(m) = sum_j m_j
 w_j with w_j = (2d+1)^j, through one matrix.CodeIndex `at` made per
@@ -111,9 +112,10 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
 
     Its first factor precedes j on row t, so it is already zero when the
     step runs, and its second follows j: the quad is canonical as it
-    stands.  Entries before the pure power on later rows repeat earlier
-    rows and need no step of their own; for d = 1 every coordinate is a
-    pure power and the cascade is empty.
+    stands, and balanced, its factors summing to 2j.  Entries before the
+    pure power on later rows repeat earlier rows and need no step of their
+    own; for d = 1 every coordinate is a pure power and the cascade is
+    empty.
 
     In lex-descending order the vectors whose first positive exponent is
     at t come in one block, t rising, so the rows' targets are the
@@ -138,7 +140,8 @@ def zero_propagation_certificate(ctx: VeroneseContext) -> ZeroPropagationCertifi
         move = w[t] - w[k]
         first, other = at[codes[target] + move], at[codes[target] - move]
         prereqs = (monos[first],) + ((monos[other],) if other in known else ())
-        steps.append(new(PropagationStep, (j, Binomial2((monos[first], monos[other]), (j, j)), prereqs)))
+        minor = new(Binomial2, ((monos[first], monos[other]), (j, j)))
+        steps.append(new(PropagationStep, (j, minor, prereqs)))
         known.add(target)
     return ZeroPropagationCertificate(ctx, tuple(steps))
 

@@ -11,16 +11,16 @@ vanishing locus the rest of the package studies.  Binomials are kept in a
 canonical form so that generator sets deduplicate by plain equality.
 
 The tables are built on coordinate indices (ranks): a quadric is the quad
-(a, b, c, e) of z_a z_b - z_c z_e.  _grid_quads takes the canonical quad
-of each 2x2 candidate of the index grid, for minors2, and _quad_binomials
-turns quads into Binomial2 values for it, one pair tuple per index pair
-from a 2-D table.  toric_quadrics groups pairs on packed exponent codes,
-code(m) = sum_j m_j (2d+1)^j.  A digit of a pair sum is at most 2d <
-2d+1, so adding codes never carries: code(A) + code(B) is the
-base-(2d+1) numeral of A + B, and code(A) + code(B) == code(C) + code(E)
-iff A + B == C + E.  _pair_groups groups pairs by code sum, so
-toric_quadrics needs no check, and makes its binomials from pairs of
-pairs in C; _toric_quads takes the same pairs of pairs as quads, for the
+(a, b, c, e) of z_a z_b - z_c z_e.  minors2 takes its binomials from one
+generator, _grid_binomials, which takes the canonical quad of each 2x2
+candidate of the index grid and makes its Binomial2 in the same step, one
+pair tuple per index pair from a 2-D table.  toric_quadrics groups pairs
+on packed exponent codes, code(m) = sum_j m_j (2d+1)^j.  A digit of a
+pair sum is at most 2d < 2d+1, so adding codes never carries: code(A) +
+code(B) is the base-(2d+1) numeral of A + B, and code(A) + code(B) ==
+code(C) + code(E) iff A + B == C + E.  _pair_groups groups pairs by code
+sum, so toric_quadrics needs no check, and makes its binomials from pairs
+of pairs in C; _toric_quads takes the same pairs of pairs as quads, for the
 oracle.  A Binomial2 is the tuple (pos, neg), so the tables hash and free
 them in C too.  Quadrics flow one way, from quads to Binomial2;
 binomial_quad reads a binomial from outside back as a quad.
@@ -44,10 +44,10 @@ k < l, based at beta and gamma, leads with its top-left entry A = G[i][k]
 = beta + e_i: the others are A + (e_j - e_i), A + (gamma - beta) and
 their sum, both moves are lex-negative, and lex order respects addition.
 So no candidate is identically zero, and its canonical quad is (G[i][k],
-G[j][l]) with the other two entries sorted, one comparison: _grid_quads
-takes it so, and the table is built one leader at a time.  Every
-candidate of the grid balances by construction, and only this grid has
-minors: minors2 refuses any other.
+G[j][l]) with the other two entries sorted, one comparison:
+_grid_binomials takes it so, and the table is built one leader at a
+time.  Every candidate of the grid balances by construction, and only
+this grid has minors: minors2 refuses any other.
 """
 
 from __future__ import annotations
@@ -120,10 +120,10 @@ class Binomial2(FrozenTuple):
     (equal leaders force equal partners), making the choice well defined.
 
     A binomial is the FrozenTuple (pos, neg), so a table build of tens of
-    thousands hashes, makes and frees them in C: the tables and rewrite
-    chains make each with tuple.__new__, balanced by a check on packed
-    codes or by construction.  The public constructor runs __post_init__,
-    the check on the vectors.
+    thousands hashes, makes and frees them in C: the tables, cascades and
+    rewrite chains make each with tuple.__new__, balanced by a check on
+    packed codes or by construction.  The public constructor runs
+    __post_init__, the check on the vectors.
     """
 
     __slots__ = ()
@@ -192,17 +192,28 @@ def minors2(matrix: SymbolicMatrix) -> frozenset[Binomial2]:
         raise ContractError(f"not the coordinate matrix of {ctx}")
     idx = coordinate_index(ctx)
     grid = [[idx[m] for m in row] for row in matrix.entries]
-    return frozenset(_quad_binomials(ctx.monomials(), _grid_quads(grid)))
+    return frozenset(_grid_binomials(ctx.monomials(), grid))
 
 
-def _grid_quads(grid):
-    """The canonical quad of every 2x2 candidate of the index grid, repeats
-    kept: the candidate on rows ri, rj and columns k < l is z_a z_b - z_x z_y
-    with (a, x) = (ri[k], rj[k]) and (y, b) = (ri[l], rj[l]), and a is its
-    least entry (module docstring)."""
+def _grid_binomials(monos, grid):
+    """The Binomial2 of every 2x2 candidate of the index grid, repeats
+    kept: the candidate on rows ri, rj and columns k < l is
+    z_a z_b - z_x z_y with (a, x) = (ri[k], rj[k]) and (y, b) = (ri[l],
+    rj[l]), a its least entry (module docstring).  Pair tuples are shared
+    through an S-row 2-D list, and each binomial is one tuple.__new__."""
+    pairs = [[None] * len(monos) for _ in monos]
+    new = tuple.__new__
     for ri, rj in combinations(grid, 2):
         for (a, x), (y, b) in combinations(tuple(zip(ri, rj)), 2):
-            yield (a, b, x, y) if x < y else (a, b, y, x)
+            if x > y:
+                x, y = y, x
+            pos = pairs[a][b]
+            if pos is None:
+                pos = pairs[a][b] = (monos[a], monos[b])
+            neg = pairs[x][y]
+            if neg is None:
+                neg = pairs[x][y] = (monos[x], monos[y])
+            yield new(Binomial2, (pos, neg))
 
 
 def _canonical_quad(a: int, b: int, c: int, e: int) -> tuple[int, int, int, int] | None:
@@ -249,9 +260,9 @@ class CodeIndex(dict):
 
 def _quad_binomials(monos, quads):
     """Yield the Binomial2 of each canonical quad of indices into monos, a
-    minor or toric quad, balanced by construction.  Each index pair gets
-    one (monos[a], monos[b]) tuple, shared through an S-row 2-D list, and
-    each binomial is one tuple.__new__."""
+    minor or toric quad, balanced by construction, sharing pair tuples as
+    _grid_binomials does.  Only morphism._minor_table, the benchmark's
+    view of the minor table, and a test reference of that view use it."""
     pairs = [[None] * len(monos) for _ in monos]
     new = tuple.__new__
     for a, b, c, e in quads:

@@ -30,7 +30,8 @@ def ref_toric_quadrics(ctx):
 def candidate_quads(grid):
     """_canonical_quad of every 2x2 candidate of a grid of coordinate
     indices, row pairs then column pairs in order, None for the
-    identically zero ones: the per-candidate build _grid_quads replaced."""
+    identically zero ones: the per-candidate build that the leader rule of
+    matrix._grid_binomials replaced."""
     return [_canonical_quad(ri[k], rj[l], ri[l], rj[k])
             for ri, rj in combinations(grid, 2) for k, l in combinations(range(len(ri)), 2)]
 

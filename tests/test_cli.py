@@ -246,9 +246,13 @@ class TestVerifyCommand:
         assert [c["ok"] for c in checks] == [True] * 4
 
     @pytest.mark.parametrize("field", ["rational", "fp:101"])
-    def test_chain_phase_builds_no_binomial_or_multiindex(self, capsys, monkeypatch, field):
+    def test_chain_phase_builds_no_binomial_or_multiindex(self, capsys, monkeypatch, tmp_path, field):
         # the rewrite-chain phase follows the zero-propagation check: count
-        # the public constructions on either side of it
+        # the public constructions on either side of it, on a certificate
+        # read from a file, whose minors parse through the checked Binomial2
+        cert_file = tmp_path / "cascade.json"
+        code, _ = run(capsys, "verify", "--n", "3", "--d", "4", "--emit-propagation-cert", str(cert_file))
+        assert code == 0
         counts = Counter()
         phase = ["before"]
         new_index, new_binomial = MultiIndex.__new__, Binomial2.__new__
@@ -270,11 +274,12 @@ class TestVerifyCommand:
         monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counting_new))
         monkeypatch.setattr(Binomial2, "__new__", staticmethod(counting_binomial))
         monkeypatch.setattr(certs, "verify_zero_propagation", then_chains)
-        code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field)
+        code, out = run(capsys, "verify", "--n", "3", "--d", "4", "--field", field,
+                        "--propagation-cert", str(cert_file))
         assert code == 0
         assert out.endswith("PASS rewrite-chains: 700 chain verifications, 0 failures\nall checks passed\n")
         assert phase == ["before", "chains"]
-        # the certificate's 31 steps are built before the phase
+        # the certificate's 31 minors are parsed before the phase
         assert counts["before", "Binomial2"] >= 31
         assert counts["chains", "Binomial2"] == counts["chains", "MultiIndex"] == 0
 

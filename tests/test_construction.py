@@ -265,12 +265,13 @@ class TestTablesOnTheIndexGrid:
         with pytest.raises(ContractError, match=re.escape(f"ragged grid: row lengths {lengths}")):
             SymbolicMatrix(ctx, tuple(map(tuple, rows)))
 
-    def test_pairs_are_shared(self):
-        ctx = VeroneseContext(3, 3)
-        by_pair = {}
-        for b in toric_quadrics(ctx):
-            for pair in (b.pos, b.neg):
-                assert by_pair.setdefault(pair, pair) is pair
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(1, 6)])
+    def test_pairs_are_shared(self, n, d):
+        # a table shares each pair tuple among the binomials that hold it,
+        # the memory the builds keep: no equal pair is a second object
+        ctx = VeroneseContext(n, d)
+        for table in (minors2(build_matrix(ctx)), toric_quadrics(ctx)):
+            assert len({id(p) for b in table for p in b}) == len({p for b in table for p in b})
 
     def test_identically_zero_candidates_dropped(self):
         # two equal rows: every candidate z_x z_y - z_y z_x is identically
@@ -294,7 +295,7 @@ class TestTablesOnTheIndexGrid:
             quads = list(morphism._quads(table))
             assert quads == sorted(set(quads))
             assert all(a <= b and c <= e and a < c for a, b, c, e in quads)
-            assert quads == sorted(set(matrix_module._grid_quads(morphism._index_grid(ctx))))
+            assert quads == sorted(set(candidate_quads(morphism._index_grid(ctx))))
             assert len(quads) == len(minors2(build_matrix(ctx)))
             assert (not table) == (n == 0 or d == 1)
 
@@ -384,12 +385,17 @@ class TestGridRule:
     @pytest.mark.parametrize("n", range(6))
     def test_grid_quads_are_the_canonical_candidates(self, n):
         # the leader rule's one comparison per candidate gives the quad
-        # _canonical_quad gives, in the same order, and never None
+        # _canonical_quad gives, never None, and the generator yields the
+        # checked Binomial2 of each candidate's quad, in the same order
         for d in range(1, 7):
-            grid = morphism._index_grid(VeroneseContext(n, d))
+            ctx = VeroneseContext(n, d)
+            monos, grid = ctx.monomials(), morphism._index_grid(ctx)
             candidates = candidate_quads(grid)
             assert None not in candidates
-            assert list(matrix_module._grid_quads(grid)) == candidates, (n, d)
+            expected = [Binomial2((monos[a], monos[b]), (monos[c], monos[e])) for a, b, c, e in candidates]
+            binomials = list(matrix_module._grid_binomials(monos, grid))
+            assert binomials == expected, (n, d)
+            assert all(type(b) is Binomial2 for b in binomials)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +438,7 @@ def slot_quad_binomials(monos, quads):
 def slot_minors2(matrix):
     idx = coordinate_index(matrix.ctx)
     grid = [[idx[m] for m in row] for row in matrix.entries]
-    return frozenset(slot_quad_binomials(matrix.ctx.monomials(), matrix_module._grid_quads(grid)))
+    return frozenset(slot_quad_binomials(matrix.ctx.monomials(), candidate_quads(grid)))
 
 
 def slot_toric_quadrics(ctx):
