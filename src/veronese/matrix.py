@@ -46,8 +46,10 @@ their sum, both moves are lex-negative, and lex order respects addition.
 So no candidate is identically zero, and its canonical quad is (G[i][k],
 G[j][l]) with the other two entries sorted, one comparison:
 _grid_binomials takes it so, and the table is built one leader at a
-time.  Every candidate of the grid balances by construction, and only
-this grid has minors: minors2 refuses any other.
+time, each leader a's quads deduplicated and sorted as the index
+triples (b, c, e), c <= e, behind it.  Every candidate of the grid
+balances by construction, and only this grid has minors: minors2
+refuses any other.
 """
 
 from __future__ import annotations
@@ -258,23 +260,6 @@ class CodeIndex(dict):
         super().__init__(zip(self.codes, range(len(self.codes))))
 
 
-def _quad_binomials(monos, quads):
-    """Yield the Binomial2 of each canonical quad of indices into monos, a
-    minor or toric quad, balanced by construction, sharing pair tuples as
-    _grid_binomials does.  Only morphism._minor_table, the benchmark's
-    view of the minor table, and a test reference of that view use it."""
-    pairs = [[None] * len(monos) for _ in monos]
-    new = tuple.__new__
-    for a, b, c, e in quads:
-        pos = pairs[a][b]
-        if pos is None:
-            pos = pairs[a][b] = (monos[a], monos[b])
-        neg = pairs[c][e]
-        if neg is None:
-            neg = pairs[c][e] = (monos[c], monos[e])
-        yield new(Binomial2, (pos, neg))
-
-
 @lru_cache(maxsize=None)
 def _index_grid(ctx: VeroneseContext) -> tuple[tuple[int, ...], ...]:
     """G[i][k] = coordinate_index(ctx)[beta_k + e_i]: the flat coordinate
@@ -290,25 +275,22 @@ def _minor_quads(ctx: VeroneseContext) -> array:
     of quads, four indices each, in listing order: ascending quads, since
     ranks reverse the lex order that sorted_binomials lists descending.
     Leaders ascend, and each leader's quads are deduplicated and sorted
-    as packed ints (module docstring); no per-minor object is kept."""
+    as index triples (module docstring); no per-minor object is kept."""
     grid = _index_grid(ctx)
-    S = ctx.N + 1
-    positions: list[list[tuple[int, int]]] = [[] for _ in range(S)]
+    positions: list[list[tuple[int, int]]] = [[] for _ in range(ctx.N + 1)]
     for i, row in enumerate(grid):
         for k, a in enumerate(row):
             positions[a].append((i, k))
     quads = array("I")
     for a, cells in enumerate(positions):
-        keys = set()
+        triples = set()
         for i, k in cells:
             tail = grid[i][k + 1:]
             for rj in grid[i + 1:]:
                 c = rj[k]
-                keys.update([(b * S + c) * S + e if c < e else (b * S + e) * S + c
-                             for b, e in zip(rj[k + 1:], tail)])
-        for key in sorted(keys):
-            bc, e = divmod(key, S)
-            quads.extend((a, *divmod(bc, S), e))
+                triples.update([(b, c, e) if c <= e else (b, e, c) for b, e in zip(rj[k + 1:], tail)])
+        for b, c, e in sorted(triples):
+            quads.extend((a, b, c, e))
     return quads
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, _index_grid, _minor_quads, _quad_binomials, _quads
+from .matrix import Binomial2, _index_grid, _minor_quads, _quads
 from .multiindex import VeroneseContext, _monomial_values, coordinate_index
 from .projective import ProjectivePoint, _canonical, _proportional, integer_coords, normalize
 
@@ -65,10 +65,12 @@ def _require_target(ctx: VeroneseContext, Q: ProjectivePoint) -> None:
 
 @lru_cache(maxsize=None)
 def _minor_table(ctx: VeroneseContext) -> tuple[tuple[Binomial2, tuple[int, int, int, int]], ...]:
-    """_minor_quads as (Binomial2, quad) pairs, for the benchmark's tracer,
-    which reads listing positions from them; the package never calls it."""
-    quads = _minor_quads(ctx)
-    return tuple(zip(_quad_binomials(ctx.monomials(), _quads(quads)), _quads(quads)))
+    """_minor_quads as (Binomial2, quad) pairs, for the benchmark's tracer
+    only: a per-quad view with no pair table, each minor balanced by
+    construction and made with tuple.__new__; the package never calls it."""
+    monos, new = ctx.monomials(), tuple.__new__
+    return tuple((new(Binomial2, ((monos[a], monos[b]), (monos[c], monos[e]))), (a, b, c, e))
+                 for a, b, c, e in _quads(_minor_quads(ctx)))
 
 
 def veronese_eval(ctx: VeroneseContext, x: ProjectivePoint) -> ProjectivePoint:

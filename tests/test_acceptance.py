@@ -37,7 +37,7 @@ from veronese import (
 from veronese.cli import main as cli_main
 from veronese.multiindex import coordinate_index
 
-from test_matrix import build_matrix_by_columns
+from reference import build_matrix_by_columns
 
 # grid for criteria 4, 5, 6
 FIELD_GRID = [

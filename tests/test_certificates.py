@@ -2,7 +2,6 @@
 
 import json
 import time
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -43,8 +42,20 @@ from veronese.matrix import _canonical_quad, CodeIndex, binomial_quad, is_minor_
 from veronese.morphism import _minor_quads, _minor_table, chart_indices, coordinate_index
 from veronese.projective import integer_coords
 
-from reference import forest_parent, moved, reference_forest, reference_is_minor_quad
-from test_matrix import bump
+from reference import (
+    bump,
+    forest_parent,
+    moved,
+    realizes_row_and_column,
+    reference_chain_identity,
+    reference_chain_quads,
+    reference_forest,
+    reference_is_minor_quad,
+    reference_rewrite_chain,
+    reference_verify_rewrite_chain,
+    reference_verify_zero_propagation,
+    reference_zero_propagation_certificate,
+)
 
 
 def image_point_on_chart(rng, field, ctx, i):
@@ -357,219 +368,6 @@ class TestClosedFormMinorTest:
         canon = Binomial2.canonical((a, b), (c, e))
         if canon is not None:
             assert is_matrix_minor(ctx, canon) == (canon in minors)
-
-
-# ---------------------------------------------------------------------------
-# Reference paths.  The certificate generators and the chain verifier as they
-# ran on MultiIndex and Binomial2 objects before the package moved them onto
-# coordinate-index quads, with membership tested in the built minor set, as
-# the verifiers did before the closed-form test.  They share no code with the
-# index core beyond the value classes.
-
-def reference_zero_propagation_certificate(ctx):
-    if ctx.d < 2:
-        return ZeroPropagationCertificate(ctx, ())
-    known = set(ctx.pure_powers())
-    steps = []
-    for t in range(ctx.n):
-        for j in ctx.monomials():
-            if j[t] < 1 or any(j[s] for s in range(t)) or j == pure_power(ctx.n, ctx.d, t):
-                continue
-            k = max(s for s in range(ctx.n + 1) if j[s] > 0)
-            first = moved(j, k, t)
-            other = moved(j, t, k)
-            minor = Binomial2.canonical((first, other), (j, j))
-            prereqs = (first,) + ((other,) if other in known else ())
-            steps.append(PropagationStep(j, minor, prereqs))
-            known.add(j)
-    return ZeroPropagationCertificate(ctx, tuple(steps))
-
-
-def reference_chart_column(ctx, i):
-    base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
-    return tuple(bump(base, j) for j in range(ctx.n + 1))
-
-
-def reference_rewrite_chain(ctx, i, m):
-    column = reference_chart_column(ctx, i)
-    P = column[i]
-    steps = []
-    w = None
-    for j in range(ctx.n, -1, -1):
-        if j == i or m[j] == 0:
-            continue
-        count = m[j]
-        if w is None:
-            w = column[j]
-            count -= 1
-        for _ in range(count):
-            w_next = moved(w, i, j)
-            steps.append(Binomial2.canonical((P, w_next), (w, column[j])))
-            w = w_next
-    return RewriteChain(ctx, i, m, tuple(steps))
-
-
-def reference_chain_quads(ctx, col, i, m):
-    """The steps of the chart-i chain of m as canonical index quads, built
-    one chain at a time, col = chart_indices(ctx, i): the per-chain loop
-    the package ran before it built each chart's chains as one forest."""
-    monos, idx = ctx.monomials(), coordinate_index(ctx)
-    quads = []
-    w = None  # index of the working coordinate
-    for j in range(ctx.n, -1, -1):
-        if j == i or m[j] == 0:
-            continue
-        count = m[j]
-        if w is None:
-            w, count = col[j], count - 1
-        for _ in range(count):
-            moved_w = idx[moved(monos[w], i, j)]
-            quads.append(_canonical_quad(col[i], moved_w, w, col[j]))
-            w = moved_w
-    return quads
-
-
-def realizes_row_and_column(ctx, i, b):
-    """Whether the minor has a 2x2 realization on row i and the column of
-    z_{d e_i}, i.e. three of four entries in that row and column."""
-    P = pure_power(ctx.n, ctx.d, i)
-    if P in b.pos:
-        p_pair, o_pair = b.pos, b.neg
-    elif P in b.neg:
-        p_pair, o_pair = b.neg, b.pos
-    else:
-        return False
-    x = p_pair[1] if p_pair[0] == P else p_pair[0]
-    for cj, y in ((o_pair[0], o_pair[1]), (o_pair[1], o_pair[0])):
-        if cj[i] != ctx.d - 1:
-            continue
-        rest = [s for s in range(ctx.n + 1) if s != i and cj[s] > 0]
-        if len(rest) != 1 or cj[rest[0]] != 1:
-            continue
-        j = rest[0]
-        if y[i] >= 1 and x == moved(y, i, j):
-            return True
-    return False
-
-
-def consumable(state, pair):
-    a, b = pair
-    if a == b:
-        return state[a] >= 2
-    return state[a] >= 1 and state[b] >= 1
-
-
-def reference_verify_zero_propagation(ctx, cert):
-    if cert.ctx != ctx:
-        return certs.VerifyResult(False, f"certificate built for {cert.ctx}, verified against {ctx}")
-    minors = cached_minors(ctx)
-    known = set(ctx.pure_powers())
-    for pos, step in enumerate(cert.steps):
-        where = f"step {pos} (target {step.target.coordinate_name()})"
-        if step.minor not in minors:
-            return certs.VerifyResult(False, f"{where}: {step.minor} is not a 2-minor of the matrix")
-        t = step.target
-        in_pos, in_neg = t in step.minor.pos, t in step.minor.neg
-        if in_pos == in_neg:
-            return certs.VerifyResult(False, f"{where}: minor must contain the target on exactly one side")
-        target_side, other_side = (
-            (step.minor.pos, step.minor.neg) if in_pos else (step.minor.neg, step.minor.pos)
-        )
-        if other_side[0] not in known and other_side[1] not in known:
-            pair = f"{{{other_side[0].coordinate_name()}, {other_side[1].coordinate_name()}}}"
-            return certs.VerifyResult(False, f"{where}: no factor of {pair} is known zero")
-        partner = target_side[1] if target_side[0] == t else target_side[0]
-        if partner != t and partner in known:
-            return certs.VerifyResult(
-                False, f"{where}: partner {partner.coordinate_name()} is known zero, so the minor does not force "
-                       "the target"
-            )
-        if partner != t:
-            return certs.VerifyResult(
-                False, f"{where}: partner {partner.coordinate_name()} is neither the target nor known zero"
-            )
-        for p in step.prerequisites:
-            if p not in known:
-                return certs.VerifyResult(False, f"{where}: prerequisite {p.coordinate_name()} not yet established")
-        known.add(t)
-    missing = [m for m in ctx.monomials() if m not in known]
-    if missing:
-        return certs.VerifyResult(
-            False, f"coverage incomplete: {len(missing)} coordinates never zeroed, first {missing[0].coordinate_name()}"
-        )
-    return certs.VerifyResult(True)
-
-
-def reference_chain_structure(ctx, chain):
-    if chain.ctx != ctx:
-        return certs.VerifyResult(False, f"chain built for {chain.ctx}, verified against {ctx}")
-    i, m = chain.chart, chain.target
-    if not 0 <= i <= ctx.n or len(m) != ctx.n + 1 or m.degree != ctx.d:
-        return certs.VerifyResult(False, "chain chart, target or steps malformed for this context")
-    minors = cached_minors(ctx)
-    P = pure_power(ctx.n, ctx.d, i)
-    column = reference_chart_column(ctx, i)
-    state = Counter()
-    for j in range(ctx.n + 1):
-        if m[j]:
-            state[column[j]] += m[j]
-    for pos, minor in enumerate(chain.steps):
-        where = f"step {pos}"
-        if minor not in minors:
-            return certs.VerifyResult(False, f"{where}: {minor} is not a 2-minor of the matrix")
-        if not realizes_row_and_column(ctx, i, minor):
-            return certs.VerifyResult(
-                False, f"{where}: {minor} has no realization on row {i} and the column of {P.coordinate_name()}"
-            )
-        if consumable(state, minor.neg):
-            consumed, produced = minor.neg, minor.pos
-        elif consumable(state, minor.pos):
-            consumed, produced = minor.pos, minor.neg
-        else:
-            return certs.VerifyResult(False, f"{where}: neither side of {minor} occurs in the running product")
-        for f in consumed:
-            state[f] -= 1
-            if not state[f]:
-                del state[f]
-        for f in produced:
-            state[f] += 1
-    goal = Counter({P: ctx.d - 1})
-    goal[m] += 1
-    if +state != +goal:
-        return certs.VerifyResult(False, "telescoping ended away from the claimed product")
-    return certs.VerifyResult(True)
-
-
-def reference_chain_identity(ctx, chain, Q):
-    """The numeric check in field arithmetic, the reference for the check
-    on integer coordinates."""
-    if Q.dim != ctx.N:
-        return certs.VerifyResult(False, f"point has dimension {Q.dim}, expected {ctx.N}")
-    i, m = chain.chart, chain.target
-    idx = coordinate_index(ctx)
-    z = Q.coords
-    column = reference_chart_column(ctx, i)
-    zP = z[idx[column[i]]]
-    if not zP:
-        return certs.VerifyResult(False, f"precondition violated: chart {i} pure power is zero at the point")
-    # powers as repeated products: field elements multiply, but have no **
-    lhs = Q.field.one
-    for j, e in enumerate(m):
-        for _ in range(e):
-            lhs = lhs * z[idx[column[j]]]
-    rhs = z[idx[m]]
-    for _ in range(ctx.d - 1):
-        rhs = rhs * zP
-    if lhs != rhs:
-        return certs.VerifyResult(False, "claimed identity fails numerically at the supplied point")
-    return certs.VerifyResult(True)
-
-
-def reference_verify_rewrite_chain(ctx, chain, Q):
-    res = reference_chain_structure(ctx, chain)
-    if not res:
-        return res
-    return reference_chain_identity(ctx, chain, Q)
 
 
 def tamperings(ctx):

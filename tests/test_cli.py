@@ -43,8 +43,8 @@ from veronese.morphism import (
 )
 from veronese.projective import _canonical, proj_eq
 
-from reference import reference_random_point
-from test_certificates import (
+from reference import (
+    reference_random_point,
     reference_rewrite_chain,
     reference_verify_rewrite_chain,
     reference_verify_zero_propagation,
@@ -419,7 +419,7 @@ def per_point_verify_checks(ctx, field, seed: int, make_chain=reference_rewrite_
                             make_point=reference_chart_point):
     """_verify_checks as it was with verify_rewrite_chain run once per
     (chain, point) pair, on the object-based reference generators and
-    verifiers of test_certificates, kept as its reference."""
+    verifiers of tests/reference.py, kept as its reference."""
     checks = []
     rng = Random(seed)
 

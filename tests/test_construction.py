@@ -5,7 +5,7 @@ The reference primitives below are the earlier MultiIndex construction,
 Binomial2 balance check and canonical ordering, and the earlier
 minors2/toric_quadrics; componentwise sums are tuple(map(add, a, b)).  The
 certificates and chains of the reference come from the object-based
-generators kept in test_certificates, which run on these primitives; the
+generators kept in tests/reference.py, which run on these primitives; the
 package generates them on coordinate indices.
 """
 
@@ -42,8 +42,13 @@ from veronese import matrix as matrix_module
 from veronese import morphism
 from veronese.multiindex import coordinate_index
 
-from reference import candidate_quads, ref_toric_quadrics
-from test_certificates import reference_rewrite_chain, reference_zero_propagation_certificate
+from reference import (
+    candidate_quads,
+    ref_toric_quadrics,
+    reference_minor_table,
+    reference_rewrite_chain,
+    reference_zero_propagation_certificate,
+)
 
 CONTEXTS = [(1, 1), (0, 3), (1, 4), (2, 5), (3, 4), (4, 4)]
 
@@ -310,6 +315,7 @@ class TestTablesOnTheIndexGrid:
             ctx = VeroneseContext(n, d)
             table = morphism._minor_table(ctx)
             assert all(type(b) is Binomial2 and type(q) is tuple and len(q) == 4 for b, q in table)
+            assert table == reference_minor_table(ctx)
             quads = [q for _, q in table]
             assert quads == sorted(set(quads))
             assert all(q == matrix_module.binomial_quad(ctx, b) for b, q in table)
@@ -415,7 +421,7 @@ class SlotBinomial2:
         return hash((self.pos, self.neg))
 
 
-def slot_quad_binomials(monos, quads):
+def slot_binomials(monos, quads):
     S = len(monos)
     codes = matrix_module._packed_codes(len(monos[0]) - 1, sum(monos[0])) if S else []
     pairs = [None] * (S * S)
@@ -438,7 +444,7 @@ def slot_quad_binomials(monos, quads):
 def slot_minors2(matrix):
     idx = coordinate_index(matrix.ctx)
     grid = [[idx[m] for m in row] for row in matrix.entries]
-    return frozenset(slot_quad_binomials(matrix.ctx.monomials(), candidate_quads(grid)))
+    return frozenset(slot_binomials(matrix.ctx.monomials(), candidate_quads(grid)))
 
 
 def slot_toric_quadrics(ctx):
@@ -449,7 +455,7 @@ def slot_toric_quadrics(ctx):
         for b, cb in enumerate(codes[a:], a):
             by_sum.setdefault(ca + cb, []).append((a, b))
     quads = chain.from_iterable(starmap(add, combinations(pairs, 2)) for pairs in by_sum.values())
-    return frozenset(slot_quad_binomials(monos, quads))
+    return frozenset(slot_binomials(monos, quads))
 
 
 def tables_cold_counts():

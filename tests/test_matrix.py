@@ -12,7 +12,6 @@ from veronese import (
     ContractError,
     MultiIndex,
     VeroneseContext,
-    SymbolicMatrix,
     build_matrix,
     enumerate_monomials,
     minors2,
@@ -22,7 +21,7 @@ from veronese import (
 )
 from veronese.matrix import binomial_quad, check_minor_budget
 
-from reference import ref_toric_quadrics
+from reference import build_matrix_by_columns, bump, ref_toric_quadrics
 
 # golden fixture: the 3x6 grid of the degree-3 embedding of the plane
 PLANE_CUBIC_GRID = [
@@ -30,21 +29,6 @@ PLANE_CUBIC_GRID = [
     [(2,1,0),(1,2,0),(1,1,1),(0,3,0),(0,2,1),(0,1,2)],
     [(2,0,1),(1,1,1),(1,0,2),(0,2,1),(0,1,2),(0,0,3)],
 ]
-
-
-def bump(m, j: int) -> MultiIndex:
-    """m + e_j: the exponent vector of x^m * x_j."""
-    return MultiIndex(e + (k == j) for k, e in enumerate(m))
-
-
-def build_matrix_by_columns(ctx: VeroneseContext) -> SymbolicMatrix:
-    """Column-wise construction, the reference for build_matrix: column k
-    is the k-th degree-(d-1) vector bumped by each variable in turn."""
-    bases = enumerate_monomials(ctx.n, ctx.d - 1)
-    rows = tuple(
-        tuple(bump(base, i) for base in bases) for i in range(ctx.n + 1)
-    )
-    return SymbolicMatrix(ctx, rows)
 
 
 def minors_by_brute_force(n: int, d: int) -> set[frozenset]:

@@ -1,7 +1,6 @@
 """The embedding, membership, chart selection and the chartwise inverse."""
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, prod
 from random import Random
@@ -35,7 +34,7 @@ from veronese.morphism import _index_grid, _integer_image, _minor_quads, _minor_
 from veronese.multiindex import _monomial_values
 from veronese.projective import integer_coords
 
-from reference import candidate_quads
+from reference import reference_minor_table
 
 
 class TestEval:
@@ -102,16 +101,6 @@ class TestMembership:
     def test_degree_one_everything_is_on_variety(self):
         ctx = VeroneseContext(2, 1)
         assert is_on_variety(ctx, point(QQ, [3, 1, 4]))
-
-
-@cache
-def reference_minor_table(ctx):
-    """Every distinct minor as a (Binomial2, quad) pair in listing order:
-    the sorted set of the index grid's canonical quads, each taken by
-    _canonical_quad, with its binomial.  The table failing_minor scanned
-    before the flat quads of morphism._minor_quads."""
-    quads = sorted(set(filter(None, candidate_quads(_index_grid(ctx)))))
-    return tuple(zip(matrix_module._quad_binomials(ctx.monomials(), quads), quads))
 
 
 def reference_failing_minor(ctx, Q):
