@@ -36,12 +36,17 @@ minors imports projective, for its field and points; eval, invert,
 member and verify import morphism, verify certificates, and oracle
 oracle.  So matrix and minors load none of the four, and oracle loads no
 morphism.  main asks build_parser for the arguments of the subcommand
-its argv names only.
+its argv names only.  The process entry, main() with no argv (python -m
+veronese.cli, the veronese script), freezes the heap at exit: the OS
+frees it, so finalization need not collect its cycles.  In-process
+main(argv) calls leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from itertools import chain
@@ -58,6 +63,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 SCHEMA_VERSION = 1
+_freeze_registered = False  # main registers gc.freeze at exit only once
 
 VERIFY_POINTS = 48
 CHAIN_POINTS_PER_CHART = 5
@@ -399,7 +405,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run argv and return its exit code.  The process entry (argv None)
+    runs sys.argv[1:] and freezes the heap at exit, once: the OS frees it."""
+    global _freeze_registered
+    if argv is None:
+        argv = sys.argv[1:]
+        if not _freeze_registered:
+            atexit.register(gc.freeze)
+            _freeze_registered = True
     # the top level takes no option but -h, so a subcommand leads its argv
     parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     args = parser.parse_args(argv)

@@ -4,11 +4,12 @@ package's fast builds replaced, kept to check those builds against."""
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations, starmap
 from operator import add, sub
 
 from veronese import (
     Binomial2,
+    ContractError,
     MultiIndex,
     PrimeField,
     ProjectivePoint,
@@ -21,7 +22,7 @@ from veronese import (
     pure_power,
 )
 from veronese import certificates as certs
-from veronese.matrix import _canonical_quad, _index_grid, cached_minors
+from veronese.matrix import _canonical_quad, _index_grid, _packed_codes, cached_minors
 from veronese.multiindex import coordinate_index
 
 
@@ -37,6 +38,20 @@ def ref_toric_quadrics(ctx):
     for pairs in by_sum.values():
         for p1, p2 in combinations(pairs, 2):
             b = Binomial2.canonical(p1, p2)
+            if b is not None:
+                out.add(b)
+    return frozenset(out)
+
+
+def ref_minors2(matrix):
+    """The canonicalizing build minors2 replaced: every 2x2 candidate of
+    the grid goes through Binomial2.canonical into a set."""
+    nrows, ncols = matrix.shape
+    out = set()
+    for i, j in combinations(range(nrows), 2):
+        ri, rj = matrix.entries[i], matrix.entries[j]
+        for k, l in combinations(range(ncols), 2):
+            b = Binomial2.canonical((ri[k], rj[l]), (ri[l], rj[k]))
             if b is not None:
                 out.add(b)
     return frozenset(out)
@@ -62,6 +77,77 @@ def reference_minor_table(ctx):
     quads = sorted(set(filter(None, candidate_quads(_index_grid(ctx)))))
     return tuple((Binomial2((monos[a], monos[b]), (monos[c], monos[e])), (a, b, c, e))
                  for a, b, c, e in quads)
+
+
+def reference_failing_minor(ctx, Q):
+    """The first minor of reference_minor_table that does not vanish at Q,
+    with its value in field arithmetic; None when all vanish.  The
+    reference for failing_minor's scan of the flat quad table."""
+    c = Q.coords
+    for b, (ia, ib, ic, ie) in reference_minor_table(ctx):
+        v = c[ia] * c[ib] - c[ic] * c[ie]
+        if v:
+            return b, v
+    return None
+
+
+def fraction_loop(ctx, Q):
+    """Every minor tested in field arithmetic: the reference for the
+    rank-one test of is_on_variety."""
+    return reference_failing_minor(ctx, Q) is None
+
+
+# the slotted binomial the tables built before Binomial2 became its
+# (pos, neg) tuple, with the construction that filled its slots
+
+
+class SlotBinomial2:
+    __slots__ = ("pos", "neg")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pos == other.pos and self.neg == other.neg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pos, self.neg))
+
+
+def slot_binomials(monos, quads):
+    S = len(monos)
+    codes = _packed_codes(len(monos[0]) - 1, sum(monos[0])) if S else []
+    pairs = [None] * (S * S)
+    new, set_pos, set_neg = object.__new__, SlotBinomial2.pos.__set__, SlotBinomial2.neg.__set__
+    for a, b, c, e in quads:
+        if codes[a] + codes[b] != codes[c] + codes[e]:
+            raise ContractError(f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}")
+        pos = pairs[a * S + b]
+        if pos is None:
+            pos = pairs[a * S + b] = (monos[a], monos[b])
+        neg = pairs[c * S + e]
+        if neg is None:
+            neg = pairs[c * S + e] = (monos[c], monos[e])
+        binomial = new(SlotBinomial2)
+        set_pos(binomial, pos)
+        set_neg(binomial, neg)
+        yield binomial
+
+
+def slot_minors2(matrix):
+    idx = coordinate_index(matrix.ctx)
+    grid = [[idx[m] for m in row] for row in matrix.entries]
+    return frozenset(slot_binomials(matrix.ctx.monomials(), candidate_quads(grid)))
+
+
+def slot_toric_quadrics(ctx):
+    monos = enumerate_monomials(ctx.n, ctx.d)
+    codes = _packed_codes(ctx.n, ctx.d)
+    by_sum = {}
+    for a, ca in enumerate(codes):
+        for b, cb in enumerate(codes[a:], a):
+            by_sum.setdefault(ca + cb, []).append((a, b))
+    quads = chain.from_iterable(starmap(add, combinations(pairs, 2)) for pairs in by_sum.values())
+    return frozenset(slot_binomials(monos, quads))
 
 
 def reference_is_minor_quad(monos, a, b, c, e):

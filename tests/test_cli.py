@@ -1,7 +1,10 @@
 """Command-line surface: golden outputs, exit codes, determinism."""
 
+import atexit
+import gc
 import json
 import re
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -751,6 +754,31 @@ class TestGuardInMain:
         assert code == 0 and out.endswith("count: 36\n")
         assert matrix_module.cached_minors.cache_info().currsize == 0
         assert _minor_table.cache_info().currsize == 0
+
+
+class TestFreezeAtExit:
+    """Only the process entry, main() with no argv, registers gc.freeze
+    at exit: in-process calls leave the collector alone."""
+
+    def test_in_process_call_neither_freezes_nor_registers(self, capsys, monkeypatch):
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
+        frozen, callbacks = gc.get_freeze_count(), atexit._ncallbacks()
+        assert run(capsys, "verify", "--n", "2", "--d", "3")[0] == 0
+        assert run(capsys, "minors", "--n", "7", "--d", "7")[0] == 3
+        assert (gc.get_freeze_count(), atexit._ncallbacks(), registered) == (frozen, callbacks, [])
+
+    def test_process_entry_registers_one_callback(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["veronese", "minors", "--n", "1", "--d", "3"])
+        monkeypatch.setattr(cli, "_freeze_registered", False)
+        callbacks = atexit._ncallbacks()
+        try:
+            assert [main(), main(), main()] == [0, 0, 0]
+            assert atexit._ncallbacks() == callbacks + 1
+        finally:
+            atexit.unregister(gc.freeze)
+        assert capsys.readouterr().out.count("count: 3\n") == 3
+        assert gc.get_freeze_count() == 0
 
 
 class TestMembershipDocuments:

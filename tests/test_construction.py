@@ -2,11 +2,11 @@
 replaced, and the construction checks that must keep firing.
 
 The reference primitives below are the earlier MultiIndex construction,
-Binomial2 balance check and canonical ordering, and the earlier
-minors2/toric_quadrics; componentwise sums are tuple(map(add, a, b)).  The
-certificates and chains of the reference come from the object-based
-generators kept in tests/reference.py, which run on these primitives; the
-package generates them on coordinate indices.
+Binomial2 balance check and canonical ordering; componentwise sums are
+tuple(map(add, a, b)).  The earlier minors2/toric_quadrics and the
+object-based generators of certificates and chains, kept in
+tests/reference.py, run on these primitives; the package generates them
+on coordinate indices.  The slot-filling tables live there too.
 """
 
 import ast
@@ -15,7 +15,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from itertools import chain, combinations, starmap
+from itertools import combinations
 from math import comb
 from operator import add
 from pathlib import Path
@@ -40,14 +40,16 @@ from veronese import (
 )
 from veronese import matrix as matrix_module
 from veronese import morphism
-from veronese.multiindex import coordinate_index
 
 from reference import (
     candidate_quads,
+    ref_minors2,
     ref_toric_quadrics,
     reference_minor_table,
     reference_rewrite_chain,
     reference_zero_propagation_certificate,
+    slot_minors2,
+    slot_toric_quadrics,
 )
 
 CONTEXTS = [(1, 1), (0, 3), (1, 4), (2, 5), (3, 4), (4, 4)]
@@ -87,18 +89,6 @@ def ref_canonical(pair1, pair2):
     if tuple(p1[0]) > tuple(p2[0]):
         return Binomial2(p1, p2)
     return Binomial2(p2, p1)
-
-
-def ref_minors2(matrix):
-    nrows, ncols = matrix.shape
-    out = set()
-    for i, j in combinations(range(nrows), 2):
-        ri, rj = matrix.entries[i], matrix.entries[j]
-        for k, l in combinations(range(ncols), 2):
-            b = Binomial2.canonical((ri[k], rj[l]), (ri[l], rj[k]))
-            if b is not None:
-                out.add(b)
-    return frozenset(out)
 
 
 def clear_caches():
@@ -402,60 +392,6 @@ class TestGridRule:
             binomials = list(matrix_module._grid_binomials(monos, grid))
             assert binomials == expected, (n, d)
             assert all(type(b) is Binomial2 for b in binomials)
-
-
-# ---------------------------------------------------------------------------
-# the slotted binomial the tables built before Binomial2 became its
-# (pos, neg) tuple, with the construction that filled its slots
-
-
-class SlotBinomial2:
-    __slots__ = ("pos", "neg")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pos == other.pos and self.neg == other.neg
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pos, self.neg))
-
-
-def slot_binomials(monos, quads):
-    S = len(monos)
-    codes = matrix_module._packed_codes(len(monos[0]) - 1, sum(monos[0])) if S else []
-    pairs = [None] * (S * S)
-    new, set_pos, set_neg = object.__new__, SlotBinomial2.pos.__set__, SlotBinomial2.neg.__set__
-    for a, b, c, e in quads:
-        if codes[a] + codes[b] != codes[c] + codes[e]:
-            raise ContractError(f"unbalanced binomial: {monos[a]}*{monos[b]} vs {monos[c]}*{monos[e]}")
-        pos = pairs[a * S + b]
-        if pos is None:
-            pos = pairs[a * S + b] = (monos[a], monos[b])
-        neg = pairs[c * S + e]
-        if neg is None:
-            neg = pairs[c * S + e] = (monos[c], monos[e])
-        binomial = new(SlotBinomial2)
-        set_pos(binomial, pos)
-        set_neg(binomial, neg)
-        yield binomial
-
-
-def slot_minors2(matrix):
-    idx = coordinate_index(matrix.ctx)
-    grid = [[idx[m] for m in row] for row in matrix.entries]
-    return frozenset(slot_binomials(matrix.ctx.monomials(), candidate_quads(grid)))
-
-
-def slot_toric_quadrics(ctx):
-    monos = enumerate_monomials(ctx.n, ctx.d)
-    codes = matrix_module._packed_codes(ctx.n, ctx.d)
-    by_sum = {}
-    for a, ca in enumerate(codes):
-        for b, cb in enumerate(codes[a:], a):
-            by_sum.setdefault(ca + cb, []).append((a, b))
-    quads = chain.from_iterable(starmap(add, combinations(pairs, 2)) for pairs in by_sum.values())
-    return frozenset(slot_binomials(monos, quads))
 
 
 def tables_cold_counts():

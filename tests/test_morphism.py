@@ -34,7 +34,7 @@ from veronese.morphism import _index_grid, _integer_image, _minor_quads, _minor_
 from veronese.multiindex import _monomial_values
 from veronese.projective import integer_coords
 
-from reference import reference_minor_table
+from reference import fraction_loop, reference_failing_minor
 
 
 class TestEval:
@@ -101,24 +101,6 @@ class TestMembership:
     def test_degree_one_everything_is_on_variety(self):
         ctx = VeroneseContext(2, 1)
         assert is_on_variety(ctx, point(QQ, [3, 1, 4]))
-
-
-def reference_failing_minor(ctx, Q):
-    """The first minor of reference_minor_table that does not vanish at Q,
-    with its value in field arithmetic; None when all vanish.  The
-    reference for failing_minor's scan of the flat quad table."""
-    c = Q.coords
-    for b, (ia, ib, ic, ie) in reference_minor_table(ctx):
-        v = c[ia] * c[ib] - c[ic] * c[ie]
-        if v:
-            return b, v
-    return None
-
-
-def fraction_loop(ctx, Q):
-    """Every minor tested in field arithmetic: the reference for the
-    rank-one test of is_on_variety."""
-    return reference_failing_minor(ctx, Q) is None
 
 
 # denominators of either sign, small and far past a machine word

@@ -23,13 +23,18 @@ import veronese
 SRC = str(Path(veronese.__file__).resolve().parent.parent)
 
 
+def package_env() -> dict:
+    """The environment of a new interpreter that can import the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
 def fresh(code: str):
     """Run code in a new interpreter that can import the package; returns
     the JSON it prints on its last line."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), check=True
     )
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -175,6 +180,34 @@ def added_to_stdlib(statement: str) -> set[str]:
         f"{statement}\n"
         "print(json.dumps(sorted(set(sys.modules) - baseline)))\n"
     ))
+
+
+class TestFreezeAtExit:
+    """A process entry freezes the heap at exit, and still exits and
+    flushes as before."""
+
+    def test_atexit_probe_sees_the_frozen_heap(self):
+        # atexit runs its callbacks last in first out, so a probe registered
+        # before main runs after main's gc.freeze
+        assert fresh(
+            "import atexit, gc, json, sys\n"
+            "atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))\n"
+            "sys.argv = ['veronese', 'minors', '--n', '1', '--d', '2']\n"
+            "import veronese.cli\n"
+            "sys.exit(veronese.cli.main())\n"
+        ) > 0
+
+    def test_certificate_file_survives_the_freeze(self, tmp_path):
+        # the one output a command writes besides stdout: one process writes
+        # it, a second reads it back
+        cert = str(tmp_path / "cert-3-3.json")
+        for flag in ("--emit-propagation-cert", "--propagation-cert"):
+            done = subprocess.run(
+                [sys.executable, "-m", "veronese.cli", "verify", "--n", "3", "--d", "3", flag, cert],
+                capture_output=True, text=True, env=package_env(),
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(Path(cert).read_text(encoding="utf-8"))
 
 
 class TestNoDataclasses:
