@@ -18,8 +18,9 @@ every other chain is its parent's plus one edge, N - n edges per chart.
 With psi_i(z) the chart-i column of z, chart i's identities read
 nu_d(psi_i(z)) = z_P^(d-1) z, P = d e_i.  verify_rewrite_chain checks one
 identity as one product; _chart_failures checks a point's along the
-forest, each node below a parent whose identity holds by its edge minor,
-and by its own product only below a parent whose identity fails.
+forest, each edge checked once by its shape z_P z_k - z_parent z_{col_j},
+each node below a parent whose identity holds by its edge minor, and by its
+own product only below a parent whose identity fails.
 
 Certificates are generated symbolically on coordinate indices: a step is
 the quad (a, b, c, e) of z_a z_b - z_c z_e, canonical when a <= b, c <= e
@@ -43,7 +44,6 @@ n(n+1) unit-move codes.
 from __future__ import annotations
 
 from math import prod
-from operator import sub
 
 from .errors import ContractError, FrozenTuple
 from .matrix import Binomial2, _canonical_quad, CodeIndex, binomial_quad, is_minor_quad, parse_binomial
@@ -268,8 +268,8 @@ def verify_rewrite_chain(ctx: VeroneseContext, chain: RewriteChain, Q: Projectiv
     return VerifyResult(True)
 
 
-def _chain_fault(ctx: VeroneseContext, at: CodeIndex, col: tuple[int, ...], i: int, k: int, quads,
-                 parent: int | None = None) -> tuple[int, str] | None:
+def _chain_fault(ctx: VeroneseContext, at: CodeIndex, col: tuple[int, ...], i: int, k: int,
+                 quads) -> tuple[int, str] | None:
     """The first failing check, as (step, diagnostic template), of the
     quads (None: no minor) of the chart-i chain of coordinate index k, col
     = chart_indices(ctx, i); None when all pass.
@@ -281,22 +281,10 @@ def _chain_fault(ctx: VeroneseContext, at: CodeIndex, col: tuple[int, ...], i: i
     side holds a chart-column entry (d-1)e_i + e_j, j != i, and balance
     makes its partner x + e_i - e_j.  A step turns one side of the running
     product, the negative side first, into the other, from prod_j
-    z_{col_j}^{m_j} to z_P^(d-1) z_k (else a fault at len(quads)).
-
-    With a parent, the quads extend its chain, and the product starts as
-    that chain, if sound, leaves k's: z_P^(d-1) z_parent z_col^(k-parent),
-    k's chart product on chart i (z_P != 0, and a root parent's product is
-    its goal) unless a count is negative, which no step clears: a fault.
+    z_{col_j}^{k_j} to z_P^(d-1) z_k (else a fault at len(quads)).
     """
-    monos = ctx.monomials()
     P = col[i]
-    if parent is None:
-        state = dict(zip(col, monos[k]))
-    else:
-        state = dict(zip(col, map(sub, monos[k], monos[parent])))
-        state[P] += ctx.d - 1
-        state[parent] = state.get(parent, 0) + 1
-    state = {f: e for f, e in state.items() if e}
+    state = {f: e for f, e in zip(col, ctx.monomials()[k]) if e}
     for pos, q in enumerate(quads):
         if q is None or not is_minor_quad(at, *q):
             return pos, "{minor} is not a 2-minor of the matrix"
@@ -320,35 +308,45 @@ def _chain_fault(ctx: VeroneseContext, at: CodeIndex, col: tuple[int, ...], i: i
     return None if state == goal else (len(quads), "telescoping ended away from the claimed product")
 
 
+def _sound_edge(at: CodeIndex, col: tuple[int, ...], P: int, k: int, parent: int, q) -> bool:
+    """Whether quad q (None: no minor) is a 2-minor z_P z_k - z_parent
+    z_{col_j}, up to order, of the chart with column col and pure power P.
+    Balance makes k - parent = e_j - e_i, so the step takes k's chart
+    product over the parent's, z_P^(d-2) z_parent z_{col_j}, to z_P^(d-1) z_k."""
+    if q is None or not is_minor_quad(at, *q):
+        return False
+    side, (a, b, c, e) = (P, k) if P < k else (k, P), q
+    x, y = (c, e) if (a, b) == side else (a, b) if (c, e) == side else (None, None)
+    return x == parent and y in col or y == parent and x in col
+
+
 def _chart_failures(ctx: VeroneseContext, at: CodeIndex, i: int, points) -> int:
     """Failed (chain, point) pairs of verify_rewrite_chain over every chain
-    of chart i and the points' integer_coords (z, p), on chart i's forest,
-    each edge checked once by _chain_fault.
+    of chart i and the points' integer_coords (z, p), any iterable read
+    once, on chart i's forest, each edge checked once by _sound_edge.
 
-    A sound edge's one step turns the running product into z_P^(d-1) z_k,
-    so its quad is z_P z_k - z_x z_y and the step starts from z_P^(d-2)
-    z_x z_y (a quad z_P^2 - z_P^2 is no minor).  When the parent's
-    identity holds at z, that start is k's chart product at z, so, z_P
-    being nonzero, k's identity holds iff the edge minor vanishes there.
-    Below a parent whose identity fails, k's own product decides: k can
-    still hold there, say when z_{col_j} = 0 for some j with k_j > 0 and
-    z_k = 0.  Roots hold.
+    A sound edge's quad is z_P z_k - z_parent z_{col_j}.  When the parent's
+    identity holds at z, z_P^(d-2) z_parent z_{col_j} is k's chart product
+    at z, so, z_P being nonzero, k's identity holds iff the edge minor
+    vanishes there.  Below a parent whose identity fails, k's own product
+    decides: k can still hold there, say when z_{col_j} = 0 for some j with
+    k_j > 0 and z_k = 0.  Roots hold; a chain below an unsound edge fails
+    at every point.
     """
     col, monos = chart_indices(ctx, i), ctx.monomials()
     P = col[i]
     sound = [True] * ctx.num_coords  # a root's empty chain telescopes
     edges = []  # (k, parent, quad) of the sound non-roots, parents first
     for k, parent, q in _forest(ctx, at, i, col):
-        sound[k] = sound[parent] and _chain_fault(ctx, at, col, i, k, (q,), parent) is None
+        sound[k] = sound[parent] and _sound_edge(at, col, P, k, parent, q)
         if sound[k]:
             edges.append((k, parent, q))
-    nodes = ctx.n + 1 + len(edges)
-    failures = (len(sound) - nodes) * len(points)
+    failures = 0
     for z, p in points:
-        if not z[P]:  # the precondition fails every sound chain
-            failures += nodes
+        if not z[P]:  # the precondition fails every chain
+            failures += len(sound)
             continue
-        holds = [True] * len(sound)
+        holds = sound[:]
         for k, parent, (a, b, c, e) in edges:
             if holds[parent]:
                 diff = z[a] * z[b] - z[c] * z[e]

@@ -303,10 +303,10 @@ def _verify_checks(ctx, field, seed: int, external_cert=None):
            res.diagnostic or f"{len(cert.steps)} steps, full coverage")
     del cert  # the chain phase reads no certificate: a generated one goes before the forests
 
-    # verify_rewrite_chain for every chain and point, on each chart's forest
+    # verify_rewrite_chain for every chain and point, each drawn as it is read
     chain_failures, at = 0, CodeIndex(ctx)
     for i in range(ctx.n + 1):
-        points = [_chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART)]
+        points = (_chart_point(rng, field, ctx, i) for _ in range(CHAIN_POINTS_PER_CHART))
         chain_failures += certs._chart_failures(ctx, at, i, points)
     total = (ctx.n + 1) * CHAIN_POINTS_PER_CHART * ctx.num_coords
     record("rewrite-chains", chain_failures == 0,

@@ -22,7 +22,7 @@ from veronese import (
     pure_power,
 )
 from veronese import certificates as certs
-from veronese.matrix import _canonical_quad, _index_grid, _packed_codes, cached_minors
+from veronese.matrix import _canonical_quad, _index_grid, _packed_codes, cached_minors, is_minor_quad
 from veronese.multiindex import coordinate_index
 
 
@@ -206,6 +206,45 @@ def reference_forest(ctx, i, col):
         j = next(s for s, (a, b) in enumerate(zip(monos[k], parent)) if a > b)
         edges.append((k, idx[parent], _canonical_quad(col[i], k, idx[parent], col[j])))
     return edges
+
+
+def reference_edge_fault(ctx, at, col, i, k, q, parent):
+    """The edge check certificates._sound_edge replaced: quad q runs as a
+    one-step chain of chart i, col = chart_indices(ctx, i), through the
+    telescoper of certificates._chain_fault, as (step, diagnostic template)
+    of its first failing check, None when all pass.  The quad extends the
+    parent's chain, and the product starts as that chain, if sound, leaves
+    k's: z_P^(d-1) z_parent z_col^(k-parent), k's chart product on chart i
+    (z_P != 0, and a root parent's product is its goal) unless a count is
+    negative, which no step clears: a fault."""
+    monos = ctx.monomials()
+    P = col[i]
+    state = dict(zip(col, map(sub, monos[k], monos[parent])))
+    state[P] += ctx.d - 1
+    state[parent] = state.get(parent, 0) + 1
+    state = {f: e for f, e in state.items() if e}
+    quads = (q,)
+    for pos, q in enumerate(quads):
+        if q is None or not is_minor_quad(at, *q):
+            return pos, "{minor} is not a 2-minor of the matrix"
+        if P not in q:
+            return pos, "{minor} has no realization on row {i} and the column of {P}"
+        a, b, c, e = q
+        if state.get(c, 0) >= 2 if c == e else c in state and e in state:
+            consumed, produced = (c, e), (a, b)
+        elif state.get(a, 0) >= 2 if a == b else a in state and b in state:
+            consumed, produced = (a, b), (c, e)
+        else:
+            return pos, "neither side of {minor} occurs in the running product"
+        for f in consumed:
+            state[f] -= 1
+            if not state[f]:
+                del state[f]
+        for f in produced:
+            state[f] = state.get(f, 0) + 1
+    goal = {P: ctx.d - 1} if ctx.d > 1 else {}
+    goal[k] = goal.get(k, 0) + 1
+    return None if state == goal else (len(quads), "telescoping ended away from the claimed product")
 
 
 def reference_proportional(u, v, p):

@@ -38,7 +38,7 @@ from veronese import (
 )
 from veronese import certificates as certs
 from veronese.matrix import cached_minors
-from veronese.matrix import _canonical_quad, CodeIndex, binomial_quad, is_minor_quad
+from veronese.matrix import _canonical_quad, _quads, _toric_quads, CodeIndex, binomial_quad, is_minor_quad
 from veronese.morphism import _minor_quads, _minor_table, chart_indices, coordinate_index
 from veronese.projective import integer_coords
 
@@ -49,6 +49,7 @@ from reference import (
     realizes_row_and_column,
     reference_chain_identity,
     reference_chain_quads,
+    reference_edge_fault,
     reference_forest,
     reference_is_minor_quad,
     reference_rewrite_chain,
@@ -901,10 +902,9 @@ class TestPackedCodeDecisions:
     @pytest.mark.parametrize("n,d", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 3), (3, 4)])
     def test_unit_move_edges_telescope(self, n, d):
         # one quad z_P z_k - z_parent z_{col_j} below a parent k + e_i - e_j,
-        # on the forest or off it, passes _chain_fault from the parent's
-        # product, as it does run as the last step of the parent's whole
-        # chain.  The same quad below k + e_s - e_j, s != i, is unbalanced:
-        # no minor
+        # on the forest or off it, is a sound edge, and it runs as the last
+        # step of the parent's whole chain.  The same quad below k + e_s -
+        # e_j, s != i, is unbalanced: no minor
         ctx = VeroneseContext(n, d)
         monos, idx, at = ctx.monomials(), coordinate_index(ctx), CodeIndex(ctx)
         edges = 0
@@ -916,15 +916,57 @@ class TestPackedCodeDecisions:
                         continue
                     parent = idx[moved(m, j, s)]
                     q = _canonical_quad(col[i], k, parent, col[j])
-                    fault = certs._chain_fault(ctx, at, col, i, k, (q,), parent)
+                    sound = certs._sound_edge(at, col, col[i], k, parent, q)
                     if s != i or q is None:  # q is None iff parent = P and k = col_j
-                        assert fault == (0, "{minor} is not a 2-minor of the matrix")
+                        assert not sound and (q is None or not is_minor_quad(at, *q))
                         continue
-                    assert fault is None
+                    assert sound
                     chain = reference_chain_quads(ctx, col, i, monos[parent]) + [q]
                     assert certs._chain_fault(ctx, at, col, i, k, chain) is None
                     edges += 1
         assert edges >= (n + 1) * (ctx.N - n)  # the forest edges among them
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_edge_rule_matches_the_telescoper(self, n):
+        # _sound_edge against the one-step telescoping run it replaced, for
+        # every chart, non-root k and parent, on every balanced quad with
+        # z_P z_k on one side (only these pass either check), on z_P z_k -
+        # z_parent z_{col_j} for every j, balanced or not, and on seeded
+        # minors and toric quadrics.  Below a non-root parent the verdicts
+        # agree.  A root parent's product is k's chart product, so the
+        # telescoper passes z_P z_k - z_{col_a} z_{col_b} below any root,
+        # z_P included, while the rule wants the parent among the entries
+        # and beside a chart-column entry
+        below_root = 0
+        for d in range(1, 5):
+            ctx = VeroneseContext(n, d)
+            monos, idx, at = ctx.monomials(), coordinate_index(ctx), CodeIndex(ctx)
+            rng = Random(10 * n + d)
+            minors, toric = list(_quads(_minor_quads(ctx))), _toric_quads(ctx)
+            passed = 0
+            for i in range(n + 1):
+                col = chart_indices(ctx, i)
+                P = col[i]
+                for k, m in enumerate(monos):
+                    if m[i] >= d - 1:
+                        continue
+                    total = tuple(map(add, monos[P], m))
+                    shaped = {_canonical_quad(P, k, x, idx[y]) for x in range(len(monos))
+                              if (y := tuple(map(sub, total, monos[x]))) in idx}
+                    quads = (sorted(shaped - {None}) + rng.sample(minors, min(8, len(minors)))
+                             + rng.sample(toric, min(8, len(toric))))
+                    for parent in range(len(monos)):
+                        for q in quads + [_canonical_quad(P, k, parent, c) for c in col]:
+                            sound = certs._sound_edge(at, col, P, k, parent, q)
+                            telescopes = reference_edge_fault(ctx, at, col, i, k, q, parent) is None
+                            if monos[parent][i] < d - 1:
+                                assert sound == telescopes, (d, i, k, parent, q)
+                            else:
+                                assert sound == (telescopes and parent in q and parent != P), (d, i, k, parent, q)
+                                below_root += telescopes and not sound
+                            passed += sound
+            assert passed >= (n + 1) * (ctx.N - n)  # the forest edges among them
+        assert below_root or not n  # n = 0 has no edges
 
 
 class TestMalformedChains:

@@ -5,9 +5,11 @@ A permutation s of the source coordinates, s[j] the image of j, moves x
 to y with y[s[j]] = x[j], and an exponent vector m likewise.  Since
 (s x)^(s m) = x^m, it permutes the coordinates of P^N, maps 2-minors to
 2-minors and chart i to chart s[i], and commutes with the embedding and
-its inverse.  Scaling a point of P^N by a nonzero lambda fixes it, so
+its inverse, and chart i's identities nu_d(psi_i(z)) = z_P^(d-1) z to
+chart s[i]'s.  Scaling a point of P^N by a nonzero lambda fixes it, so
 every yes/no answer and every preimage stays, and a minor's value scales
-by lambda^2.
+by lambda^2.  Reducing an integral point mod p commutes with the
+embedding, whose coordinates are integer polynomials.
 """
 
 from fractions import Fraction
@@ -27,8 +29,10 @@ from veronese import (
     point,
     veronese_eval,
 )
-from veronese.matrix import _canonical_quad, _minor_quads, _quads, _toric_quads
+from veronese.certificates import _chart_failures
+from veronese.matrix import CodeIndex, _canonical_quad, _minor_quads, _quads, _toric_quads
 from veronese.multiindex import coordinate_index
+from veronese.projective import integer_coords
 
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]
 
@@ -56,6 +60,11 @@ def pushed(ctx, s, Q):
 
 def scaled(Q, lam):
     return point(Q.field, [lam * c for c in Q.coords])
+
+
+@cache
+def code_index(ctx):
+    return CodeIndex(ctx)
 
 
 @cache
@@ -114,6 +123,29 @@ def cases(draw, make_point):
     s = tuple(draw(st.permutations(range(ctx.n + 1))))
     field = draw(st.sampled_from(FIELDS))
     return ctx, s, field, draw(make_point(ctx, field))
+
+
+@st.composite
+def chart_points(draw, ctx, field, i):
+    """The image of a source point with x_i set to 1 if drawn 0, so it lies
+    on chart i, often with one coordinate bent off the variety."""
+    coords = list(draw(source_points(ctx, field)).coords)
+    if not coords[i]:
+        coords[i] = field.one
+    image = veronese_eval(ctx, point(field, coords))
+    bent = list(image.coords)
+    bent[draw(st.integers(0, ctx.N))] += field.one
+    return point(field, bent) if draw(st.booleans()) and any(bent) else image
+
+
+@st.composite
+def chart_cases(draw):
+    """(ctx, s, field, chart i, points of P^N on chart i or bent off it)."""
+    ctx = draw(contexts)
+    s = tuple(draw(st.permutations(range(ctx.n + 1))))
+    field = draw(st.sampled_from(FIELDS))
+    i = draw(st.integers(0, ctx.n))
+    return ctx, s, field, i, draw(st.lists(chart_points(ctx, field, i), min_size=1, max_size=3))
 
 
 class TestPermutations:
@@ -177,3 +209,45 @@ class TestScaling:
         if found is not None:
             minor, value = found
             assert failing_minor(ctx, scaled(Q, lam)) == (minor, lam * lam * value)
+
+
+class TestChartIdentities:
+    @settings(deadline=None)
+    @given(chart_cases())
+    def test_failures_commute(self, case):
+        # chart s[i]'s identities at the pushed points are chart i's at the
+        # points, though _edge's least j gives the two charts other forests
+        ctx, s, field, i, points = case
+        at = code_index(ctx)
+        pushed_points = [integer_coords(pushed(ctx, s, Q)) for Q in points]
+        assert (_chart_failures(ctx, at, s[i], pushed_points)
+                == _chart_failures(ctx, at, i, [integer_coords(Q) for Q in points]))
+
+    @settings(deadline=None)
+    @given(chart_cases(), st.data())
+    def test_failures_are_unchanged_by_scaling(self, case, data):
+        ctx, _, field, i, points = case
+        lam = field.coerce(data.draw(nonzero(field)))
+        at = code_index(ctx)
+        assert (_chart_failures(ctx, at, i, [integer_coords(scaled(Q, lam)) for Q in points])
+                == _chart_failures(ctx, at, i, [integer_coords(Q) for Q in points]))
+
+    @settings(deadline=None)
+    @given(chart_cases())
+    def test_points_are_read_once(self, case):
+        ctx, _, _, i, points = case
+        at = code_index(ctx)
+        ints = [integer_coords(Q) for Q in points]
+        assert _chart_failures(ctx, at, i, iter(ints)) == _chart_failures(ctx, at, i, ints)
+
+
+class TestReduction:
+    @settings(deadline=None)
+    @given(contexts, st.sampled_from(FIELDS[1:]), st.data())
+    def test_embedding_commutes_with_reduction(self, ctx, field, data):
+        # an integral point of P^n over Q, nonzero mod p, and its residues
+        ints = small | st.integers(-(2**90), 2**90)
+        x = data.draw(st.lists(ints, min_size=ctx.n + 1, max_size=ctx.n + 1)
+                      .filter(lambda v: any(c % field.p for c in v)))
+        z, _ = integer_coords(veronese_eval(ctx, point(QQ, x)))
+        assert normalize(point(field, z)) == veronese_eval(ctx, point(field, x))
