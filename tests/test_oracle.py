@@ -1,5 +1,6 @@
 """Exhaustive finite-field comparisons."""
 
+import tracemalloc
 from array import array
 from itertools import chain, product
 from random import Random
@@ -33,6 +34,7 @@ from veronese.matrix import (
     sorted_binomials,
     toric_quadrics,
 )
+from veronese.multiindex import coordinate_index
 from veronese.oracle import EqualityReport
 from veronese.projective import ProjectivePoint, _search, enumerate_projective_points
 
@@ -198,8 +200,8 @@ class TestToricEquality:
 class TestCensus:
     @pytest.mark.parametrize("n,d,q", [(1, 2, 3), (2, 2, 3), (1, 4, 3), (2, 3, 3)])
     def test_both_reports_from_one_minor_search(self, n, d, q, monkeypatch):
-        # two searches: the minor variety once and the source points of the
-        # image; the toric variety filters the minor variety
+        # two searches: the source points of the image, then the minor
+        # variety once; the toric variety filters the minor variety
         ctx = VeroneseContext(n, d)
         expected = (check_set_equality(ctx, q), check_toric_equality(ctx, q))
         searched = []
@@ -212,7 +214,39 @@ class TestCensus:
 
         monkeypatch.setattr(oracle, "_search", counted)
         assert census(ctx, q) == expected
-        assert searched == [(ctx.N, len(cached_minors(ctx))), (ctx.n, 0)]
+        assert searched == [(ctx.n, 0), (ctx.N, len(cached_minors(ctx)))]
+
+    def test_image_points_off_the_variety_are_witnesses(self, monkeypatch):
+        # the (1,2) table and one more quad, z_{2,0}^2 - z_{1,1} z_{0,2},
+        # that fails at some image points: those are the image side alone
+        ctx, q = VeroneseContext(1, 2), 3
+        idx = coordinate_index(ctx)
+        a, b, c, e = idx[(2, 0)], idx[(2, 0)], idx[(1, 1)], idx[(0, 2)]
+        table = array("I", chain(_minor_quads(ctx), (a, b, c, e)))
+        monkeypatch.setattr(oracle, "_minor_quads", lambda ctx: table)
+        report, _ = census(ctx, q)
+        failing = sorted((P for P in reference_image(ctx, q) if P[a] * P[b] != P[c] * P[e]),
+                         key=lambda P: tuple(x.value for x in P.coords))
+        assert [format_point(P) for P in failing] == ["[1 : 0 : 0]", "[1 : 2 : 1]"]
+        assert report.witnesses == tuple(failing)
+        assert report.variety_count == report.image_count - len(failing)
+        assert not report.equal
+
+    def test_only_the_image_is_held(self):
+        # the variety streams past the image codes, so census peaks no
+        # higher than building those codes alone, up to a margin
+        ctx, q, budget = VeroneseContext(3, 1), 31, 10**15
+        census(ctx, q, budget)  # builds the tables and every cache first
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(census, ctx, q, budget) <= 1.25 * peak(oracle._image_codes, ctx, q)
 
     def test_toric_search_still_budgeted(self):
         ctx, q = VeroneseContext(1, 4), 3
@@ -222,17 +256,23 @@ class TestCensus:
         assert exc.value.estimated == points * len(toric_quadrics(ctx))
 
 
+def search_codes(N, q, quads):
+    """The residue codes of the canonical points of P^N(F_q) at which the
+    quads vanish, read straight from the search."""
+    return {oracle._code(v, q) for v in _search(N, q, quads)}
+
+
 class TestVanishingSet:
     def test_empty_generators(self):
         ctx = VeroneseContext(1, 1)
-        codes = oracle._vanishing_codes(ctx, 3, [], 0, DEFAULT_BUDGET)
+        codes = search_codes(ctx.N, 3, [])
         assert len(codes) == count_projective_points(ctx.N, 3)
 
     def test_fewer_generators_grow_the_locus(self):
         ctx = VeroneseContext(1, 4)
         quads = list(_quads(_minor_quads(ctx)))
-        full = oracle._vanishing_codes(ctx, 3, quads, len(quads), DEFAULT_BUDGET)
-        pruned = oracle._vanishing_codes(ctx, 3, quads[:1], 1, DEFAULT_BUDGET)
+        full = search_codes(ctx.N, 3, quads)
+        pruned = search_codes(ctx.N, 3, quads[:1])
         assert full <= pruned
         assert len(pruned) > len(full)
 
@@ -394,26 +434,27 @@ def bent_tables():
                [binomial_quad(ctx, b) for b in toric])
 
 
-def census_toric_codes(ctx, q):
-    """The toric residue codes census compares the minor variety with, and
-    the number of searches it ran: the minor variety and the source points
-    of the image."""
-    reported, searches = {}, []
-    report, search = oracle._report, oracle._search
+def point_codes(points, q):
+    return {oracle._code([c.value for c in P.coords], q) for P in points}
 
-    def recording(ctx, q, kind, variety, other):
-        reported[kind] = other
-        return report(ctx, q, kind, variety, other)
+
+def census_toric_codes(ctx, q):
+    """The toric residue codes census compares the minor variety with: the
+    minor variety less the toric report's witnesses, which it keeps in
+    full; and the number of searches census ran, the source points of the
+    image and the minor variety."""
+    searches = []
+    search = oracle._search
 
     def counted(*args):
         searches.append(args)
         return search(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_report", recording)
         patch.setattr(oracle, "_search", counted)
-        census(ctx, q, UNBOUNDED)
-    return reported["toric-quadrics"], len(searches)
+        _, toric = census(ctx, q, UNBOUNDED)
+    variety = point_codes(brute_force_variety(ctx, q, UNBOUNDED), q)
+    return variety - point_codes(toric.witnesses, q), len(searches)
 
 
 class TestToricReuse:
@@ -433,7 +474,7 @@ class TestToricReuse:
         ctx = VeroneseContext(n, d)
         codes, searches = census_toric_codes(ctx, q)
         quads = _toric_quads(ctx)
-        assert codes == oracle._vanishing_codes(ctx, q, quads, len(quads), UNBOUNDED)
+        assert codes == search_codes(ctx.N, q, quads)
         assert searches == 2
 
     def test_same_codes_for_bent_quad_sets(self, monkeypatch):
@@ -442,7 +483,7 @@ class TestToricReuse:
             monkeypatch.setattr(oracle, "_minor_quads", lambda ctx: array("I", chain.from_iterable(minor_quads)))
             monkeypatch.setattr(oracle, "_toric_quads", lambda ctx: list(toric_quads))
             codes, searches = census_toric_codes(ctx, q)
-            assert codes == oracle._vanishing_codes(ctx, q, toric_quads, len(toric_quads), UNBOUNDED)
+            assert codes == search_codes(ctx.N, q, toric_quads)
             assert searches == 2
 
     @pytest.mark.parametrize("n,d,q", [(1, 2, 3), (1, 4, 3), (2, 2, 3), (2, 3, 2)])
@@ -453,6 +494,6 @@ class TestToricReuse:
         monkeypatch.setattr(oracle, "_minor_quads", lambda ctx: array("I"))
         codes, searches = census_toric_codes(ctx, q)
         quads = _toric_quads(ctx)
-        assert codes == oracle._vanishing_codes(ctx, q, quads, len(quads), UNBOUNDED)
+        assert codes == search_codes(ctx.N, q, quads)
         assert len(codes) < count_projective_points(ctx.N, q)
         assert searches == 2

@@ -180,6 +180,22 @@ class TestPermutations:
         assert is_on_variety(ctx, P) == is_on_variety(ctx, Q)
         assert available_charts(ctx, P) == tuple(sorted(s[i] for i in available_charts(ctx, Q)))
 
+    @settings(deadline=None)
+    @given(cases(target_points))
+    def test_failing_minor_commutes(self, case):
+        # some minor fails at the pushed point iff one fails at the point;
+        # it need not be the pushed minor, as listing order is not invariant
+        ctx, s, field, Q = case
+        P = pushed(ctx, s, Q)
+        found = failing_minor(ctx, P)
+        assert (found is None) == (failing_minor(ctx, Q) is None)
+        if found is not None:
+            (a, b), (c, e) = found[0]
+            idx = coordinate_index(ctx)
+            ia, ib, ic, ie = idx[a], idx[b], idx[c], idx[e]
+            assert _canonical_quad(ia, ib, ic, ie) in canonical_quads(ctx, "minor")
+            assert found[1] == P[ia] * P[ib] - P[ic] * P[ie] != 0
+
 
 @st.composite
 def scalings(draw):
