@@ -11,8 +11,6 @@ from veronese import (
     VeroneseContext,
     brute_force_variety,
     census,
-    check_set_equality,
-    check_toric_equality,
     count_projective_points,
     enumerate_projective_points,
     format_point,
@@ -23,7 +21,7 @@ from veronese import (
 
 for (n, d, q) in [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3)]:
     ctx = VeroneseContext(n, d)
-    rep = check_set_equality(ctx, q)
+    rep, _ = census(ctx, q)
     print(
         f"n={n} d={d} q={q}: scanned {count_projective_points(ctx.N, q)} points of P^{ctx.N}, "
         f"variety {rep.variety_count}, image {rep.image_count}, "
@@ -32,7 +30,7 @@ for (n, d, q) in [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3)]:
 print()
 
 # the variety of ALL balanced quadrics is a priori smaller; it comes out equal
-rep = check_toric_equality(VeroneseContext(1, 4), 3)
+_, rep = census(VeroneseContext(1, 4), 3)
 print(f"minors vs all balanced quadrics at n=1 d=4 q=3: {rep.variety_count} vs {rep.image_count}, equal: {rep.equal}")
 print()
 

@@ -46,8 +46,7 @@ _EXPORTS = {
         "verify_zero_propagation", "zero_propagation_certificate",
     ),
     "oracle": (
-        "EqualityReport", "brute_force_variety", "census", "check_set_equality",
-        "check_toric_equality", "report_to_doc",
+        "EqualityReport", "brute_force_variety", "census", "report_to_doc",
     ),
     "cli": (),
 }

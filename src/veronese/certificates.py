@@ -38,7 +38,8 @@ w_j with w_j = (2d+1)^j, through one matrix.CodeIndex `at` made per
 public call (no cache, so a cold build stays cold).  A coordinate one
 unit move from k is at[code(k) + w_i - w_j]: a forest parent, a cascade
 factor.  is_minor_quad tests a quad with two sums and two lookups in the
-n(n+1) unit-move codes.
+n(n+1) unit-move codes.  Chart columns come from matrix.chart_indices, so
+this module loads no morphism.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from __future__ import annotations
 from math import prod
 
 from .errors import ContractError, FrozenTuple
-from .matrix import Binomial2, _canonical_quad, CodeIndex, binomial_quad, is_minor_quad, parse_binomial
-from .morphism import chart_indices
+from .matrix import (Binomial2, _canonical_quad, CodeIndex, binomial_quad, chart_indices, is_minor_quad,
+                     parse_binomial)
 from .multiindex import MultiIndex, VeroneseContext, coordinate_index, parse_coordinate_name
 from .projective import ProjectivePoint, integer_coords
 

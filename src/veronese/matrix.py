@@ -50,6 +50,9 @@ time, each leader a's quads deduplicated and sorted as the index
 triples (b, c, e), c <= e, behind it.  Every candidate of the grid
 balances by construction, and only this grid has minors: minors2
 refuses any other.
+
+The inverse's chart columns are grid columns: chart_indices finds the
+one based at x_i^(d-1) by counting bases, building no exponent vector.
 """
 
 from __future__ import annotations
@@ -267,6 +270,16 @@ def _index_grid(ctx: VeroneseContext) -> tuple[tuple[int, ...], ...]:
     column k."""
     idx = coordinate_index(ctx)
     return tuple(tuple(idx[m] for m in row) for row in build_matrix(ctx).entries)
+
+
+@lru_cache(maxsize=None)
+def chart_indices(ctx: VeroneseContext, i: int) -> tuple[int, ...]:
+    """Column (d-1)e_i of the index grid: entry j is (d-1)e_i + e_j, entry
+    i the pure power z_{d e_i}.  Column bases are the degree-(d-1) vectors
+    lex-descending, and (d-1)e_i leads the C(n-i+d-1, n-i) supported on
+    x_i..x_n, which come last."""
+    c = ctx.cols - comb(ctx.n - i + ctx.d - 1, ctx.n - i)
+    return tuple(row[c] for row in _index_grid(ctx))
 
 
 @lru_cache(maxsize=None)

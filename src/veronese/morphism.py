@@ -36,7 +36,8 @@ the same grid, matrix._index_grid.
 The inverse reads off one matrix column: on the chart where z_{d e_i} is
 nonzero, the column whose base is x_i^(d-1) lists
 (x_0 x_i^(d-1) : ... : x_n x_i^(d-1)), a scalar multiple of the source
-point.  On ints that column is compared with a point by
+point.  Its coordinate indices are matrix.chart_indices, a column of the
+index grid.  On ints that column is compared with a point by
 projective._proportional, without normalizing either.  Conversely, nu_d
 of the chart-i column of a variety point z is z_{d e_i}^(d-1) z: nu_d o
 psi_i is the identity on chart i, which the rewrite chains prove.
@@ -47,7 +48,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ContractError, NoChartError
-from .matrix import Binomial2, _index_grid, _minor_quads, _quads
+from .matrix import Binomial2, _index_grid, _minor_quads, _quads, chart_indices
+# coordinate_index stays importable here: bench/workloads.py clears morphism.coordinate_index
 from .multiindex import VeroneseContext, _monomial_values, coordinate_index
 from .projective import ProjectivePoint, _canonical, _proportional, integer_coords, normalize
 
@@ -119,15 +121,6 @@ def failing_minor(ctx: VeroneseContext, Q: ProjectivePoint) -> tuple[Binomial2, 
             minor = Binomial2((monos[ia], monos[ib]), (monos[ic], monos[ie]))
             return minor, c[ia] * c[ib] - c[ic] * c[ie]
     return None
-
-
-@lru_cache(maxsize=None)
-def chart_indices(ctx: VeroneseContext, i: int) -> tuple[int, ...]:
-    """Coordinate indices of the entries (d-1)e_i + e_j, j = 0..n, of the
-    column based at x_i^(d-1); entry i is the pure power z_{d e_i}."""
-    idx = coordinate_index(ctx)
-    base = [ctx.d - 1 if s == i else 0 for s in range(ctx.n + 1)]
-    return tuple(idx[tuple(e + (s == j) for s, e in enumerate(base))] for j in range(ctx.n + 1))
 
 
 def chart_select(ctx: VeroneseContext, Q: ProjectivePoint) -> int:

@@ -4,7 +4,8 @@ Desk-scale evidence for the set equality V(2-minors) = image of the
 embedding: find every canonical point of P^N(F_q) where all minors
 vanish, and compare with the image of P^n(F_q).  The same
 machinery compares the minor set against the full balanced-quadric
-generating set.
+generating set.  census is the one comparison: a caller who wants one
+of its two reports reads census(...)[0], the image, or [1], the toric.
 
 The minor-vanishing derivations behind the equality use only field axioms,
 so a check over F_q exercises the identical algebra as any other field;
@@ -121,24 +122,12 @@ def brute_force_variety(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDG
     return {ProjectivePoint(field, v) for v in _search(ctx.N, field.p, _quads(table))}
 
 
-def check_set_equality(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> EqualityReport:
-    """Compare V(2-minors)(F_q) with the embedding image; equality expected."""
-    return census(ctx, q, budget)[0]
-
-
-def check_toric_equality(ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET) -> EqualityReport:
-    """Compare V(2-minors)(F_q) with the vanishing set of all balanced
-    quadrics; the latter generator set is larger, so its variety can only
-    be smaller, and equality is the content."""
-    return census(ctx, q, budget)[1]
-
-
 def census(
     ctx: VeroneseContext, q: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[EqualityReport, EqualityReport]:
-    """check_set_equality and check_toric_equality, in that order, from one
-    stream of V(2-minors)(F_q) past the held image codes (module
-    docstring); every guard runs before either search."""
+    """V(2-minors)(F_q) against the embedding image, then against the a
+    priori smaller vanishing set of all balanced quadrics, from one stream
+    past the held image codes (module docstring); all guards run first."""
     check_minor_budget(ctx, budget)
     field = PrimeField(q)
     q = field.p

@@ -304,6 +304,15 @@ def reference_zero_propagation_certificate(ctx):
     return ZeroPropagationCertificate(ctx, tuple(steps))
 
 
+def reference_chart_indices(ctx, i):
+    """The build matrix.chart_indices replaced: each entry (d-1)e_i + e_j
+    of the chart-i column made as an exponent tuple and looked up in
+    coordinate_index."""
+    idx = coordinate_index(ctx)
+    base = [ctx.d - 1 if s == i else 0 for s in range(ctx.n + 1)]
+    return tuple(idx[tuple(e + (s == j) for s, e in enumerate(base))] for j in range(ctx.n + 1))
+
+
 def reference_chart_column(ctx, i):
     base = MultiIndex(ctx.d - 1 if k == i else 0 for k in range(ctx.n + 1))
     return tuple(bump(base, j) for j in range(ctx.n + 1))

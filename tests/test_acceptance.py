@@ -18,8 +18,7 @@ from veronese import (
     VeroneseContext,
     brute_force_variety,
     build_matrix,
-    check_set_equality,
-    check_toric_equality,
+    census,
     count_projective_points,
     inverse_map,
     minors2,
@@ -120,7 +119,7 @@ def test_criterion_04_roundtrip_b(variety_sets):
 def test_criterion_05_set_equality():
     t0 = time.perf_counter()
     for (n, d, q) in FIELD_GRID:
-        rep = check_set_equality(VeroneseContext(n, d), q)
+        rep = census(VeroneseContext(n, d), q)[0]
         expected = count_projective_points(n, q)
         assert rep.equal, f"({n},{d},{q}): witnesses {rep.witnesses[:3]}"
         assert rep.variety_count == rep.image_count == expected
@@ -173,7 +172,7 @@ def test_criterion_07_certificates():
 def test_criterion_08_catalecticant_comparison():
     t0 = time.perf_counter()
     for (n, d, q) in [(1, 3, 2), (1, 3, 3), (2, 2, 2), (2, 2, 3)]:
-        rep = check_toric_equality(VeroneseContext(n, d), q)
+        rep = census(VeroneseContext(n, d), q)[1]
         assert rep.equal, f"({n},{d},{q}): witnesses {rep.witnesses[:3]}"
     for n in range(1, 4):
         for d in range(1, 5):

@@ -19,9 +19,10 @@ from veronese import (
     sorted_binomials,
     toric_quadrics,
 )
-from veronese.matrix import binomial_quad, check_minor_budget
+from veronese.matrix import binomial_quad, chart_indices, check_minor_budget
+from veronese.multiindex import coordinate_index, pure_power
 
-from reference import build_matrix_by_columns, bump, ref_toric_quadrics
+from reference import build_matrix_by_columns, bump, ref_toric_quadrics, reference_chart_indices
 
 # golden fixture: the 3x6 grid of the degree-3 embedding of the plane
 PLANE_CUBIC_GRID = [
@@ -109,6 +110,22 @@ class TestColumnConstruction:
     def test_agrees_with_row_construction(self, n, d):
         ctx = VeroneseContext(n, d)
         assert build_matrix_by_columns(ctx).entries == build_matrix(ctx).entries
+
+
+# every context n <= 6, d <= 6, and the one-column and two-row corners
+# d = 1 and n = 1 out to 60
+CHART_CONTEXTS = [*product(range(7), range(1, 7)), *((n, 1) for n in range(7, 61)),
+                  *((1, d) for d in range(7, 61))]
+
+
+class TestChartIndices:
+    @pytest.mark.parametrize("n,d", CHART_CONTEXTS)
+    def test_matches_the_exponent_tuple_build(self, n, d):
+        # entry i of chart i is the pure power z_{d e_i}
+        ctx = VeroneseContext(n, d)
+        for i in range(n + 1):
+            assert chart_indices(ctx, i) == reference_chart_indices(ctx, i)
+            assert chart_indices(ctx, i)[i] == coordinate_index(ctx)[pure_power(n, d, i)]
 
 
 class TestMinors:

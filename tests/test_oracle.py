@@ -13,8 +13,6 @@ from veronese import (
     VeroneseContext,
     brute_force_variety,
     census,
-    check_set_equality,
-    check_toric_equality,
     count_projective_points,
     format_point,
     normalize,
@@ -154,7 +152,7 @@ class TestBruteForceImage:
 class TestSetEquality:
     @pytest.mark.parametrize("n,d,q", sorted(FROZEN_VARIETY_COUNTS))
     def test_equal_with_frozen_counts(self, n, d, q):
-        rep = check_set_equality(VeroneseContext(n, d), q)
+        rep = census(VeroneseContext(n, d), q)[0]
         assert rep.equal
         assert rep.witnesses == ()
         assert rep.variety_count == rep.image_count == rep.expected_count
@@ -162,11 +160,11 @@ class TestSetEquality:
 
     def test_degree_one_trivial(self):
         for q in (2, 5):
-            rep = check_set_equality(VeroneseContext(1, 1), q)
+            rep = census(VeroneseContext(1, 1), q)[0]
             assert rep.equal and rep.variety_count == q + 1
 
     def test_report_document(self):
-        doc = report_to_doc(check_set_equality(VeroneseContext(1, 2), 3))
+        doc = report_to_doc(census(VeroneseContext(1, 2), 3)[0])
         assert doc["equal"] is True
         assert doc["witnesses"] == []
         assert doc["comparison"] == "veronese-image"
@@ -179,8 +177,7 @@ class TestFrontier:
     @pytest.mark.parametrize("n,d,count", [(3, 4, 40), (4, 3, 121)])
     def test_beyond_brute_force(self, n, d, count):
         ctx = VeroneseContext(n, d)
-        for check in (check_set_equality, check_toric_equality):
-            rep = check(ctx, 3, budget=10**30)
+        for rep in census(ctx, 3, budget=10**30):
             assert rep.equal
             assert rep.variety_count == rep.image_count == rep.expected_count == count
 
@@ -188,12 +185,12 @@ class TestFrontier:
 class TestToricEquality:
     @pytest.mark.parametrize("n,d,q", [(1, 3, 2), (1, 3, 3), (2, 2, 2), (2, 2, 3), (1, 4, 3)])
     def test_equal_vanishing_sets(self, n, d, q):
-        rep = check_toric_equality(VeroneseContext(n, d), q)
+        rep = census(VeroneseContext(n, d), q)[1]
         assert rep.equal
         assert rep.variety_count == count_projective_points(n, q)
 
     def test_identical_generators_for_the_conic(self):
-        rep = check_toric_equality(VeroneseContext(1, 2), 5)
+        rep = census(VeroneseContext(1, 2), 5)[1]
         assert rep.equal and rep.variety_count == rep.image_count == 6
 
 
@@ -203,7 +200,7 @@ class TestCensus:
         # two searches: the source points of the image, then the minor
         # variety once; the toric variety filters the minor variety
         ctx = VeroneseContext(n, d)
-        expected = (check_set_equality(ctx, q), check_toric_equality(ctx, q))
+        expected = census(ctx, q)
         searched = []
         search = oracle._search
 
@@ -337,10 +334,6 @@ def outcome(fn, *args):
         return "refused", str(exc)
 
 
-def both_checks(ctx, q, budget=DEFAULT_BUDGET):
-    return check_set_equality(ctx, q, budget), check_toric_equality(ctx, q, budget)
-
-
 CENSUS_GRID = [(n, d, q) for n in range(4) for d in range(1, 5) for q in (2, 3, 5, 7)]
 
 BENT_CASES = list(product([(1, 2, 3), (1, 4, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)], range(3)))
@@ -372,7 +365,6 @@ class TestCensusAgainstPointReference:
         ctx = VeroneseContext(n, d)
         expected = outcome(reference_census, ctx, q)
         assert outcome(census, ctx, q) == expected
-        assert outcome(both_checks, ctx, q) == expected
 
     @pytest.mark.parametrize("n,d,q", [(2, 3, 5), (3, 3, 3), (1, 4, 7), (3, 2, 7)])
     def test_same_reports_past_the_default_budget(self, n, d, q):

@@ -123,6 +123,12 @@ class TestImportBoundaries:
         assert exit_code == 0
         assert "veronese.morphism" in modules
 
+    def test_certificates_does_not_load_morphism(self):
+        # the chart columns come from matrix
+        modules = fresh(f"import json, sys\nimport veronese.certificates\nprint(json.dumps({LOADED}))")
+        assert "veronese.certificates" in modules
+        assert "veronese.morphism" not in modules
+
     def test_verify_does_not_load_oracle(self):
         exit_code, modules = loaded_by(["verify", "--n", "1", "--d", "2"])
         assert exit_code == 0
@@ -276,7 +282,7 @@ PINNED_CACHES = {
     "multiindex.enumerate_monomials", "multiindex.coordinate_index",
     "matrix.cached_matrix", "matrix.cached_minors",
     "matrix._minor_quads", "matrix._index_grid",
-    "morphism._minor_table", "morphism.chart_indices",
+    "matrix.chart_indices", "morphism._minor_table",
 }
 
 # the names bench/workloads.py clears, as attribute paths from the package

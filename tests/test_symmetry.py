@@ -14,6 +14,7 @@ embedding, whose coordinates are integer polynomials.
 
 from fractions import Fraction
 from functools import cache
+from operator import neg
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +33,7 @@ from veronese import (
 from veronese.certificates import _chart_failures
 from veronese.matrix import CodeIndex, _canonical_quad, _minor_quads, _quads, _toric_quads
 from veronese.multiindex import coordinate_index
-from veronese.projective import integer_coords
+from veronese.projective import MAX_DIGITS, integer_coords
 
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]
 
@@ -76,6 +77,9 @@ def canonical_quads(ctx, build):
 contexts = st.builds(VeroneseContext, st.integers(0, 4), st.integers(1, 5))
 small = st.integers(-30, 30)
 rationals = st.builds(Fraction, small | st.integers(-(2**90), 2**90), st.integers(1, 50))
+# ints of MAX_DIGITS decimal digits, the most a rational written out in
+# decimal may expand to
+towering = st.integers(10 ** (MAX_DIGITS - 1), 10**MAX_DIGITS - 1)
 
 
 def scalars(field):
@@ -84,10 +88,12 @@ def scalars(field):
 
 
 def nonzero(field):
-    """Nonzero scalars; over Q also a tall integer or a tall denominator."""
+    """Nonzero scalars; over Q also a tall integer or a tall denominator,
+    and a rational whose numerator and denominator are both towering."""
     if field is QQ:
         tall = st.integers(2**200, 2**260)
-        return st.builds(Fraction, small.filter(bool) | tall, st.integers(1, 9) | tall)
+        return (st.builds(Fraction, small.filter(bool) | tall, st.integers(1, 9) | tall)
+                | st.builds(Fraction, towering | towering.map(neg), towering))
     return st.integers(1, field.p - 1)
 
 
